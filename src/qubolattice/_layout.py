@@ -1,26 +1,31 @@
 """Shared low-level machinery for constructive chain layouts.
 
 A planner claims half-cell slots (cell, side, track) for named chains; claims
-by two different chains on one slot are construction errors.  Helpers place
-triangular clique blocks and route register buses with at most two turns.
+by two different chains on one slot are construction errors, while a chain
+re-claiming its own slot is a no-op.  Every constructive layout (fractal
+unary trees, summation-tree blocks, permutation trees, tileable Hamiltonian
+cycles) builds its chains through one planner and converts them with
+`to_embedding`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .embedding import EmbeddingError, MinorEmbedding
-from .lattice import LatticeGraph, LatticeSpec, build_lattice, chimera_spec
+from .lattice import build_lattice, chimera_spec
 from .qubo import Qubo
 
 
 class SlotPlanner:
-    """Tracks ownership of s/r tracks per cell while a layout is built."""
+    """Tracks ownership of s/r tracks per cell while a layout is built.
+
+    Each chain keeps its slots in claim order (a dict used as an ordered set),
+    so walking a chain is deterministic.
+    """
 
     def __init__(self, J: int):
         self.J = J
         self.claims: dict[tuple[int, int, str, int], str] = {}
-        self.chains: dict[str, set[tuple[int, int, str, int]]] = {}
+        self.chains: dict[str, dict[tuple[int, int, str, int], None]] = {}
 
     def claim(self, cell: tuple[int, int], side: str, track: int, var: str) -> None:
         if not 0 <= track < self.J:
@@ -29,7 +34,7 @@ class SlotPlanner:
         owner = self.claims.get(key)
         if owner is None:
             self.claims[key] = var
-            self.chains.setdefault(var, set()).add(key)
+            self.chains.setdefault(var, {})[key] = None
         elif owner != var:
             raise EmbeddingError(
                 f"layout conflict at cell {cell} {side}{track}: {owner} vs {var}"
@@ -45,12 +50,28 @@ class SlotPlanner:
         for j in range(j_from, j_to + step, step):
             self.claim((col, j), "r", track, var)
 
+    def arm(
+        self, var: str, origin: tuple[int, int], slot: int, axis: str, lo: int, hi: int
+    ) -> None:
+        """Claim the arm of clique slot `slot` in the block at `origin`.
+
+        The slot sits on track slot % J of cell line slot // J; axis "h" runs
+        its s track along that row, axis "v" its r track down that column,
+        over the block's cell offsets lo..hi.
+        """
+        oi, oj = origin
+        line, track = divmod(slot, self.J)
+        if axis == "h":
+            self.run_horizontal(var, track, oj + line, oi + lo, oi + hi)
+        else:
+            self.run_vertical(var, track, oi + line, oj + lo, oj + hi)
+
     def snapshot(self) -> tuple:
-        return (dict(self.claims), {k: set(v) for k, v in self.chains.items()})
+        return (dict(self.claims), {k: dict(v) for k, v in self.chains.items()})
 
     def restore(self, snap: tuple) -> None:
         self.claims = dict(snap[0])
-        self.chains = {k: set(v) for k, v in snap[1].items()}
+        self.chains = {k: dict(v) for k, v in snap[1].items()}
 
     def extent(self) -> tuple[int, int]:
         w = 1 + max((i for (i, _, _, _) in self.claims), default=0)
@@ -82,58 +103,8 @@ def place_clique_block(
     diagonal cell, and any pair of variables meets on an intra-cell edge.
     Returns the block side in cells.
     """
-    J = planner.J
-    oi, oj = origin
-    b = max(1, -(-len(names) // J))
+    b = max(1, -(-len(names) // planner.J))
     for p, name in enumerate(names):
-        row, track = divmod(p, J)
-        planner.run_horizontal(name, track, oj + row, oi, oi + b - 1)
-        planner.run_vertical(name, track, oi + row, oj, oj + b - 1)
+        planner.arm(name, origin, p, "h", 0, b - 1)
+        planner.arm(name, origin, p, "v", 0, b - 1)
     return b
-
-
-def route_bit_down(
-    planner: SlotPlanner,
-    name: str,
-    exit_col: int,
-    exit_row: int,
-    exit_track: int,
-    jog_row: int,
-    jog_track: int,
-    dest_col: int,
-    dest_track: int,
-    dest_row: int,
-) -> None:
-    """Vertical-horizontal-vertical route from a block bottom to a block top."""
-    if exit_col == dest_col and exit_track == dest_track:
-        planner.run_vertical(name, exit_track, exit_col, exit_row + 1, dest_row - 1)
-        return
-    planner.run_vertical(name, exit_track, exit_col, exit_row + 1, jog_row)
-    planner.run_horizontal(name, jog_track, jog_row, exit_col, dest_col)
-    planner.claim((dest_col, jog_row), "r", dest_track, name)
-    if jog_row + 1 <= dest_row - 1:
-        planner.run_vertical(name, dest_track, dest_col, jog_row + 1, dest_row - 1)
-
-
-def route_bit_right(
-    planner: SlotPlanner,
-    name: str,
-    exit_col: int,
-    exit_row: int,
-    exit_track: int,
-    jog_col: int,
-    jog_track: int,
-    dest_row: int,
-    dest_track: int,
-    dest_col: int,
-) -> None:
-    """Horizontal-vertical-horizontal route from a block right edge to a block
-    left edge."""
-    if exit_row == dest_row and exit_track == dest_track:
-        planner.run_horizontal(name, exit_track, exit_row, exit_col + 1, dest_col - 1)
-        return
-    planner.run_horizontal(name, exit_track, exit_row, exit_col + 1, jog_col)
-    planner.run_vertical(name, jog_track, jog_col, exit_row, dest_row)
-    planner.claim((jog_col, dest_row), "s", dest_track, name)
-    if jog_col + 1 <= dest_col - 1:
-        planner.run_horizontal(name, dest_track, dest_row, jog_col + 1, dest_col - 1)

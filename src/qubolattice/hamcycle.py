@@ -23,7 +23,7 @@ from .embedding import (
     embed_qubo,
 )
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
-from .tiling import TilePlan, TilingError, route_graph_to_tiles
+from .tiling import TilePlan, TilingError, _edge_tile_pairs, route_graph_to_tiles
 from .unary import _add_bit_constraint, _add_gadget
 
 
@@ -234,7 +234,6 @@ def _permutation_layout_4(p: SlotPlanner) -> None:
 def lift_permutation(e: EmbeddedQubo, perm: tuple[int, ...]) -> tuple[int, ...]:
     """Chain-aligned physical state for x[v][j] = 1 iff perm[v] == j."""
     logical = e.logical
-    n = int(math.isqrt(len(perm) ** 2))
     n = len(perm)
     bits: dict[str, int] = {}
     for v in range(n):
@@ -386,13 +385,7 @@ def _assign_edge_tiles(plan: TilePlan, edges):
     busy: set[tuple[int, int]] = set()
     chosen: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for u, v in sorted({tuple(sorted(e)) for e in edges}):
-        tu, tv = plan.vertex_tiles(u), plan.vertex_tiles(v)
-        candidates = set()
-        for (r, c) in tu:
-            for nxt in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
-                if nxt in tv:
-                    candidates.add(tuple(sorted(((r, c), nxt))))
-        for pair in sorted(candidates):
+        for pair in _edge_tile_pairs(plan, u, v):
             if pair[0] not in busy and pair[1] not in busy:
                 chosen[(u, v)] = pair
                 busy.update(pair)
@@ -434,10 +427,18 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
         return phase(tile) * n + j
 
     def full_arms(tile, slot, name):
-        oi, oj = origin(tile)
-        row, track = divmod(slot, 4)
-        planner.run_horizontal(name, track, oj + row, oi, oi + ell - 1)
-        planner.run_vertical(name, track, oi + row, oj, oj + ell - 1)
+        for axis in ("h", "v"):
+            planner.arm(name, origin(tile), slot, axis, 0, ell - 1)
+
+    def segment(tile, toward, slot, name, lo, hi):
+        # the arm of `slot` inside `tile` out to the boundary shared with the
+        # adjacent tile `toward`: offsets lo..ell-1 toward a higher neighbour,
+        # 0..hi toward a lower one
+        axis, k = ("h", 1) if toward[1] != tile[1] else ("v", 0)
+        if toward[k] > tile[k]:
+            planner.arm(name, origin(tile), slot, axis, lo, ell - 1)
+        else:
+            planner.arm(name, origin(tile), slot, axis, 0, hi)
 
     regions = {v: sorted(plan.vertex_tiles(v)) for v in range(n)}
     partner_of: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
@@ -473,23 +474,12 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
             passer = plan.crossing_passes[run[0]][0 if axis == "h" else 1]
             ph = phase(enter)
             for cross in run:
-                oi, oj = origin(cross)
                 for j in range(n):
-                    row, track = divmod(ph * n + j, 4)
-                    if axis == "h":
-                        planner.run_horizontal(
-                            f"x:{passer}:{j}", track, oj + row, oi, oi + ell - 1
-                        )
-                    else:
-                        planner.run_vertical(
-                            f"x:{passer}:{j}", track, oi + row, oj, oj + ell - 1
-                        )
+                    planner.arm(f"x:{passer}:{j}", origin(cross), ph * n + j, axis, 0, ell - 1)
             if phase(exit_tile) != ph:
                 for j in range(n):
-                    _claim_bridge(
-                        planner, origin, ell, exit_tile, run[-1],
-                        ph * n + j, slot_x(exit_tile, j), f"x:{passer}:{j}",
-                    )
+                    own = slot_x(exit_tile, j) // 4
+                    segment(exit_tile, run[-1], ph * n + j, f"x:{passer}:{j}", own, own)
 
     tree_edges = _region_trees(plan, regions, partner_of)
 
@@ -507,11 +497,11 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
                     raise EmbeddingError(
                         f"no safe side for a chain bridge between {t1} and {t2}"
                     )
+            # inside t_from the chain takes the t_to-phase arm from its own
+            # perpendicular arm out to the shared boundary
             for j in range(n):
-                _claim_bridge(
-                    planner, origin, ell, t_from, t_to,
-                    slot_x(t_to, j), slot_x(t_from, j), f"x:{v}:{j}",
-                )
+                own = slot_x(t_from, j) // 4
+                segment(t_from, t_to, slot_x(t_to, j), f"x:{v}:{j}", own, own)
 
     for (u, v), pair in sorted(edge_tiles.items()):
         for mine in pair:
@@ -520,18 +510,20 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
                 full_arms(mine, 2 * n + j, f"z:{owner}:{other}:{j}")
             full_arms(mine, 3 * n, f"z:{owner}:{other}")
             for j in range(n):
+                # the incoming neighbour copy must reach far enough to cross
+                # its coupling partners' perpendicular arms
                 links = [
                     (2 * n + (j - 1) % n) // 4,
                     slot_x(mine, (j - 1) % n) // 4,
                 ]
-                _claim_copy(
-                    planner, origin, ell, mine, theirs,
-                    (1 - phase(mine)) * n + j, f"x:{other}:{j}", links,
+                segment(
+                    mine, theirs, (1 - phase(mine)) * n + j, f"x:{other}:{j}",
+                    min(links), max(links),
                 )
 
     for v in range(n):
         _wire_selector_chain(
-            planner, origin, ell, inst, v, n, regions[v], tree_edges[v],
+            planner, full_arms, segment, inst, v, n, regions[v], tree_edges[v],
             edge_tiles, plan,
         )
 
@@ -601,49 +593,7 @@ def _region_trees(plan, regions, partner_of):
     return out
 
 
-def _claim_bridge(planner, origin, ell, t_from, t_to, slot_io, slot_own, name):
-    """Carry a chain across a region boundary on the neighbor-aligned slot.
-
-    Inside t_from the chain claims a segment of the t_to-phase arm from its
-    own perpendicular arm out to the shared boundary; t_to's side is the
-    chain's regular full arm.
-    """
-    oi, oj = origin(t_from)
-    row, track = divmod(slot_io, 4)
-    own_rc = slot_own // 4
-    if t_to[1] != t_from[1]:
-        if t_to[1] > t_from[1]:
-            planner.run_horizontal(name, track, oj + row, oi + own_rc, oi + ell - 1)
-        else:
-            planner.run_horizontal(name, track, oj + row, oi, oi + own_rc)
-    else:
-        if t_to[0] > t_from[0]:
-            planner.run_vertical(name, track, oi + row, oj + own_rc, oj + ell - 1)
-        else:
-            planner.run_vertical(name, track, oi + row, oj, oj + own_rc)
-
-
-def _claim_copy(planner, origin, ell, mine, theirs, slot, name, links):
-    """Claim an incoming neighbor copy's arm segment inside an edge tile.
-
-    The copy enters from the partner boundary and must reach far enough to
-    cross its coupling partners' perpendicular arms.
-    """
-    oi, oj = origin(mine)
-    row, track = divmod(slot, 4)
-    if theirs[1] != mine[1]:
-        if theirs[1] > mine[1]:
-            planner.run_horizontal(name, track, oj + row, oi + min(links), oi + ell - 1)
-        else:
-            planner.run_horizontal(name, track, oj + row, oi, oi + max(links))
-    else:
-        if theirs[0] > mine[0]:
-            planner.run_vertical(name, track, oi + row, oj + min(links), oj + ell - 1)
-        else:
-            planner.run_vertical(name, track, oi + row, oj, oj + max(links))
-
-
-def _wire_selector_chain(planner, origin, ell, inst, v, n, region, tree, edge_tiles, plan):
+def _wire_selector_chain(planner, full_arms, segment, inst, v, n, region, tree, edge_tiles, plan):
     """Route selector (and accumulator) chains between a vertex's edge tiles.
 
     Chains travel on free aux-slot arms along the region spanning tree and
@@ -726,7 +676,7 @@ def _wire_selector_chain(planner, origin, ell, inst, v, n, region, tree, edge_ti
         if i < len(nbrs) - 1:
             acc = f"acc:{v}:{i}"
             acc_slot = 3 * n + 1 + (i % 2)
-            _claim_full_aux(planner, origin, ell, target_host, acc_slot, acc)
+            full_arms(target_host, acc_slot, acc)
         routes = route_variants(
             prev_host, target_host, set(hosts) - {prev_host, target_host}
         )
@@ -734,7 +684,7 @@ def _wire_selector_chain(planner, origin, ell, inst, v, n, region, tree, edge_ti
         for route in routes:
             snap = planner.snapshot()
             try:
-                _route_chain(planner, origin, ell, route, prev_name, prev_slot, n)
+                _route_chain(planner, full_arms, segment, route, prev_name, prev_slot, n)
                 break
             except EmbeddingError as err:
                 last_err = err
@@ -745,14 +695,7 @@ def _wire_selector_chain(planner, origin, ell, inst, v, n, region, tree, edge_ti
             prev_name, prev_host, prev_slot = acc, target_host, acc_slot
 
 
-def _claim_full_aux(planner, origin, ell, tile, slot, name):
-    oi, oj = origin(tile)
-    row, track = divmod(slot, 4)
-    planner.run_horizontal(name, track, oj + row, oi, oi + ell - 1)
-    planner.run_vertical(name, track, oi + row, oj, oj + ell - 1)
-
-
-def _route_chain(planner, origin, ell, route, name, own_slot, n):
+def _route_chain(planner, full_arms, segment, route, name, own_slot, n):
     """Carry an aux chain along a tile route to a destination host.
 
     The chain hops off its own arms in route[0], takes full arms through the
@@ -762,53 +705,22 @@ def _route_chain(planner, origin, ell, route, name, own_slot, n):
     """
     ell4 = 4 * -(-(3 * n + 3) // 4)
     spare = list(range(3 * n + 3, ell4))  # slots left over by the ceiling
+    # the entry segment's couplings land where it crosses the destination's
+    # selector and accumulator perpendicular arms, so it spans all their lines
+    lo_need, hi_need = (3 * n) // 4, (3 * n + 2) // 4
+    own = own_slot // 4
     last_err: Exception | None = None
     for slot in spare + [3 * n + 1, 3 * n + 2, 3 * n]:
         if slot == own_slot:
             continue
         snap = planner.snapshot()
         try:
-            _claim_hop(planner, origin, ell, route[0], route[1], slot, own_slot, name)
+            segment(route[0], route[1], slot, name, own, own)
             for tile in route[1:-1]:
-                _claim_full_aux(planner, origin, ell, tile, slot, name)
-            _claim_entry(planner, origin, ell, route[-2], route[-1], slot, name, n)
+                full_arms(tile, slot, name)
+            segment(route[-1], route[-2], slot, name, lo_need, hi_need)
             return
         except EmbeddingError as err:
             last_err = err
             planner.restore(snap)
     raise EmbeddingError(f"no free aux slot for a selector chain route: {last_err}")
-
-
-def _claim_hop(planner, origin, ell, tile, toward, slot, own_slot, name):
-    oi, oj = origin(tile)
-    row, track = divmod(slot, 4)
-    own_rc = own_slot // 4
-    if toward[1] != tile[1]:
-        if toward[1] > tile[1]:
-            planner.run_horizontal(name, track, oj + row, oi + own_rc, oi + ell - 1)
-        else:
-            planner.run_horizontal(name, track, oj + row, oi, oi + own_rc)
-    else:
-        if toward[0] > tile[0]:
-            planner.run_vertical(name, track, oi + row, oj + own_rc, oj + ell - 1)
-        else:
-            planner.run_vertical(name, track, oi + row, oj, oj + own_rc)
-
-
-def _claim_entry(planner, origin, ell, last, dest, slot, name, n):
-    oi, oj = origin(dest)
-    row, track = divmod(slot, 4)
-    # the couplings land where this segment crosses the selector and
-    # accumulator perpendicular arms, so it must span all their lines
-    lo_need = (3 * n) // 4
-    hi_need = min((3 * n + 2) // 4, ell - 1)
-    if dest[1] != last[1]:
-        if dest[1] > last[1]:
-            planner.run_horizontal(name, track, oj + row, oi, oi + hi_need)
-        else:
-            planner.run_horizontal(name, track, oj + row, oi + lo_need, oi + ell - 1)
-    else:
-        if dest[0] > last[0]:
-            planner.run_vertical(name, track, oi + row, oj, oj + hi_need)
-        else:
-            planner.run_vertical(name, track, oi + row, oj + lo_need, oj + ell - 1)

@@ -136,17 +136,27 @@ def validate_plan(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> list[str]
     return problems
 
 
+def _edge_tile_pairs(
+    plan: TilePlan, u: int, v: int
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Sorted adjacent tile pairs, one tile of u and one of v, for edge (u, v)."""
+    tu, tv = plan.vertex_tiles(u), plan.vertex_tiles(v)
+    return sorted(
+        {
+            tuple(sorted(((r, c), nxt)))
+            for (r, c) in tu
+            for nxt in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c))
+            if nxt in tv
+        }
+    )
+
+
 def _assign_realizations(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> None:
     for u, v in sorted({tuple(sorted(e)) for e in edges}):
-        tu, tv = plan.vertex_tiles(u), plan.vertex_tiles(v)
-        candidates = []
-        for (r, c) in tu:
-            for nxt in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
-                if nxt in tv:
-                    candidates.append(tuple(sorted(((r, c), nxt))))
+        candidates = _edge_tile_pairs(plan, u, v)
         if not candidates:
             raise TilingError(f"no adjacent tile pair realizes edge ({u}, {v})")
-        plan.adjacency_realization[(u, v)] = min(candidates)
+        plan.adjacency_realization[(u, v)] = candidates[0]
 
 
 def _grid(rows: int, cols: int) -> list[list[str]]:

@@ -14,14 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .embedding import (
-    EmbeddedQubo,
-    EmbeddingError,
-    MinorEmbedding,
-    choose_alpha,
-    embed_qubo,
-)
-from .lattice import LatticeGraph, build_lattice, chimera_spec
+from ._layout import SlotPlanner
+from .embedding import EmbeddedQubo, EmbeddingError, choose_alpha, embed_qubo
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
 
 
@@ -285,16 +279,14 @@ class FractalLayout:
     notes: list[str] = field(default_factory=list)
 
 
-class _FractalBuilder:
+class _FractalBuilder(SlotPlanner):
     """Claims lattice half-cell slots for chains and merge gadgets."""
 
     def __init__(self, J: int):
         if J < 2:
             raise EmbeddingError("fractal embedding needs K_{2,2} blocks, J >= 2")
-        self.J = J
+        super().__init__(J)
         self.per_cell = 4 if J >= 4 else 2
-        self.claims: dict[tuple[int, int, str, int], str] = {}
-        self.chains: dict[str, set[tuple[int, int, str, int]]] = {}
         self.leaves: list[str] = []
         self.gadgets: list[tuple[str, str, str, str]] = []
         self.tile_assignment: dict[str, tuple[int, int]] = {}
@@ -302,24 +294,12 @@ class _FractalBuilder:
         self.leaf_tracks: dict[str, tuple[int, int, int]] = {}
         self._node_counter = 0
 
-    # claim bookkeeping ------------------------------------------------------
-
-    def claim(self, cell: tuple[int, int], side: str, track: int, var: str) -> None:
-        if not 0 <= track < self.J:
-            raise EmbeddingError(f"track {track} outside K_{{{self.J},{self.J}}} cell")
-        key = (cell[0], cell[1], side, track)
-        if key in self.claims:
-            raise EmbeddingError(
-                f"layout conflict at cell {cell} {side}{track}: "
-                f"{self.claims[key]} vs {var}"
-            )
-        self.claims[key] = var
-        self.chains.setdefault(var, set()).add(key)
+    # gadget bookkeeping -----------------------------------------------------
 
     def spot(self, var: str, cell: tuple[int, int]) -> int:
-        """Intra-cell vertex index of var's claim inside a cell."""
-        for (i, j, side, track), owner in self.claims.items():
-            if owner == var and (i, j) == cell:
+        """Intra-cell vertex index of var's first claim inside a cell."""
+        for i, j, side, track in self.chains.get(var, ()):
+            if (i, j) == cell:
                 return track if side == "s" else self.J + track
         raise EmbeddingError(f"{var} has no claim in cell {cell}")
 
@@ -569,29 +549,21 @@ def _build_gadget_qubo(
     return b.build(), tree
 
 
-def _chains_to_vertices(
-    graph: LatticeGraph,
-    J: int,
-    q: Qubo,
-    chains: dict[str, set[tuple[int, int, str, int]]],
-) -> dict[int, frozenset[int]]:
-    out: dict[int, frozenset[int]] = {}
-    for name, spots in chains.items():
-        members = set()
-        for i, j, side, track in spots:
-            a = track if side == "s" else J + track
-            members.add(graph.vertex(i, j, a))
-        out[q.index_of(name)] = frozenset(members)
-    return out
+def _embed_gadgets(
+    builder: _FractalBuilder,
+    root_children: tuple[str, str],
+    leaves: list[str],
+    real_count: int,
+    L: int,
+) -> tuple[EmbeddedQubo, MergeTree]:
+    """Gadget QUBO of the builder's merges, embedded on its claimed chains."""
+    logical, tree = _build_gadget_qubo(builder.gadgets, root_children, leaves, real_count)
+    emb = builder.to_embedding(logical, choose_alpha(logical), L=L)
+    return embed_qubo(logical, emb), tree
 
 
 def _finish_layout(builder: _FractalBuilder, root_children: tuple[str, str], N: int, L: int, n_star: int) -> tuple[EmbeddedQubo, FractalLayout]:
-    logical, tree = _build_gadget_qubo(builder.gadgets, root_children, builder.leaves, N)
-    spec = chimera_spec(builder.J, L)
-    graph = build_lattice(spec)
-    chains = _chains_to_vertices(graph, builder.J, logical, builder.chains)
-    emb = MinorEmbedding(spec, chains, alpha=choose_alpha(logical))
-    embedded = embed_qubo(logical, emb)
+    embedded, tree = _embed_gadgets(builder, root_children, builder.leaves, N, L)
     layout = FractalLayout(
         N_star=n_star,
         L=L,
@@ -697,7 +669,6 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
     # rebuild the raw claim table from the embedding
     builder = _rebuilder_from(layout)
     branches: list[tuple[str, list[str]]] = []
-    used_cells = {(i, j) for (i, j, _, _) in builder.claims}
     leaf_cells = sorted({cell for cell in (layout.tile_assignment[x] for x in layout.tree.real_leaves if x in layout.tile_assignment) if cell is not None})
     replaced: set[str] = set()
     for cell in leaf_cells:
@@ -725,7 +696,6 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
                     continue
                 replaced.add(leaf)
                 branches.append((leaf, new_names))
-                used_cells.add(fcell)
                 free_s = [t for t in range(J) if (fcell[0], fcell[1], "s", t) not in builder.claims]
                 free_r = [t for t in range(J) if (fcell[0], fcell[1], "r", t) not in builder.claims]
                 if len(free_s) < 2 or len(free_r) < 2:
@@ -752,7 +722,11 @@ def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
     builder.tile_assignment = dict(layout.tile_assignment)
     builder.gadget_spins = {k: list(v) for k, v in layout.gadget_spins.items()}
     builder.leaf_tracks = dict(layout.leaf_tracks)
-    builder._node_counter = 1000  # fresh namespace for fill nodes
+    # fill nodes continue past every existing m/w node number (at least 1000)
+    builder._node_counter = max(
+        [1000]
+        + [int(name[1:]) for name in builder.chains if name[0] in "mw" and name[1:].isdigit()]
+    )
     return builder
 
 
@@ -841,14 +815,9 @@ def _relayout(
     pads = [x for x in layout.tree.pad_leaves]
     real_ordered = [x for x in ordered_leaves if x not in set(pads)]
     leaves_for_qubo = real_ordered + pads
-    logical, tree = _build_gadget_qubo(
-        builder.gadgets, layout.tree.root_children, leaves_for_qubo, len(real_ordered)
+    embedded, tree = _embed_gadgets(
+        builder, layout.tree.root_children, leaves_for_qubo, len(real_ordered), layout.L
     )
-    spec = chimera_spec(builder.J, layout.L)
-    graph = build_lattice(spec)
-    chains = _chains_to_vertices(graph, builder.J, logical, builder.chains)
-    emb = MinorEmbedding(spec, chains, alpha=choose_alpha(logical))
-    embedded = embed_qubo(logical, emb)
     added = sum(len(v) - 1 for _, v in branches)
     out = FractalLayout(
         N_star=layout.N_star,

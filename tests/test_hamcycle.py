@@ -248,6 +248,9 @@ class TestTileableEmbedding:
         [
             ((0, 1), (1, 2), (2, 3), (3, 0)),
             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+            # bowtie: its plan has crossing tiles, so the crossing-run arms
+            # and exit bridges are exercised
+            ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)),
         ],
     )
     def test_other_small_graphs_validate(self, edges):

@@ -196,6 +196,26 @@ class TestFractalEmbedding:
         with pytest.raises(EmbeddingError):
             fractal_embed_unary(4, 1)
 
+    @pytest.mark.parametrize("J", [2, 4])
+    @pytest.mark.parametrize("N", [3, 8, 16, 64])
+    def test_gadget_spins_lie_on_their_chains(self, N, J):
+        embedded, layout = fractal_embed_unary(N, J)
+        emb, logical = embedded.embedding, embedded.logical
+        hosted: dict[tuple[int, int], list[dict[str, str]]] = {}
+        for z, x, y, w in layout.tree.gadgets:
+            hosted.setdefault(layout.tile_assignment[z], []).append(
+                {"s_z": z, "s_w": w, "s_x": x, "s_y": y}
+            )
+        assert {c: len(m) for c, m in hosted.items()} == {
+            c: len(m) for c, m in layout.gadget_spins.items()
+        }
+        for cell, merges in hosted.items():
+            for names, spins in zip(merges, layout.gadget_spins[cell]):
+                assert len(set(spins.values())) == 4
+                for role, name in names.items():
+                    p = emb.graph.vertex(cell[0], cell[1], spins[role])
+                    assert p in emb.chains[logical.index_of(name)]
+
 
 class TestFillOptimize:
     def test_adds_three_bits_per_sixteen(self):
@@ -221,6 +241,20 @@ class TestFillOptimize:
             emb.embedding, emb.logical.interaction_edges(), range(emb.logical.num_vars)
         )
         assert report.ok, report.summary()
+
+    def test_fills_layout_with_node_numbers_past_1000(self):
+        # the L = 31 layout already names nodes beyond m1000, so fill nodes
+        # must not reuse those names
+        _, layout = fractal_embed_unary(257, 4)
+        filled = fill_tree_optimize(layout)
+        emb = filled.embedded
+        report = validate(
+            emb.embedding, emb.logical.interaction_edges(), range(emb.logical.num_vars)
+        )
+        assert report.ok, report.summary()
+        assert filled.added_bits > 0
+        state = lift_one_hot(emb, filled.tree, filled.tree.real_leaves[-1])
+        assert emb.physical.energy(state) == pytest.approx(0.0, abs=1e-9)
 
     def test_j2_adds_nothing(self):
         _, layout = fractal_embed_unary(8, 2)
