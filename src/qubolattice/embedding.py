@@ -66,30 +66,91 @@ class ValidationReport:
         return "; ".join(f"{k}: {d}" for k, d in self.violations)
 
 
-def _chain_connected(graph: LatticeGraph, chain: frozenset[int]) -> bool:
-    if not chain:
-        return False
-    start = next(iter(chain))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for w in graph.neighbors(u):
-            if w in chain and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen == chain
+def _walk_chains(
+    graph: LatticeGraph, chains: Mapping[int, frozenset[int]]
+) -> tuple[
+    list[tuple[int, int, int]],
+    dict[int, list[tuple[int, int]] | None],
+    dict[tuple[int, int], tuple[int, int]],
+]:
+    """Walk the lattice neighbours of every in-lattice chain member once.
+
+    Returns ``(shared, trees, couplers)``.  ``shared`` lists ``(p, first,
+    later)`` for each physical vertex that a later chain reuses.  ``trees``
+    maps each chain to the edges of its spanning tree, grown by depth-first
+    search from the smallest member with neighbours in increasing order, or to
+    None when the chain is empty, leaves the lattice or is disconnected.
+    ``couplers`` maps each pair ``u < v`` of chains joined by a lattice edge to
+    the lexicographically smallest such edge ``(p, q)``, ``p < q``; it is
+    complete only when ``shared`` is empty, since each vertex has one owner.
+    Out-of-lattice members are skipped, never looked up.
+    """
+    owner: dict[int, int] = {}
+    shared: list[tuple[int, int, int]] = []
+    for v, chain in chains.items():
+        for p in chain:
+            first = owner.setdefault(p, v)
+            if first != v:
+                shared.append((p, first, v))
+    nbrs = graph.sorted_neighbors
+    nv = graph.num_vertices
+    trees: dict[int, list[tuple[int, int]] | None] = {}
+    couplers: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def visit(v, chain, u, seen, stack, tree):
+        for w in nbrs(u):
+            if w in chain:
+                if w not in seen:
+                    seen.add(w)
+                    tree.append((u, w))
+                    stack.append(w)
+                continue
+            # each cross-chain edge is met from both sides; keep one
+            o = owner.get(w)
+            if o is not None and o > v:
+                pq = (u, w) if u < w else (w, u)
+                best = couplers.get((v, o))
+                if best is None or pq < best:
+                    couplers[(v, o)] = pq
+
+    for v, chain in chains.items():
+        tree: list[tuple[int, int]] | None = None
+        if chain and min(chain) >= 0 and max(chain) < nv:
+            start = min(chain)
+            seen = {start}
+            stack = [start]
+            tree = []
+            while stack:
+                visit(v, chain, stack.pop(), seen, stack, tree)
+            rest: Iterable[int] = chain - seen
+            if rest:
+                tree = None
+        else:
+            rest = [p for p in chain if 0 <= p < nv]
+        for u in rest:
+            visit(v, chain, u, {u}, [], [])
+        trees[v] = tree
+    return shared, trees, couplers
 
 
-def validate(
+def _touching(graph: LatticeGraph, cu: frozenset[int], cv: frozenset[int]) -> bool:
+    """Whether a lattice edge joins two chains, walking the smaller one."""
+    small, big = (cu, cv) if len(cu) <= len(cv) else (cv, cu)
+    nv = graph.num_vertices
+    return any(
+        w in big for p in small if 0 <= p < nv for w in graph.sorted_neighbors(p)
+    )
+
+
+def _validate(
     emb: MinorEmbedding,
     logical_edges: Iterable[tuple[int, int]],
-    logical_vertices: Iterable[int] | None = None,
-) -> ValidationReport:
-    """Check the three minor-embedding properties; violations become report
-    entries with witnesses, never exceptions."""
+    logical_vertices: Iterable[int] | None,
+) -> tuple[ValidationReport, dict, dict]:
+    """:func:`validate`, also returning the chain walk's trees and couplers."""
     report = ValidationReport()
     graph = emb.graph
+    shared, trees, couplers = _walk_chains(graph, emb.chains)
     vertices = set(logical_vertices) if logical_vertices is not None else set(emb.chains)
     for v in vertices:
         chain = emb.chains.get(v)
@@ -100,26 +161,34 @@ def validate(
         if bad:
             report.add("out-of-lattice", f"vertex {v} chain uses {bad}")
             continue
-        if not _chain_connected(graph, chain):
+        if trees[v] is None:
             report.add("disconnected-chain", f"vertex {v} chain {sorted(chain)}")
-    owner: dict[int, int] = {}
-    for v, chain in emb.chains.items():
-        for p in chain:
-            if p in owner:
-                report.add(
-                    "overlapping-chains",
-                    f"physical vertex {p} shared by {owner[p]} and {v}",
-                )
-            else:
-                owner[p] = v
+    for p, first, later in shared:
+        report.add(
+            "overlapping-chains", f"physical vertex {p} shared by {first} and {later}"
+        )
     for u, v in logical_edges:
         cu, cv = emb.chains.get(u), emb.chains.get(v)
         if not cu or not cv:
             report.add("unrealizable-edge", f"({u}, {v}): missing chain")
             continue
-        if not any(graph.has_edge(p, q) for p in cu for q in cv):
+        if shared or u == v:
+            touching = _touching(graph, cu, cv)
+        else:
+            touching = ((u, v) if u < v else (v, u)) in couplers
+        if not touching:
             report.add("unrealizable-edge", f"({u}, {v}): no lattice edge between chains")
-    return report
+    return report, trees, couplers
+
+
+def validate(
+    emb: MinorEmbedding,
+    logical_edges: Iterable[tuple[int, int]],
+    logical_vertices: Iterable[int] | None = None,
+) -> ValidationReport:
+    """Check the three minor-embedding properties; violations become report
+    entries with witnesses, never exceptions."""
+    return _validate(emb, logical_edges, logical_vertices)[0]
 
 
 def embed_complete_generic(
@@ -187,14 +256,13 @@ def choose_alpha(logical: Qubo) -> float:
     Flipping one member of chain v changes the objective by at most the total
     coupling incident to v plus its field; one unit of margin is added.
     """
-    worst = 0.0
-    for v in range(logical.num_vars):
-        total = abs(logical.linear.get(v, 0.0))
-        for (i, j), c in logical.quadratic.items():
-            if i == v or j == v:
-                total += abs(c)
-        worst = max(worst, total)
-    return 1.0 + worst
+    total = [0.0] * logical.num_vars
+    for v, c in logical.linear.items():
+        total[v] = abs(c)
+    for (i, j), c in logical.quadratic.items():
+        total[i] += abs(c)
+        total[j] += abs(c)
+    return 1.0 + max(total, default=0.0)
 
 
 @dataclass
@@ -266,8 +334,9 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
     chain with the paper-form penalty of weight alpha (counted over ordered
     pairs, so a broken tree edge costs 2 * alpha).
     """
-    graph = emb.graph
-    report = validate(emb, logical.interaction_edges(), range(logical.num_vars))
+    report, trees, couplers = _validate(
+        emb, logical.interaction_edges(), range(logical.num_vars)
+    )
     if not report.ok:
         raise EmbeddingError(f"embedding invalid: {report.summary()}")
 
@@ -287,21 +356,18 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
 
     placement: dict[tuple[int, int], tuple[int, int]] = {}
     for (u, v), c in sorted(logical.quadratic.items()):
-        pairs = sorted(
-            tuple(sorted((p, q)))
-            for p in emb.chains[u]
-            for q in emb.chains[v]
-            if graph.has_edge(p, q)
-        )
-        if not pairs:
+        if (u, v) not in couplers:
             raise EmbeddingError(f"no physical edge available for logical edge ({u}, {v})")
-        p, q = pairs[0]
+        p, q = couplers[(u, v)]
         physical.add_quadratic(pos[p], pos[q], c)
         placement[(u, v)] = (p, q)
 
     alpha = emb.alpha
     for v, chain in emb.chains.items():
-        for p, q in _spanning_tree_edges(graph, chain):
+        tree = trees[v]
+        if tree is None:
+            raise EmbeddingError(f"chain {sorted(chain)} is not connected")
+        for p, q in tree:
             kp, kq = pos[p], pos[q]
             if logical.domain == BINARY:
                 # ordered-pair sum of x_i(1-x_j) + x_j(1-x_i)
@@ -312,25 +378,6 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
                 physical.add_offset(alpha)
                 physical.add_quadratic(kp, kq, -alpha)
     return EmbeddedQubo(physical, emb, logical, order, placement)
-
-
-def _spanning_tree_edges(
-    graph: LatticeGraph, chain: frozenset[int]
-) -> list[tuple[int, int]]:
-    start = min(chain)
-    seen = {start}
-    frontier = [start]
-    edges: list[tuple[int, int]] = []
-    while frontier:
-        u = frontier.pop()
-        for w in sorted(graph.neighbors(u)):
-            if w in chain and w not in seen:
-                seen.add(w)
-                edges.append((u, w))
-                frontier.append(w)
-    if seen != chain:
-        raise EmbeddingError(f"chain {sorted(chain)} is not connected")
-    return edges
 
 
 def unembed(

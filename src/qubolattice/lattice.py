@@ -4,7 +4,9 @@ A lattice is a grid of identical n-vertex cells.  Three 0/1 matrices describe
 it: ``A`` gives the intra-cell edges, ``A_h`` connects a cell to its right
 neighbor and ``A_v`` to the neighbor below.  No periodic wrap.  The canonical
 vertex index of intra-cell vertex ``a`` in cell ``(i, j)`` is
-``(i * height + j) * n + a`` so cell coordinates are recoverable by arithmetic.
+``(i * height + j) * n + a`` so cell coordinates are recoverable by arithmetic,
+and so is adjacency: :class:`LatticeGraph` derives every neighbour from the
+cell matrices and the coordinates instead of storing an edge set.
 """
 
 from __future__ import annotations
@@ -120,47 +122,69 @@ def chimera_spec(J: int, L: int, height: int | None = None) -> LatticeSpec:
 
 
 class LatticeGraph:
-    """Realized vertex/edge set of a LatticeSpec with canonical indexing."""
+    """Vertex indexing and adjacency of a LatticeSpec, computed by arithmetic.
+
+    Construction stores the spec and, per intra-cell role ``a``, the index
+    offsets of its neighbours: intra-cell through ``A``, right and left through
+    ``A_h`` and its transpose, down and up through ``A_v`` and its transpose.
+    The offsets are pre-summed for each of the 16 combinations of grid borders
+    a cell can touch, so :meth:`sorted_neighbors` is one table lookup after
+    :meth:`cell_of`.  Nothing proportional to the lattice size is built;
+    :attr:`edges` is materialized on first use only.
+    """
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        n = spec.cell.n
+        cell = spec.cell
+        n = cell.n
         self._n = n
-        edges: set[tuple[int, int]] = set()
-        A, A_h, A_v = spec.cell.A, spec.cell.A_h, spec.cell.A_v
-        for i in range(spec.width):
-            for j in range(spec.height):
-                base = self.vertex(i, j, 0)
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if A[a][b]:
-                            edges.add((base + a, base + b))
-                if i < spec.width - 1:
-                    base_r = self.vertex(i + 1, j, 0)
-                    for a in range(n):
-                        for b in range(n):
-                            if A_h[a][b]:
-                                edges.add(tuple(sorted((base + a, base_r + b))))
-                if j < spec.height - 1:
-                    base_d = self.vertex(i, j + 1, 0)
-                    for a in range(n):
-                        for b in range(n):
-                            if A_v[a][b]:
-                                edges.add(tuple(sorted((base + a, base_d + b))))
-        self.edges: frozenset[tuple[int, int]] = frozenset(edges)
-        adj: dict[int, set[int]] = {v: set() for v in range(self.num_vertices)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = adj
+        self._num_vertices = spec.num_vertices
+        self._height = spec.height
+        self._last_i = spec.width - 1
+        self._last_j = spec.height - 1
+        step = spec.height * n  # index distance to the cell one step right
+        tables = []
+        for a in range(n):
+            left = [b - a - step for b in range(n) if cell.A_h[b][a]]
+            up = [b - a - n for b in range(n) if cell.A_v[b][a]]
+            intra = [b - a for b in range(n) if cell.A[a][b]]
+            down = [b - a + n for b in range(n) if cell.A_v[a][b]]
+            right = [b - a + step for b in range(n) if cell.A_h[a][b]]
+            # bit 1: a left cell exists, 2: up, 4: down, 8: right.  The groups
+            # lie in disjoint, increasing index ranges, so each row is sorted.
+            tables.append(
+                tuple(
+                    tuple(
+                        (left if m & 1 else [])
+                        + (up if m & 2 else [])
+                        + intra
+                        + (down if m & 4 else [])
+                        + (right if m & 8 else [])
+                    )
+                    for m in range(16)
+                )
+            )
+        self._offsets = tuple(tables)
 
     @property
     def num_vertices(self) -> int:
-        return self.spec.num_vertices
+        return self._num_vertices
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        spec, cell = self.spec, self.spec.cell
+        W, H = spec.width, spec.height
+        return W * H * cell.e + (W - 1) * H * cell.e_h + W * (H - 1) * cell.e_v
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as ``(u, v)`` with ``u < v``; built on first access."""
+        return frozenset(
+            (u, w)
+            for u in range(self.num_vertices)
+            for w in self.sorted_neighbors(u)
+            if u < w
+        )
 
     def vertex(self, i: int, j: int, a: int) -> int:
         """Canonical index of intra-cell vertex a in cell (i, j)."""
@@ -171,19 +195,28 @@ class LatticeGraph:
 
     def cell_of(self, v: int) -> tuple[int, int, int]:
         """Inverse of :meth:`vertex`."""
-        if not 0 <= v < self.num_vertices:
+        if not 0 <= v < self._num_vertices:
             raise LatticeError(f"vertex {v} out of range")
         cell, a = divmod(v, self._n)
-        i, j = divmod(cell, self.spec.height)
+        i, j = divmod(cell, self._height)
         return i, j, a
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return tuple(sorted((u, v))) in self.edges
+    def sorted_neighbors(self, v: int) -> list[int]:
+        """Neighbours of ``v`` in increasing index order."""
+        if not 0 <= v < self._num_vertices:
+            raise LatticeError(f"vertex {v} out of range")
+        cell, a = divmod(v, self._n)
+        i, j = divmod(cell, self._height)
+        border = (i > 0) + 2 * (j > 0) + 4 * (j < self._last_j) + 8 * (i < self._last_i)
+        return [v + d for d in self._offsets[a][border]]
 
     def neighbors(self, v: int) -> set[int]:
-        if not 0 <= v < self.num_vertices:
-            raise LatticeError(f"vertex {v} out of range")
-        return set(self._adj[v])
+        return set(self.sorted_neighbors(v))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self._num_vertices and 0 <= v < self._num_vertices):
+            return False
+        return v in self.sorted_neighbors(u)
 
     def average_degree(self) -> float:
         return 2.0 * self.num_edges / self.num_vertices

@@ -49,6 +49,9 @@ class Qubo:
     linear: dict[int, float] = field(default_factory=dict)
     quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
     var_names: list[str] | None = None
+    _name_index: dict[str, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.domain not in (BINARY, SPIN):
@@ -121,12 +124,25 @@ class Qubo:
         return str(i)
 
     def index_of(self, name: str) -> int:
-        if self.var_names is None:
+        """Position of variable `name`, from a cached name map.
+
+        The map is rebuilt when a lookup misses or finds a position that no
+        longer holds `name`, so `var_names` may be reassigned or edited in
+        place.  Duplicate names resolve to the first position, as of the last
+        rebuild.
+        """
+        names = self.var_names
+        if names is None:
             raise QuboError("qubo has no variable names")
-        try:
-            return self.var_names.index(name)
-        except ValueError:
-            raise QuboError(f"unknown variable {name!r}") from None
+        i = (self._name_index or {}).get(name)
+        if i is None or i >= len(names) or names[i] != name:
+            self._name_index = {}
+            for k, n in enumerate(names):
+                self._name_index.setdefault(n, k)
+            i = self._name_index.get(name)
+            if i is None:
+                raise QuboError(f"unknown variable {name!r}")
+        return i
 
     def interaction_edges(self) -> set[tuple[int, int]]:
         """Pairs with a nonzero quadratic coefficient."""

@@ -1,8 +1,11 @@
 """Minor embedding validation, constructive embeddings, chain penalties."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubolattice.embedding import (
     EmbeddingError,
@@ -22,6 +25,22 @@ from qubolattice.qubo import BINARY, SPIN, Qubo, brute_force
 
 def complete_edges(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def pair_scan_touching(g, cu, cv):
+    return any(g.has_edge(p, q) for p in cu for q in cv)
+
+
+def alpha_by_variable(q):
+    """choose_alpha's definition, evaluated one variable at a time."""
+    worst = 0.0
+    for v in range(q.num_vars):
+        total = abs(q.linear.get(v, 0.0))
+        for (i, j), c in q.quadratic.items():
+            if i == v or j == v:
+                total += abs(c)
+        worst = max(worst, total)
+    return 1.0 + worst
 
 
 class TestValidate:
@@ -55,6 +74,35 @@ class TestValidate:
         chains = {0: frozenset({g.vertex(0, 0, 0)}), 1: frozenset({g.vertex(1, 1, 0)})}
         report = validate(MinorEmbedding(spec, chains), [(0, 1)])
         assert any(kind == "unrealizable-edge" for kind, _ in report.violations)
+
+
+    def test_out_of_lattice_member_is_reported_not_raised(self):
+        emb = MinorEmbedding(chimera_spec(1, 2), {0: frozenset({99}), 1: frozenset({0, 1})})
+        report = validate(emb, [(0, 1)])
+        assert report.violations == [
+            ("out-of-lattice", "vertex 0 chain uses [99]"),
+            ("unrealizable-edge", "(0, 1): no lattice edge between chains"),
+        ]
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_verdicts_match_pair_scan(self, overlap):
+        rng = random.Random(17 + overlap)
+        spec = chimera_spec(2, 3)
+        g = build_lattice(spec)
+        edges = complete_edges(5) + [(3, 1), (2, 2)]
+        for _ in range(150):
+            pool = rng.sample(range(-2, g.num_vertices + 2), 14)
+            chains = {v: frozenset(pool[3 * v : 3 * v + rng.randint(1, 3)]) for v in range(5)}
+            if overlap:
+                chains[4] = chains[4] | {rng.choice(sorted(chains[0]))}
+            report = validate(MinorEmbedding(spec, chains), edges)
+            unrealizable = [d for k, d in report.violations if k == "unrealizable-edge"]
+            assert unrealizable == [
+                f"({u}, {v}): no lattice edge between chains"
+                for u, v in edges
+                if not pair_scan_touching(g, chains[u], chains[v])
+            ]
+            assert any(k == "overlapping-chains" for k, _ in report.violations) == overlap
 
 
 class TestCompleteEmbeddings:
@@ -110,6 +158,49 @@ class TestChooseAlpha:
         assert choose_alpha(q) == 2.0
 
 
+    def test_matches_per_variable_definition(self):
+        rng = random.Random(5)
+        for trial in range(300):
+            n = trial % 10
+            q = Qubo(rng.choice([BINARY, SPIN]), n)
+            for v in range(n):
+                if rng.random() < 0.7:
+                    q.add_linear(v, rng.uniform(-5.0, 5.0))
+            for i, j in rng.sample(complete_edges(n), len(complete_edges(n))):
+                if rng.random() < 0.6:
+                    q.add_quadratic(i, j, rng.uniform(-5.0, 5.0))
+            assert choose_alpha(q) == alpha_by_variable(q)
+
+
+@st.composite
+def small_logical_qubos(draw):
+    n = draw(st.sampled_from([2, 3]))
+    q = Qubo(draw(st.sampled_from([BINARY, SPIN])), n)
+    coeff = st.integers(-3, 3).map(float)
+    for v in range(n):
+        q.add_linear(v, draw(coeff))
+    for i, j in complete_edges(n):
+        q.add_quadratic(i, j, draw(coeff))
+    return q
+
+
+class TestGroundStateProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(q=small_logical_qubos(), J=st.sampled_from([1, 2]))
+    def test_physical_ground_states_decode_to_logical_ground_states(self, q, J):
+        emb = embed_complete_chimera(q.num_vars, J)
+        emb.alpha = choose_alpha(q)
+        e = embed_qubo(q, emb)
+        assert e.physical.num_vars <= 20
+        physical = brute_force(e.physical)
+        logical = brute_force(q)
+        assert math.isclose(physical.ground_energy, logical.ground_energy, abs_tol=1e-9)
+        for state in physical.ground_states:
+            decoded, broken = unembed(e, state)
+            assert broken == 0
+            assert decoded in logical.ground_states
+
+
 class TestEmbedQubo:
     def test_identity_embedding(self):
         spec = chimera_spec(4, 1)
@@ -158,6 +249,23 @@ class TestEmbedQubo:
         g = e.embedding.graph
         for (k1, k2) in e.physical.quadratic:
             assert g.has_edge(e.vertex_order[k1], e.vertex_order[k2])
+
+    def test_couplers_take_smallest_lattice_edge(self):
+        rng = random.Random(23)
+        for n, J in [(5, 2), (6, 1), (9, 4)]:
+            q = Qubo(SPIN, n)
+            for i, j in complete_edges(n):
+                q.add_quadratic(i, j, rng.choice([-1.0, 1.0]))
+            emb = embed_complete_chimera(n, J)
+            e = embed_qubo(q, emb)
+            g = emb.graph
+            for (u, v), placed in e.placement.items():
+                assert placed == min(
+                    (min(p, r), max(p, r))
+                    for p in emb.chains[u]
+                    for r in emb.chains[v]
+                    if g.has_edge(p, r)
+                )
 
     def test_missing_physical_edge_raises(self):
         spec = chimera_spec(4, 2)

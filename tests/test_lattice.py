@@ -87,6 +87,85 @@ class TestBuildLattice:
                     assert g.cell_of(g.vertex(i, j, a)) == (i, j, a)
 
 
+def brute_force_edges(spec):
+    """Edge set read straight off the cell matrices, cell by cell."""
+    n, W, H = spec.cell.n, spec.width, spec.height
+    A, A_h, A_v = spec.cell.A, spec.cell.A_h, spec.cell.A_v
+
+    def idx(i, j, a):
+        return (i * H + j) * n + a
+
+    edges = set()
+    for i in range(W):
+        for j in range(H):
+            for a in range(n):
+                for b in range(n):
+                    if a < b and A[a][b]:
+                        edges.add((idx(i, j, a), idx(i, j, b)))
+                    if i + 1 < W and A_h[a][b]:
+                        edges.add(tuple(sorted((idx(i, j, a), idx(i + 1, j, b)))))
+                    if j + 1 < H and A_v[a][b]:
+                        edges.add(tuple(sorted((idx(i, j, a), idx(i, j + 1, b)))))
+    return edges
+
+
+ASYMMETRIC_CELL = CellAdjacency.from_matrices(
+    [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+    [[0, 1, 0], [0, 0, 0], [1, 0, 1]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+)
+
+EQUIVALENCE_SPECS = [
+    chimera_spec(1, 3),
+    chimera_spec(2, 3),
+    chimera_spec(4, 2),
+    chimera_spec(4, 1),
+    chimera_spec(2, 4, height=2),
+    chimera_spec(2, 1, height=3),
+    LatticeSpec(ASYMMETRIC_CELL, 3, 4),
+    LatticeSpec(ASYMMETRIC_CELL, 4, 1),
+    LatticeSpec(ASYMMETRIC_CELL, 1, 3),
+]
+
+
+class TestArithmeticAdjacency:
+    @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
+    def test_matches_cell_matrix_edge_set(self, spec):
+        g = build_lattice(spec)
+        expected = brute_force_edges(spec)
+        assert g.num_edges == len(expected)
+        assert g.edges == expected
+        nv = g.num_vertices
+        for v in range(nv):  # every role of every cell, borders included
+            nbrs = sorted({b for a, b in expected if a == v} | {a for a, b in expected if b == v})
+            assert g.sorted_neighbors(v) == nbrs
+            assert g.neighbors(v) == set(nbrs)
+        for u in range(nv):
+            for v in range(nv):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in expected)
+
+    @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS)
+    def test_out_of_range_vertices(self, spec):
+        g = build_lattice(spec)
+        nv = g.num_vertices
+        for bad in (-1, nv, nv + 7):
+            assert not g.has_edge(bad, 0)
+            assert not g.has_edge(0, bad)
+            with pytest.raises(LatticeError):
+                g.neighbors(bad)
+            with pytest.raises(LatticeError):
+                g.sorted_neighbors(bad)
+        assert not g.has_edge(-1, nv)
+
+    def test_large_lattice_needs_no_edge_set(self):
+        g = build_lattice(chimera_spec(4, 132))
+        assert g.num_edges == 417120
+        assert g.sorted_neighbors(g.vertex(131, 131, 7)) == [
+            g.vertex(131, 130, 7), *(g.vertex(131, 131, a) for a in range(4))
+        ]
+        assert "edges" not in vars(g)
+
+
 class TestNeighbors:
     def test_single_cell_bipartite(self):
         g = build_lattice(chimera_spec(4, 1))

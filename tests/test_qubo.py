@@ -327,3 +327,34 @@ class TestBuilderAndDocs:
         assert back.var_names == q.var_names
         assert back.linear == q.linear
         assert back.quadratic == q.quadratic
+
+
+class TestIndexOf:
+    def test_lookup_and_unknown_name(self):
+        q = Qubo(BINARY, 3, var_names=["a", "b", "c"])
+        assert [q.index_of(n) for n in ("c", "a", "b")] == [2, 0, 1]
+        with pytest.raises(QuboError):
+            q.index_of("z")
+        with pytest.raises(QuboError):
+            Qubo(BINARY, 1).index_of("a")
+
+    def test_duplicate_names_give_first_position(self):
+        q = Qubo(BINARY, 3, var_names=["a", "b", "a"])
+        assert q.index_of("a") == 0
+
+    def test_follows_renamed_variables(self):
+        q = Qubo(BINARY, 2, var_names=["a", "b"])
+        assert q.index_of("b") == 1
+        q.var_names[1] = "c"
+        assert q.index_of("c") == 1
+        with pytest.raises(QuboError):
+            q.index_of("b")
+        q.var_names = ["c", "a"]
+        assert (q.index_of("a"), q.index_of("c")) == (1, 0)
+
+    def test_cached_map_stays_out_of_equality(self):
+        q = Qubo(BINARY, 2, var_names=["a", "b"])
+        other = q.copy()
+        q.index_of("b")
+        assert q == other
+        assert "_name_index" not in repr(q)
