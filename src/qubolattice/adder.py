@@ -4,7 +4,9 @@ The grade-school algorithm is encoded column by column: each column constraint
 (y_j + 2 z_{j+1} - x1_j - x2_j - z_j)^2 vanishes exactly when the output and
 carry bits are consistent, so the total is zero iff Y = X1 + X2.  The incoming
 carry z_0 is omitted (it is identically zero) and the top output bit doubles
-as the final carry, giving 4n bits for n-bit inputs.
+as the final carry, giving 4n bits for n-bit inputs.  `add_columns` is the
+one column encoding: the selectable-constant adder and the summation trees of
+number partitioning and knapsack add their columns through it.
 """
 
 from __future__ import annotations
@@ -33,15 +35,23 @@ class AdderQubo:
         return [f"y:{j}" for j in range(self.n + 1)]
 
 
-def _column_terms(builder: QuboBuilder, out_bit: str, carry_out: str | None,
-                  carry_in: str | None, addends: list[tuple[str, float]]) -> None:
-    terms: list[tuple[str, float]] = [(out_bit, 1.0)]
-    if carry_out is not None:
-        terms.append((carry_out, 2.0))
-    if carry_in is not None:
-        terms.append((carry_in, -1.0))
-    terms.extend((name, -coeff) for name, coeff in addends)
-    builder.add_squared_affine(0.0, terms)
+def add_columns(builder: QuboBuilder, out: str, carry: str, addends: list[list[str]]) -> None:
+    """Column constraints of one addition into register `out`.
+
+    Column j is (out:j + 2 carry:j+1 - carry:j - sum addends[j])^2 with unit
+    addend weights.  carry:0 is omitted and the top output bit out:n doubles
+    as the last carry, so n = len(addends) columns span out:0..n and
+    carry:1..n-1.  Terms are added in the order out bit, carry-out, carry-in,
+    addends.
+    """
+    n = len(addends)
+    for j, column in enumerate(addends):
+        carry_out = f"{out}:{n}" if j == n - 1 else f"{carry}:{j + 1}"
+        terms = [(f"{out}:{j}", 1.0), (carry_out, 2.0)]
+        if j > 0:
+            terms.append((f"{carry}:{j}", -1.0))
+        terms.extend((name, -1.0) for name in column)
+        builder.add_squared_affine(0.0, terms)
 
 
 def build_adder(n: int) -> AdderQubo:
@@ -61,16 +71,7 @@ def build_adder(n: int) -> AdderQubo:
         builder.var(f"y:{j}")
     for j in range(1, n):
         builder.var(f"z:{j}")
-    for j in range(n):
-        carry_out = f"y:{n}" if j == n - 1 else f"z:{j + 1}"
-        carry_in = None if j == 0 else f"z:{j}"
-        _column_terms(
-            builder,
-            f"y:{j}",
-            carry_out,
-            carry_in,
-            [(f"x1:{j}", 1.0), (f"x2:{j}", 1.0)],
-        )
+    add_columns(builder, "y", "z", [[f"x1:{j}", f"x2:{j}"] for j in range(n)])
     q = builder.build()
     roles = {q.name_of(i): i for i in range(q.num_vars)}
     return AdderQubo(n, q, roles)
@@ -119,15 +120,8 @@ def build_selectable_adder(
         builder.var(f"{prefix}:{j}")
     for j in range(1, M):
         builder.var(f"Z{prefix}:{j}")
-    for j in range(M):
-        carry_out = f"{prefix}:{M}" if j == M - 1 else f"Z{prefix}:{j + 1}"
-        carry_in = None if j == 0 else f"Z{prefix}:{j}"
-        addends = []
-        if (n_a >> j) & 1:
-            addends.append((selectors[0], 1.0))
-        if (n_b >> j) & 1:
-            addends.append((selectors[1], 1.0))
-        _column_terms(builder, f"{prefix}:{j}", carry_out, carry_in, addends)
+    columns = [[s for s, c in zip(selectors, constants) if (c >> j) & 1] for j in range(M)]
+    add_columns(builder, prefix, f"Z{prefix}", columns)
     q = builder.build()
     roles = {q.name_of(i): i for i in range(q.num_vars)}
     return q, roles, M + 1

@@ -10,7 +10,6 @@ the best achievable gap drops to 4/3.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddedQubo
-from .qubo import SPIN, Qubo, QuboBuilder, Spectrum, brute_force, clamp
+from .qubo import SPIN, Qubo, QuboBuilder, Spectrum, _iter_state_blocks, brute_force, clamp
 from .tiling import TileHamiltonians, TilePlan, route_graph_to_tiles, stitch
 
 
@@ -322,16 +321,14 @@ def count_states_at_coloring_level(
     Equals the proper q-coloring count: zero for uncolorable instances, where
     the whole spectrum sits above the feasible level.
     """
-    import numpy as np
-
     level = coloring_feasible_energy(inst, tileset)
     eff = e.chain_intact_qubo()
     if eff.num_vars > 24:
         raise ColoringError("instance too large for exact level counting")
-    codes = np.arange(1 << eff.num_vars, dtype=np.uint64)
-    bits = ((codes[:, None] >> np.arange(eff.num_vars, dtype=np.uint64)) & 1).astype(np.int8)
-    energies = eff.energies(2 * bits - 1)
-    return int(np.sum(np.abs(energies - level) <= 1e-9))
+    return sum(
+        int(np.count_nonzero(np.abs(eff.energies(block) - level) <= 1e-9))
+        for block in _iter_state_blocks(eff.num_vars, SPIN)
+    )
 
 
 def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
@@ -358,16 +355,6 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     if tileset.q <= 4 and e.physical.num_vars <= 16:
         return brute_force(e.physical)
     return _restricted_spectrum(e)
-
-
-def _one_hot_states(q: int, vertices: int) -> np.ndarray:
-    rows = []
-    for combo in itertools.product(range(q), repeat=vertices):
-        row = []
-        for v in range(vertices):
-            row.extend(1 if c == combo[v] else -1 for c in range(q))
-        rows.append(row)
-    return np.asarray(rows, dtype=np.int8)
 
 
 def grid_search_coefficients(
@@ -433,9 +420,7 @@ def _grid_search_le4(resolution: int) -> tuple[dict[str, float], float]:
 def _assembly_states(tileset: ColoringTileSet, assembly: str) -> dict[str, np.ndarray]:
     vertices = 1 if assembly == "1-tile" else 2
     n_spins = 8 * vertices
-    codes = np.arange(1 << n_spins, dtype=np.uint64)
-    bits = ((codes[:, None] >> np.arange(n_spins, dtype=np.uint64)) & 1).astype(np.int8)
-    spins = 2 * bits - 1
+    spins = np.concatenate(list(_iter_state_blocks(n_spins, SPIN)))
     # spin order per tile: s0..s3, r0..r3
     out: dict[str, np.ndarray] = {}
     s = {}

@@ -1,8 +1,9 @@
 """Knapsack as twin summation trees over shared item selectors.
 
-One tree accumulates values, the other weights.  Capacity is enforced for
-free by truncating the weight root register to m bits (a padded dummy item
-turns a general capacity into the 2^m - 1 form), and the value objective is
+One tree accumulates values, the other weights; both are numpart's
+summation tree.  Capacity is enforced for free by pinning the weight root
+register bits from m upward to zero (a padded dummy item turns a general
+capacity into the 2^m - 1 form), and the value objective is
 replaced by a window test: pinning the top relevant bit of the value register
 asks "is there a feasible subset worth at least 2^l?".  Sweeping the pinned
 bit downward and then bisecting the lower bits recovers the exact optimum
@@ -15,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .numpart import _TreeNode, _add_adder_columns, _add_selectable_columns
+from .numpart import _TreeNode, build_summation_tree
 from .qubo import BINARY, Qubo, QuboBuilder, brute_force, clamp
 
 
@@ -70,51 +71,6 @@ class KnapsackTreeQubo:
     roles: dict[str, int] = field(default_factory=dict)
 
 
-def _build_tree(
-    builder: QuboBuilder,
-    constants: list[int],
-    selectors: list[str | None],
-    tag: str,
-    leaf_width: int,
-    truncate_root: int | None,
-) -> _TreeNode:
-    n_leafs = len(constants)
-    m = max(1, math.ceil(math.log2(max(2, n_leafs))))
-
-    def build(level: int, k: int) -> _TreeNode | None:
-        if level == m - 1:
-            idx = [i for i in (2 * k - 2, 2 * k - 1) if i < n_leafs]
-            gated = [
-                (selectors[i], constants[i])
-                for i in idx
-                if selectors[i] is not None and constants[i] != 0
-            ]
-            if not gated:
-                return None
-            prefix = f"{tag}{level}.{k}"
-            _add_selectable_columns(builder, prefix, leaf_width, gated)
-            return _TreeNode(
-                (level, k),
-                prefix,
-                leaf_width,
-                None,
-                tuple(s for s, _ in gated),
-                tuple(c for _, c in gated),
-            )
-        left = build(level + 1, 2 * k - 1)
-        right = build(level + 1, 2 * k)
-        if right is None:
-            return left
-        prefix = f"{tag}{level}.{k}"
-        width = max(left.width, right.width) + 1
-        _add_adder_columns(builder, prefix, width, left, right)
-        return _TreeNode((level, k), prefix, width, (left, right))
-
-    root = build(0, 1)
-    assert root is not None
-    return root
-
-
 def build_knapsack_qubo(inst: KnapsackInstance, l_star: int) -> KnapsackTreeQubo:
     """Compile a knapsack instance against the value window [2^l*, 2^(l*+1)).
 
@@ -135,8 +91,8 @@ def build_knapsack_qubo(inst: KnapsackInstance, l_star: int) -> KnapsackTreeQubo
         values.append(0)
         weights.append(dummy_weight)
         selectors.append("xdummy")
-    value_root = _build_tree(builder, values, selectors, "V", inst.value_width + 1, None)
-    weight_root = _build_tree(builder, weights, selectors, "W", inst.weight_width + 1, None)
+    value_root = build_summation_tree(builder, values, selectors, "V", inst.value_width + 1)
+    weight_root = build_summation_tree(builder, weights, selectors, "W", inst.weight_width + 1)
     if not 0 <= l_star < value_root.width:
         raise KnapsackError(
             f"l_star {l_star} outside the value register width {value_root.width}"

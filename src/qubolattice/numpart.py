@@ -4,9 +4,10 @@ The direct spin form (sum n_i s_i)^2 needs couplings as large as 2^(2M) and an
 all-to-all graph.  Summing the numbers pairwise instead, with each addition
 encoded by the column adder, keeps every coefficient O(1): leaf adders gate
 fixed integers behind selector bits, internal nodes add the two child
-registers, and the root register is pinned to the half-sum target W.  The
-whole tree then lays out on a lattice like the fractal unary constraint, with
-corridors widened to carry multi-bit registers.
+registers, and the root register is pinned to the half-sum target W.
+`build_summation_tree` is the one tree recursion; knapsack builds its value
+and weight trees with it.  The whole tree then lays out on a lattice like the
+fractal unary constraint, with corridors widened to carry multi-bit registers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._layout import SlotPlanner, place_clique_block
-from .adder import read_register
+from .adder import add_columns, read_register
 from .embedding import EmbeddedQubo, MinorEmbedding, choose_alpha, embed_qubo
 from .qubo import BINARY, Qubo, QuboBuilder
 
@@ -94,6 +95,55 @@ class SummationTreeQubo:
         return out
 
 
+def build_summation_tree(
+    builder: QuboBuilder,
+    constants: list[int],
+    selectors: list[str | None],
+    tag: str,
+    leaf_width: int,
+) -> _TreeNode:
+    """Add the columns of a pairwise summation tree to the builder.
+
+    Leaf k is a selectable adder of constants 2k-1 and 2k gated by their
+    selectors into a leaf_width register; a constant with no selector or value
+    zero is left out, a leaf with nothing left is absent, and a node with one
+    child is that child.  Internal nodes add their two child registers into a
+    register one bit wider.  Node (level, k) owns register f"{tag}{level}.{k}"
+    and carries f"Z{tag}{level}.{k}".
+    """
+    n_leafs = len(constants)
+    m = max(1, math.ceil(math.log2(max(2, n_leafs))))
+
+    def build(level: int, k: int) -> _TreeNode | None:
+        prefix = f"{tag}{level}.{k}"
+        if level == m - 1:
+            gated = [
+                (selectors[i], constants[i])
+                for i in (2 * k - 2, 2 * k - 1)
+                if i < n_leafs and selectors[i] is not None and constants[i] != 0
+            ]
+            if not gated:
+                return None
+            columns = [[s for s, c in gated if (c >> j) & 1] for j in range(leaf_width - 1)]
+            add_columns(builder, prefix, f"Z{prefix}", columns)
+            sels, consts = zip(*gated)
+            return _TreeNode((level, k), prefix, leaf_width, None, sels, consts)
+        left = build(level + 1, 2 * k - 1)
+        right = build(level + 1, 2 * k)
+        if right is None:
+            return left
+        width = max(left.width, right.width) + 1
+        columns = [
+            [f"{c.prefix}:{j}" for c in (left, right) if j < c.width] for j in range(width - 1)
+        ]
+        add_columns(builder, prefix, f"Z{prefix}", columns)
+        return _TreeNode((level, k), prefix, width, (left, right))
+
+    root = build(0, 1)
+    assert root is not None
+    return root
+
+
 def build_numpart_qubo(inst: PartitionInstance) -> SummationTreeQubo:
     """Compile a partition instance to a tree-of-adders QUBO.
 
@@ -114,31 +164,7 @@ def build_numpart_qubo(inst: PartitionInstance) -> SummationTreeQubo:
             q, inst, selectors, None, m, False, {q.name_of(i): i for i in range(q.num_vars)}
         )
 
-    M = inst.M
-
-    def build_node(level: int, k: int) -> _TreeNode | None:
-        if level == m - 1:
-            i1, i2 = 2 * k - 1, 2 * k
-            present = [i for i in (i1, i2) if i <= N]
-            if not present:
-                return None
-            prefix = f"X{level}.{k}"
-            width = M + 1
-            sels = tuple(f"x{i}" for i in present)
-            consts = tuple(inst.numbers[i - 1] for i in present)
-            _add_selectable_columns(builder, prefix, width, list(zip(sels, consts)))
-            return _TreeNode((level, k), prefix, width, None, sels, consts)
-        left = build_node(level + 1, 2 * k - 1)
-        right = build_node(level + 1, 2 * k)
-        if right is None:
-            return left
-        prefix = f"X{level}.{k}"
-        width = max(left.width, right.width) + 1
-        _add_adder_columns(builder, prefix, width, left, right)
-        return _TreeNode((level, k), prefix, width, (left, right))
-
-    root = build_node(0, 1)
-    assert root is not None
+    root = build_summation_tree(builder, list(inst.numbers), selectors, "X", inst.M + 1)
     W = inst.total // 2
     for p in range(root.width):
         bit = (W >> p) & 1
@@ -147,43 +173,6 @@ def build_numpart_qubo(inst: PartitionInstance) -> SummationTreeQubo:
     q = builder.build()
     roles = {q.name_of(i): i for i in range(q.num_vars)}
     return SummationTreeQubo(q, inst, selectors, root, m, True, roles)
-
-
-def _add_selectable_columns(
-    builder: QuboBuilder, prefix: str, width: int, gated: list[tuple[str, int]]
-) -> None:
-    M = width - 1
-    for j in range(M):
-        terms: list[tuple[str, float]] = [(f"{prefix}:{j}", 1.0)]
-        if j == M - 1:
-            terms.append((f"{prefix}:{M}", 2.0))
-        else:
-            terms.append((f"Z{prefix}:{j + 1}", 2.0))
-        if j > 0:
-            terms.append((f"Z{prefix}:{j}", -1.0))
-        for sel, const in gated:
-            if (const >> j) & 1:
-                terms.append((sel, -1.0))
-        builder.add_squared_affine(0.0, terms)
-
-
-def _add_adder_columns(
-    builder: QuboBuilder, prefix: str, width: int, left: _TreeNode, right: _TreeNode
-) -> None:
-    n_in = width - 1
-    for j in range(n_in):
-        terms: list[tuple[str, float]] = [(f"{prefix}:{j}", 1.0)]
-        if j == n_in - 1:
-            terms.append((f"{prefix}:{n_in}", 2.0))
-        else:
-            terms.append((f"Z{prefix}:{j + 1}", 2.0))
-        if j > 0:
-            terms.append((f"Z{prefix}:{j}", -1.0))
-        if j < left.width:
-            terms.append((f"{left.prefix}:{j}", -1.0))
-        if j < right.width:
-            terms.append((f"{right.prefix}:{j}", -1.0))
-        builder.add_squared_affine(0.0, terms)
 
 
 def predicted_numpart_length(N: int, M: int, J: int, strategy: str = "tree") -> float:
@@ -216,82 +205,57 @@ def _node_vars(tree: SummationTreeQubo, node: _TreeNode) -> list[str]:
 
 def _layout_node(
     planner: SlotPlanner, tree: SummationTreeQubo, node: _TreeNode, origin: tuple[int, int], level: int
-) -> tuple[int, int, tuple[int, int], dict[str, tuple[int, int, int]]]:
-    """Place the subtree rooted at node; return (width, height, block origin,
-    register pads).
+) -> tuple[int, int, dict[str, tuple[int, int, int]]]:
+    """Place the subtree rooted at node; return (width, height, register pads).
 
-    Pads map each output-register bit to its (col, row, track) arm end on the
-    subtree bounding box edge: the bottom edge when this level composes
-    vertically (even levels), the right edge otherwise.
+    Even levels set the children side by side with the parent block below and
+    to the right, so the child exit lanes and the parent arm extensions never
+    share a column.  Odd levels are the same layout mirrored across the
+    diagonal: cell coordinates swap, and so do horizontal and vertical runs,
+    which stacks the children instead.  Pads map each output-register bit to
+    its (col, row, track) arm end on the subtree bounding box edge: the right
+    edge in this level's frame, which is the bottom edge in the parent's.
     """
     J = planner.J
-    oi, oj = origin
+    flip = level % 2 == 1
+
+    def frame(a: int, b: int) -> tuple[int, int]:
+        # lattice <-> this level's frame (the swap is its own inverse)
+        return (b, a) if flip else (a, b)
+
+    down, across = planner.run_vertical, planner.run_horizontal
+    if flip:
+        down, across = across, down
     names = _node_vars(tree, node)
-    vertical = level % 2 == 0
+    # from here on (u, v) coordinates and all sizes are in this level's frame
+    ou, ov = frame(*origin)
     if node.children is None:
         b = place_clique_block(planner, origin, names)
-        pads = {}
-        exit_down = level % 2 == 1  # the level above composes vertically
-        for p in range(node.width):
-            name = f"{node.prefix}:{p}"
-            lp = names.index(name)
-            row, track = divmod(lp, J)
-            if exit_down:
-                pads[name] = (oi + row, oj + b - 1, track)
-            else:
-                pads[name] = (oi + b - 1, oj + row, track)
-        return b, b, origin, pads
-
-    left, right = node.children
-    if vertical:
-        # children side by side, parent block below and to the right so the
-        # child exit lanes and the parent arm extensions never share a column
-        w1, h1, _, pads1 = _layout_node(planner, tree, left, (oi, oj), level + 1)
-        w2, h2, _, pads2 = _layout_node(planner, tree, right, (oi + w1, oj), level + 1)
-        block_i = oi + w1 + w2
-        block_j = oj + max(h1, h2)
-        b = place_clique_block(planner, (block_i, block_j), names)
+        block_v, width, height = ov, b, b
+    else:
+        left, right = node.children
+        w1, h1, pads1 = _layout_node(planner, tree, left, origin, level + 1)
+        w1, h1 = frame(w1, h1)
+        w2, h2, pads2 = _layout_node(planner, tree, right, frame(ou + w1, ov), level + 1)
+        w2, h2 = frame(w2, h2)
+        block_u, block_v = ou + w1 + w2, ov + max(h1, h2)
+        b = place_clique_block(planner, frame(block_u, block_v), names)
         for child, pads in ((left, pads1), (right, pads2)):
             for p in range(child.width):
                 name = f"{child.prefix}:{p}"
-                col, row, track = pads[name]
-                lp = names.index(name)
-                drow, dtrack = divmod(lp, J)
-                arm_row = block_j + drow
-                planner.run_vertical(name, track, col, row + 1, arm_row)
-                planner.run_horizontal(name, dtrack, arm_row, col, block_i - 1)
-        width = w1 + w2 + b
-        height = block_j + b - oj
-        out_pads = {}
-        for p in range(node.width):
-            name = f"{node.prefix}:{p}"
-            row, track = divmod(names.index(name), J)
-            out_pads[name] = (oi + width - 1, block_j + row, track)
-        return width, height, (block_i, block_j), out_pads
-
-    # children stacked, parent block right and below
-    w1, h1, _, pads1 = _layout_node(planner, tree, left, (oi, oj), level + 1)
-    w2, h2, _, pads2 = _layout_node(planner, tree, right, (oi, oj + h1), level + 1)
-    block_i = oi + max(w1, w2)
-    block_j = oj + h1 + h2
-    b = place_clique_block(planner, (block_i, block_j), names)
-    for child, pads in ((left, pads1), (right, pads2)):
-        for p in range(child.width):
-            name = f"{child.prefix}:{p}"
-            col, row, track = pads[name]
-            lp = names.index(name)
-            drow, dtrack = divmod(lp, J)
-            arm_col = block_i + drow
-            planner.run_horizontal(name, track, row, col + 1, arm_col)
-            planner.run_vertical(name, dtrack, arm_col, row, block_j - 1)
-    height = h1 + h2 + b
-    width = block_i + b - oi
+                i, j, track = pads[name]
+                col, row = frame(i, j)
+                drow, dtrack = divmod(names.index(name), J)
+                arm_row = block_v + drow
+                down(name, track, col, row + 1, arm_row)
+                across(name, dtrack, arm_row, col, block_u - 1)
+        width, height = w1 + w2 + b, block_v + b - ov
     out_pads = {}
     for p in range(node.width):
         name = f"{node.prefix}:{p}"
         row, track = divmod(names.index(name), J)
-        out_pads[name] = (block_i + row, oj + height - 1, track)
-    return width, height, (block_i, block_j), out_pads
+        out_pads[name] = (*frame(ou + width - 1, block_v + row), track)
+    return (*frame(width, height), out_pads)
 
 
 def embed_numpart(inst: PartitionInstance, J: int = 4) -> EmbeddedQubo:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -167,6 +168,24 @@ class TestCompile:
             count = count_states_at_coloring_level(inst, e, tileset)
             assert count == proper_coloring_count(n, edges, q), (edges, q)
 
+
+    def test_level_count_streams_state_blocks(self):
+        # the path P10 at q=2 has 20 chain-intact variables; all 2^20 state
+        # rows at once peak near 365 MB, one enumeration block at a time far less
+        from qubolattice.coloring import count_states_at_coloring_level, _build_tileset_any
+
+        tileset = _build_tileset_any(2)
+        inst = ColoringInstance(tuple((i, i + 1) for i in range(9)), 2, num_vertices=10)
+        e = compile_coloring(inst, tileset)
+        assert e.chain_intact_qubo().num_vars == 20
+        tracemalloc.start()
+        try:
+            count = count_states_at_coloring_level(inst, e, tileset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2
+        assert peak < 64 * 2**20
 
 class TestGridSearch:
     def test_le4_recovers_paper_table(self):

@@ -164,6 +164,27 @@ class TestEmbedNumpart:
                 q.quadratic.get(key, 0.0), abs=1e-9
             )
 
+    @pytest.mark.parametrize("J", [2, 4])
+    @pytest.mark.parametrize("N", [5, 6, 7, 8, 12, 16])
+    def test_deep_trees_valid_within_bound(self, N, J):
+        # N > 4 puts internal nodes on odd levels, where children are stacked
+        numbers = [1 + (5 * i) % 7 for i in range(N)]
+        numbers[-1] += sum(numbers) % 2
+        inst = PartitionInstance(tuple(numbers))
+        e = embed_numpart(inst, J=J)
+        report = validate(e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars))
+        assert report.ok, report.summary()
+        assert e.embedding.lattice.L <= predicted_numpart_length(N, inst.M, J, "tree")
+        eff, q = e.chain_intact_qubo(), e.logical
+        assert eff.num_vars == q.num_vars
+        assert eff.offset == pytest.approx(q.offset, abs=1e-9)
+        for i in range(q.num_vars):
+            assert eff.linear.get(i, 0.0) == pytest.approx(q.linear.get(i, 0.0), abs=1e-9)
+        for key in set(eff.quadratic) | set(q.quadratic):
+            assert eff.quadratic.get(key, 0.0) == pytest.approx(
+                q.quadratic.get(key, 0.0), abs=1e-9
+            )
+
     def test_odd_total_refuses_embedding(self):
         with pytest.raises(PartitionError):
             embed_numpart(PartitionInstance((1, 2, 4)), J=4)
