@@ -45,13 +45,14 @@ from .embedding import (
     validate,
 )
 from .unary import (
+    UnaryInstance,
     build_unary_qubo,
     fill_tree_optimize,
     fractal_embed_unary,
     k22_gadget,
     predicted_unary_length,
 )
-from .adder import build_adder, build_naive_adder, build_selectable_adder
+from .adder import AdderInstance, build_adder, build_naive_adder, build_selectable_adder
 from .numpart import (
     PartitionInstance,
     build_numpart_qubo,

@@ -20,6 +20,13 @@ class AdderError(ValueError):
     """Invalid adder parameter."""
 
 
+@dataclass(frozen=True)
+class AdderInstance:
+    """The sum of two n-bit inputs."""
+
+    n: int
+
+
 @dataclass
 class AdderQubo:
     """Adder objective plus the variable-role map."""

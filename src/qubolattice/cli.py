@@ -14,41 +14,15 @@ import sys
 
 from . import documents
 from .cartoon import lz_time, min_gap
-from .coloring import ColoringInstance, build_tileset, compile_coloring, verify_gap
-from .embedding import (
-    EmbeddedQubo,
-    MinorEmbedding,
-    choose_alpha,
-    embed_complete_chimera,
-    embed_qubo,
-    embedding_from_doc,
-    embedding_to_doc,
-    unembed,
-    validate,
-)
-from .hamcycle import (
-    HamcycleInstance,
-    build_ic_qubo,
-    build_tileable_hamcycle,
-    decode_cycle,
-    embed_tileable_hamcycle,
-    predicted_hamcycle_length,
-    predicted_permutation_length,
-)
-from .adder import build_adder
-from .knapsack import KnapsackInstance, build_knapsack_qubo, predicted_knapsack_length
-from .lattice import build_lattice, chimera_spec, lattice_from_doc, lattice_to_doc
-from .numpart import (
-    PartitionInstance,
-    build_numpart_qubo,
-    decode_partition,
-    embed_numpart,
-    predicted_numpart_length,
-)
+from .coloring import build_tileset, verify_gap
+from .embedding import EmbeddedQubo, embedding_from_doc, embedding_to_doc, unembed, validate
+from .hamcycle import predicted_hamcycle_length, predicted_permutation_length
+from .knapsack import predicted_knapsack_length
+from .lattice import build_lattice, chimera_spec, detect_chimera, lattice_from_doc, lattice_to_doc
+from .numpart import predicted_numpart_length
 from .qubo import (
     BINARY,
     NoiseModel,
-    Qubo,
     anneal_solve,
     apply_noise,
     brute_force,
@@ -57,7 +31,7 @@ from .qubo import (
     qubo_to_doc,
     to_spin,
 )
-from .unary import build_unary_qubo, fractal_embed_unary, predicted_unary_length
+from .unary import predicted_unary_length
 
 
 class UsageError(Exception):
@@ -106,42 +80,9 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _logical_for(inst, strategy: str, l_star: int | None):
-    meta: dict = {}
-    if isinstance(inst, PartitionInstance):
-        tree = build_numpart_qubo(inst)
-        meta["feasible_parity"] = tree.feasible_parity
-        return tree.qubo, meta
-    if isinstance(inst, KnapsackInstance):
-        if l_star is None:
-            l_star = max(0, sum(inst.values).bit_length() - 1)
-        meta["l_star"] = l_star
-        return build_knapsack_qubo(inst, l_star).qubo, meta
-    if isinstance(inst, ColoringInstance):
-        q = Qubo(BINARY, inst.n * inst.q)
-        q.var_names = [f"x:{v}:{c}" for v in range(inst.n) for c in range(inst.q)]
-        for v in range(inst.n):
-            q.add_squared_affine(
-                1.0, [(v * inst.q + c, -1.0) for c in range(inst.q)]
-            )
-        for u, v in inst.edges:
-            for c in range(inst.q):
-                q.add_quadratic(u * inst.q + c, v * inst.q + c, 1.0)
-        return q, meta
-    if isinstance(inst, HamcycleInstance):
-        if strategy == "tiles":
-            return build_tileable_hamcycle(inst).qubo, meta
-        return build_ic_qubo(inst).qubo, meta
-    if isinstance(inst, dict) and inst.get("kind") == "unary":
-        return build_unary_qubo(inst["n"], inst["allow_zero"]).qubo, meta
-    if isinstance(inst, dict) and inst.get("kind") == "adder":
-        return build_adder(inst["n"]).qubo, meta
-    raise UsageError("unsupported instance type")
-
-
 def cmd_build(args) -> int:
     inst = documents.parse_instance(_read_doc(args.instance))
-    logical, meta = _logical_for(inst, args.strategy, args.l_star)
+    logical, meta = documents.kind_of(inst).logical(inst, args.strategy, args.l_star)
     doc = {
         "instance": documents.instance_to_doc(inst),
         "qubo": qubo_to_doc(logical),
@@ -149,37 +90,15 @@ def cmd_build(args) -> int:
         "seed": args.seed,
     }
     _emit(doc, args.out)
-    if isinstance(inst, PartitionInstance) and not meta.get("feasible_parity", True):
-        return 1
-    return 0
-
-
-def _embedded_for(inst, strategy: str, J: int) -> EmbeddedQubo:
-    if isinstance(inst, PartitionInstance) and strategy == "tree":
-        return embed_numpart(inst, J)
-    if isinstance(inst, dict) and inst.get("kind") == "unary" and strategy == "tree":
-        embedded, _ = fractal_embed_unary(inst["n"], J)
-        return embedded
-    if isinstance(inst, ColoringInstance) and strategy == "tiles":
-        return compile_coloring(inst)
-    if isinstance(inst, HamcycleInstance) and strategy == "tiles":
-        return embed_tileable_hamcycle(inst, J)
-    # fall back to the complete-graph embedding of the logical interactions
-    logical, _ = _logical_for(inst, strategy, None)
-    emb = embed_complete_chimera(logical.num_vars, J)
-    emb.alpha = choose_alpha(logical)
-    return embed_qubo(logical, emb)
+    return 0 if meta.get("feasible_parity", True) else 1
 
 
 def cmd_embed(args) -> int:
     inst = documents.parse_instance(_read_doc(args.instance))
     J = 4
     if args.lattice:
-        spec, hint = _parse_lattice(args.lattice)
-        from .lattice import detect_chimera
-
-        J = detect_chimera(spec) or 4
-    embedded = _embedded_for(inst, args.strategy, J)
+        J = detect_chimera(_parse_lattice(args.lattice)[0]) or 4
+    embedded = documents.kind_of(inst).embed(inst, args.strategy, J)
     physical = embedded.physical
     scale = 1.0
     if physical.domain == BINARY:
@@ -232,7 +151,7 @@ def cmd_solve(args) -> int:
             target, sweeps=args.sweeps, restarts=args.restarts, seed=args.seed
         )
     result = {"energy": energy, "seed": args.seed, "solver": args.solver}
-    logical_state = best
+    logical_state, broken = best, 0
     if embedded is not None:
         logical_state, broken = unembed(embedded, best)
         result["broken_chains"] = broken
@@ -240,14 +159,10 @@ def cmd_solve(args) -> int:
             logical_state = tuple((s + 1) // 2 for s in logical_state)
     result["logical"] = list(logical_state)
     feasible = abs(energy) <= 1e-6
-    if isinstance(inst, PartitionInstance):
-        tree = build_numpart_qubo(inst)
-        if embedded is None and tree.feasible_parity:
-            result["decoded"] = decode_partition(tree, logical_state)
-            feasible = result["decoded"]["balanced"]
-    if isinstance(inst, HamcycleInstance):
-        result["decoded"] = decode_cycle(logical_state, inst)
-        feasible = result["decoded"]["ok"]
+    if inst is not None:
+        verdict = documents.kind_of(inst).decode(inst, logical_state, broken)
+        if verdict is not None:
+            result["decoded"], feasible = verdict
     result["feasible"] = feasible
     _emit(result, args.out)
     return 0 if feasible else 1
@@ -285,45 +200,36 @@ def cmd_gap(args) -> int:
     return 0
 
 
+# family -> (number of integer arguments, predictor); cartoon emits its own document
+PREDICTORS = {
+    "unary": (2, lambda args, n, j: predicted_unary_length(n, j, args.optimized)),
+    "numpart": (3, lambda args, n, m, j: predicted_numpart_length(n, m, j, args.strategy or "tree")),
+    "knapsack": (4, lambda args, *vals: predicted_knapsack_length(*vals)),
+    "hamcycle": (2, lambda args, n, l: predicted_hamcycle_length(n, l, args.strategy or "tileable")),
+    "permutation": (1, lambda args, n: predicted_permutation_length(n, args.strategy or "tree")),
+    "cartoon": (1, None),
+}
+
+
 def cmd_predict(args) -> int:
     family = args.family
-    vals = args.values
-    try:
-        if family == "unary":
-            out = predicted_unary_length(int(vals[0]), int(vals[1]), args.optimized)
-        elif family == "numpart":
-            out = predicted_numpart_length(
-                int(vals[0]), int(vals[1]), int(vals[2]), args.strategy or "tree"
-            )
-        elif family == "knapsack":
-            out = predicted_knapsack_length(
-                int(vals[0]), int(vals[1]), int(vals[2]), int(vals[3])
-            )
-        elif family == "hamcycle":
-            out = predicted_hamcycle_length(
-                int(vals[0]), int(vals[1]), args.strategy or "tileable"
-            )
-        elif family == "permutation":
-            out = predicted_permutation_length(int(vals[0]), args.strategy or "tree")
-        elif family == "cartoon":
-            n = int(vals[0])
-            gap, s_star = min_gap(n)
-            _emit(
-                {
-                    "N": n,
-                    "gap": gap,
-                    "s_star": s_star,
-                    "tau_linear": lz_time(n, "linear"),
-                    "tau_optimal": lz_time(n, "optimal"),
-                },
-                args.out,
-            )
-            return 0
-        else:
-            raise UsageError(f"unknown prediction family {family!r}")
-    except IndexError:
-        raise UsageError(f"missing arguments for predict {family}") from None
-    _emit({"family": family, "predicted_side": out}, args.out)
+    arity, predict = PREDICTORS[family]
+    vals = [int(x) for x in args.values[:arity]]
+    if len(vals) < arity:
+        raise UsageError(f"missing arguments for predict {family}")
+    if predict is None:
+        n = vals[0]
+        gap, s_star = min_gap(n)
+        doc = {
+            "N": n,
+            "gap": gap,
+            "s_star": s_star,
+            "tau_linear": lz_time(n, "linear"),
+            "tau_optimal": lz_time(n, "optimal"),
+        }
+    else:
+        doc = {"family": family, "predicted_side": predict(args, *vals)}
+    _emit(doc, args.out)
     return 0
 
 
@@ -381,7 +287,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("predict", help="closed-form embedding-size estimates")
-    p.add_argument("family", choices=["unary", "numpart", "knapsack", "hamcycle", "permutation", "cartoon"])
+    p.add_argument("family", choices=list(PREDICTORS))
     p.add_argument("values", nargs="*")
     p.add_argument("--strategy")
     p.add_argument("--optimized", action="store_true")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import EmbeddedQubo
-from .qubo import SPIN, Qubo, QuboBuilder, Spectrum, _iter_state_blocks, brute_force, clamp
+from .qubo import BINARY, SPIN, Qubo, QuboBuilder, Spectrum, _iter_state_blocks, brute_force, clamp
 from .tiling import TileHamiltonians, TilePlan, route_graph_to_tiles, stitch
 
 
@@ -278,6 +278,18 @@ def _single_tile_ground(tiles: TileHamiltonians) -> float:
 def _restricted_spectrum(e: EmbeddedQubo) -> Spectrum:
     """Spectrum over chain-intact states via the contracted objective."""
     return brute_force(e.chain_intact_qubo(), cap=24)
+
+
+def build_coloring_qubo(inst: ColoringInstance) -> Qubo:
+    """Logical objective over x:v:c: one color per vertex, none shared on an edge."""
+    q = Qubo(BINARY, inst.n * inst.q)
+    q.var_names = [f"x:{v}:{c}" for v in range(inst.n) for c in range(inst.q)]
+    for v in range(inst.n):
+        q.add_squared_affine(1.0, [(v * inst.q + c, -1.0) for c in range(inst.q)])
+    for u, v in inst.edges:
+        for c in range(inst.q):
+            q.add_quadratic(u * inst.q + c, v * inst.q + c, 1.0)
+    return q
 
 
 def compile_coloring(inst: ColoringInstance, tileset: ColoringTileSet | None = None) -> EmbeddedQubo:

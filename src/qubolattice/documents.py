@@ -1,18 +1,175 @@
-"""JSON document formats tying the compilers together for file pipelines."""
+"""JSON document formats and the problem registry tying the compilers together.
+
+`KINDS` holds one `ProblemKind` per instance tag: the instance type, the body
+codec, the logical compiler, the native embedders and the decoder.  Every
+per-kind decision in the file pipelines is a lookup in it.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
-from .hamcycle import HamcycleInstance
-from .knapsack import KnapsackInstance
-from .coloring import ColoringInstance
-from .numpart import PartitionInstance
+from .adder import AdderInstance, build_adder
+from .coloring import ColoringInstance, build_coloring_qubo, compile_coloring
+from .embedding import EmbeddedQubo, choose_alpha, embed_complete_chimera, embed_qubo
+from .hamcycle import (
+    HamcycleInstance,
+    build_ic_qubo,
+    build_tileable_hamcycle,
+    decode_cycle,
+    embed_tileable_hamcycle,
+)
+from .knapsack import KnapsackInstance, build_knapsack_qubo
+from .numpart import PartitionInstance, build_numpart_qubo, decode_partition, embed_numpart
+from .qubo import Qubo
+from .unary import UnaryInstance, build_unary_qubo, fractal_embed_unary
 
 
 class DocumentError(ValueError):
     """Malformed document."""
+
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """Everything the pipelines need to know about one instance tag.
+
+    `logical(inst, strategy, l_star)` returns the logical objective and the
+    build metadata; `embedders` maps a strategy to `(inst, J) -> EmbeddedQubo`;
+    `decode(inst, logical_state, broken_chains)` returns `(decoded, feasible)`,
+    or None when there is nothing to decode.
+    """
+
+    tag: str
+    instance_type: type
+    parse: Callable[[Mapping], object]
+    body: Callable[[object], dict]
+    logical: Callable[[object, str, int | None], tuple[Qubo, dict]]
+    embedders: Mapping[str, Callable[[object, int], EmbeddedQubo]] = field(default_factory=dict)
+    decode: Callable[[object, tuple, int], tuple[dict, bool] | None] = lambda inst, state, broken: None
+
+    def embed(self, inst, strategy: str, J: int) -> EmbeddedQubo:
+        """Native embedding for `strategy`, else the complete-graph embedding
+        of the logical interactions."""
+        native = self.embedders.get(strategy)
+        if native is not None:
+            return native(inst, J)
+        logical, _ = self.logical(inst, strategy, None)
+        emb = embed_complete_chimera(logical.num_vars, J)
+        emb.alpha = choose_alpha(logical)
+        return embed_qubo(logical, emb)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(x) for x in values)
+
+
+def _edges(body: Mapping) -> tuple[tuple[int, int], ...]:
+    return tuple((int(u), int(v)) for u, v in body.get("edges", []))
+
+
+def _num_vertices(body: Mapping) -> int | None:
+    return int(body["num_vertices"]) if "num_vertices" in body else None
+
+
+def _partition_logical(inst: PartitionInstance, strategy, l_star):
+    tree = build_numpart_qubo(inst)
+    return tree.qubo, {"feasible_parity": tree.feasible_parity}
+
+
+def _knapsack_logical(inst: KnapsackInstance, strategy, l_star):
+    if l_star is None:
+        l_star = max(0, sum(inst.values).bit_length() - 1)
+    return build_knapsack_qubo(inst, l_star).qubo, {"l_star": l_star}
+
+
+def _hamcycle_logical(inst: HamcycleInstance, strategy, l_star):
+    build = build_tileable_hamcycle if strategy == "tiles" else build_ic_qubo
+    return build(inst).qubo, {}
+
+
+def _decode_partition(inst: PartitionInstance, state, broken: int):
+    # every partition embedding keeps build_numpart_qubo's variable order
+    tree = build_numpart_qubo(inst)
+    if not tree.feasible_parity:
+        return None
+    decoded = decode_partition(tree, state, broken)
+    return decoded, decoded["balanced"]
+
+
+def _decode_hamcycle(inst: HamcycleInstance, state, broken: int):
+    decoded = decode_cycle(state, inst)
+    return decoded, decoded["ok"]
+
+
+KINDS: dict[str, ProblemKind] = {
+    kind.tag: kind
+    for kind in (
+        ProblemKind(
+            "partition",
+            PartitionInstance,
+            parse=lambda body: PartitionInstance(_ints(body["numbers"])),
+            body=lambda inst: {"numbers": list(inst.numbers)},
+            logical=_partition_logical,
+            embedders={"tree": embed_numpart},
+            decode=_decode_partition,
+        ),
+        ProblemKind(
+            "knapsack",
+            KnapsackInstance,
+            parse=lambda body: KnapsackInstance(
+                _ints(body["values"]), _ints(body["weights"]), int(body["capacity"])
+            ),
+            body=lambda inst: {
+                "values": list(inst.values), "weights": list(inst.weights), "capacity": inst.capacity
+            },
+            logical=_knapsack_logical,
+        ),
+        ProblemKind(
+            "coloring",
+            ColoringInstance,
+            parse=lambda body: ColoringInstance(_edges(body), int(body["q"]), _num_vertices(body)),
+            body=lambda inst: {
+                "edges": [list(e) for e in inst.edges], "q": inst.q, "num_vertices": inst.n
+            },
+            logical=lambda inst, strategy, l_star: (build_coloring_qubo(inst), {}),
+            embedders={"tiles": lambda inst, J: compile_coloring(inst)},
+        ),
+        ProblemKind(
+            "hamcycle",
+            HamcycleInstance,
+            parse=lambda body: HamcycleInstance(_edges(body), _num_vertices(body)),
+            body=lambda inst: {"edges": [list(e) for e in inst.edges], "num_vertices": inst.n},
+            logical=_hamcycle_logical,
+            embedders={"tiles": embed_tileable_hamcycle},
+            decode=_decode_hamcycle,
+        ),
+        ProblemKind(
+            "unary",
+            UnaryInstance,
+            parse=lambda body: UnaryInstance(int(body["n"]), bool(body.get("allow_zero", False))),
+            body=lambda inst: {"n": inst.n, "allow_zero": inst.allow_zero},
+            logical=lambda inst, strategy, l_star: (build_unary_qubo(inst.n, inst.allow_zero).qubo, {}),
+            embedders={"tree": lambda inst, J: fractal_embed_unary(inst.n, J)[0]},
+        ),
+        ProblemKind(
+            "adder",
+            AdderInstance,
+            parse=lambda body: AdderInstance(int(body["n"])),
+            body=lambda inst: {"n": inst.n},
+            logical=lambda inst, strategy, l_star: (build_adder(inst.n).qubo, {}),
+        ),
+    )
+}
+_BY_TYPE = {kind.instance_type: kind for kind in KINDS.values()}
+
+
+def kind_of(inst) -> ProblemKind:
+    try:
+        return _BY_TYPE[type(inst)]
+    except KeyError:
+        raise DocumentError(f"no problem kind for {type(inst).__name__}") from None
 
 
 def parse_instance(doc: Mapping):
@@ -20,66 +177,17 @@ def parse_instance(doc: Mapping):
     if not isinstance(doc, Mapping) or len(doc) != 1:
         raise DocumentError("instance document must have exactly one top-level tag")
     tag, body = next(iter(doc.items()))
+    if tag not in KINDS:
+        raise DocumentError(f"unknown instance tag {tag!r}")
     try:
-        if tag == "partition":
-            return PartitionInstance(tuple(int(x) for x in body["numbers"]))
-        if tag == "knapsack":
-            return KnapsackInstance(
-                tuple(int(x) for x in body["values"]),
-                tuple(int(x) for x in body["weights"]),
-                int(body["capacity"]),
-            )
-        if tag == "coloring":
-            return ColoringInstance(
-                tuple((int(u), int(v)) for u, v in body.get("edges", [])),
-                int(body["q"]),
-                int(body["num_vertices"]) if "num_vertices" in body else None,
-            )
-        if tag == "hamcycle":
-            return HamcycleInstance(
-                tuple((int(u), int(v)) for u, v in body.get("edges", [])),
-                int(body["num_vertices"]) if "num_vertices" in body else None,
-            )
-        if tag == "unary":
-            return {"kind": "unary", "n": int(body["n"]), "allow_zero": bool(body.get("allow_zero", False))}
-        if tag == "adder":
-            return {"kind": "adder", "n": int(body["n"])}
+        return KINDS[tag].parse(body)
     except (KeyError, TypeError) as err:
         raise DocumentError(f"malformed {tag!r} instance: {err}") from None
-    raise DocumentError(f"unknown instance tag {tag!r}")
 
 
 def instance_to_doc(inst) -> dict:
-    if isinstance(inst, PartitionInstance):
-        return {"partition": {"numbers": list(inst.numbers)}}
-    if isinstance(inst, KnapsackInstance):
-        return {
-            "knapsack": {
-                "values": list(inst.values),
-                "weights": list(inst.weights),
-                "capacity": inst.capacity,
-            }
-        }
-    if isinstance(inst, ColoringInstance):
-        return {
-            "coloring": {
-                "edges": [list(e) for e in inst.edges],
-                "q": inst.q,
-                "num_vertices": inst.n,
-            }
-        }
-    if isinstance(inst, HamcycleInstance):
-        return {
-            "hamcycle": {
-                "edges": [list(e) for e in inst.edges],
-                "num_vertices": inst.n,
-            }
-        }
-    if isinstance(inst, dict) and inst.get("kind") == "unary":
-        return {"unary": {"n": inst["n"], "allow_zero": inst.get("allow_zero", False)}}
-    if isinstance(inst, dict) and inst.get("kind") == "adder":
-        return {"adder": {"n": inst["n"]}}
-    raise DocumentError(f"cannot serialize {type(inst).__name__}")
+    kind = kind_of(inst)
+    return {kind.tag: kind.body(inst)}
 
 
 def dumps(doc) -> str:

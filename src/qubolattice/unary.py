@@ -23,6 +23,14 @@ class UnaryError(ValueError):
     """Invalid unary-constraint parameter."""
 
 
+@dataclass(frozen=True)
+class UnaryInstance:
+    """An "exactly one of n bits" constraint; `allow_zero` also admits none."""
+
+    n: int
+    allow_zero: bool = False
+
+
 # ---------------------------------------------------------------------------
 # merge trees
 

@@ -5,7 +5,17 @@ import json
 import pytest
 
 from qubolattice.cli import main
-from qubolattice.documents import dumps, loads
+from qubolattice.documents import KINDS, dumps, instance_to_doc, loads, parse_instance
+
+# one small instance per registered tag, in canonical (round-trip) form
+INSTANCES = {
+    "partition": {"partition": {"numbers": [2, 2, 3, 3]}},
+    "knapsack": {"knapsack": {"values": [3, 1], "weights": [2, 1], "capacity": 2}},
+    "coloring": {"coloring": {"edges": [[0, 1], [1, 2]], "q": 2, "num_vertices": 3}},
+    "hamcycle": {"hamcycle": {"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "num_vertices": 4}},
+    "unary": {"unary": {"n": 4, "allow_zero": False}},
+    "adder": {"adder": {"n": 2}},
+}
 
 
 def run(capsys, *argv):
@@ -122,3 +132,59 @@ class TestGapPredict:
         text1 = dumps(built)
         reparsed = loads(text1)
         assert dumps(reparsed) == text1
+
+
+class TestRegistry:
+    def test_every_tag_has_an_instance(self):
+        assert set(KINDS) == set(INSTANCES)
+
+    @pytest.mark.parametrize("tag", sorted(INSTANCES))
+    def test_instance_round_trip(self, tag):
+        assert instance_to_doc(parse_instance(INSTANCES[tag])) == INSTANCES[tag]
+
+    @pytest.mark.parametrize("tag", sorted(INSTANCES))
+    def test_build_then_brute_solve(self, tag, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", INSTANCES[tag])
+        code, built = run(capsys, "build", inst)
+        assert code == 0
+        assert built["instance"] == INSTANCES[tag]
+        assert built["qubo"]["num_vars"] <= 28
+        built_path = write(tmp_path, "built.json", built)
+        code, result = run(capsys, "solve", built_path, "--solver", "brute")
+        assert code == (0 if result["feasible"] else 1)
+        assert len(result["logical"]) == built["qubo"]["num_vars"]
+
+    @pytest.mark.parametrize("strategy", ["tree", "complete", "tiles"])
+    @pytest.mark.parametrize("tag", sorted(INSTANCES))
+    def test_embed_then_validate(self, tag, strategy, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", INSTANCES[tag])
+        code, embedded = run(capsys, "embed", inst, "--strategy", strategy)
+        assert code == 0
+        assert embedded["instance"] == INSTANCES[tag]
+        code, report = run(capsys, "validate", write(tmp_path, "emb.json", embedded))
+        assert code == 0 and report["valid"]
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"triangle": {"n": 3}}, "unknown instance tag 'triangle'"),
+            ({"knapsack": {"values": [1], "weights": [1]}}, "malformed 'knapsack' instance"),
+        ],
+    )
+    def test_bad_instance_is_document_error(self, doc, message, tmp_path, capsys):
+        assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("document error:") and message in err
+
+    def test_embedded_partition_is_decoded(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", INSTANCES["partition"])
+        code, embedded = run(capsys, "embed", inst, "--strategy", "tree")
+        assert code == 0
+        emb_path = write(tmp_path, "emb.json", embedded)
+        code, result = run(capsys, "solve", emb_path, "--solver", "anneal", "--seed", "3",
+                           "--sweeps", "300", "--restarts", "2")
+        decoded = result["decoded"]
+        assert result["feasible"] == decoded["balanced"]
+        assert code == (0 if decoded["balanced"] else 1)
+        assert decoded["broken_chains"] == result["broken_chains"]
+        assert sorted(decoded["set_a"] + decoded["set_b"]) == [2, 2, 3, 3]
