@@ -79,6 +79,7 @@ from .coloring import (
     ColoringInstance,
     build_tileset,
     compile_coloring,
+    decode_coloring,
     grid_search_coefficients,
     h_diag,
     h_off,

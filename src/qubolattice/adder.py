@@ -35,12 +35,6 @@ class AdderQubo:
     qubo: Qubo
     role_index: dict[str, int]
 
-    def input_roles(self, which: int) -> list[str]:
-        return [f"x{which}:{j}" for j in range(self.n)]
-
-    def output_roles(self) -> list[str]:
-        return [f"y:{j}" for j in range(self.n + 1)]
-
 
 def add_columns(builder: QuboBuilder, out: str, carry: str, addends: list[list[str]]) -> None:
     """Column constraints of one addition into register `out`.

@@ -11,13 +11,24 @@ the best achievable gap drops to 4/3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embedding import EmbeddedQubo
-from .qubo import BINARY, SPIN, Qubo, QuboBuilder, Spectrum, _iter_state_blocks, brute_force, clamp
+from .qubo import (
+    BINARY,
+    SPIN,
+    Qubo,
+    QuboBuilder,
+    Spectrum,
+    _iter_state_blocks,
+    _split_energy_blocks,
+    brute_force,
+    clamp,
+)
 from .tiling import TileHamiltonians, TilePlan, route_graph_to_tiles, stitch
 
 
@@ -313,10 +324,14 @@ def coloring_feasible_energy(inst: ColoringInstance, tileset: ColoringTileSet) -
     what a conflict-free state pays.  Valid whether or not the instance is
     actually colorable.
     """
-    free = _build_tileset_any(tileset.q, lam=tileset.lam, edge_weight=0.0)
     plan = route_graph_to_tiles(inst.edges, tile_side=tileset.ell, num_vertices=inst.n)
-    e = stitch(plan, free.tiles)
+    e = stitch(plan, _zero_edge_tiles(tileset.q, tileset.lam))
     return _restricted_spectrum(e).ground_energy
+
+
+@lru_cache(maxsize=8)
+def _zero_edge_tiles(q: int, lam: float) -> TileHamiltonians:
+    return _build_tileset_any(q, lam=lam, edge_weight=0.0).tiles
 
 
 def count_ground_colorings(inst: ColoringInstance, e: EmbeddedQubo) -> tuple[int, float]:
@@ -338,9 +353,23 @@ def count_states_at_coloring_level(
     if eff.num_vars > 24:
         raise ColoringError("instance too large for exact level counting")
     return sum(
-        int(np.count_nonzero(np.abs(eff.energies(block) - level) <= 1e-9))
-        for block in _iter_state_blocks(eff.num_vars, SPIN)
+        int(np.count_nonzero(np.abs(energies - level) <= 1e-9))
+        for energies, _ in _split_energy_blocks(eff)
     )
+
+
+def decode_coloring(inst: ColoringInstance, assignment, broken_chains: int = 0) -> dict:
+    """Colour per vertex from the bits x:v:c at index v * q + c.
+
+    A vertex with no colour bit or several set gets None; the colouring is
+    proper when every vertex has one colour and no edge joins equal colours.
+    """
+    colors = []
+    for v in range(inst.n):
+        hot = [c for c in range(inst.q) if assignment[v * inst.q + c] == 1]
+        colors.append(hot[0] if len(hot) == 1 else None)
+    proper = None not in colors and all(colors[u] != colors[v] for u, v in inst.edges)
+    return {"colors": colors, "proper": proper, "broken_chains": broken_chains}
 
 
 def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:

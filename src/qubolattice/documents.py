@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .adder import AdderInstance, build_adder
-from .coloring import ColoringInstance, build_coloring_qubo, compile_coloring
+from .coloring import ColoringInstance, build_coloring_qubo, compile_coloring, decode_coloring
 from .embedding import EmbeddedQubo, choose_alpha, embed_complete_chimera, embed_qubo
 from .hamcycle import (
     HamcycleInstance,
@@ -36,7 +36,8 @@ class ProblemKind:
     """Everything the pipelines need to know about one instance tag.
 
     `logical(inst, strategy, l_star)` returns the logical objective and the
-    build metadata; `embedders` maps a strategy to `(inst, J) -> EmbeddedQubo`;
+    build metadata; `embedders` maps a strategy to `(inst, J) -> EmbeddedQubo`,
+    or None when the native layout does not encode that instance;
     `decode(inst, logical_state, broken_chains)` returns `(decoded, feasible)`,
     or None when there is nothing to decode.
     """
@@ -53,8 +54,9 @@ class ProblemKind:
         """Native embedding for `strategy`, else the complete-graph embedding
         of the logical interactions."""
         native = self.embedders.get(strategy)
-        if native is not None:
-            return native(inst, J)
+        embedded = native(inst, J) if native is not None else None
+        if embedded is not None:
+            return embedded
         logical, _ = self.logical(inst, strategy, None)
         emb = embed_complete_chimera(logical.num_vars, J)
         emb.alpha = choose_alpha(logical)
@@ -98,6 +100,11 @@ def _decode_partition(inst: PartitionInstance, state, broken: int):
     return decoded, decoded["balanced"]
 
 
+def _decode_coloring(inst: ColoringInstance, state, broken: int):
+    decoded = decode_coloring(inst, state, broken)
+    return decoded, decoded["proper"]
+
+
 def _decode_hamcycle(inst: HamcycleInstance, state, broken: int):
     decoded = decode_cycle(state, inst)
     return decoded, decoded["ok"]
@@ -135,6 +142,7 @@ KINDS: dict[str, ProblemKind] = {
             },
             logical=lambda inst, strategy, l_star: (build_coloring_qubo(inst), {}),
             embedders={"tiles": lambda inst, J: compile_coloring(inst)},
+            decode=_decode_coloring,
         ),
         ProblemKind(
             "hamcycle",
@@ -151,7 +159,8 @@ KINDS: dict[str, ProblemKind] = {
             parse=lambda body: UnaryInstance(int(body["n"]), bool(body.get("allow_zero", False))),
             body=lambda inst: {"n": inst.n, "allow_zero": inst.allow_zero},
             logical=lambda inst, strategy, l_star: (build_unary_qubo(inst.n, inst.allow_zero).qubo, {}),
-            embedders={"tree": lambda inst, J: fractal_embed_unary(inst.n, J)[0]},
+            # the fractal tree encodes exactly-one; at-most-one takes the fallback
+            embedders={"tree": lambda inst, J: None if inst.allow_zero else fractal_embed_unary(inst.n, J)[0]},
         ),
         ProblemKind(
             "adder",

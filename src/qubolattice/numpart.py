@@ -50,10 +50,6 @@ class PartitionInstance:
         return sum(self.numbers)
 
     @property
-    def balanced_target(self) -> float:
-        return self.total / 2.0
-
-    @property
     def feasible_parity(self) -> bool:
         return self.total % 2 == 0
 

@@ -28,6 +28,9 @@ BRUTE_FORCE_CAP = 28
 
 _BLOCK = 1 << 16
 
+#: Energies per block of the split enumeration (8 MiB of float64).
+_SPLIT_BLOCK = 1 << 20
+
 
 class QuboError(ValueError):
     """Invalid parameter or assignment handed to a QUBO operation."""
@@ -189,9 +192,12 @@ class Qubo:
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Vectorized energies for a (num_states, num_vars) array of assignments."""
-        states = np.asarray(states, dtype=np.float64)
         l, u = self._dense_terms()
-        return self.offset + states @ l + np.einsum("si,si->s", states @ u, states)
+        return _quadratic_form(np.asarray(states, dtype=np.float64), l, u, self.offset)
+
+
+def _quadratic_form(states: np.ndarray, l: np.ndarray, u: np.ndarray, offset: float) -> np.ndarray:
+    return offset + states @ l + np.einsum("si,si->s", states @ u, states)
 
 
 @dataclass
@@ -295,45 +301,85 @@ def apply_noise(q: Qubo, model: NoiseModel) -> Qubo:
     return out
 
 
+def _code_rows(start: int, stop: int, num_vars: int, domain: str) -> np.ndarray:
+    """Assignments of the codes start..stop-1; bit i of a code is variable i."""
+    codes = np.arange(start, stop, dtype=np.uint64)
+    bits = ((codes[:, None] >> np.arange(num_vars, dtype=np.uint64)) & 1).astype(np.int8)
+    return 2 * bits - 1 if domain == SPIN else bits
+
+
 def _iter_state_blocks(num_vars: int, domain: str) -> Iterable[np.ndarray]:
     total = 1 << num_vars
-    shifts = np.arange(num_vars, dtype=np.uint64)
     for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        codes = np.arange(start, stop, dtype=np.uint64)
-        bits = ((codes[:, None] >> shifts) & 1).astype(np.int8)
-        if domain == SPIN:
-            bits = 2 * bits - 1
-        yield bits
+        yield _code_rows(start, min(start + _BLOCK, total), num_vars, domain)
 
 
-def _spectrum_from_batches(
-    batches: Iterable[tuple[np.ndarray, np.ndarray]], tol: float
-) -> Spectrum:
-    # Collect a superset of ground states against a running threshold, then
-    # re-filter once the true minimum is known.
+#: One batch of states: their energies, and `pick(idx)` giving the rows at
+#: positions `idx` together with their exact `Qubo.energies`.
+Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
+
+
+def _explicit_batch(q: Qubo, rows: np.ndarray) -> Batch:
+    energies = q.energies(rows) if len(rows) else np.empty(0)
+    return energies, lambda idx: (rows[idx], energies[idx])
+
+
+def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
+    """Energies of all 2**n assignments, in code order, one block at a time.
+
+    The low k = n // 2 variables and the high n - k each get their rows S and
+    their own energies once (the offset goes to the high half).  With
+    C = U[:k, k:] the cross couplings, the block over high rows h and every
+    low row l is e_hi[h] + e_lo[l] + S_hi[h] . (S_lo C)[l]: one matrix product
+    of at most `_SPLIT_BLOCK` entries.  Entries are hi-major, which is code
+    order.  `pick` re-evaluates rows with `Qubo.energies`, whose rounding the
+    split sum does not share.
+    """
+    n, k = q.num_vars, q.num_vars // 2
+    l, u = q._dense_terms()
+    lo = _code_rows(0, 1 << k, k, q.domain)
+    hi = _code_rows(0, 1 << (n - k), n - k, q.domain)
+    lo_f, hi_f = lo.astype(np.float64), hi.astype(np.float64)
+    e_lo = _quadratic_form(lo_f, l[:k], u[:k, :k], 0.0)
+    e_hi = _quadratic_form(hi_f, l[k:], u[k:, k:], q.offset)
+    cross = (lo_f @ u[:k, k:]).T
+    step = max(1, _SPLIT_BLOCK >> k)
+    for h0 in range(0, len(hi), step):
+        block = hi_f[h0 : h0 + step] @ cross
+        block += e_hi[h0 : h0 + step, None]
+        block += e_lo
+
+        def pick(idx: np.ndarray, h0: int = h0) -> tuple[np.ndarray, np.ndarray]:
+            h, low = np.divmod(idx, len(lo))
+            rows = np.hstack((lo[low], hi[h0 + h]))
+            energies = [q.energies(rows[s : s + _BLOCK]) for s in range(0, len(rows), _BLOCK)]
+            return rows, np.concatenate(energies)
+
+        yield block.ravel(), pick
+
+
+def _spectrum_from_batches(batches: Iterable[Batch], tol: float, slack: float = 0.0) -> Spectrum:
+    # Keep the rows within tol (+ slack, a bound on the rounding gap between
+    # batch and exact energies) of the running minimum, and the lowest row
+    # outside that band as a witness of the next level; the exact energies of
+    # the kept rows then decide the ground set and the gap.
     running = math.inf
-    above_min = math.inf
     kept: list[tuple[float, tuple[int, ...]]] = []
-    seen = False
-    for block, energies in batches:
+    for energies, pick in batches:
         if len(energies) == 0:
             continue
-        seen = True
         running = min(running, float(energies.min()))
-        near = energies <= running + tol
-        for row, e in zip(block[near], energies[near]):
-            kept.append((float(e), tuple(int(v) for v in row)))
-        rest = energies[~near]
-        if rest.size:
-            above_min = min(above_min, float(rest.min()))
-    if not seen:
+        near = energies <= running + tol + slack
+        idx = np.flatnonzero(near)
+        if len(idx) < len(energies):
+            idx = np.append(idx, np.argmin(np.where(near, np.inf, energies)))
+        rows, exact = pick(idx)
+        kept.extend(zip(exact.tolist(), map(tuple, rows.tolist())))
+    if not kept:
         raise QuboError("empty subspace: no states to take a spectrum over")
     ground = min(e for e, _ in kept)
     states = [s for e, s in kept if e <= ground + tol]
     excited = [e for e, _ in kept if e > ground + tol]
-    if not math.isinf(above_min):
-        excited.append(above_min)
     if not excited:
         return Spectrum(ground, states, 0.0, len(states), degenerate=True)
     return Spectrum(ground, states, min(excited) - ground, len(states))
@@ -343,7 +389,13 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
     """Exhaustive spectrum over all 2**num_vars assignments.
 
     Refuses above `cap` variables; ties at the ground level are collected
-    exhaustively.
+    exhaustively, in code order (bit i of the code is variable i).  The
+    variables split into a low and a high half whose rows and energies are
+    built once; each block of energies is one matrix product over the cross
+    couplings, capped at `_SPLIT_BLOCK` entries (8 MiB), so memory does not
+    grow with 2**num_vars.  Only rows within `tol` of the running minimum and
+    one witness of the next level per block are materialized, and their
+    energies are re-evaluated with `Qubo.energies`.
     """
     if q.num_vars > cap:
         raise QuboError(
@@ -351,12 +403,9 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
         )
     if q.num_vars == 0:
         return Spectrum(q.offset, [()], 0.0, 1, degenerate=True)
-
-    def batches():
-        for block in _iter_state_blocks(q.num_vars, q.domain):
-            yield block, q.energies(block)
-
-    return _spectrum_from_batches(batches(), tol)
+    # either sum of at most ~400 terms rounds by far less than 1e-12 of their magnitudes
+    scale = abs(q.offset) + sum(map(abs, q.linear.values())) + sum(map(abs, q.quadratic.values()))
+    return _spectrum_from_batches(_split_energy_blocks(q), tol, slack=1e-12 * scale)
 
 
 def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = COEFF_TOL) -> Spectrum:
@@ -365,13 +414,8 @@ def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = CO
     if not rows:
         raise QuboError("empty subspace: no states to take a spectrum over")
     arr = np.asarray(rows, dtype=np.int8)
-
-    def batches():
-        for start in range(0, len(rows), _BLOCK):
-            block = arr[start : start + _BLOCK]
-            yield block, q.energies(block)
-
-    return _spectrum_from_batches(batches(), tol)
+    batches = (_explicit_batch(q, arr[start : start + _BLOCK]) for start in range(0, len(rows), _BLOCK))
+    return _spectrum_from_batches(batches, tol)
 
 
 def restricted_gap(
@@ -403,8 +447,7 @@ def restricted_gap(
                 dtype=bool,
                 count=len(block),
             )
-            sub = block[keep]
-            yield sub, q.energies(sub) if len(sub) else np.empty(0)
+            yield _explicit_batch(q, block[keep])
 
     return _spectrum_from_batches(batches(), tol)
 

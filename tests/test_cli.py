@@ -1,11 +1,13 @@
 """CLI pipelines: round trips, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
 from qubolattice.cli import main
 from qubolattice.documents import KINDS, dumps, instance_to_doc, loads, parse_instance
+from qubolattice.qubo import SPIN, binary_assignment, brute_force, qubo_from_doc
 
 # one small instance per registered tag, in canonical (round-trip) form
 INSTANCES = {
@@ -16,6 +18,9 @@ INSTANCES = {
     "unary": {"unary": {"n": 4, "allow_zero": False}},
     "adder": {"adder": {"n": 2}},
 }
+
+# instances whose records take a different path for some strategy
+EXTRA_INSTANCES = {"unary-allow-zero": {"unary": {"n": 3, "allow_zero": True}}}
 
 
 def run(capsys, *argv):
@@ -134,6 +139,22 @@ class TestGapPredict:
         assert dumps(reparsed) == text1
 
 
+def problem_name(name):
+    # tile embeddings name the chain of (vertex v, colour c) "v<v>:c<c>"; that
+    # is the variable x:v:c of the coloring build
+    return re.sub(r"^v(\d+):c(\d+)$", r"x:\1:\2", name)
+
+
+def problem_ground_states(doc, names):
+    """Binary ground states of a logical QUBO document, read at `names`."""
+    q = qubo_from_doc(doc)
+    own = [problem_name(q.name_of(i)) for i in range(q.num_vars)]
+    states = brute_force(q).ground_states
+    if q.domain == SPIN:
+        states = [binary_assignment(s) for s in states]
+    return {tuple(s[own.index(name)] for name in names) for s in states}
+
+
 class TestRegistry:
     def test_every_tag_has_an_instance(self):
         assert set(KINDS) == set(INSTANCES)
@@ -175,6 +196,38 @@ class TestRegistry:
         assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("document error:") and message in err
+
+    @pytest.mark.parametrize("strategy", ["tree", "complete", "tiles"])
+    @pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(EXTRA_INSTANCES))
+    def test_build_and_embed_emit_the_same_logical_qubo(self, name, strategy, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {**INSTANCES, **EXTRA_INSTANCES}[name])
+        code, built = run(capsys, "build", inst, "--strategy", strategy)
+        assert code == 0
+        code, embedded = run(capsys, "embed", inst, "--strategy", strategy)
+        assert code == 0
+        logical = embedded["logical_qubo"]
+        if logical == built["qubo"]:
+            return
+        # a native layout with its own encoding must keep the problem's ground states
+        assert strategy in KINDS[next(iter(embedded["instance"]))].embedders
+        own = {problem_name(n) for n in logical["var_names"]}
+        shared = [n for n in built["qubo"]["var_names"] if n in own]
+        assert shared
+        assert problem_ground_states(logical, shared) == problem_ground_states(built["qubo"], shared)
+
+    @pytest.mark.parametrize("edges, proper", [([[0, 1], [1, 2]], True), ([[0, 1], [1, 2], [0, 2]], False)])
+    def test_tiles_coloring_is_decoded(self, edges, proper, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"coloring": {"edges": edges, "q": 2}})
+        code, embedded = run(capsys, "embed", inst, "--strategy", "tiles")
+        assert code == 0
+        code, result = run(capsys, "solve", write(tmp_path, "emb.json", embedded), "--solver", "brute")
+        decoded = result["decoded"]
+        assert result["feasible"] is proper and decoded["proper"] is proper
+        assert code == (0 if proper else 1)
+        if proper:
+            assert result["energy"] == -18.0
+            assert decoded["colors"] == [0, 1, 0]
+            assert decoded["broken_chains"] == 0
 
     def test_embedded_partition_is_decoded(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", INSTANCES["partition"])

@@ -187,6 +187,26 @@ class TestCompile:
         assert count == 2
         assert peak < 64 * 2**20
 
+    def test_zero_edge_tileset_built_once_per_q_and_lambda(self, monkeypatch):
+        from qubolattice import coloring
+
+        builds = []
+        original = coloring._build_tileset_any
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coloring, "_build_tileset_any", counting)
+        coloring._zero_edge_tiles.cache_clear()
+        tileset = original(3)
+        for edges in [((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]:
+            coloring_feasible_energy(ColoringInstance(edges, 3), tileset)
+        coloring_feasible_energy(ColoringInstance(((0, 1),), 3), original(3, lam=0.25))
+        coloring._zero_edge_tiles.cache_clear()
+        assert [b["lam"] for b in builds] == [0.5, 0.25]
+
+
 class TestGridSearch:
     def test_le4_recovers_paper_table(self):
         table, gap = grid_search_coefficients("le4", resolution=5)

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qubolattice import qubo as qubo_module
 from qubolattice.qubo import (
     BINARY,
+    COEFF_TOL,
     SPIN,
     NoiseModel,
     Qubo,
     QuboBuilder,
     QuboError,
+    Spectrum,
     anneal_solve,
     apply_noise,
     brute_force,
@@ -230,6 +235,66 @@ class TestBruteForce:
         assert math.isclose(a.gap, b.gap)
         remapped = {tuple(s[perm[k]] for k in range(6)) for s in b.ground_states}
         assert set(a.ground_states) == remapped
+
+
+def python_spectrum(q: Qubo, tol: float = COEFF_TOL) -> Spectrum:
+    """Spectrum by one `Qubo.energy` call per assignment, in code order."""
+    lo, hi = (0, 1) if q.domain == BINARY else (-1, 1)
+    rows = [
+        tuple(hi if code >> i & 1 else lo for i in range(q.num_vars))
+        for code in range(1 << q.num_vars)
+    ]
+    energies = [q.energy(row) for row in rows]
+    ground = min(energies)
+    states = [row for row, e in zip(rows, energies) if e <= ground + tol]
+    excited = [e for e in energies if e > ground + tol]
+    if not excited:
+        return Spectrum(ground, states, 0.0, len(states), degenerate=True)
+    return Spectrum(ground, states, min(excited) - ground, len(states))
+
+
+@st.composite
+def small_qubos(draw, denominators):
+    n = draw(st.integers(0, 14))
+    denominator = draw(st.sampled_from(denominators))
+    coeff = st.integers(-8, 8).map(lambda k: k / denominator)
+    q = Qubo(draw(st.sampled_from([BINARY, SPIN])), n, draw(coeff))
+    for i in range(n):
+        q.add_linear(i, draw(coeff))
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        for i, j in draw(st.lists(pair, max_size=2 * n)):
+            q.add_quadratic(i, j, draw(coeff))
+    return q
+
+
+class TestSplitEnumerator:
+    @settings(max_examples=40, deadline=None)
+    @given(q=small_qubos([1, 2, 4]))
+    def test_dyadic_spectrum_equals_python_enumeration(self, q):
+        assert brute_force(q) == python_spectrum(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=small_qubos([3, 10]))
+    def test_non_dyadic_spectrum_within_tolerance(self, q):
+        spec, ref = brute_force(q), python_spectrum(q)
+        assert spec.ground_states == ref.ground_states
+        assert spec.state_count_at_ground == ref.state_count_at_ground
+        assert spec.degenerate == ref.degenerate
+        assert abs(spec.ground_energy - ref.ground_energy) <= COEFF_TOL
+        assert abs(spec.gap - ref.gap) <= COEFF_TOL
+
+    @pytest.mark.parametrize("domain", [BINARY, SPIN])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 13])
+    def test_tiny_blocks_give_the_same_spectrum(self, n, domain, monkeypatch):
+        rng = np.random.default_rng(n)
+        dense = random_qubo(rng, n, domain)
+        ties = Qubo(domain, n)  # one field: half of all states are ground states
+        ties.add_linear(n // 2, 1.0)
+        expected = [python_spectrum(dense), python_spectrum(ties)]
+        for entries in (1, 48, qubo_module._SPLIT_BLOCK):
+            monkeypatch.setattr(qubo_module, "_SPLIT_BLOCK", entries)
+            assert [brute_force(dense), brute_force(ties)] == expected
 
 
 class TestRestricted:
