@@ -182,12 +182,16 @@ def cmd_validate(args) -> int:
 
 def cmd_gap(args) -> int:
     if args.assembly:
-        tileset = build_tileset(args.q)
-        spec = verify_gap(tileset, args.assembly)
+        spec = verify_gap(build_tileset(args.q), args.assembly)
+    elif args.input is None:
+        raise UsageError("gap needs an input document or --assembly")
     else:
         doc = _read_doc(args.input)
-        q = qubo_from_doc(doc["qubo"] if "qubo" in doc else doc)
-        spec = brute_force(q, cap=args.cap)
+        # an embed document's objective is its physical QUBO, as for `solve`
+        body = doc.get("physical_qubo", doc.get("qubo", doc)) if isinstance(doc, dict) else None
+        if not isinstance(body, dict) or "domain" not in body:
+            raise documents.DocumentError(f"{args.input} holds no QUBO")
+        spec = brute_force(qubo_from_doc(body), cap=args.cap)
     _emit(
         {
             "ground_energy": spec.ground_energy,

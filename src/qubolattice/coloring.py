@@ -1,11 +1,13 @@
 """Graph coloring on chimera tiles with gap-optimal coefficients.
 
-Each vertex tile carries one spin pair (s, r) per color; a diagonal-cell
-objective picks exactly one matched pair, inter-tile couplers penalize equal
-colors across an edge, and ferromagnetic chains propagate a vertex through
-its tiles.  For q <= 4 a single cell per tile suffices and the assembled
-classical gap is 2; for q > 4 the tile grows to ceil(q/4) cells per side and
-the best achievable gap drops to 4/3.
+One construction serves every q.  A vertex tile is an ell x ell block of
+K_{4,4} cells, ell = ceil(q/4), carrying one spin pair (s, r) per color: a
+matched-pair objective on the diagonal cells picks exactly one color, all-down
+objectives hold the off-diagonal cells, ferromagnetic chains run inside and
+between a vertex's tiles, and edge couplers penalize equal colors across an
+edge.  Only the per-class weights differ: for q <= 4 (one cell) the assembled
+classical gap is 2; for q > 4 the best achievable gap drops to 4/3.  The
+coefficient grid search reads its energies off the same stitched templates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .qubo import (
     Qubo,
     QuboBuilder,
     Spectrum,
-    _iter_state_blocks,
+    _code_rows,
     _split_energy_blocks,
     brute_force,
     clamp,
@@ -68,6 +70,25 @@ class ColoringTileSet:
     ground_tile_energy: float
 
 
+#: (A, B, C) of the one-matched-pair and all-down cell objectives.
+_DIAG = (1.0, -2.0, 2.0)
+_OFF = (0.5, 0.0, 2.0)
+
+
+def _cell_terms(
+    b: QuboBuilder, s_names: Sequence[str], r_names: Sequence[str],
+    weight: float, A: float, B: float, C: float,
+) -> None:
+    """Add weight * [sum_ij (A + B [i = j]) s_i r_j + C sum_i (s_i + r_i)]."""
+    for name in list(s_names) + list(r_names):  # variable order s0..s3, r0..r3
+        b.var(name)
+    for i, s in enumerate(s_names):
+        for j, r in enumerate(r_names):
+            b.add_quadratic(s, r, weight * (A + (B if i == j else 0.0)))
+    for name in list(s_names) + list(r_names):
+        b.add_linear(name, weight * C)
+
+
 def h_diag(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
     """One-matched-pair objective on a single cell.
 
@@ -75,13 +96,7 @@ def h_diag(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
     have exactly one pair (s_i, r_i) up and the rest down; the gap is 4.
     """
     b = QuboBuilder(SPIN)
-    for name in list(s_names) + list(r_names):
-        b.var(name)
-    for i, s in enumerate(s_names):
-        for j, r in enumerate(r_names):
-            b.add_quadratic(s, r, 1.0 if i != j else -1.0)
-    for name in list(s_names) + list(r_names):
-        b.add_linear(name, 2.0)
+    _cell_terms(b, s_names, r_names, 1.0, *_DIAG)
     return b.build()
 
 
@@ -92,13 +107,7 @@ def h_off(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
     on every intra-cell pair plus uniform fields of 2.
     """
     b = QuboBuilder(SPIN)
-    for name in list(s_names) + list(r_names):
-        b.var(name)
-    for s in s_names:
-        for r in r_names:
-            b.add_quadratic(s, r, 0.5)
-    for name in list(s_names) + list(r_names):
-        b.add_linear(name, 2.0)
+    _cell_terms(b, s_names, r_names, 1.0, *_OFF)
     return b.build()
 
 
@@ -106,50 +115,54 @@ def _slot(tile: str, side: str, track: int, m: int, n: int) -> str:
     return f"{tile}:{side}{track}:{m}:{n}"
 
 
-def _clamp_unused(template: Qubo, q: int, ell: int, tiles: Iterable[str]) -> Qubo:
+def _track_cell(side: str, j: int, k: int) -> tuple[int, int]:
+    """Cell (m, n) at step j along a side's tracks and k across them.
+
+    s tracks run along m (horizontally), r tracks along n (vertically).
+    """
+    return (j, k) if side == "s" else (k, j)
+
+
+def _color_slots(color: int, ell: int, tile: str = "a") -> list[str]:
+    """Chain slots of one color inside a tile: track color % 4 on both sides."""
+    d, i = divmod(color, 4)
+    slots = [_slot(tile, "s", i, m, d) for m in range(ell)]
+    slots += [_slot(tile, "r", i, d, n) for n in range(ell)]
+    return sorted(set(slots))
+
+
+def _clamp_unused(template: Qubo, q: int, ell: int) -> Qubo:
     """Pin the spins of color slots at or above q to -1."""
-    pins: dict[str, int] = {}
-    if template.var_names is None:
-        return template
     names = set(template.var_names)
-    for tile in tiles:
-        for color in range(4 * ell):
-            if color < q:
-                continue
-            d, i = divmod(color, 4)
-            for m in range(ell):
-                for name in (_slot(tile, "s", i, m, d), _slot(tile, "r", i, d, m)):
-                    if name in names:
-                        pins[name] = -1
+    pins = {
+        name: -1
+        for tile in "ab"
+        for color in range(q, 4 * ell)
+        for name in _color_slots(color, ell, tile)
+        if name in names
+    }
     return clamp(template, pins) if pins else template
 
 
-def _color_slots(q: int, ell: int) -> dict[int, list[str]]:
-    colors: dict[int, list[str]] = {}
-    for color in range(q):
-        d, i = divmod(color, 4)
-        slots = [_slot("a", "s", i, m, d) for m in range(ell)]
-        slots += [_slot("a", "r", i, d, n) for n in range(ell)]
-        colors[color] = sorted(set(slots))
-    return colors
-
-
 def build_tileset(
-    q: int,
-    lam: float | None = None,
-    edge_weight: float | None = None,
-    table: dict[str, float] | None = None,
+    q: int, lam: float | None = None, edge_weight: float | None = None
 ) -> ColoringTileSet:
     """Templates with the gap-optimal coefficients for q colors.
 
-    q <= 4: vertex tile is half of the matched-pair objective (lambda = 1/2),
-    edge couplers (s_u + 1)(s_v + 1)/2, unit chains; assembled gap 2.
-    q > 4: the tile spans ceil(q/4) cells, scaled by 2/3, with edge couplers
-    at 1/3; assembled gap 4/3.  Unused color slots are pinned down.
+    One construction for every q: the vertex tile is ell x ell K_{4,4} cells,
+    ell = ceil(q/4), each carrying a weighted cell objective (A, B, C), with
+    chains along the tracks inside and between a vertex's tiles and edge
+    couplers w (s_u + 1)(s_v + 1) between the facing slots of adjacent tiles.
+    Only the weights differ per class:
+    q <= 4: diagonal lambda (A, B, C) = (1, -2, 2) with lambda = 1/2, unit
+    chains, edge weight D = 1 - lambda = 1/2; assembled gap 2.
+    q > 4: diagonal lambda/2 (1, -2, 2), off-diagonal lambda (1/2, 0, 2),
+    chains lambda = 2/3, edge weight G = 1 - lambda = 1/3; assembled gap 4/3.
+    Unused color slots are pinned down.
     """
     if q < 2:
         raise ColoringError("coloring with q < 2 is trivial; nothing to build")
-    return _build_tileset_any(q, lam, edge_weight, table)
+    return _build_tileset_any(q, lam, edge_weight)
 
 
 def _build_tileset_any(
@@ -159,130 +172,75 @@ def _build_tileset_any(
     table: dict[str, float] | None = None,
 ) -> ColoringTileSet:
     ell = max(1, math.ceil(q / 4))
-    if q <= 4:
-        lam = 0.5 if lam is None else lam
-        edge_weight = (1.0 - lam) if edge_weight is None else edge_weight
-        tbl = {"A": 1.0, "B": -2.0, "C": 2.0, "lambda": lam, "D": edge_weight}
-        if table:
-            tbl.update(table)
-        vertex = QuboBuilder(SPIN)
-        s_names = [_slot("a", "s", i, 0, 0) for i in range(4)]
-        r_names = [_slot("a", "r", i, 0, 0) for i in range(4)]
-        for name in s_names + r_names:
-            vertex.var(name)
-        for i, s in enumerate(s_names):
-            for j, r in enumerate(r_names):
-                coeff = tbl["A"] + (tbl["B"] if i == j else 0.0)
-                vertex.add_quadratic(s, r, tbl["lambda"] * coeff)
-        for name in s_names + r_names:
-            vertex.add_linear(name, tbl["lambda"] * tbl["C"])
-        edge_h = QuboBuilder(SPIN)
-        for i in range(4):
-            a, bb = _slot("a", "s", i, 0, 0), _slot("b", "s", i, 0, 0)
-            edge_h.add_offset(tbl["D"])
-            edge_h.add_linear(a, tbl["D"])
-            edge_h.add_linear(bb, tbl["D"])
-            edge_h.add_quadratic(a, bb, tbl["D"])
-        edge_v = QuboBuilder(SPIN)
-        for i in range(4):
-            a, bb = _slot("a", "r", i, 0, 0), _slot("b", "r", i, 0, 0)
-            edge_v.add_offset(tbl["D"])
-            edge_v.add_linear(a, tbl["D"])
-            edge_v.add_linear(bb, tbl["D"])
-            edge_v.add_quadratic(a, bb, tbl["D"])
-        chain_h = QuboBuilder(SPIN)
-        chain_v = QuboBuilder(SPIN)
-        for i in range(4):
-            chain_h.add_quadratic(_slot("a", "s", i, 0, 0), _slot("b", "s", i, 0, 0), -1.0)
-            chain_v.add_quadratic(_slot("a", "r", i, 0, 0), _slot("b", "r", i, 0, 0), -1.0)
-        templates = [vertex.build(), edge_h.build(), edge_v.build(), chain_h.build(), chain_v.build()]
-        templates = [
-            _clamp_unused(t, q, ell, ("a", "b")) for t in templates
-        ]
-        tiles = TileHamiltonians(
-            J=4,
-            ell=1,
-            q=q,
-            vertex_tile=templates[0],
-            edge_horizontal=templates[1],
-            edge_vertical=templates[2],
-            chain_horizontal=templates[3],
-            chain_vertical=templates[4],
-            colors={c: s for c, s in _color_slots(q, 1).items()},
-        )
-        ground = _single_tile_ground(tiles)
-        return ColoringTileSet(q, 1, tbl["lambda"], tbl, tiles, ground)
-
-    scale = 2.0 / 3.0 if lam is None else lam
+    if lam is None:
+        lam = 0.5 if q <= 4 else 2.0 / 3.0
     # per-spin field budget leaves 1 - lambda for each of two possible edges
-    g = (1.0 - scale) if edge_weight is None else edge_weight
-    tbl = {"lambda": scale, "G": g}
+    edge = 1.0 - lam if edge_weight is None else edge_weight
+    if q <= 4:
+        coefficients = {"A": 1.0, "B": -2.0, "C": 2.0, "lambda": lam, "D": edge}
+        coefficients.update(table or {})
+        lam, edge = coefficients["lambda"], coefficients["D"]
+        diag, chain = (lam, coefficients["A"], coefficients["B"], coefficients["C"]), 1.0
+    else:
+        coefficients = {"lambda": lam, "G": edge}
+        diag, chain = (lam / 2, *_DIAG), lam
+    off = (lam, *_OFF)  # off-diagonal cells exist only for ell > 1
+
     vertex = QuboBuilder(SPIN)
     for m in range(ell):
         for n in range(ell):
             s_names = [_slot("a", "s", i, m, n) for i in range(4)]
             r_names = [_slot("a", "r", i, m, n) for i in range(4)]
-            frag = h_diag(s_names, r_names) if m == n else h_off(s_names, r_names)
-            weight = scale * (0.5 if m == n else 1.0)
-            for i, c in frag.linear.items():
-                vertex.add_linear(frag.name_of(i), weight * c)
-            for (i, j), c in frag.quadratic.items():
-                vertex.add_quadratic(frag.name_of(i), frag.name_of(j), weight * c)
+            _cell_terms(vertex, s_names, r_names, *(diag if m == n else off))
     for i in range(4):
-        for n in range(ell):
-            for m in range(ell - 1):
-                vertex.add_quadratic(
-                    _slot("a", "s", i, m, n), _slot("a", "s", i, m + 1, n), -scale
-                )
-        for m in range(ell):
-            for n in range(ell - 1):
-                vertex.add_quadratic(
-                    _slot("a", "r", i, m, n), _slot("a", "r", i, m, n + 1), -scale
-                )
-    edge_h = QuboBuilder(SPIN)
-    edge_v = QuboBuilder(SPIN)
-    for i in range(4):
-        for n in range(ell):
-            a, bb = _slot("a", "s", i, ell - 1, n), _slot("b", "s", i, 0, n)
-            edge_h.add_offset(g)
-            edge_h.add_linear(a, g)
-            edge_h.add_linear(bb, g)
-            edge_h.add_quadratic(a, bb, g)
-            a, bb = _slot("a", "r", i, n, ell - 1), _slot("b", "r", i, n, 0)
-            edge_v.add_offset(g)
-            edge_v.add_linear(a, g)
-            edge_v.add_linear(bb, g)
-            edge_v.add_quadratic(a, bb, g)
-    chain_h = QuboBuilder(SPIN)
-    chain_v = QuboBuilder(SPIN)
-    for i in range(4):
-        for n in range(ell):
-            chain_h.add_quadratic(
-                _slot("a", "s", i, ell - 1, n), _slot("b", "s", i, 0, n), -scale
-            )
-            chain_v.add_quadratic(
-                _slot("a", "r", i, n, ell - 1), _slot("b", "r", i, n, 0), -scale
-            )
-    templates = [vertex.build(), edge_h.build(), edge_v.build(), chain_h.build(), chain_v.build()]
-    templates = [_clamp_unused(t, q, ell, ("a", "b")) for t in templates]
-    tiles = TileHamiltonians(
-        J=4,
-        ell=ell,
-        q=q,
-        vertex_tile=templates[0],
-        edge_horizontal=templates[1],
-        edge_vertical=templates[2],
-        chain_horizontal=templates[3],
-        chain_vertical=templates[4],
-        colors=_color_slots(q, ell),
-    )
-    ground = _single_tile_ground(tiles)
-    return ColoringTileSet(q, ell, scale, tbl, tiles, ground)
+        for side in "sr":
+            for k in range(ell):
+                for j in range(ell - 1):
+                    a = _slot("a", side, i, *_track_cell(side, j, k))
+                    b = _slot("a", side, i, *_track_cell(side, j + 1, k))
+                    vertex.add_quadratic(a, b, -chain)
+
+    # edge and chain templates couple facing slots across the a|b boundary:
+    # s tracks on the horizontal axis, r tracks on the vertical one
+    edges, chains = [], []
+    for side in "sr":
+        edge_b, chain_b = QuboBuilder(SPIN), QuboBuilder(SPIN)
+        for i in range(4):
+            for k in range(ell):
+                a = _slot("a", side, i, *_track_cell(side, ell - 1, k))
+                b = _slot("b", side, i, *_track_cell(side, 0, k))
+                edge_b.add_offset(edge)
+                edge_b.add_linear(a, edge)
+                edge_b.add_linear(b, edge)
+                edge_b.add_quadratic(a, b, edge)
+                chain_b.add_quadratic(a, b, -chain)
+        edges.append(edge_b.build())
+        chains.append(chain_b.build())
+    templates = [_clamp_unused(t, q, ell) for t in (vertex.build(), *edges, *chains)]
+    colors = {color: _color_slots(color, ell) for color in range(q)}
+    tiles = TileHamiltonians(4, ell, q, *templates, colors=colors)
+    return ColoringTileSet(q, ell, lam, coefficients, tiles, _single_tile_ground(tiles))
+
+
+def _assembly_plan(ell: int, assembly: str) -> TilePlan:
+    """Tile plan of a named small assembly (see `verify_gap`)."""
+    if assembly == "1-tile":
+        return TilePlan(ell, [["v0"]], 1)
+    if assembly == "2-tile-hor":
+        plan = TilePlan(ell, [["v0", "v1"]], 2)
+        plan.adjacency_realization[(0, 1)] = ((0, 0), (0, 1))
+        return plan
+    if assembly == "2-tile-vert":
+        plan = TilePlan(ell, [["v0"], ["v1"]], 2)
+        plan.adjacency_realization[(0, 1)] = ((0, 0), (1, 0))
+        return plan
+    if assembly == "chain":
+        return TilePlan(ell, [["v0", "v0"]], 1)
+    raise ColoringError(f"unknown assembly {assembly!r}")
 
 
 def _single_tile_ground(tiles: TileHamiltonians) -> float:
-    plan = TilePlan(tiles.ell, [["v0"]], 1)
-    e = stitch(plan, tiles)
+    e = stitch(_assembly_plan(tiles.ell, "1-tile"), tiles)
     return _restricted_spectrum(e).ground_energy
 
 
@@ -379,20 +337,7 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     vertices), and "chain" (one vertex spanning two tiles).  For q > 4 the
     spectrum is taken over the chain-intact subspace.
     """
-    tiles = tileset.tiles
-    if assembly == "1-tile":
-        plan = TilePlan(tiles.ell, [["v0"]], 1)
-    elif assembly == "2-tile-hor":
-        plan = TilePlan(tiles.ell, [["v0", "v1"]], 2)
-        plan.adjacency_realization[(0, 1)] = ((0, 0), (0, 1))
-    elif assembly == "2-tile-vert":
-        plan = TilePlan(tiles.ell, [["v0"], ["v1"]], 2)
-        plan.adjacency_realization[(0, 1)] = ((0, 0), (1, 0))
-    elif assembly == "chain":
-        plan = TilePlan(tiles.ell, [["v0", "v0"]], 1)
-    else:
-        raise ColoringError(f"unknown assembly {assembly!r}")
-    e = stitch(plan, tiles)
+    e = stitch(_assembly_plan(tileset.tiles.ell, assembly), tileset.tiles)
     if tileset.q <= 4 and e.physical.num_vars <= 16:
         return brute_force(e.physical)
     return _restricted_spectrum(e)
@@ -420,12 +365,7 @@ def grid_search_coefficients(
 
 
 def _grid_search_le4(resolution: int) -> tuple[dict[str, float], float]:
-    tiles0 = build_tileset(4)
-    single = _assembly_states(tiles0, "1-tile")
-    double = _assembly_states(tiles0, "2-tile-hor")
-    valid_single = _valid_one_hot_indices(single, 4, 1)
-    valid_double = _valid_coloring_indices(double, 4, 2)
-
+    model = _le4_energy_model()
     a_grid = sorted(set(np.linspace(-1, 1, resolution)) | {1.0})
     b_grid = sorted(set(np.linspace(-2, 2, resolution)) | {-2.0})
     c_grid = sorted(set(np.linspace(-2, 2, resolution)) | {2.0})
@@ -440,9 +380,7 @@ def _grid_search_le4(resolution: int) -> tuple[dict[str, float], float]:
                     D = (2.0 - lam * C) / 2.0
                     if abs(D) > 1 + 1e-12 or D <= 0:
                         continue
-                    gap = _table_gap(
-                        single, double, valid_single, valid_double, A, B, C, lam, D
-                    )
+                    gap = _table_gap(model, A, B, C, lam, D)
                     if gap is None:
                         continue
                     table = {
@@ -458,69 +396,65 @@ def _grid_search_le4(resolution: int) -> tuple[dict[str, float], float]:
     return best_table, best_gap
 
 
-def _assembly_states(tileset: ColoringTileSet, assembly: str) -> dict[str, np.ndarray]:
-    vertices = 1 if assembly == "1-tile" else 2
-    n_spins = 8 * vertices
-    spins = np.concatenate(list(_iter_state_blocks(n_spins, SPIN)))
-    # spin order per tile: s0..s3, r0..r3
-    out: dict[str, np.ndarray] = {}
-    s = {}
-    r = {}
-    for t in range(vertices):
-        s[t] = spins[:, 8 * t : 8 * t + 4]
-        r[t] = spins[:, 8 * t + 4 : 8 * t + 8]
-    f_aa = sum(s[t].sum(1) * r[t].sum(1) for t in range(vertices))
-    f_b = sum((s[t] * r[t]).sum(1) for t in range(vertices))
-    f_c = sum(s[t].sum(1) + r[t].sum(1) for t in range(vertices))
-    out["A"] = f_aa.astype(np.float64)
-    out["B"] = f_b.astype(np.float64)
-    out["C"] = f_c.astype(np.float64)
-    if vertices == 2:
-        out["D"] = ((s[0] + 1) * (s[1] + 1)).sum(1).astype(np.float64)
-    out["spins"] = spins
-    return out
+def _le4_energy_model() -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
+    """Per-term energies of the q = 4 assemblies, with their valid states.
+
+    Assembled energies are linear in lambda*A, lambda*B, lambda*C and D, so
+    the energies of each term over all states come from the real templates
+    stitched at a unit table.  Energies are in code order, the order of the
+    `_code_rows` rows; each stitched tile contributes s0..s3, r0..r3.  One
+    (energies by term, valid state indices) pair per assembly: "1-tile" and
+    "2-tile-hor".
+    """
+    tiles = {
+        term: _build_tileset_any(
+            4, table={"A": 0.0, "B": 0.0, "C": 0.0, "lambda": 1.0, "D": 0.0, term: 1.0}
+        ).tiles
+        for term in "ABCD"
+    }
+    model = []
+    for assembly, vertices in (("1-tile", 1), ("2-tile-hor", 2)):
+        rows = _code_rows(0, 1 << (8 * vertices), 8 * vertices, SPIN)
+        valid = _valid_coloring_indices(rows, vertices)
+        plan = _assembly_plan(1, assembly)
+        energies = {
+            term: np.concatenate([e for e, _ in _split_energy_blocks(stitch(plan, t).physical)])
+            for term, t in tiles.items()
+        }
+        model.append((energies, valid))
+    return model
 
 
-def _valid_one_hot_indices(states: dict[str, np.ndarray], q: int, vertices: int) -> np.ndarray:
-    spins = states["spins"]
-    mask = np.ones(len(spins), dtype=bool)
+def _valid_coloring_indices(rows: np.ndarray, vertices: int) -> np.ndarray:
+    """Rows where every tile holds one matched pair, in different colors."""
+    mask = np.ones(len(rows), dtype=bool)
     for t in range(vertices):
-        s = spins[:, 8 * t : 8 * t + 4]
-        r = spins[:, 8 * t + 4 : 8 * t + 8]
+        s = rows[:, 8 * t : 8 * t + 4]
+        r = rows[:, 8 * t + 4 : 8 * t + 8]
         mask &= (s == r).all(1)
         mask &= (s.sum(1) == -2)
+    if vertices == 2:
+        mask &= (rows[:, 0:4] != rows[:, 8:12]).any(1)
     return np.nonzero(mask)[0]
 
 
-def _valid_coloring_indices(states: dict[str, np.ndarray], q: int, vertices: int) -> np.ndarray:
-    spins = states["spins"]
-    idx = _valid_one_hot_indices(states, q, vertices)
-    s0 = spins[idx, 0:4]
-    s1 = spins[idx, 8:12]
-    differ = (s0 != s1).any(1)
-    return idx[differ]
+def _table_gap(model, A, B, C, lam, D):
+    """Worst gap of a table over the model's assemblies.
 
-
-def _table_gap(single, double, valid_single, valid_double, A, B, C, lam, D):
-    e1 = lam * (A * single["A"] + B * single["B"] + C * single["C"])
-    ground = e1[valid_single].min()
-    if not math.isclose(e1.min(), ground, abs_tol=1e-9):
-        return None
-    at_ground = np.isclose(e1, e1.min(), atol=1e-9)
-    if at_ground.sum() != len(valid_single) or not at_ground[valid_single].all():
-        return None
-    rest = e1[~at_ground]
-    gap1 = float(rest.min() - e1.min()) if rest.size else math.inf
-    e2 = lam * (A * double["A"] + B * double["B"] + C * double["C"]) + D * double["D"]
-    ground2 = e2[valid_double].min()
-    if not math.isclose(e2.min(), ground2, abs_tol=1e-9):
-        return None
-    at2 = np.isclose(e2, e2.min(), atol=1e-9)
-    if not at2[valid_double].all() or at2.sum() != len(valid_double):
-        return None
-    rest2 = e2[~at2]
-    gap2 = float(rest2.min() - e2.min()) if rest2.size else math.inf
-    return min(gap1, gap2)
+    None unless each assembly's ground states are exactly its valid states.
+    """
+    worst = math.inf
+    for terms, valid in model:
+        e = lam * (A * terms["A"] + B * terms["B"] + C * terms["C"]) + D * terms["D"]
+        low = e.min()
+        if not math.isclose(low, e[valid].min(), abs_tol=1e-9):
+            return None
+        at_ground = np.isclose(e, low, atol=1e-9)
+        if at_ground.sum() != len(valid) or not at_ground[valid].all():
+            return None
+        rest = e[~at_ground]
+        worst = min(worst, float(rest.min() - low) if rest.size else math.inf)
+    return worst
 
 
 def _grid_search_gt4(resolution: int) -> tuple[dict[str, float], float]:

@@ -412,7 +412,7 @@ def crossing_tile_chimera(J: int = 4) -> Qubo:
     return b.build()
 
 
-def _slot_vertex(graph, J: int, name: str, origins: Mapping[str, tuple[int, int]], ell: int):
+def _slot_vertex(graph, J: int, name: str, origins: Mapping[str, tuple[int, int]]):
     tile, slot, m, n = name.split(":")
     side, track = slot[0], int(slot[1:])
     oi, oj = origins[tile]
@@ -425,17 +425,16 @@ def _instantiate(
     pos: dict[int, int],
     graph,
     J: int,
-    ell: int,
     template: Qubo,
     origins: Mapping[str, tuple[int, int]],
 ) -> None:
     physical.add_offset(template.offset)
     for i, c in template.linear.items():
-        v = _slot_vertex(graph, J, template.name_of(i), origins, ell)
+        v = _slot_vertex(graph, J, template.name_of(i), origins)
         physical.add_linear(pos[v], c)
     for (i, j), c in template.quadratic.items():
-        vi = _slot_vertex(graph, J, template.name_of(i), origins, ell)
-        vj = _slot_vertex(graph, J, template.name_of(j), origins, ell)
+        vi = _slot_vertex(graph, J, template.name_of(i), origins)
+        vj = _slot_vertex(graph, J, template.name_of(j), origins)
         physical.add_quadratic(pos[vi], pos[vj], c)
 
 
@@ -467,16 +466,12 @@ def stitch(
     chain_sets: dict[tuple[int, int], set[int]] = {}
 
     def add_chain_spots(v: int, tile: tuple[int, int], colors: Iterable[int], sides: str):
-        oi, oj = origin(tile)
+        origins = {"a": origin(tile)}
         for color in colors:
             members = chain_sets.setdefault((v, color), set())
             for name in tiles.colors[color]:
-                t, slot, m, n = name.split(":")
-                side, track = slot[0], int(slot[1:])
-                if side not in sides:
-                    continue
-                a = track if side == "s" else J + track
-                members.add(graph.vertex(oi + int(m), oj + int(n), a))
+                if name.split(":")[1][0] in sides:
+                    members.add(_slot_vertex(graph, J, name, origins))
 
     for v in range(plan.num_vertices):
         for tile in plan.vertex_tiles(v):
@@ -491,7 +486,7 @@ def stitch(
 
     for v in range(plan.num_vertices):
         for tile in sorted(plan.vertex_tiles(v)):
-            _instantiate(physical, pos, graph, J, ell, tiles.vertex_tile, {"a": origin(tile)})
+            _instantiate(physical, pos, graph, J, tiles.vertex_tile, {"a": origin(tile)})
 
     # chains between adjacent region tiles (vertex or crossing)
     for v in range(plan.num_vertices):
@@ -500,20 +495,20 @@ def stitch(
             right = (r, c + 1)
             if right in region and _conducts(plan, (r, c), v, "h") and _conducts(plan, right, v, "h"):
                 _instantiate(
-                    physical, pos, graph, J, ell, tiles.chain_horizontal,
+                    physical, pos, graph, J, tiles.chain_horizontal,
                     {"a": origin((r, c)), "b": origin(right)},
                 )
             down = (r + 1, c)
             if down in region and _conducts(plan, (r, c), v, "v") and _conducts(plan, down, v, "v"):
                 _instantiate(
-                    physical, pos, graph, J, ell, tiles.chain_vertical,
+                    physical, pos, graph, J, tiles.chain_vertical,
                     {"a": origin((r, c)), "b": origin(down)},
                 )
 
     for (u, v), (t1, t2) in sorted(plan.adjacency_realization.items()):
         horizontal = t1[0] == t2[0]
         template = tiles.edge_horizontal if horizontal else tiles.edge_vertical
-        _instantiate(physical, pos, graph, J, ell, template, {"a": origin(t1), "b": origin(t2)})
+        _instantiate(physical, pos, graph, J, template, {"a": origin(t1), "b": origin(t2)})
 
     chains = {
         (v * tiles.q + color): frozenset(members)

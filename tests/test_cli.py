@@ -118,6 +118,22 @@ class TestGapPredict:
         assert code == 0
         assert doc["ground_energy"] == 0.0 and doc["gap"] >= 1.0
 
+    def test_gap_on_embed_document_reads_physical_qubo(self, tmp_path, capsys):
+        inst = write(tmp_path, "col.json", {"coloring": {"edges": [[0, 1], [1, 2]], "q": 2}})
+        emb = str(tmp_path / "col-emb.json")
+        assert main(["embed", inst, "--strategy", "tiles", "--out", emb]) == 0
+        code, gap = run(capsys, "gap", emb)
+        assert code == 0
+        _, solved = run(capsys, "solve", emb, "--solver", "brute")
+        assert gap["ground_energy"] == solved["energy"] == -18.0
+
+    def test_gap_without_qubo_is_document_error(self, tmp_path, capsys):
+        inst = write(tmp_path, "col.json", {"coloring": {"edges": [[0, 1]], "q": 2}})
+        assert main(["gap", inst]) == 2
+        assert capsys.readouterr().err.startswith("document error:")
+        assert main(["gap"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_gap_assembly(self, capsys):
         code, doc = run(capsys, "gap", "--assembly", "2-tile-hor", "--q", "4")
         assert code == 0

@@ -93,6 +93,13 @@ class TestVerifyGap:
         spec = verify_gap(unscaled, "1-tile")
         assert spec.gap == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_every_tile_size_two_tile_gap(self, q):
+        # ell = 1, 2 and 3 all come from the one template construction
+        spec = verify_gap(build_tileset(q), "2-tile-hor")
+        assert spec.gap == pytest.approx(2.0 if q <= 4 else 4.0 / 3.0, abs=1e-9)
+        assert spec.state_count_at_ground == q * (q - 1)
+
     def test_rejects_unknown_assembly(self):
         with pytest.raises(ColoringError):
             verify_gap(build_tileset(4), "3-tile")
@@ -226,3 +233,18 @@ class TestGridSearch:
         assert gap <= 4.0 / 3.0 + 1e-9
         assert gap == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert table["lambda"] == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "A, B, C, lam",
+        [(1.0, -2.0, 2.0, 0.5), (1.0, -2.0, 2.0, 0.7), (0.5, -1.0, 1.0, 0.5), (0.5, -1.0, 1.0, 0.9)],
+    )
+    def test_le4_energy_model_matches_stitched_templates(self, A, B, C, lam):
+        # the search's energies and the stitched q = 4 templates give one gap
+        from qubolattice.coloring import _build_tileset_any, _le4_energy_model, _table_gap
+
+        D = (2.0 - lam * C) / 2.0
+        gap = _table_gap(_le4_energy_model(), A, B, C, lam, D)
+        assert gap is not None
+        tileset = _build_tileset_any(4, table={"A": A, "B": B, "C": C, "lambda": lam, "D": D})
+        stitched = min(verify_gap(tileset, a).gap for a in ("1-tile", "2-tile-hor"))
+        assert gap == pytest.approx(stitched, abs=1e-9)
