@@ -125,7 +125,18 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _rebuild_embedded(doc) -> EmbeddedQubo:
+def _objective_doc(doc, path: str) -> dict:
+    """The QUBO a command reads: an embed document's physical QUBO, a build
+    document's QUBO, or the document itself when it is a bare QUBO."""
+    body = doc.get("physical_qubo", doc.get("qubo", doc)) if isinstance(doc, dict) else None
+    if not isinstance(body, dict) or "domain" not in body:
+        raise documents.DocumentError(f"{path} holds no QUBO")
+    return body
+
+
+def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
+    if not isinstance(doc, dict) or "physical_qubo" not in doc:
+        raise documents.DocumentError(f"{path} is not an embed document")
     logical = qubo_from_doc(doc["logical_qubo"])
     physical = qubo_from_doc(doc["physical_qubo"])
     emb = embedding_from_doc(
@@ -136,13 +147,10 @@ def _rebuild_embedded(doc) -> EmbeddedQubo:
 
 def cmd_solve(args) -> int:
     doc = _read_doc(args.input)
+    body = _objective_doc(doc, args.input)
     inst = documents.parse_instance(doc["instance"]) if "instance" in doc else None
-    if "physical_qubo" in doc:
-        embedded = _rebuild_embedded(doc)
-        target = embedded.physical
-    else:
-        embedded = None
-        target = qubo_from_doc(doc["qubo"])
+    embedded = _rebuild_embedded(doc, args.input) if "physical_qubo" in doc else None
+    target = embedded.physical if embedded is not None else qubo_from_doc(body)
     if args.solver == "brute":
         spec = brute_force(target, cap=args.cap)
         best, energy = spec.ground_states[0], spec.ground_energy
@@ -170,7 +178,7 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = _read_doc(args.input)
-    embedded = _rebuild_embedded(doc)
+    embedded = _rebuild_embedded(doc, args.input)
     report = validate(
         embedded.embedding,
         embedded.logical.interaction_edges(),
@@ -186,11 +194,7 @@ def cmd_gap(args) -> int:
     elif args.input is None:
         raise UsageError("gap needs an input document or --assembly")
     else:
-        doc = _read_doc(args.input)
-        # an embed document's objective is its physical QUBO, as for `solve`
-        body = doc.get("physical_qubo", doc.get("qubo", doc)) if isinstance(doc, dict) else None
-        if not isinstance(body, dict) or "domain" not in body:
-            raise documents.DocumentError(f"{args.input} holds no QUBO")
+        body = _objective_doc(_read_doc(args.input), args.input)
         spec = brute_force(qubo_from_doc(body), cap=args.cap)
     _emit(
         {

@@ -81,6 +81,21 @@ class TestBuildSolve:
         assert built["qubo"]["num_vars"] == 6
 
 
+    def test_solve_reads_the_qubo_gap_reads(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"unary": {"n": 4}})
+        _, built = run(capsys, "build", inst)
+        for name, doc in (("built.json", built), ("bare.json", built["qubo"])):
+            path = write(tmp_path, name, doc)
+            _, gap = run(capsys, "gap", path)
+            code, solved = run(capsys, "solve", path, "--solver", "brute")
+            assert code == 0 and solved["energy"] == gap["ground_energy"] == 0.0
+
+    def test_solve_without_qubo_is_document_error(self, tmp_path, capsys):
+        inst = write(tmp_path, "col.json", {"coloring": {"edges": [[0, 1]], "q": 2}})
+        assert main(["solve", inst, "--solver", "brute"]) == 2
+        assert capsys.readouterr().err.startswith("document error:")
+
+
 class TestEmbedValidate:
     def test_unary_embed_validate_solve(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"unary": {"n": 4}})
@@ -107,6 +122,13 @@ class TestEmbedValidate:
         code, doc = run(capsys, "embed", inst, "--normalize", "--noise", "0.03")
         assert code == 0
         assert doc["scale"] <= 1.0
+
+
+    def test_validate_without_embedding_is_document_error(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"unary": {"n": 4}})
+        _, built = run(capsys, "build", inst)
+        assert main(["validate", write(tmp_path, "built.json", built)]) == 2
+        assert capsys.readouterr().err.startswith("document error:")
 
 
 class TestGapPredict:
