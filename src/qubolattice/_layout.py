@@ -11,7 +11,7 @@ cycles) builds its chains through one planner and converts them with
 from __future__ import annotations
 
 from .embedding import EmbeddingError, MinorEmbedding
-from .lattice import build_lattice, chimera_spec
+from .lattice import chimera_spec
 from .qubo import Qubo
 
 
@@ -82,15 +82,14 @@ class SlotPlanner:
         """Convert claims into a MinorEmbedding on a square chimera lattice."""
         w, h = self.extent()
         side = max(w, h) if L is None else L
-        spec = chimera_spec(self.J, side)
-        graph = build_lattice(spec)
-        chains: dict[int, frozenset[int]] = {}
+        emb = MinorEmbedding(chimera_spec(self.J, side), {}, alpha)
+        graph = emb.graph
         for name, spots in self.chains.items():
             members = set()
             for i, j, s, t in spots:
                 members.add(graph.vertex(i, j, t if s == "s" else self.J + t))
-            chains[logical.index_of(name)] = frozenset(members)
-        return MinorEmbedding(spec, chains, alpha)
+            emb.chains[logical.index_of(name)] = frozenset(members)
+        return emb
 
 
 def place_clique_block(

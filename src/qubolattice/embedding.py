@@ -212,16 +212,16 @@ def embed_complete_generic(
         raise EmbeddingError("v role has no track-aligned vertical coupler")
     if spec.width < N or spec.height < N:
         raise EmbeddingError(f"lattice side must be at least N={N}")
-    graph = build_lattice(spec)
-    chains: dict[int, frozenset[int]] = {}
+    emb = MinorEmbedding(spec, {})
+    graph = emb.graph
     for i in range(N):
         members = set()
         for x in range(N):
             members.add(graph.vertex(x, i, u_role))
         for y in range(N):
             members.add(graph.vertex(i, y, v_role))
-        chains[i] = frozenset(members)
-    return MinorEmbedding(spec, chains)
+        emb.chains[i] = frozenset(members)
+    return emb
 
 
 def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
@@ -236,9 +236,8 @@ def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
     if J < 1:
         raise EmbeddingError("J must be positive")
     L = max(1, math.ceil(N / J))
-    spec = chimera_spec(J, L)
-    graph = build_lattice(spec)
-    chains: dict[int, frozenset[int]] = {}
+    emb = MinorEmbedding(chimera_spec(J, L), {})
+    graph = emb.graph
     for i in range(N):
         b, a = divmod(i, J)
         members = set()
@@ -246,8 +245,8 @@ def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
             members.add(graph.vertex(x, b, a))
         for y in range(L):
             members.add(graph.vertex(b, y, J + a))
-        chains[i] = frozenset(members)
-    return MinorEmbedding(spec, chains)
+        emb.chains[i] = frozenset(members)
+    return emb
 
 
 def choose_alpha(logical: Qubo) -> float:

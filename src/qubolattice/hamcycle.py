@@ -17,7 +17,6 @@ from ._layout import SlotPlanner
 from .embedding import (
     EmbeddedQubo,
     EmbeddingError,
-    MinorEmbedding,
     choose_alpha,
     embed_complete_chimera,
     embed_qubo,
@@ -185,8 +184,8 @@ def embed_permutation_tree(
         )
     logical = build_permutation_qubo(N)
     if N == 2:
-        emb4 = embed_complete_chimera(4, 4)
-        emb = MinorEmbedding(emb4.lattice, dict(emb4.chains), choose_alpha(logical))
+        emb = embed_complete_chimera(4, 4)
+        emb.alpha = choose_alpha(logical)
         return embed_qubo(logical, emb)
     planner = SlotPlanner(4)
     _permutation_layout_4(planner)
@@ -522,10 +521,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
                 )
 
     for v in range(n):
-        _wire_selector_chain(
-            planner, full_arms, segment, inst, v, n, regions[v], tree_edges[v],
-            edge_tiles, plan,
-        )
+        _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan)
 
     emb = planner.to_embedding(tq.qubo, choose_alpha(tq.qubo), L=ell * plan.grid_side)
     return embed_qubo(tq.qubo, emb)
@@ -542,17 +538,11 @@ def _region_trees(plan, regions, partner_of):
         tiles = set(tiles_list)
 
         def through(cur, dr, dc):
-            nxt = (cur[0] + dr, cur[1] + dc)
-            hops = 0
-            while nxt in plan.crossing_passes:
-                hv, vv = plan.crossing_passes[nxt]
-                if (dr == 0 and hv != v) or (dc == 0 and vv != v):
-                    return None
-                nxt = (nxt[0] + dr, nxt[1] + dc)
-                hops += 1
-            if nxt in tiles:
-                return nxt, hops
-            return None
+            axis = "h" if dr == 0 else "v"
+            nxt, hops = (cur[0] + dr, cur[1] + dc), 0
+            while nxt in plan.crossing_passes and plan.conducts(nxt, v, axis):
+                nxt, hops = (nxt[0] + dr, nxt[1] + dc), hops + 1
+            return (nxt, hops) if nxt in tiles else None
 
         candidates = []
         for cur in sorted(tiles):
@@ -593,49 +583,36 @@ def _region_trees(plan, regions, partner_of):
     return out
 
 
-def _wire_selector_chain(planner, full_arms, segment, inst, v, n, region, tree, edge_tiles, plan):
+def _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan):
     """Route selector (and accumulator) chains between a vertex's edge tiles.
 
-    Chains travel on free aux-slot arms along the region spanning tree and
-    finish with an entry segment inside the destination tile, where the
-    caterpillar couplings land on perpendicular arms.
+    Chains travel on free aux-slot arms along breadth- or depth-first tile
+    paths through the vertex's tiles and the crossings it passes, and finish
+    with an entry segment inside the destination tile, where the caterpillar
+    couplings land on perpendicular arms.
     """
     nbrs = inst.neighbors(v)
     if len(nbrs) <= 1:
         return
-    tiles = set(region) | {
-        t for t, (hv, vv) in plan.crossing_passes.items() if v in (hv, vv)
-    }
+    tiles = plan.region_with_crossings(v)
 
-    def bfs(a, b, avoid, order):
+    def search(a, b, avoid, order, depth_first):
+        # depth-first takes the newest frontier tile and pushes neighbours in
+        # reverse, so both styles try `order` front to back
         prev = {a: None}
-        queue = [a]
-        while queue:
-            cur = queue.pop(0)
+        frontier = [a]
+        while frontier:
+            cur = frontier.pop(-1 if depth_first else 0)
             if cur == b:
                 path = [b]
                 while prev[path[-1]] is not None:
                     path.append(prev[path[-1]])
                 return path[::-1]
-            for dr, dc in order:
+            for dr, dc in order[::-1] if depth_first else order:
                 nxt = (cur[0] + dr, cur[1] + dc)
                 if nxt in tiles and nxt not in prev and (nxt == b or nxt not in avoid):
                     prev[nxt] = cur
-                    queue.append(nxt)
-        return None
-
-    def dfs(a, b, avoid, order):
-        stack = [(a, [a])]
-        visited = {a}
-        while stack:
-            cur, path = stack.pop()
-            if cur == b:
-                return path
-            for dr, dc in reversed(order):
-                nxt = (cur[0] + dr, cur[1] + dc)
-                if nxt in tiles and nxt not in visited and (nxt == b or nxt not in avoid):
-                    visited.add(nxt)
-                    stack.append((nxt, path + [nxt]))
+                    frontier.append(nxt)
         return None
 
     def route_variants(a, b, avoid):
@@ -649,12 +626,12 @@ def _wire_selector_chain(planner, full_arms, segment, inst, v, n, region, tree, 
             ((-1, 0), (0, -1), (1, 0), (0, 1)),
         ]
         seen = []
-        for search in (bfs, dfs):
+        for depth_first in (False, True):
             for order in orders:
-                path = search(a, b, avoid, order)
+                path = search(a, b, avoid, order, depth_first)
                 if path is not None and path not in seen:
                     seen.append(path)
-                back = search(b, a, avoid, order)
+                back = search(b, a, avoid, order, depth_first)
                 if back is not None and back[::-1] not in seen:
                     seen.append(back[::-1])
         if not seen:

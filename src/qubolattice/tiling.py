@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .embedding import EmbeddedQubo, EmbeddingError, MinorEmbedding
-from .lattice import LatticeSpec, build_lattice, chimera_spec, detect_chimera
+from .embedding import EmbeddedQubo, EmbeddingError, MinorEmbedding, embed_qubo
+from .lattice import LatticeSpec, chimera_spec, detect_chimera
 from .qubo import SPIN, Qubo, QuboBuilder, normalize_couplings
 
 VERTEX, CROSSING, EMPTY = "v", "x", "-"
@@ -73,6 +73,17 @@ class TilePlan:
     def crossings(self) -> set[tuple[int, int]]:
         return set(self.crossing_passes)
 
+    def conducts(self, tile: tuple[int, int], v: int, axis: str) -> bool:
+        """Whether `tile` carries vertex v's chain along axis "h" or "v".
+
+        A crossing conducts only the vertex it passes on that axis; any other
+        tile conducts only when it is one of v's tiles.
+        """
+        passes = self.crossing_passes.get(tile)
+        if passes is not None:
+            return passes[0 if axis == "h" else 1] == v
+        return self.role(*tile) == f"v{v}"
+
 
 def _region_connected(plan: TilePlan, v: int) -> bool:
     tiles = plan.region_with_crossings(v)
@@ -85,17 +96,9 @@ def _region_connected(plan: TilePlan, v: int) -> bool:
         r, c = frontier.pop()
         for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
             nxt = (r + dr, c + dc)
-            if nxt not in tiles or nxt in seen:
-                continue
-            # a crossing only conducts its matching direction
-            for tile in (nxt, (r, c)):
-                if tile in plan.crossing_passes:
-                    hv, vv = plan.crossing_passes[tile]
-                    if dr == 0 and hv != v:
-                        break
-                    if dc == 0 and vv != v:
-                        break
-            else:
+            axis = "h" if dr == 0 else "v"
+            conducted = plan.conducts((r, c), v, axis) and plan.conducts(nxt, v, axis)
+            if conducted and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen == tiles
@@ -190,14 +193,19 @@ def _canned_complete_plan(n: int, tile_side: int) -> TilePlan | None:
     return plan
 
 
-def _path_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
-    """Vertex order if the graph is a simple path, else None."""
-    if len(edges) != n - 1:
-        return None
+def _adjacency(n: int, edges: set[tuple[int, int]]) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    return adj
+
+
+def _path_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
+    """Vertex order if the graph is a simple path, else None."""
+    if len(edges) != n - 1:
+        return None
+    adj = _adjacency(n, edges)
     degs = sorted(len(a) for a in adj.values())
     if n == 1:
         return [0]
@@ -218,10 +226,7 @@ def _path_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
 def _cycle_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
     if n < 3 or len(edges) != n:
         return None
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(n, edges)
     if any(len(a) != 2 for a in adj.values()):
         return None
     order = [0, min(adj[0])]
@@ -456,7 +461,8 @@ def stitch(
         lattice = chimera_spec(J, ell * plan.grid_side)
     if lattice.width < ell * plan.cols or lattice.height < ell * plan.rows:
         raise TilingError("lattice too small for the plan")
-    graph = build_lattice(lattice)
+    emb = MinorEmbedding(lattice, {}, alpha=1.0)
+    graph = emb.graph
 
     def origin(tile: tuple[int, int]) -> tuple[int, int]:
         r, c = tile
@@ -488,34 +494,30 @@ def stitch(
         for tile in sorted(plan.vertex_tiles(v)):
             _instantiate(physical, pos, graph, J, tiles.vertex_tile, {"a": origin(tile)})
 
-    # chains between adjacent region tiles (vertex or crossing)
+    # chains between adjacent tiles that both conduct the vertex on that axis
+    chain_templates = (
+        ("h", 0, 1, tiles.chain_horizontal), ("v", 1, 0, tiles.chain_vertical)
+    )
     for v in range(plan.num_vertices):
-        region = plan.region_with_crossings(v)
-        for (r, c) in sorted(region):
-            right = (r, c + 1)
-            if right in region and _conducts(plan, (r, c), v, "h") and _conducts(plan, right, v, "h"):
-                _instantiate(
-                    physical, pos, graph, J, tiles.chain_horizontal,
-                    {"a": origin((r, c)), "b": origin(right)},
-                )
-            down = (r + 1, c)
-            if down in region and _conducts(plan, (r, c), v, "v") and _conducts(plan, down, v, "v"):
-                _instantiate(
-                    physical, pos, graph, J, tiles.chain_vertical,
-                    {"a": origin((r, c)), "b": origin(down)},
-                )
+        for (r, c) in sorted(plan.region_with_crossings(v)):
+            for axis, dr, dc, template in chain_templates:
+                nxt = (r + dr, c + dc)
+                if plan.conducts((r, c), v, axis) and plan.conducts(nxt, v, axis):
+                    _instantiate(
+                        physical, pos, graph, J, template,
+                        {"a": origin((r, c)), "b": origin(nxt)},
+                    )
 
     for (u, v), (t1, t2) in sorted(plan.adjacency_realization.items()):
         horizontal = t1[0] == t2[0]
         template = tiles.edge_horizontal if horizontal else tiles.edge_vertical
         _instantiate(physical, pos, graph, J, template, {"a": origin(t1), "b": origin(t2)})
 
-    chains = {
+    emb.chains = {
         (v * tiles.q + color): frozenset(members)
         for (v, color), members in chain_sets.items()
     }
     names = [f"v{v}:c{color}" for v in range(plan.num_vertices) for color in range(tiles.q)]
-    emb = MinorEmbedding(lattice, chains, alpha=1.0)
     placeholder = Qubo(SPIN, plan.num_vertices * tiles.q, var_names=names)
     embedded = EmbeddedQubo(physical, emb, placeholder, order)
     embedded.logical = embedded.chain_intact_qubo()
@@ -524,16 +526,6 @@ def stitch(
         embedded.physical = normalized
         embedded.logical = embedded.chain_intact_qubo()
     return embedded
-
-
-def _conducts(plan: TilePlan, tile: tuple[int, int], v: int, direction: str) -> bool:
-    role = plan.role(*tile)
-    if role == f"v{v}":
-        return True
-    if role == CROSSING:
-        hv, vv = plan.crossing_passes[tile]
-        return hv == v if direction == "h" else vv == v
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +551,11 @@ def supertile_compose(
     J = detect_chimera(spec1)
     if J is None:
         raise TilingError("supertile composition implemented for chimera cells")
-    L = spec1.width
-    big = chimera_spec(J, 2 * L)
-    graph = build_lattice(big)
+    alpha = max(e1.embedding.alpha, e2.embedding.alpha, 1.0 + max(
+        (abs(a) for _, a in couplings), default=0.0
+    ))
+    emb = MinorEmbedding(chimera_spec(J, 2 * spec1.width), {}, alpha)
+    graph = emb.graph
     g1 = e1.embedding.graph
 
     used: dict[int, tuple[str, int]] = {}
@@ -644,14 +638,8 @@ def supertile_compose(
             members.add(bv)
         combined.add_quadratic(i, off + i, a_i)
 
-    chains = {v: frozenset(m) for v, m in chains1.items()}
-    chains.update({off + v: frozenset(m) for v, m in chains2.items()})
-    alpha = max(e1.embedding.alpha, e2.embedding.alpha, 1.0 + max(
-        (abs(a) for _, a in couplings), default=0.0
-    ))
-    emb = MinorEmbedding(big, chains, alpha)
-    from .embedding import embed_qubo
-
+    emb.chains.update({v: frozenset(m) for v, m in chains1.items()})
+    emb.chains.update({off + v: frozenset(m) for v, m in chains2.items()})
     return embed_qubo(combined, emb)
 
 

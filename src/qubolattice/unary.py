@@ -12,7 +12,7 @@ one corridor row, every time the leaf count quadruples).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ._layout import SlotPlanner
 from .embedding import EmbeddedQubo, EmbeddingError, choose_alpha, embed_qubo
@@ -50,9 +50,6 @@ class MergeTree:
     def pad_leaves(self) -> list[str]:
         real = set(self.real_leaves)
         return [x for x in self.leaves if x not in real]
-
-    def internal_nodes(self) -> list[str]:
-        return list(self.children)
 
     def subtree_totals(self, hot_leaf: str | None) -> dict[str, int]:
         """Bit values of every node for a one-hot (or all-zero) pattern."""
@@ -184,18 +181,13 @@ def k22_gadget(z: str, x: str, y: str, w: str) -> Qubo:
     b = QuboBuilder(SPIN)
     for name in (z, x, y, w):
         b.var(name)
-    b.add_linear(x, 1.0)
-    b.add_linear(y, 1.0)
-    b.add_linear(z, -1.0)
-    b.add_quadratic(z, x, -1.0)
-    b.add_quadratic(z, y, -1.0)
-    b.add_quadratic(w, x, 1.0)
-    b.add_quadratic(w, y, -1.0)
+    _add_gadget(b, z, x, y, w)
+    b.add_offset(-3.0)
     return b.build()
 
 
 def _add_gadget(builder: QuboBuilder, z: str, x: str, y: str, w: str) -> None:
-    # same terms as k22_gadget, shifted so a satisfied merge contributes 0
+    # the k22_gadget terms, shifted so a satisfied merge contributes 0
     builder.add_offset(3.0)
     builder.add_linear(x, 1.0)
     builder.add_linear(y, 1.0)
@@ -332,6 +324,20 @@ class _FractalBuilder(SlotPlanner):
             }
         )
 
+    def layout(
+        self, embedded: EmbeddedQubo, tree: MergeTree, **fields
+    ) -> FractalLayout:
+        """The layout record of this builder's claims and bookkeeping."""
+        return FractalLayout(
+            tile_assignment=dict(self.tile_assignment),
+            gadget_spins=dict(self.gadget_spins),
+            J=self.J,
+            leaf_tracks=dict(self.leaf_tracks),
+            embedded=embedded,
+            tree=tree,
+            **fields,
+        )
+
     # cell recipes -------------------------------------------------------------
 
     def leaf_cell(
@@ -408,8 +414,12 @@ class _FractalBuilder(SlotPlanner):
         With `export_track` set, returns the root node name; its chain ends on
         that r track of the bottom-middle cell ready to continue downward.
         Top-level calls (export_track None) return the two root children.
+        A one-cell block is a two-leaf cell exporting its pair sum (J in
+        {2, 3}); K_{4,4} recursions stop at the packed side-3 block.
         """
-        if m == 2:
+        if m == 1:
+            return self.leaf_cell(frame.cell(0, 0), (export_track,))[0][0]
+        if m == 2 and self.per_cell == 4:
             return self._block2(frame, export_track)
         L_sub = (1 << (m - 1)) - 1
         mid_sub = (L_sub - 1) // 2
@@ -459,79 +469,50 @@ class _FractalBuilder(SlotPlanner):
         return root
 
     def _block2(self, frame: _Frame, export_track: int | None):
-        if self.per_cell == 4:
-            exports = [
-                self.leaf_cell(frame.cell(0, 0), (0, 2)),
-                self.leaf_cell(frame.cell(0, 2), (1, 3)),
-                self.leaf_cell(frame.cell(2, 0), (0, 2)),
-                self.leaf_cell(frame.cell(2, 2), (1, 3)),
-            ]
-            left_cell, right_cell = frame.cell(0, 1), frame.cell(2, 1)
-            center, root_cell = frame.cell(1, 1), frame.cell(1, 2)
-            for pair, cell in zip(exports, (left_cell, left_cell, right_cell, right_cell)):
-                for name, track in pair:
-                    self.claim(cell, "r", track, name)
-            cell_sums: list[tuple[str, int]] = []
-            for pair, cell, s_z, s_w in (
-                (exports[0], left_cell, 0, 1),
-                (exports[1], left_cell, 2, 3),
-                (exports[2], right_cell, 1, 0),
-                (exports[3], right_cell, 3, 2),
-            ):
-                z, w = self.new_node(), self.new_node("w")
-                self.claim(cell, "s", s_z, z)
-                self.claim(cell, "s", s_w, w)
-                self.merge(z, pair[0][0], pair[1][0], w, cell)
-                cell_sums.append((z, s_z))
-            for z, track in cell_sums:
-                self.claim(center, "s", track, z)
-            zl, wl = self.new_node(), self.new_node("w")
-            self.claim(center, "r", 0, zl)
-            self.claim(center, "r", 1, wl)
-            self.merge(zl, cell_sums[0][0], cell_sums[1][0], wl, center)
-            zr, wr = self.new_node(), self.new_node("w")
-            self.claim(center, "r", 2, zr)
-            self.claim(center, "r", 3, wr)
-            self.merge(zr, cell_sums[2][0], cell_sums[3][0], wr, center)
-            self.claim(root_cell, "r", 0, zl)
-            self.claim(root_cell, "r", 2, zr)
-            if export_track is None:
-                self.claim(root_cell, "s", 0, zl)
-                return zl, zr
-            root, wroot = self.new_node(), self.new_node("w")
-            self.claim(root_cell, "s", 0, root)
-            self.claim(root_cell, "s", 1, wroot)
-            self.merge(root, zl, zr, wroot, root_cell)
-            self.claim(root_cell, "r", export_track, root)
-            return root
+        """Side-3 block of four full K_{4,4} leaf cells."""
         exports = [
-            self.leaf_cell(frame.cell(0, 0), (0,)),
-            self.leaf_cell(frame.cell(0, 2), (1,)),
-            self.leaf_cell(frame.cell(2, 0), (0,)),
-            self.leaf_cell(frame.cell(2, 2), (1,)),
+            self.leaf_cell(frame.cell(0, 0), (0, 2)),
+            self.leaf_cell(frame.cell(0, 2), (1, 3)),
+            self.leaf_cell(frame.cell(2, 0), (0, 2)),
+            self.leaf_cell(frame.cell(2, 2), (1, 3)),
         ]
-        left_cell, right_cell, center = frame.cell(0, 1), frame.cell(2, 1), frame.cell(1, 1)
-        for (pair, cell) in zip(exports, (left_cell, left_cell, right_cell, right_cell)):
-            name, track = pair[0]
-            self.claim(cell, "r", track, name)
+        left_cell, right_cell = frame.cell(0, 1), frame.cell(2, 1)
+        center, root_cell = frame.cell(1, 1), frame.cell(1, 2)
+        for pair, cell in zip(exports, (left_cell, left_cell, right_cell, right_cell)):
+            for name, track in pair:
+                self.claim(cell, "r", track, name)
+        cell_sums: list[tuple[str, int]] = []
+        for pair, cell, s_z, s_w in (
+            (exports[0], left_cell, 0, 1),
+            (exports[1], left_cell, 2, 3),
+            (exports[2], right_cell, 1, 0),
+            (exports[3], right_cell, 3, 2),
+        ):
+            z, w = self.new_node(), self.new_node("w")
+            self.claim(cell, "s", s_z, z)
+            self.claim(cell, "s", s_w, w)
+            self.merge(z, pair[0][0], pair[1][0], w, cell)
+            cell_sums.append((z, s_z))
+        for z, track in cell_sums:
+            self.claim(center, "s", track, z)
         zl, wl = self.new_node(), self.new_node("w")
-        self.claim(left_cell, "s", 0, zl)
-        self.claim(left_cell, "s", 1, wl)
-        self.merge(zl, exports[0][0][0], exports[1][0][0], wl, left_cell)
+        self.claim(center, "r", 0, zl)
+        self.claim(center, "r", 1, wl)
+        self.merge(zl, cell_sums[0][0], cell_sums[1][0], wl, center)
         zr, wr = self.new_node(), self.new_node("w")
-        self.claim(right_cell, "s", 1, zr)
-        self.claim(right_cell, "s", 0, wr)
-        self.merge(zr, exports[2][0][0], exports[3][0][0], wr, right_cell)
-        self.claim(center, "s", 0, zl)
-        self.claim(center, "s", 1, zr)
+        self.claim(center, "r", 2, zr)
+        self.claim(center, "r", 3, wr)
+        self.merge(zr, cell_sums[2][0], cell_sums[3][0], wr, center)
+        self.claim(root_cell, "r", 0, zl)
+        self.claim(root_cell, "r", 2, zr)
         if export_track is None:
-            self.claim(center, "r", 0, zl)
+            self.claim(root_cell, "s", 0, zl)
             return zl, zr
         root, wroot = self.new_node(), self.new_node("w")
-        self.claim(center, "r", export_track, root)
-        self.claim(center, "r", export_track ^ 1, wroot)
-        self.merge(root, zl, zr, wroot, center)
-        self.claim(frame.cell(1, 2), "r", export_track, root)
+        self.claim(root_cell, "s", 0, root)
+        self.claim(root_cell, "s", 1, wroot)
+        self.merge(root, zl, zr, wroot, root_cell)
+        self.claim(root_cell, "r", export_track, root)
         return root
 
 
@@ -570,22 +551,13 @@ def _embed_gadgets(
     return embed_qubo(logical, emb), tree
 
 
-def _finish_layout(builder: _FractalBuilder, root_children: tuple[str, str], N: int, L: int, n_star: int) -> tuple[EmbeddedQubo, FractalLayout]:
+def _finish_layout(
+    builder: _FractalBuilder, root_children: tuple[str, str], N: int, L: int, n_star: int
+) -> tuple[EmbeddedQubo, FractalLayout]:
     embedded, tree = _embed_gadgets(builder, root_children, builder.leaves, N, L)
-    layout = FractalLayout(
-        N_star=n_star,
-        L=L,
-        tile_assignment=dict(builder.tile_assignment),
-        gadget_spins=dict(builder.gadget_spins),
-        J=builder.J,
-        N=N,
-        leaf_tracks=dict(builder.leaf_tracks),
-        embedded=embedded,
-        tree=tree,
-    )
     capacity = len(builder.leaves)
-    layout.notes.append(f"capacity {capacity} leaf slots, {capacity - N} padding")
-    return embedded, layout
+    notes = [f"capacity {capacity} leaf slots, {capacity - N} padding"]
+    return embedded, builder.layout(embedded, tree, N_star=n_star, L=L, N=N, notes=notes)
 
 
 def fractal_embed_unary(N: int, J: int = 4) -> tuple[EmbeddedQubo, FractalLayout]:
@@ -637,22 +609,6 @@ def lift_one_hot(
     return embedded.lift(assignment)
 
 
-def layout_to_doc(layout: FractalLayout) -> dict:
-    """Embedding document extended with the node -> cell placement."""
-    from .embedding import embedding_to_doc
-
-    if layout.embedded is None:
-        raise UnaryError("layout lacks its embedding")
-    logical = layout.embedded.logical
-    doc = embedding_to_doc(
-        layout.embedded.embedding,
-        [logical.name_of(i) for i in range(logical.num_vars)],
-    )
-    doc["layout"] = {name: list(cell) for name, cell in sorted(layout.tile_assignment.items())}
-    doc["leaf_cells"] = layout.N_star
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # fill-in optimization
 
@@ -671,11 +627,14 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
     if layout.tree is None or layout.embedded is None:
         raise UnaryError("layout lacks its construction record")
     if J < 4 or layout.J < 4:
-        out = _relayout(layout, [], note="no fill possible: J - 2 branch gain is zero")
-        return out
+        return _unchanged(layout, "no fill possible: J - 2 branch gain is zero")
 
     # rebuild the raw claim table from the embedding
     builder = _rebuilder_from(layout)
+
+    def free(cell: tuple[int, int], side: str) -> list[int]:
+        return [t for t in range(J) if (cell[0], cell[1], side, t) not in builder.claims]
+
     branches: list[tuple[str, list[str]]] = []
     leaf_cells = sorted({cell for cell in (layout.tile_assignment[x] for x in layout.tree.real_leaves if x in layout.tile_assignment) if cell is not None})
     replaced: set[str] = set()
@@ -684,8 +643,7 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
             fcell = (cell[0] + di, cell[1])
             if not (0 <= fcell[0] < layout.L and 0 <= fcell[1] < layout.L):
                 continue
-            free_s = [t for t in range(J) if (fcell[0], fcell[1], "s", t) not in builder.claims]
-            free_r = [t for t in range(J) if (fcell[0], fcell[1], "r", t) not in builder.claims]
+            free_s, free_r = free(fcell, "s"), free(fcell, "r")
             # candidate leaves of this cell, by track
             for leaf in sorted(
                 (x for x in layout.tree.real_leaves if layout.leaf_tracks.get(x, (None,))[:2] == cell),
@@ -697,21 +655,19 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
                 if track not in free_s:
                     continue
                 if len(free_s) >= 4 and len(free_r) >= 3:
-                    new_names = _branch3(builder, leaf, cell, fcell, track, free_s, free_r)
+                    new_names = _branch3(builder, leaf, fcell, track, free_s, free_r)
                 elif len(free_s) >= 2 and len(free_r) >= 2:
-                    new_names = _branch2(builder, leaf, cell, fcell, track, free_s, free_r)
+                    new_names = _branch2(builder, leaf, fcell, track, free_s, free_r)
                 else:
                     continue
                 replaced.add(leaf)
                 branches.append((leaf, new_names))
-                free_s = [t for t in range(J) if (fcell[0], fcell[1], "s", t) not in builder.claims]
-                free_r = [t for t in range(J) if (fcell[0], fcell[1], "r", t) not in builder.claims]
+                free_s, free_r = free(fcell, "s"), free(fcell, "r")
                 if len(free_s) < 2 or len(free_r) < 2:
                     break
     if not branches:
-        out = _relayout(layout, [], note="no free adjacent cells: layout unchanged")
-        return out
-    return _relayout(layout, branches, builder=builder)
+        return _unchanged(layout, "no free adjacent cells: layout unchanged")
+    return _relayout(layout, branches, builder)
 
 
 def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
@@ -741,10 +697,9 @@ def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
 def _branch3(
     builder: _FractalBuilder,
     leaf: str,
-    cell: tuple[int, int],
     fcell: tuple[int, int],
     track: int,
-    free_s: list[str],
+    free_s: list[int],
     free_r: list[int],
 ) -> list[str]:
     """Replace `leaf` by a sum of three new leaves hosted in fcell."""
@@ -773,7 +728,6 @@ def _branch3(
 def _branch2(
     builder: _FractalBuilder,
     leaf: str,
-    cell: tuple[int, int],
     fcell: tuple[int, int],
     track: int,
     free_s: list[int],
@@ -793,27 +747,20 @@ def _branch2(
     return [new_u, new_v]
 
 
+def _unchanged(layout: FractalLayout, note: str) -> FractalLayout:
+    return replace(
+        layout,
+        tile_assignment=dict(layout.tile_assignment),
+        gadget_spins=dict(layout.gadget_spins),
+        leaf_tracks=dict(layout.leaf_tracks),
+        added_bits=0,
+        notes=[*layout.notes, note],
+    )
+
+
 def _relayout(
-    layout: FractalLayout,
-    branches: list[tuple[str, list[str]]],
-    builder: _FractalBuilder | None = None,
-    note: str | None = None,
+    layout: FractalLayout, branches: list[tuple[str, list[str]]], builder: _FractalBuilder
 ) -> FractalLayout:
-    if builder is None:
-        out = FractalLayout(
-            N_star=layout.N_star,
-            L=layout.L,
-            tile_assignment=dict(layout.tile_assignment),
-            gadget_spins=dict(layout.gadget_spins),
-            J=layout.J,
-            N=layout.N,
-            leaf_tracks=dict(layout.leaf_tracks),
-            embedded=layout.embedded,
-            tree=layout.tree,
-            added_bits=0,
-            notes=list(layout.notes) + ([note] if note else []),
-        )
-        return out
     # constrained bits: old real leaves minus the replaced ones plus new leaves
     replaced = {old for old, _ in branches}
     new_real: list[str] = [x for x in layout.tree.real_leaves if x not in replaced]
@@ -827,17 +774,12 @@ def _relayout(
         builder, layout.tree.root_children, leaves_for_qubo, len(real_ordered), layout.L
     )
     added = sum(len(v) - 1 for _, v in branches)
-    out = FractalLayout(
+    return builder.layout(
+        embedded,
+        tree,
         N_star=layout.N_star,
         L=layout.L,
-        tile_assignment=dict(builder.tile_assignment),
-        gadget_spins=dict(builder.gadget_spins),
-        J=layout.J,
         N=layout.N + added,
-        leaf_tracks=dict(builder.leaf_tracks),
-        embedded=embedded,
-        tree=tree,
         added_bits=added,
-        notes=list(layout.notes) + [f"{len(branches)} branches, +{added} bits"],
+        notes=[*layout.notes, f"{len(branches)} branches, +{added} bits"],
     )
-    return out

@@ -26,6 +26,16 @@ def k(n):
     return list(itertools.combinations(range(n), 2))
 
 
+def plan_of(rows, passes=(), realized=()):
+    """Hand-built plan: digits are vertex tiles, "x" crossings, "-" empty."""
+    grid = [[ch if ch in "x-" else f"v{ch}" for ch in row] for row in rows]
+    n = 1 + max(int(ch) for row in rows for ch in row if ch.isdigit())
+    plan = TilePlan(1, grid, n)
+    plan.crossing_passes.update(passes)
+    plan.adjacency_realization.update(realized)
+    return plan
+
+
 class TestRouter:
     def test_k5_four_by_four_with_one_crossing(self):
         plan = route_graph_to_tiles(k(5))
@@ -62,6 +72,33 @@ class TestRouter:
         assert back.grid == plan.grid
         assert back.crossing_passes == plan.crossing_passes
         assert back.adjacency_realization == plan.adjacency_realization
+
+
+class TestValidatePlan:
+    CROSS = ["-1-", "0x0", "-1-"]
+
+    def test_crossing_passing_its_neighbours_is_valid(self):
+        assert validate_plan(plan_of(self.CROSS, {(1, 1): (0, 1)}), []) == []
+
+    def test_region_joined_only_through_another_vertex_crossing(self):
+        # v0's tiles sit left and right of a crossing that passes v1 horizontally
+        problems = validate_plan(plan_of(self.CROSS, {(1, 1): (1, 0)}), [])
+        assert "vertex 0 region disconnected" in problems
+        assert "vertex 1 region disconnected" in problems
+
+    def test_horizontal_pass_dead_ends(self):
+        plan = plan_of(["-1-", "0x-", "-1-"], {(1, 1): (0, 1)})
+        assert validate_plan(plan, []) == ["crossing (1, 1) horizontal pass of v0 dead-ends"]
+
+    def test_pass_recorded_at_vertex_tile(self):
+        plan = plan_of(["-1-", "000", "-1-"], {(1, 1): (0, 1)})
+        assert validate_plan(plan, []) == ["pass recorded at non-crossing tile (1, 1)"]
+
+    def test_edge_realized_at_non_adjacent_tiles(self):
+        plan = plan_of(["011"], realized={(0, 1): ((0, 0), (0, 2))})
+        assert validate_plan(plan, [(0, 1)]) == [
+            "edge (0, 1) realized at non-adjacent tiles"
+        ]
 
 
 class TestCrossingTemplate:

@@ -130,7 +130,10 @@ class TestFractalEmbedding:
         assert layout.L == L
         assert embedded.embedding.lattice.L == L
 
-    @pytest.mark.parametrize("N,J", [(2, 2), (8, 2), (2, 4), (3, 4), (5, 4), (8, 4), (16, 4)])
+    @pytest.mark.parametrize(
+        "N,J",
+        [(2, 2), (8, 2), (2, 4), (3, 4), (5, 4), (8, 4), (16, 4), (32, 2), (9, 3), (32, 3)],
+    )
     def test_validates(self, N, J):
         embedded, _ = fractal_embed_unary(N, J)
         report = validate(
