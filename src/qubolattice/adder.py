@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qubo import BINARY, Qubo, QuboBuilder, clamp  # noqa: F401  (clamp re-exported)
+from .qubo import BINARY, Qubo, QuboBuilder
 
 
 class AdderError(ValueError):

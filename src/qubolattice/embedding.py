@@ -1,5 +1,6 @@
-"""Minor embeddings: validation, constructive complete-graph embeddings,
-chain-penalty translation of logical QUBOs onto lattices, and unembedding.
+"""Minor embeddings: the slot planner behind every constructive chimera
+layout, validation, complete-graph embeddings, chain-penalty translation of
+logical QUBOs onto lattices, and unembedding.
 
 A minor embedding maps each logical vertex to a chain, a connected set of
 lattice vertices; chains are pairwise disjoint, and every logical edge must be
@@ -8,13 +9,11 @@ realizable by at least one lattice edge between the two chains.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .lattice import (
-    LatticeError,
     LatticeGraph,
     LatticeSpec,
     build_lattice,
@@ -23,7 +22,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .qubo import BINARY, SPIN, Qubo, QuboError
+from .qubo import BINARY, Qubo
 
 
 class EmbeddingError(ValueError):
@@ -47,6 +46,127 @@ class MinorEmbedding:
         for chain in self.chains.values():
             out.update(chain)
         return sorted(out)
+
+
+class SlotPlanner:
+    """Ownership of half-cell slots (cell, side, track) while a chimera layout
+    is built; the one place that turns a slot into a lattice vertex or back.
+
+    Claims by two different chains on one slot are construction errors, while
+    a chain re-claiming its own slot is a no-op.  Each chain keeps its slots
+    in claim order (a dict used as an ordered set), so walking a chain is
+    deterministic.
+    """
+
+    def __init__(self, J: int):
+        self.J = J
+        self.claims: dict[tuple[int, int, str, int], Hashable] = {}
+        self.chains: dict[Hashable, dict[tuple[int, int, str, int], None]] = {}
+
+    def role(self, side: str, track: int) -> int:
+        """Intra-cell vertex index of a slot: track on side s, J + track on r."""
+        return track if side == "s" else self.J + track
+
+    def claim(self, cell: tuple[int, int], side: str, track: int, var: Hashable) -> None:
+        if not 0 <= track < self.J:
+            raise EmbeddingError(f"track {track} outside K_{{{self.J},{self.J}}} cell")
+        key = (cell[0], cell[1], side, track)
+        owner = self.claims.get(key)
+        if owner is None:
+            self.claims[key] = var
+            self.chains.setdefault(var, {})[key] = None
+        elif owner != var:
+            raise EmbeddingError(
+                f"layout conflict at cell {cell} {side}{track}: {owner} vs {var}"
+            )
+
+    def claim_vertex(
+        self, graph: LatticeGraph, p: int, var: Hashable,
+        shift: tuple[int, int] = (0, 0), scale: int = 1,
+    ) -> None:
+        """Claim lattice vertex p's slot in cell scale * cell(p) + shift."""
+        i, j, a = graph.cell_of(p)
+        side, track = ("s", a) if a < self.J else ("r", a - self.J)
+        self.claim((scale * i + shift[0], scale * j + shift[1]), side, track, var)
+
+    def run_horizontal(self, var: Hashable, track: int, row: int, i_from: int, i_to: int) -> None:
+        step = 1 if i_to >= i_from else -1
+        for i in range(i_from, i_to + step, step):
+            self.claim((i, row), "s", track, var)
+
+    def run_vertical(self, var: Hashable, track: int, col: int, j_from: int, j_to: int) -> None:
+        step = 1 if j_to >= j_from else -1
+        for j in range(j_from, j_to + step, step):
+            self.claim((col, j), "r", track, var)
+
+    def arm(
+        self, var: Hashable, origin: tuple[int, int], slot: int, axis: str, lo: int, hi: int
+    ) -> None:
+        """Claim the arm of clique slot `slot` in the block at `origin`.
+
+        The slot sits on track slot % J of cell line slot // J; axis "h" runs
+        its s track along that row, axis "v" its r track down that column,
+        over the block's cell offsets lo..hi.
+        """
+        oi, oj = origin
+        line, track = divmod(slot, self.J)
+        if axis == "h":
+            self.run_horizontal(var, track, oj + line, oi + lo, oi + hi)
+        else:
+            self.run_vertical(var, track, oi + line, oj + lo, oj + hi)
+
+    def snapshot(self) -> tuple:
+        return (dict(self.claims), {k: dict(v) for k, v in self.chains.items()})
+
+    def restore(self, snap: tuple) -> None:
+        self.claims = dict(snap[0])
+        self.chains = {k: dict(v) for k, v in snap[1].items()}
+
+    def extent(self) -> tuple[int, int]:
+        w = 1 + max((i for (i, _, _, _) in self.claims), default=0)
+        h = 1 + max((j for (_, j, _, _) in self.claims), default=0)
+        return w, h
+
+    def vertices(self, graph: LatticeGraph, var: Hashable) -> frozenset[int]:
+        """Lattice vertices of var's chain."""
+        # fill a set in claim order, then freeze it: a frozenset built from a
+        # generator can iterate in another order, and documents follow it
+        members = set()
+        for i, j, side, track in self.chains[var]:
+            members.add(graph.vertex(i, j, self.role(side, track)))
+        return frozenset(members)
+
+    def to_embedding(
+        self, index_of: Callable[[Hashable], int], alpha: float, L: int | None = None
+    ) -> MinorEmbedding:
+        """Convert claims into a MinorEmbedding on a square chimera lattice.
+
+        `index_of` maps a chain's name to its logical variable index.
+        """
+        w, h = self.extent()
+        side = max(w, h) if L is None else L
+        emb = MinorEmbedding(chimera_spec(self.J, side), {}, alpha)
+        graph = emb.graph
+        for name in self.chains:
+            emb.chains[index_of(name)] = self.vertices(graph, name)
+        return emb
+
+
+def place_clique_block(
+    planner: SlotPlanner, origin: tuple[int, int], names: list[Hashable]
+) -> int:
+    """Triangular clique embedding of the names inside a square block.
+
+    Variable p gets a horizontal arm (s track p % J across row p // J) and a
+    vertical arm (r track p % J down column p // J); the arms join in the
+    diagonal cell, and any pair of variables meets on an intra-cell edge.
+    Returns the block side in cells.
+    """
+    b = max(1, -(-len(names) // planner.J))
+    for p, name in enumerate(names):
+        planner.arm(name, origin, p, "h", 0, b - 1)
+        planner.arm(name, origin, p, "v", 0, b - 1)
+    return b
 
 
 @dataclass
@@ -235,18 +355,9 @@ def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
         raise EmbeddingError("N must be positive")
     if J < 1:
         raise EmbeddingError("J must be positive")
-    L = max(1, math.ceil(N / J))
-    emb = MinorEmbedding(chimera_spec(J, L), {})
-    graph = emb.graph
-    for i in range(N):
-        b, a = divmod(i, J)
-        members = set()
-        for x in range(L):
-            members.add(graph.vertex(x, b, a))
-        for y in range(L):
-            members.add(graph.vertex(b, y, J + a))
-        emb.chains[i] = frozenset(members)
-    return emb
+    planner = SlotPlanner(J)
+    place_clique_block(planner, (0, 0), list(range(N)))
+    return planner.to_embedding(int, 1.0)
 
 
 def choose_alpha(logical: Qubo) -> float:

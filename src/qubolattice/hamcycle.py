@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._layout import SlotPlanner
 from .embedding import (
     EmbeddedQubo,
     EmbeddingError,
+    SlotPlanner,
     choose_alpha,
     embed_complete_chimera,
     embed_qubo,
@@ -189,7 +189,7 @@ def embed_permutation_tree(
         return embed_qubo(logical, emb)
     planner = SlotPlanner(4)
     _permutation_layout_4(planner)
-    emb = planner.to_embedding(logical, choose_alpha(logical), L=lattice_side or 6)
+    emb = planner.to_embedding(logical.index_of, choose_alpha(logical), L=lattice_side or 6)
     return embed_qubo(logical, emb)
 
 
@@ -523,7 +523,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
     for v in range(n):
         _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan)
 
-    emb = planner.to_embedding(tq.qubo, choose_alpha(tq.qubo), L=ell * plan.grid_side)
+    emb = planner.to_embedding(tq.qubo.index_of, choose_alpha(tq.qubo), L=ell * plan.grid_side)
     return embed_qubo(tq.qubo, emb)
 
 

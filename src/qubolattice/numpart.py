@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._layout import SlotPlanner, place_clique_block
 from .adder import add_columns, read_register
-from .embedding import EmbeddedQubo, MinorEmbedding, choose_alpha, embed_qubo
+from .embedding import EmbeddedQubo, SlotPlanner, choose_alpha, embed_qubo, place_clique_block
 from .qubo import BINARY, Qubo, QuboBuilder
 
 
@@ -270,7 +269,7 @@ def embed_numpart(inst: PartitionInstance, J: int = 4) -> EmbeddedQubo:
     planner = SlotPlanner(J)
     assert tree.root is not None
     _layout_node(planner, tree, tree.root, (0, 0), 0)
-    emb = planner.to_embedding(tree.qubo, choose_alpha(tree.qubo))
+    emb = planner.to_embedding(tree.qubo.index_of, choose_alpha(tree.qubo))
     return embed_qubo(tree.qubo, emb)
 
 

@@ -9,13 +9,12 @@ empty.  Every logical edge is realized by exactly one adjacent tile pair.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .embedding import EmbeddedQubo, EmbeddingError, MinorEmbedding, embed_qubo
+from .embedding import EmbeddedQubo, MinorEmbedding, SlotPlanner, embed_qubo
 from .lattice import LatticeSpec, chimera_spec, detect_chimera
-from .qubo import SPIN, Qubo, QuboBuilder, normalize_couplings
+from .qubo import SPIN, Qubo, QuboBuilder
 
 VERTEX, CROSSING, EMPTY = "v", "x", "-"
 
@@ -417,44 +416,42 @@ def crossing_tile_chimera(J: int = 4) -> Qubo:
     return b.build()
 
 
-def _slot_vertex(graph, J: int, name: str, origins: Mapping[str, tuple[int, int]]):
+def _slot(name: str, origins: Mapping[str, tuple[int, int]]) -> tuple[tuple[int, int], str, int]:
+    """Lattice cell, side and track of a named tile slot."""
     tile, slot, m, n = name.split(":")
-    side, track = slot[0], int(slot[1:])
     oi, oj = origins[tile]
-    a = track if side == "s" else J + track
-    return graph.vertex(oi + int(m), oj + int(n), a)
+    return (oi + int(m), oj + int(n)), slot[0], int(slot[1:])
 
 
 def _instantiate(
     physical: Qubo,
     pos: dict[int, int],
     graph,
-    J: int,
+    planner: SlotPlanner,
     template: Qubo,
     origins: Mapping[str, tuple[int, int]],
 ) -> None:
+    at = []
+    for name in template.var_names:
+        cell, side, track = _slot(name, origins)
+        at.append(pos[graph.vertex(*cell, planner.role(side, track))])
     physical.add_offset(template.offset)
     for i, c in template.linear.items():
-        v = _slot_vertex(graph, J, template.name_of(i), origins)
-        physical.add_linear(pos[v], c)
+        physical.add_linear(at[i], c)
     for (i, j), c in template.quadratic.items():
-        vi = _slot_vertex(graph, J, template.name_of(i), origins)
-        vj = _slot_vertex(graph, J, template.name_of(j), origins)
-        physical.add_quadratic(pos[vi], pos[vj], c)
+        physical.add_quadratic(at[i], at[j], c)
 
 
 def stitch(
-    plan: TilePlan,
-    tiles: TileHamiltonians,
-    lattice: LatticeSpec | None = None,
-    normalize: bool = False,
+    plan: TilePlan, tiles: TileHamiltonians, lattice: LatticeSpec | None = None
 ) -> EmbeddedQubo:
     """Assemble per-tile templates into one physical objective.
 
     Vertex tiles get the vertex template; each logical edge gets one edge
     template at its realized tile pair; chains propagate between same-vertex
     tiles and straight through crossings.  The logical view of the result is
-    the chain-contracted objective over (vertex, color) variables.
+    the chain-contracted objective over (vertex, color) variables, variable
+    v * q + color.
     """
     J, ell = tiles.J, tiles.ell
     if lattice is None:
@@ -463,36 +460,35 @@ def stitch(
         raise TilingError("lattice too small for the plan")
     emb = MinorEmbedding(lattice, {}, alpha=1.0)
     graph = emb.graph
+    planner = SlotPlanner(J)
 
     def origin(tile: tuple[int, int]) -> tuple[int, int]:
         r, c = tile
         return (c * ell, r * ell)
 
-    # chains: (vertex, color) -> set of physical vertices
-    chain_sets: dict[tuple[int, int], set[int]] = {}
-
-    def add_chain_spots(v: int, tile: tuple[int, int], colors: Iterable[int], sides: str):
+    def claim_colors(v: int, tile: tuple[int, int], sides: str):
         origins = {"a": origin(tile)}
-        for color in colors:
-            members = chain_sets.setdefault((v, color), set())
-            for name in tiles.colors[color]:
-                if name.split(":")[1][0] in sides:
-                    members.add(_slot_vertex(graph, J, name, origins))
+        for color, names in tiles.colors.items():
+            for name in names:
+                cell, side, track = _slot(name, origins)
+                if side in sides:
+                    planner.claim(cell, side, track, v * tiles.q + color)
 
     for v in range(plan.num_vertices):
         for tile in plan.vertex_tiles(v):
-            add_chain_spots(v, tile, tiles.colors, "sr")
+            claim_colors(v, tile, "sr")
     for tile, (hv, vv) in plan.crossing_passes.items():
-        add_chain_spots(hv, tile, tiles.colors, "s")
-        add_chain_spots(vv, tile, tiles.colors, "r")
+        claim_colors(hv, tile, "s")
+        claim_colors(vv, tile, "r")
+    emb.chains = {var: planner.vertices(graph, var) for var in planner.chains}
 
-    order = sorted(set().union(*chain_sets.values())) if chain_sets else []
+    order = emb.physical_vertices()
     pos = {p: k for k, p in enumerate(order)}
     physical = Qubo(SPIN, len(order), var_names=[str(p) for p in order])
 
     for v in range(plan.num_vertices):
         for tile in sorted(plan.vertex_tiles(v)):
-            _instantiate(physical, pos, graph, J, tiles.vertex_tile, {"a": origin(tile)})
+            _instantiate(physical, pos, graph, planner, tiles.vertex_tile, {"a": origin(tile)})
 
     # chains between adjacent tiles that both conduct the vertex on that axis
     chain_templates = (
@@ -504,27 +500,21 @@ def stitch(
                 nxt = (r + dr, c + dc)
                 if plan.conducts((r, c), v, axis) and plan.conducts(nxt, v, axis):
                     _instantiate(
-                        physical, pos, graph, J, template,
+                        physical, pos, graph, planner, template,
                         {"a": origin((r, c)), "b": origin(nxt)},
                     )
 
     for (u, v), (t1, t2) in sorted(plan.adjacency_realization.items()):
         horizontal = t1[0] == t2[0]
         template = tiles.edge_horizontal if horizontal else tiles.edge_vertical
-        _instantiate(physical, pos, graph, J, template, {"a": origin(t1), "b": origin(t2)})
+        _instantiate(
+            physical, pos, graph, planner, template, {"a": origin(t1), "b": origin(t2)}
+        )
 
-    emb.chains = {
-        (v * tiles.q + color): frozenset(members)
-        for (v, color), members in chain_sets.items()
-    }
     names = [f"v{v}:c{color}" for v in range(plan.num_vertices) for color in range(tiles.q)]
     placeholder = Qubo(SPIN, plan.num_vertices * tiles.q, var_names=names)
     embedded = EmbeddedQubo(physical, emb, placeholder, order)
     embedded.logical = embedded.chain_intact_qubo()
-    if normalize:
-        normalized, scale = normalize_couplings(physical)
-        embedded.physical = normalized
-        embedded.logical = embedded.chain_intact_qubo()
     return embedded
 
 
@@ -543,7 +533,8 @@ def supertile_compose(
     supertile, the second to the lower-right; existing couplers re-route
     through the off-diagonal quadrants on their own tracks.  Each requested
     coupling (i, A_i) lands on an intra-cell edge of the upper-right square of
-    a supertile where variable i of both problems is present.
+    a supertile where variable i of both problems is present.  Composed
+    variables are named x<i> (first problem) and y<i> (second).
     """
     spec1, spec2 = e1.embedding.lattice, e2.embedding.lattice
     if spec1.cell != spec2.cell or spec1.width != spec2.width or spec1.height != spec2.height:
@@ -554,43 +545,25 @@ def supertile_compose(
     alpha = max(e1.embedding.alpha, e2.embedding.alpha, 1.0 + max(
         (abs(a) for _, a in couplings), default=0.0
     ))
-    emb = MinorEmbedding(chimera_spec(J, 2 * spec1.width), {}, alpha)
-    graph = emb.graph
-    g1 = e1.embedding.graph
-
-    used: dict[int, tuple[str, int]] = {}
-
-    def map_chain(e: EmbeddedQubo, shift: tuple[int, int], tag: str) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
+    planner = SlotPlanner(J)
+    for tag, e, (si, sj) in (("x", e1, (0, 0)), ("y", e2, (1, 1))):
         g = e.embedding.graph
         for v, chain in e.embedding.chains.items():
-            members: set[int] = set()
+            name = f"{tag}{v}"
             spots = sorted(chain)
             for p in spots:
-                i, j, a = g.cell_of(p)
-                big_v = graph.vertex(2 * i + shift[0], 2 * j + shift[1], a)
-                members.add(big_v)
-                used[big_v] = (tag, v)
+                planner.claim_vertex(g, p, name, (si, sj), 2)
             # bridge the now-stretched couplers through off-diagonal cells
             for p in spots:
-                i, j, a = g.cell_of(p)
+                i, j, _ = g.cell_of(p)
                 for qv in g.neighbors(p):
                     if qv not in chain or qv < p:
                         continue
-                    qi, qj, qa = g.cell_of(qv)
+                    qi, qj, _ = g.cell_of(qv)
                     if qi == i + 1:  # horizontal hop: pass through (2i+1+si, 2j+sj)
-                        mid = graph.vertex(2 * i + 1 + shift[0], 2 * j + shift[1], a)
-                        members.add(mid)
-                        used[mid] = (tag, v)
+                        planner.claim_vertex(g, p, name, (si + 1, sj), 2)
                     elif qj == j + 1:
-                        mid = graph.vertex(2 * i + shift[0], 2 * j + 1 + shift[1], a)
-                        members.add(mid)
-                        used[mid] = (tag, v)
-            out[v] = members
-        return out
-
-    chains1 = map_chain(e1, (0, 0), "x")
-    chains2 = map_chain(e2, (1, 1), "y")
+                        planner.claim_vertex(g, p, name, (si, sj + 1), 2)
 
     q1, q2 = e1.logical, e2.logical
     if q1.domain != q2.domain:
@@ -599,75 +572,54 @@ def supertile_compose(
     combined.var_names = [f"x{i}" for i in range(q1.num_vars)] + [
         f"y{i}" for i in range(q2.num_vars)
     ]
-    for i, c in q1.linear.items():
-        combined.add_linear(i, c)
-    for (i, j), c in q1.quadratic.items():
-        combined.add_quadratic(i, j, c)
     off = q1.num_vars
-    for i, c in q2.linear.items():
-        combined.add_linear(off + i, c)
-    for (i, j), c in q2.quadratic.items():
-        combined.add_quadratic(off + i, off + j, c)
+    for k, q in ((0, q1), (off, q2)):
+        for i, c in q.linear.items():
+            combined.add_linear(k + i, c)
+        for (i, j), c in q.quadratic.items():
+            combined.add_quadratic(k + i, k + j, c)
 
     # bridge the requested couplings through upper-right off-diagonal squares
+    chains1, chains2 = e1.embedding.chains, e2.embedding.chains
     for i, a_i in couplings:
         if i not in chains1 or i not in chains2:
             raise TilingError(f"no shared variable index {i} to couple")
-        cells1 = {g1.cell_of(p)[:2] for p in e1.embedding.chains[i]}
-        cells2 = {e2.embedding.graph.cell_of(p)[:2] for p in e2.embedding.chains[i]}
+        cells1 = {e1.embedding.graph.cell_of(p)[:2] for p in chains1[i]}
+        cells2 = {e2.embedding.graph.cell_of(p)[:2] for p in chains2[i]}
         common = sorted(cells1 & cells2)
         if not common:
             raise TilingError(f"variable {i} shares no supertile position")
         ci, cj = common[0]
         bridge = (2 * ci + 1, 2 * cj)
         # chain 1 exits rightward on an s track, chain 2 upward on an r track
-        s_track = _track_into_bridge(
-            e1, graph, used, chains1[i], ("x", i), (2 * ci, 2 * cj), (ci, cj), True
-        )
-        r_track = _track_into_bridge(
-            e2, graph, used, chains2[i], ("y", i), (2 * ci + 1, 2 * cj + 1), (ci, cj), False
-        )
-        for track, owner, members in (
-            (s_track, ("x", i), chains1[i]),
-            (J + r_track, ("y", i), chains2[i]),
-        ):
-            bv = graph.vertex(bridge[0], bridge[1], track)
-            if used.get(bv, owner) != owner:
+        x, y = f"x{i}", f"y{i}"
+        s_track = _track_into_bridge(planner, x, (2 * ci, 2 * cj), "s")
+        r_track = _track_into_bridge(planner, y, (2 * ci + 1, 2 * cj + 1), "r")
+        for side, track, var in (("s", s_track, x), ("r", r_track, y)):
+            if planner.claims.get((*bridge, side, track), var) != var:
                 raise TilingError(f"bridge congestion at cell {bridge}")
-            used[bv] = owner
-            members.add(bv)
+            planner.claim(bridge, side, track, var)
         combined.add_quadratic(i, off + i, a_i)
 
-    emb.chains.update({v: frozenset(m) for v, m in chains1.items()})
-    emb.chains.update({off + v: frozenset(m) for v, m in chains2.items()})
+    emb = planner.to_embedding(combined.index_of, alpha, 2 * spec1.width)
     return embed_qubo(combined, emb)
 
 
-def _track_into_bridge(e, graph, used, members, owner, big_cell, small_cell, want_s):
+def _track_into_bridge(planner: SlotPlanner, var: str, cell: tuple[int, int], side: str) -> int:
     """Track on which a chain can step from its quadrant cell into the bridge.
 
     Couplers are track-aligned, so the chain must own (or gain, via an
-    intra-cell hop) a spin of the right side in its copy of the shared cell.
-    Returns the track index within the side.
+    intra-cell hop) a slot of the right side in its copy of the shared cell.
     """
-    g = e.embedding.graph
-    J = g.spec.cell.n // 2
-    tracks = sorted(
-        a for p in members
-        for (i, j, a) in (graph.cell_of(p),)
-        if (i, j) == big_cell and (a < J) == want_s
-    )
+    tracks = [t for (i, j, s, t) in planner.chains[var] if (i, j) == cell and s == side]
     if tracks:
-        return tracks[0] if want_s else tracks[0] - J
-    # hop onto a free spin of the needed side inside the quadrant cell
-    for t in range(J):
-        a = t if want_s else J + t
-        bv = graph.vertex(big_cell[0], big_cell[1], a)
-        if bv not in used:
-            used[bv] = owner
-            members.add(bv)
+        return min(tracks)
+    # hop onto a free slot of the needed side inside the quadrant cell
+    for t in range(planner.J):
+        if (cell[0], cell[1], side, t) not in planner.claims:
+            planner.claim(cell, side, t, var)
             return t
-    raise TilingError(f"no free {'s' if want_s else 'r'} track in cell {big_cell}")
+    raise TilingError(f"no free {side} track in cell {cell}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from ._layout import SlotPlanner
-from .embedding import EmbeddedQubo, EmbeddingError, choose_alpha, embed_qubo
+from .embedding import EmbeddedQubo, EmbeddingError, SlotPlanner, choose_alpha, embed_qubo
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
 
 
@@ -300,7 +299,7 @@ class _FractalBuilder(SlotPlanner):
         """Intra-cell vertex index of var's first claim inside a cell."""
         for i, j, side, track in self.chains.get(var, ()):
             if (i, j) == cell:
-                return track if side == "s" else self.J + track
+                return self.role(side, track)
         raise EmbeddingError(f"{var} has no claim in cell {cell}")
 
     def new_node(self, prefix: str = "m") -> str:
@@ -547,7 +546,7 @@ def _embed_gadgets(
 ) -> tuple[EmbeddedQubo, MergeTree]:
     """Gadget QUBO of the builder's merges, embedded on its claimed chains."""
     logical, tree = _build_gadget_qubo(builder.gadgets, root_children, leaves, real_count)
-    emb = builder.to_embedding(logical, choose_alpha(logical), L=L)
+    emb = builder.to_embedding(logical.index_of, choose_alpha(logical), L=L)
     return embed_qubo(logical, emb), tree
 
 
@@ -613,7 +612,7 @@ def lift_one_hot(
 # fill-in optimization
 
 
-def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLayout:
+def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
     """Grow extra leaf branches into unused cells next to leaf cells.
 
     A full free cell horizontally adjacent to a leaf cell turns one existing
@@ -623,10 +622,10 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
     N -> 4N + (J - 2) L.  Returns a rebuilt layout; if no adjacent capacity
     exists the original layout is returned with a note.
     """
-    J = layout.J if J is None else J
+    J = layout.J
     if layout.tree is None or layout.embedded is None:
         raise UnaryError("layout lacks its construction record")
-    if J < 4 or layout.J < 4:
+    if J < 4:
         return _unchanged(layout, "no fill possible: J - 2 branch gain is zero")
 
     # rebuild the raw claim table from the embedding
@@ -673,14 +672,11 @@ def fill_tree_optimize(layout: FractalLayout, J: int | None = None) -> FractalLa
 def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
     builder = _FractalBuilder(layout.J)
     emb = layout.embedded.embedding
-    graph = layout.embedded.embedding.graph
     logical = layout.embedded.logical
     for idx, chain in emb.chains.items():
         name = logical.name_of(idx)
         for p in chain:
-            i, j, a = graph.cell_of(p)
-            side, track = ("s", a) if a < layout.J else ("r", a - layout.J)
-            builder.claim((i, j), side, track, name)
+            builder.claim_vertex(emb.graph, p, name)
     builder.leaves = list(layout.tree.leaves)
     builder.gadgets = list(layout.tree.gadgets)
     builder.tile_assignment = dict(layout.tile_assignment)

@@ -1,6 +1,7 @@
 """Tile plans, crossing templates, stitching, and supertile composition."""
 
 import itertools
+import random
 
 import pytest
 
@@ -203,3 +204,24 @@ class TestSupertile:
             assert broken == 0
             decoded.add(logical)
         assert len(decoded) == 4  # 2 one-hot choices per half
+
+    def test_multi_cell_halves_energy_adds(self):
+        # 3x3-cell inputs: every chain hop between cells stretches across a
+        # supertile and is bridged through an off-diagonal cell
+        e1, _ = fractal_embed_unary(16, 4)
+        e2, _ = fractal_embed_unary(16, 4)
+        composed = supertile_compose(e1, e2, [])
+        logical = composed.logical
+        report = validate(
+            composed.embedding, logical.interaction_edges(), range(logical.num_vars)
+        )
+        assert report.ok, report.summary()
+        assert composed.embedding.lattice.L == 6
+        assert composed.physical.num_vars > e1.physical.num_vars + e2.physical.num_vars
+        rng = random.Random(11)
+        for _ in range(25):
+            a1 = [rng.choice((-1, 1)) for _ in range(e1.logical.num_vars)]
+            a2 = [rng.choice((-1, 1)) for _ in range(e2.logical.num_vars)]
+            energy = composed.physical.energy(composed.lift(a1 + a2))
+            halves = e1.physical.energy(e1.lift(a1)) + e2.physical.energy(e2.lift(a2))
+            assert energy == pytest.approx(halves, abs=1e-9)
