@@ -22,9 +22,13 @@ from .lattice import build_lattice, chimera_spec, detect_chimera, lattice_from_d
 from .numpart import predicted_numpart_length
 from .qubo import (
     BINARY,
+    COEFF_TOL,
+    SPIN,
     NoiseModel,
+    Qubo,
     anneal_solve,
     apply_noise,
+    binary_assignment,
     brute_force,
     normalize_couplings,
     qubo_from_doc,
@@ -145,20 +149,52 @@ def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
     return EmbeddedQubo(physical, emb, logical, [int(v) for v in doc["vertex_order"]])
 
 
+def _solver_objective(doc, physical: Qubo) -> Qubo | None:
+    """An embed document's `solver_qubo` when it is not the spin form of its
+    physical QUBO, that is when `embed --normalize` or `--noise` made it.
+
+    The spin form is recomputed here from the serialized physical QUBO, whose
+    term order differs from the one `embed` converted, so coefficients are
+    compared within `COEFF_TOL` (relative) rather than bit for bit.
+    """
+    if "solver_qubo" not in doc:
+        return None
+    solver = qubo_from_doc(doc["solver_qubo"])
+    if solver.domain != SPIN or solver.num_vars != physical.num_vars:
+        raise documents.DocumentError("solver_qubo does not match physical_qubo")
+    spin = to_spin(physical) if physical.domain == BINARY else physical
+    pairs = [(solver.offset, spin.offset)]
+    for a, b in ((solver.linear, spin.linear), (solver.quadratic, spin.quadratic)):
+        pairs += [(a.get(k, 0.0), b.get(k, 0.0)) for k in a.keys() | b.keys()]
+    if all(abs(x - y) <= COEFF_TOL * max(1.0, abs(x), abs(y)) for x, y in pairs):
+        return None
+    return solver
+
+
 def cmd_solve(args) -> int:
     doc = _read_doc(args.input)
     body = _objective_doc(doc, args.input)
     inst = documents.parse_instance(doc["instance"]) if "instance" in doc else None
     embedded = _rebuild_embedded(doc, args.input) if "physical_qubo" in doc else None
     target = embedded.physical if embedded is not None else qubo_from_doc(body)
+    solver = _solver_objective(doc, target) if embedded is not None else None
+    objective = target if solver is None else solver
     if args.solver == "brute":
-        spec = brute_force(target, cap=args.cap)
-        best, energy = spec.ground_states[0], spec.ground_energy
+        spec = brute_force(objective, cap=args.cap)
+        best, minimized = spec.ground_states[0], spec.ground_energy
     else:
-        best, energy = anneal_solve(
-            target, sweeps=args.sweeps, restarts=args.restarts, seed=args.seed
+        best, minimized = anneal_solve(
+            objective, sweeps=args.sweeps, restarts=args.restarts, seed=args.seed
         )
+    energy = minimized
+    if solver is not None:
+        # the spins of the minimized objective, scored on the noiseless physical one
+        if target.domain == BINARY:
+            best = binary_assignment(best)
+        energy = target.energy(best)
     result = {"energy": energy, "seed": args.seed, "solver": args.solver}
+    if solver is not None:
+        result["solver_energy"] = minimized
     logical_state, broken = best, 0
     if embedded is not None:
         logical_state, broken = unembed(embedded, best)

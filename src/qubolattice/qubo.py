@@ -499,40 +499,55 @@ def anneal_solve(
 ) -> tuple[tuple[int, ...], float]:
     """Single-spin-flip Metropolis annealing with a geometric schedule.
 
-    Deterministic for a fixed seed; returns the best assignment found over all
-    restarts together with its energy.
+    Each restart draws its start state from one ``rng.random(n)``; each sweep
+    draws one ``rng.random(n)`` and visits the variables in index order,
+    flipping variable i when ``delta <= 0`` or its draw is below
+    ``exp(-delta / t)``.  The couplings are per-variable neighbour lists, so an
+    accepted flip updates only the flipped variable's neighbours: memory and
+    the cost of a sweep grow with the number of terms, not with n**2.  For a
+    given seed the trajectories are those of the earlier dense-matrix kernel.
+    Returns the best assignment over all restarts with its energy.
     """
-    if q.num_vars == 0:
+    n = q.num_vars
+    if n == 0:
         return (), q.offset
     rng = np.random.default_rng(seed)
-    l, u = q._dense_terms()
-    coupling = u + u.T
-    local_bound = np.abs(l) + np.abs(coupling).sum(axis=1)
+    lin = [0.0] * n
+    for i, c in q.linear.items():
+        lin[i] = float(c)
+    neighbours: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (i, j), c in q.quadratic.items():
+        neighbours[i].append((j, float(c)))
+        neighbours[j].append((i, float(c)))
     if t_hot is None:
-        t_hot = max(1.0, float(local_bound.max()))
+        t_hot = max(
+            1.0, max(abs(lin[i]) + sum(abs(c) for _, c in neighbours[i]) for i in range(n))
+        )
     lo, hi = (0.0, 1.0) if q.domain == BINARY else (-1.0, 1.0)
-    temps = t_hot * (t_cold / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))
+    span = lo + hi  # a flip from v to span - v changes it by span - 2v, exactly
+    temps = (t_hot * (t_cold / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))).tolist()
+    exp = math.exp
 
-    best_state: np.ndarray | None = None
+    best_state: list[float] | None = None
     best_energy = math.inf
-    n = q.num_vars
     for _ in range(max(1, restarts)):
-        state = np.where(rng.random(n) < 0.5, lo, hi)
-        field_vec = l + coupling @ state
-        energy = float(q.energies(state[None, :])[0])
+        state = [lo if draw < 0.5 else hi for draw in rng.random(n).tolist()]
+        field = [
+            lin[i] + sum(c * state[j] for j, c in nbrs) for i, nbrs in enumerate(neighbours)
+        ]
+        energy = q.energy(state)
         for t in temps:
-            accept_draws = rng.random(n)
-            for i in range(n):
-                old = state[i]
-                new = hi if old == lo else lo
-                delta = (new - old) * field_vec[i]
-                if delta <= 0.0 or accept_draws[i] < math.exp(-delta / t):
-                    state[i] = new
+            for i, draw in enumerate(rng.random(n).tolist()):
+                step = span - 2.0 * state[i]
+                delta = step * field[i]
+                if delta <= 0.0 or draw < exp(-delta / t):
+                    state[i] += step
                     energy += delta
-                    field_vec += (new - old) * coupling[:, i]
+                    for j, c in neighbours[i]:
+                        field[j] += step * c
         if energy < best_energy - COEFF_TOL:
             best_energy = energy
-            best_state = state.copy()
+            best_state = state
     assert best_state is not None
     result = tuple(int(v) for v in best_state)
     return result, q.energy(result)

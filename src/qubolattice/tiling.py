@@ -61,9 +61,29 @@ class TilePlan:
             if self.grid[r][c] == tag
         }
 
-    def region_with_crossings(self, v: int) -> set[tuple[int, int]]:
-        """Vertex tiles plus the crossing tiles its chain passes through."""
-        out = self.vertex_tiles(v)
+    def tiles_by_vertex(self) -> list[set[tuple[int, int]]]:
+        """`vertex_tiles(v)` for every vertex, from one scan of the grid.
+
+        Each set is filled in the same row-major order, so it iterates in the
+        same order as `vertex_tiles(v)`.
+        """
+        out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_vertices)]
+        index = {f"v{v}": tiles for v, tiles in enumerate(out)}
+        for r in range(self.rows):
+            for c in range(self.cols):
+                tiles = index.get(self.grid[r][c])
+                if tiles is not None:
+                    tiles.add((r, c))
+        return out
+
+    def region_with_crossings(
+        self, v: int, tiles: set[tuple[int, int]] | None = None
+    ) -> set[tuple[int, int]]:
+        """Vertex tiles plus the crossing tiles its chain passes through.
+
+        `tiles`, when given, is v's `vertex_tiles`; it is copied, not changed.
+        """
+        out = self.vertex_tiles(v) if tiles is None else set(tiles)
         for tile, (hv, vv) in self.crossing_passes.items():
             if hv == v or vv == v:
                 out.add(tile)
@@ -474,8 +494,9 @@ def stitch(
                 if side in sides:
                     planner.claim(cell, side, track, v * tiles.q + color)
 
+    tiles_of = plan.tiles_by_vertex()
     for v in range(plan.num_vertices):
-        for tile in plan.vertex_tiles(v):
+        for tile in tiles_of[v]:
             claim_colors(v, tile, "sr")
     for tile, (hv, vv) in plan.crossing_passes.items():
         claim_colors(hv, tile, "s")
@@ -487,7 +508,7 @@ def stitch(
     physical = Qubo(SPIN, len(order), var_names=[str(p) for p in order])
 
     for v in range(plan.num_vertices):
-        for tile in sorted(plan.vertex_tiles(v)):
+        for tile in sorted(tiles_of[v]):
             _instantiate(physical, pos, graph, planner, tiles.vertex_tile, {"a": origin(tile)})
 
     # chains between adjacent tiles that both conduct the vertex on that axis
@@ -495,7 +516,7 @@ def stitch(
         ("h", 0, 1, tiles.chain_horizontal), ("v", 1, 0, tiles.chain_vertical)
     )
     for v in range(plan.num_vertices):
-        for (r, c) in sorted(plan.region_with_crossings(v)):
+        for (r, c) in sorted(plan.region_with_crossings(v, tiles_of[v])):
             for axis, dr, dc, template in chain_templates:
                 nxt = (r + dr, c + dc)
                 if plan.conducts((r, c), v, axis) and plan.conducts(nxt, v, axis):

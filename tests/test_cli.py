@@ -123,6 +123,22 @@ class TestEmbedValidate:
         assert code == 0
         assert doc["scale"] <= 1.0
 
+    def test_solve_minimizes_the_noisy_solver_qubo(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", INSTANCES["coloring"])
+        code, embedded = run(capsys, "embed", inst, "--strategy", "tiles", "--noise", "3.0",
+                             "--seed", "1")
+        assert code == 0
+        code, result = run(capsys, "solve", write(tmp_path, "emb.json", embedded),
+                           "--solver", "brute")
+        noisy = brute_force(qubo_from_doc(embedded["solver_qubo"]))
+        physical = qubo_from_doc(embedded["physical_qubo"])
+        state = noisy.ground_states[0]
+        if physical.domain != SPIN:
+            state = binary_assignment(state)
+        assert result["solver_energy"] == noisy.ground_energy
+        assert result["energy"] == physical.energy(state)
+        assert result["energy"] != result["solver_energy"]
+
 
     def test_validate_without_embedding_is_document_error(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"unary": {"n": 4}})

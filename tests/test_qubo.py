@@ -1,6 +1,7 @@
 """Core objective representation, transforms, and solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubolattice import qubo as qubo_module
+from qubolattice.hamcycle import HamcycleInstance, build_tileable_hamcycle
+from qubolattice.numpart import PartitionInstance, embed_numpart
 from qubolattice.qubo import (
     BINARY,
     COEFF_TOL,
@@ -373,6 +376,68 @@ class TestAnneal:
         a = anneal_solve(q, sweeps=50, restarts=3, seed=5)
         b = anneal_solve(q, sweeps=50, restarts=3, seed=5)
         assert a == b
+
+    # (case, anneal_solve keywords, energy, returned state with 1 for value 1
+    # and 0 for the other value), recorded from the dense-matrix kernel.  A
+    # kernel that changes one accept decision, the draw order or the schedule
+    # changes these states.  They depend on numpy's PCG64 stream.
+    GOLDEN = [
+        ("spin", dict(sweeps=6, restarts=3, seed=7), -35.95238095238094,
+         "101100001000101001011010"),
+        ("binary", dict(sweeps=6, restarts=3, seed=8, t_hot=2.5), -10.709523809523807,
+         "100111011101101101001110"),
+        ("triangle", dict(sweeps=30, restarts=2, seed=9), 0.0,
+         "010001100100100000100000110100000"),
+        ("partition", dict(sweeps=3, restarts=2, seed=10), 3475.0344975687294,
+         "000000000110000000000000101100000000011001100110000010111011101100000100"
+         "010000000111000000000000110111001000100010100011000000010000000111011101"
+         "110001010011010100001000110000000000000010000000000000001000110010001110"
+         "111010001111001000000000000000000000011000000111000001000000100000000000"
+         "010100110001000100010000000100010001000000000000001000010100000001010101"
+         "010100000001010000110110101101101011010000110100111010000101010101010101"
+         "010110100101100110111101101000101010101010101100111000111101101101000101"
+         "000101010001100100000010001101110001001010100001100000000000"),
+    ]
+
+    @staticmethod
+    def golden_qubo(case):
+        if case == "triangle":
+            return build_tileable_hamcycle(HamcycleInstance(((0, 1), (1, 2), (0, 2)))).qubo
+        if case == "partition":
+            return embed_numpart(PartitionInstance((3, 5, 7, 2, 4, 1)), J=4).physical
+        # non-dyadic coefficients, so sums round as they would on real data
+        domain = SPIN if case == "spin" else BINARY
+        rng = np.random.default_rng(101 if case == "spin" else 102)
+        q = Qubo(domain, 24)
+        for i in range(24):
+            q.add_linear(i, int(rng.integers(-9, 10)) / 7)
+            for j in range(i + 1, 24):
+                if rng.random() < 0.4:
+                    q.add_quadratic(i, j, int(rng.integers(-9, 10)) / 10)
+        q.add_offset(1 / 3)
+        return q
+
+    @pytest.mark.parametrize("case, kwargs, energy, bits", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_golden_trajectories(self, case, kwargs, energy, bits):
+        state, got = anneal_solve(self.golden_qubo(case), **kwargs)
+        assert "".join("1" if v == 1 else "0" for v in state) == bits
+        assert got == energy
+
+    def test_sparse_chain_has_no_dense_couplings(self):
+        # a dense n x n float64 coupling matrix alone would be 32 MB here
+        n = 2000
+        q = Qubo(SPIN, n)
+        for i in range(n - 1):
+            q.add_quadratic(i, i + 1, -1.0)
+        q.add_linear(0, 0.5)
+        tracemalloc.start()
+        try:
+            _, energy = anneal_solve(q, sweeps=2, restarts=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy >= -(n - 1) - 0.5
+        assert peak < 8 * 2**20
 
 
 class TestBuilderAndDocs:
