@@ -199,8 +199,8 @@ def cmd_solve(args) -> int:
     if embedded is not None:
         logical_state, broken = unembed(embedded, best)
         result["broken_chains"] = broken
-        if embedded.logical.domain == "spin":
-            logical_state = tuple((s + 1) // 2 for s in logical_state)
+        if embedded.logical.domain == SPIN:
+            logical_state = binary_assignment(logical_state)
     result["logical"] = list(logical_state)
     feasible = abs(energy) <= 1e-6
     if inst is not None:

@@ -22,7 +22,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .qubo import BINARY, Qubo
+from .qubo import BINARY, Qubo, substitute
 
 
 class EmbeddingError(ValueError):
@@ -410,28 +410,18 @@ class EmbeddedQubo:
         logical-space objective whose energies agree with the physical one on
         all chain-intact states.
         """
-        owners: dict[int, int] = {}
-        for v, chain in self.embedding.chains.items():
-            for p in chain:
-                owners[self.position_of[p]] = v
+        image = {
+            self.position_of[p]: (0.0, 1.0, v)
+            for v, chain in self.embedding.chains.items()
+            for p in chain
+        }
         out = Qubo(
             self.physical.domain,
             self.logical.num_vars,
-            self.physical.offset,
+            -0.0,
             var_names=list(self.logical.var_names) if self.logical.var_names else None,
         )
-        for k, c in self.physical.linear.items():
-            out.add_linear(owners[k], c)
-        for (k1, k2), c in self.physical.quadratic.items():
-            v1, v2 = owners[k1], owners[k2]
-            if v1 == v2:
-                # intra-chain coupler: x*x = x (binary) or s*s = 1 (spin)
-                if self.physical.domain == BINARY:
-                    out.add_linear(v1, c)
-                else:
-                    out.add_offset(c)
-            else:
-                out.add_quadratic(v1, v2, c)
+        substitute(self.physical, out, image)
         return out
 
 

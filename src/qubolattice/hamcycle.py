@@ -383,8 +383,9 @@ def _assign_edge_tiles(plan: TilePlan, edges):
     """One adjacent tile pair per edge, every tile hosting at most one edge."""
     busy: set[tuple[int, int]] = set()
     chosen: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+    tiles_of = plan.tiles_by_vertex()
     for u, v in sorted({tuple(sorted(e)) for e in edges}):
-        for pair in _edge_tile_pairs(plan, u, v):
+        for pair in _edge_tile_pairs(tiles_of[u], tiles_of[v]):
             if pair[0] not in busy and pair[1] not in busy:
                 chosen[(u, v)] = pair
                 busy.update(pair)
@@ -439,7 +440,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
         else:
             planner.arm(name, origin(tile), slot, axis, 0, hi)
 
-    regions = {v: sorted(plan.vertex_tiles(v)) for v in range(n)}
+    regions = {v: sorted(tiles) for v, tiles in enumerate(plan.tiles_by_vertex())}
     partner_of: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
     for (u, v), (t1, t2) in edge_tiles.items():
         for mine, theirs in ((t1, t2), (t2, t1)):

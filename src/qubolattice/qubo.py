@@ -11,6 +11,7 @@ annealing, coupling normalization, hardware-noise modeling) lives here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -224,19 +225,51 @@ def evaluate(q: Qubo, assignment: Sequence[float]) -> float:
     return q.energy(assignment)
 
 
+def substitute(
+    q: Qubo,
+    out: Qubo,
+    image: Sequence[tuple[float, float, int]] | Mapping[int, tuple[float, float, int]],
+) -> None:
+    """Add `q` to `out` with each x_i replaced by a + b * y_k, (a, b, k) = image[i].
+
+    b = 0 makes x_i the constant a; a relabel or affine image with a = 0 has
+    no constant part.  A product y_k * y_k reduces by `out`'s domain (y_k for
+    binary, 1 for spin).  Each term adds its constant part, then its y parts,
+    then its product, skipping parts that are zero, so multipliers of 1/2,
+    +-1 and 2 reproduce every coefficient bit for bit.  An `out` started at
+    offset -0.0, the exact additive identity, receives `q.offset` unchanged.
+    """
+    out.add_offset(q.offset)
+    for i, c in q.linear.items():
+        a, b, k = image[i]
+        if a or not b:
+            out.add_offset(c * a)
+        if b:
+            out.add_linear(k, c * b)
+    for (i, j), c in q.quadratic.items():
+        ai, bi, ki = image[i]
+        aj, bj, kj = image[j]
+        if (ai or not bi) and (aj or not bj):
+            out.add_offset(c * ai * aj)
+        if bi and aj:
+            out.add_linear(ki, c * bi * aj)
+        if ai and bj:
+            out.add_linear(kj, c * ai * bj)
+        if bi and bj:
+            if ki != kj:
+                out.add_quadratic(ki, kj, c * bi * bj)
+            elif out.domain == BINARY:
+                out.add_linear(ki, c * bi * bj)
+            else:
+                out.add_offset(c * bi * bj)
+
+
 def to_spin(q: Qubo) -> Qubo:
     """Rewrite a binary objective over spins via x = (1 + s) / 2."""
     if q.domain != BINARY:
         raise QuboError("to_spin expects a binary-domain qubo")
-    out = Qubo(SPIN, q.num_vars, q.offset, var_names=list(q.var_names) if q.var_names else None)
-    for i, c in q.linear.items():
-        out.add_offset(c / 2.0)
-        out.add_linear(i, c / 2.0)
-    for (i, j), c in q.quadratic.items():
-        out.add_offset(c / 4.0)
-        out.add_linear(i, c / 4.0)
-        out.add_linear(j, c / 4.0)
-        out.add_quadratic(i, j, c / 4.0)
+    out = Qubo(SPIN, q.num_vars, -0.0, var_names=list(q.var_names) if q.var_names else None)
+    substitute(q, out, [(0.5, 0.5, i) for i in range(q.num_vars)])
     return out
 
 
@@ -244,15 +277,8 @@ def to_binary(q: Qubo) -> Qubo:
     """Rewrite a spin objective over bits via s = 2x - 1."""
     if q.domain != SPIN:
         raise QuboError("to_binary expects a spin-domain qubo")
-    out = Qubo(BINARY, q.num_vars, q.offset, var_names=list(q.var_names) if q.var_names else None)
-    for i, c in q.linear.items():
-        out.add_offset(-c)
-        out.add_linear(i, 2.0 * c)
-    for (i, j), c in q.quadratic.items():
-        out.add_offset(c)
-        out.add_linear(i, -2.0 * c)
-        out.add_linear(j, -2.0 * c)
-        out.add_quadratic(i, j, 4.0 * c)
+    out = Qubo(BINARY, q.num_vars, -0.0, var_names=list(q.var_names) if q.var_names else None)
+    substitute(q, out, [(-1.0, 2.0, i) for i in range(q.num_vars)])
     return out
 
 
@@ -308,19 +334,13 @@ def _code_rows(start: int, stop: int, num_vars: int, domain: str) -> np.ndarray:
     return 2 * bits - 1 if domain == SPIN else bits
 
 
-def _iter_state_blocks(num_vars: int, domain: str) -> Iterable[np.ndarray]:
-    total = 1 << num_vars
-    for start in range(0, total, _BLOCK):
-        yield _code_rows(start, min(start + _BLOCK, total), num_vars, domain)
-
-
 #: One batch of states: their energies, and `pick(idx)` giving the rows at
 #: positions `idx` together with their exact `Qubo.energies`.
 Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
 
 
 def _explicit_batch(q: Qubo, rows: np.ndarray) -> Batch:
-    energies = q.energies(rows) if len(rows) else np.empty(0)
+    energies = q.energies(rows)
     return energies, lambda idx: (rows[idx], energies[idx])
 
 
@@ -366,8 +386,6 @@ def _spectrum_from_batches(batches: Iterable[Batch], tol: float, slack: float = 
     running = math.inf
     kept: list[tuple[float, tuple[int, ...]]] = []
     for energies, pick in batches:
-        if len(energies) == 0:
-            continue
         running = min(running, float(energies.min()))
         near = energies <= running + tol + slack
         idx = np.flatnonzero(near)
@@ -409,13 +427,22 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
 
 
 def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = COEFF_TOL) -> Spectrum:
-    """Exact spectrum restricted to an explicit collection of assignments."""
-    rows = [tuple(int(v) for v in s) for s in states]
-    if not rows:
-        raise QuboError("empty subspace: no states to take a spectrum over")
-    arr = np.asarray(rows, dtype=np.int8)
-    batches = (_explicit_batch(q, arr[start : start + _BLOCK]) for start in range(0, len(rows), _BLOCK))
-    return _spectrum_from_batches(batches, tol)
+    """Exact spectrum restricted to an explicit collection of assignments.
+
+    The states are read `_BLOCK` rows at a time, so a generator of any length
+    is never held in memory.
+    """
+    def batches():
+        it = iter(states)
+        while True:
+            rows = np.asarray(
+                [tuple(map(int, s)) for s in itertools.islice(it, _BLOCK)], dtype=np.int8
+            )
+            if not len(rows):
+                return
+            yield _explicit_batch(q, rows)
+
+    return _spectrum_from_batches(batches(), tol)
 
 
 def restricted_gap(
@@ -428,28 +455,20 @@ def restricted_gap(
     """Spectrum restricted to a subspace.
 
     The subspace is either an explicit iterable of assignments (`states`) or
-    the subset of the full state space satisfying `predicate`.
+    the subset of the full state space satisfying `predicate`, visited in code
+    order (bit i of the code is variable i).
     """
-    if states is not None:
-        return spectrum_of_states(q, states, tol)
-    if predicate is None:
-        raise QuboError("restricted_gap needs a predicate or a state generator")
-    if q.num_vars > cap:
-        raise QuboError(
-            f"restricted_gap refused: {q.num_vars} variables exceed cap {cap} "
-            "and no state generator was given"
-        )
-
-    def batches():
-        for block in _iter_state_blocks(q.num_vars, q.domain):
-            keep = np.fromiter(
-                (predicate(tuple(int(v) for v in row)) for row in block),
-                dtype=bool,
-                count=len(block),
+    if states is None:
+        if predicate is None:
+            raise QuboError("restricted_gap needs a predicate or a state generator")
+        if q.num_vars > cap:
+            raise QuboError(
+                f"restricted_gap refused: {q.num_vars} variables exceed cap {cap} "
+                "and no state generator was given"
             )
-            yield _explicit_batch(q, block[keep])
-
-    return _spectrum_from_batches(batches(), tol)
+        codes = itertools.product(q._domain_values(), repeat=q.num_vars)
+        states = filter(predicate, (code[::-1] for code in codes))
+    return spectrum_of_states(q, states, tol)
 
 
 def clamp(q: Qubo, assignments: Mapping[int | str, int]) -> Qubo:
@@ -458,7 +477,7 @@ def clamp(q: Qubo, assignments: Mapping[int | str, int]) -> Qubo:
     Keys may be indices or variable names.  The energy function over the
     remaining free variables is unchanged.
     """
-    fixed: dict[int, int] = {}
+    image: dict[int, tuple[float, float, int]] = {}
     lo, hi = (0, 1) if q.domain == BINARY else (-1, 1)
     for key, value in assignments.items():
         idx = q.index_of(key) if isinstance(key, str) else int(key)
@@ -466,26 +485,12 @@ def clamp(q: Qubo, assignments: Mapping[int | str, int]) -> Qubo:
             raise QuboError(f"unknown variable {key!r}")
         if value != lo and value != hi:
             raise QuboError(f"clamp value {value!r} outside domain {q.domain}")
-        fixed[idx] = int(value)
-    keep = [i for i in range(q.num_vars) if i not in fixed]
-    remap = {old: new for new, old in enumerate(keep)}
+        image[idx] = (int(value), 0.0, 0)
+    keep = [i for i in range(q.num_vars) if i not in image]
+    image.update((old, (0.0, 1.0, new)) for new, old in enumerate(keep))
     names = [q.name_of(i) for i in keep] if q.var_names is not None else None
-    out = Qubo(q.domain, len(keep), q.offset, var_names=names)
-    for i, c in q.linear.items():
-        if i in fixed:
-            out.add_offset(c * fixed[i])
-        else:
-            out.add_linear(remap[i], c)
-    for (i, j), c in q.quadratic.items():
-        fi, fj = i in fixed, j in fixed
-        if fi and fj:
-            out.add_offset(c * fixed[i] * fixed[j])
-        elif fi:
-            out.add_linear(remap[j], c * fixed[i])
-        elif fj:
-            out.add_linear(remap[i], c * fixed[j])
-        else:
-            out.add_quadratic(remap[i], remap[j], c)
+    out = Qubo(q.domain, len(keep), -0.0, var_names=names)
+    substitute(q, out, image)
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .embedding import EmbeddedQubo, MinorEmbedding, SlotPlanner, embed_qubo
 from .lattice import LatticeSpec, chimera_spec, detect_chimera
-from .qubo import SPIN, Qubo, QuboBuilder
+from .qubo import SPIN, Qubo, QuboBuilder, substitute
 
 VERTEX, CROSSING, EMPTY = "v", "x", "-"
 
@@ -104,8 +104,8 @@ class TilePlan:
         return self.role(*tile) == f"v{v}"
 
 
-def _region_connected(plan: TilePlan, v: int) -> bool:
-    tiles = plan.region_with_crossings(v)
+def _region_connected(plan: TilePlan, v: int, own: set[tuple[int, int]]) -> bool:
+    tiles = plan.region_with_crossings(v, own)
     if not tiles:
         return False
     start = min(tiles)
@@ -126,10 +126,10 @@ def _region_connected(plan: TilePlan, v: int) -> bool:
 def validate_plan(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> list[str]:
     """Structural checks; returns a list of violation strings."""
     problems: list[str] = []
-    for v in range(plan.num_vertices):
-        if not plan.vertex_tiles(v):
+    for v, tiles in enumerate(plan.tiles_by_vertex()):
+        if not tiles:
             problems.append(f"vertex {v} has no tile")
-        elif not _region_connected(plan, v):
+        elif not _region_connected(plan, v, tiles):
             problems.append(f"vertex {v} region disconnected")
     for tile, (hv, vv) in plan.crossing_passes.items():
         r, c = tile
@@ -159,10 +159,9 @@ def validate_plan(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> list[str]
 
 
 def _edge_tile_pairs(
-    plan: TilePlan, u: int, v: int
+    tu: set[tuple[int, int]], tv: set[tuple[int, int]]
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Sorted adjacent tile pairs, one tile of u and one of v, for edge (u, v)."""
-    tu, tv = plan.vertex_tiles(u), plan.vertex_tiles(v)
+    """Sorted adjacent tile pairs, one of u's tiles `tu` and one of v's `tv`."""
     return sorted(
         {
             tuple(sorted(((r, c), nxt)))
@@ -174,8 +173,10 @@ def _edge_tile_pairs(
 
 
 def _assign_realizations(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> None:
+    tiles_of = dict(enumerate(plan.tiles_by_vertex()))
     for u, v in sorted({tuple(sorted(e)) for e in edges}):
-        candidates = _edge_tile_pairs(plan, u, v)
+        # an edge may name a vertex the plan does not have; it has no tiles
+        candidates = _edge_tile_pairs(tiles_of.get(u, set()), tiles_of.get(v, set()))
         if not candidates:
             raise TilingError(f"no adjacent tile pair realizes edge ({u}, {v})")
         plan.adjacency_realization[(u, v)] = candidates[0]
@@ -451,15 +452,11 @@ def _instantiate(
     template: Qubo,
     origins: Mapping[str, tuple[int, int]],
 ) -> None:
-    at = []
+    image = []
     for name in template.var_names:
         cell, side, track = _slot(name, origins)
-        at.append(pos[graph.vertex(*cell, planner.role(side, track))])
-    physical.add_offset(template.offset)
-    for i, c in template.linear.items():
-        physical.add_linear(at[i], c)
-    for (i, j), c in template.quadratic.items():
-        physical.add_quadratic(at[i], at[j], c)
+        image.append((0.0, 1.0, pos[graph.vertex(*cell, planner.role(side, track))]))
+    substitute(template, physical, image)
 
 
 def stitch(
@@ -589,16 +586,13 @@ def supertile_compose(
     q1, q2 = e1.logical, e2.logical
     if q1.domain != q2.domain:
         raise TilingError("logical domains differ")
-    combined = Qubo(q1.domain, q1.num_vars + q2.num_vars, q1.offset + q2.offset)
+    combined = Qubo(q1.domain, q1.num_vars + q2.num_vars, -0.0)
     combined.var_names = [f"x{i}" for i in range(q1.num_vars)] + [
         f"y{i}" for i in range(q2.num_vars)
     ]
     off = q1.num_vars
     for k, q in ((0, q1), (off, q2)):
-        for i, c in q.linear.items():
-            combined.add_linear(k + i, c)
-        for (i, j), c in q.quadratic.items():
-            combined.add_quadratic(k + i, k + j, c)
+        substitute(q, combined, [(0.0, 1.0, k + i) for i in range(q.num_vars)])
 
     # bridge the requested couplings through upper-right off-diagonal squares
     chains1, chains2 = e1.embedding.chains, e2.embedding.chains
@@ -641,34 +635,3 @@ def _track_into_bridge(planner: SlotPlanner, var: str, cell: tuple[int, int], si
             planner.claim(cell, side, t, var)
             return t
     raise TilingError(f"no free {side} track in cell {cell}")
-
-
-# ---------------------------------------------------------------------------
-# documents
-
-
-def plan_to_doc(plan: TilePlan) -> dict:
-    return {
-        "tile_side": plan.tile_side,
-        "grid": [list(row) for row in plan.grid],
-        "edges": [
-            [u, v, list(t1), list(t2)]
-            for (u, v), (t1, t2) in sorted(plan.adjacency_realization.items())
-        ],
-        "crossings": [
-            [list(tile), hv, vv] for tile, (hv, vv) in sorted(plan.crossing_passes.items())
-        ],
-    }
-
-
-def plan_from_doc(doc: Mapping) -> TilePlan:
-    grid = [list(row) for row in doc["grid"]]
-    n = 1 + max(
-        (int(tag[1:]) for row in grid for tag in row if tag.startswith("v")), default=0
-    )
-    plan = TilePlan(int(doc["tile_side"]), grid, n)
-    for tile, hv, vv in doc.get("crossings", []):
-        plan.crossing_passes[tuple(tile)] = (int(hv), int(vv))
-    for u, v, t1, t2 in doc.get("edges", []):
-        plan.adjacency_realization[(int(u), int(v))] = (tuple(t1), tuple(t2))
-    return plan

@@ -1,5 +1,7 @@
 """Core objective representation, transforms, and solvers."""
 
+import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubolattice import qubo as qubo_module
+from qubolattice.coloring import ColoringInstance, compile_coloring
 from qubolattice.hamcycle import HamcycleInstance, build_tileable_hamcycle
 from qubolattice.numpart import PartitionInstance, embed_numpart
 from qubolattice.qubo import (
@@ -30,6 +33,7 @@ from qubolattice.qubo import (
     qubo_to_doc,
     restricted_gap,
     spectrum_of_states,
+    substitute,
     to_binary,
     to_spin,
 )
@@ -318,6 +322,95 @@ class TestRestricted:
     def test_empty_subspace_errors(self):
         with pytest.raises(QuboError):
             restricted_gap(one_hot_pair(), predicate=lambda s: False)
+
+    def test_states_are_streamed(self):
+        # 2**19 states over 20 variables, x0 = 0 in all of them; a list of
+        # them alone would take over 100 MB
+        q = random_qubo(np.random.default_rng(5), 20)
+        states = itertools.islice(itertools.product((0, 1), repeat=20), 1 << 19)
+        tracemalloc.start()
+        try:
+            spec = spectrum_of_states(q, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = brute_force(clamp(q, {0: 0}))
+        assert spec.ground_energy == pytest.approx(ref.ground_energy, abs=COEFF_TOL)
+        assert spec.state_count_at_ground == ref.state_count_at_ground
+        assert peak < 40 * 2**20
+
+
+@st.composite
+def substitutions(draw):
+    """A QUBO, an empty output and an image of constants and affine maps.
+
+    Each non-constant image maps the output domain onto the QUBO's domain,
+    increasing or decreasing; with at most three output variables, several
+    inputs often land on one (a merge).
+    """
+    q = Qubo(draw(st.sampled_from([BINARY, SPIN])), draw(st.integers(1, 6)))
+    out = Qubo(draw(st.sampled_from([BINARY, SPIN])), draw(st.integers(1, 3)))
+    coeff = st.integers(-6, 6).map(lambda k: k / 3)
+    q.add_offset(draw(coeff))
+    for i in range(q.num_vars):
+        q.add_linear(i, draw(coeff))
+        for j in range(i + 1, q.num_vars):
+            q.add_quadratic(i, j, draw(coeff))
+    lo, hi = q._domain_values()
+    ylo, yhi = out._domain_values()
+    image = []
+    for _ in range(q.num_vars):
+        kind = draw(st.sampled_from(["constant", "up", "down"]))
+        if kind == "constant":
+            image.append((draw(st.sampled_from([lo, hi])), 0.0, 0))
+            continue
+        x0, x1 = (lo, hi) if kind == "up" else (hi, lo)
+        b = (x1 - x0) / (yhi - ylo)
+        image.append((x0 - b * ylo, b, draw(st.integers(0, out.num_vars - 1))))
+    return q, out, image
+
+
+def terms_digest(*qubos: Qubo) -> str:
+    """sha256 of each QUBO's terms in insertion order, coefficients as float.hex."""
+    h = hashlib.sha256()
+    for q in qubos:
+        linear = [(i, c.hex()) for i, c in q.linear.items()]
+        quadratic = [(i, j, c.hex()) for (i, j), c in q.quadratic.items()]
+        h.update(repr((q.domain, q.num_vars, q.offset.hex(), linear, quadratic)).encode())
+    return h.hexdigest()
+
+
+class TestSubstitute:
+    @settings(max_examples=200, deadline=None)
+    @given(substitutions())
+    def test_energy_is_the_energy_at_the_image(self, case):
+        q, out, image = case
+        substitute(q, out, image)
+        for y in itertools.product(out._domain_values(), repeat=out.num_vars):
+            x = [a + b * y[k] for a, b, k in image]
+            assert out.energy(y) == pytest.approx(q.energy(x), abs=1e-9)
+
+    def test_golden_rewrites(self):
+        # term order and coefficient bits of the rewrites, recorded before
+        # they shared one substitution rule
+        q = Qubo(BINARY, 8, 1 / 3, var_names=[f"x{i}" for i in range(8)])
+        for i in range(8):
+            q.add_linear(i, (i - 3.5) / 3)
+            for j in range(i + 1, 8):
+                if (i + 2 * j) % 3:
+                    q.add_quadratic(i, j, ((i * j) % 7 - 3) / 10)
+        s = to_spin(q)
+        e = compile_coloring(ColoringInstance(((0, 1), (1, 2)), 3))
+        rewrites = (
+            to_binary(s),
+            clamp(q, {"x1": 1, 4: 0}),
+            clamp(s, {2: -1, "x6": 1}),
+            e.physical,
+            e.chain_intact_qubo(),
+        )
+        assert terms_digest(q, s, *rewrites) == (
+            "0e47fc0c331044a5d2cfb8148fec92133932b240a4afcc35c1ecfd43ceb01998"
+        )
 
 
 class TestClamp:

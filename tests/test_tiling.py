@@ -13,8 +13,6 @@ from qubolattice.tiling import (
     TilePlan,
     TilingError,
     crossing_tile_chimera,
-    plan_from_doc,
-    plan_to_doc,
     route_graph_to_tiles,
     stitch,
     supertile_compose,
@@ -65,14 +63,6 @@ class TestRouter:
     def test_self_loop_rejected(self):
         with pytest.raises(TilingError):
             route_graph_to_tiles([(1, 1)])
-
-    def test_plan_doc_round_trip(self):
-        plan = route_graph_to_tiles(k(5))
-        doc = plan_to_doc(plan)
-        back = plan_from_doc(doc)
-        assert back.grid == plan.grid
-        assert back.crossing_passes == plan.crossing_passes
-        assert back.adjacency_realization == plan.adjacency_realization
 
 
 class TestValidatePlan:
