@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 class CartoonError(ValueError):
@@ -58,8 +57,11 @@ def min_gap(N: int) -> tuple[float, float]:
     """Minimum gap over the schedule and where it occurs.
 
     Numeric minimization, polished against the midpoint candidate; the result
-    equals sqrt(2^-N) at s = 1/2 to within 1e-9.
+    equals sqrt(2^-N) at s = 1/2 to within 1e-9.  scipy is imported here, on
+    the first call, so importing the package does not load it.
     """
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda s: spectral_gap(N, s), bounds=(0.0, 1.0), method="bounded",
         options={"xatol": 1e-12},

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 infeasible or invalid, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import documents
@@ -277,7 +278,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser unchanged: each `parse_args` call fills a fresh
+    namespace from the defaults, so `main` can share one parser across calls.
+    """
     parser = argparse.ArgumentParser(
         prog="qubolattice",
         description="compile, embed, solve, and verify lattice QUBOs",

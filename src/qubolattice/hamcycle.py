@@ -522,7 +522,9 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
                 )
 
     for v in range(n):
-        _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan)
+        _wire_selector_chain(
+            planner, full_arms, segment, inst, v, n, edge_tiles, plan, regions[v]
+        )
 
     emb = planner.to_embedding(tq.qubo.index_of, choose_alpha(tq.qubo), L=ell * plan.grid_side)
     return embed_qubo(tq.qubo, emb)
@@ -584,18 +586,18 @@ def _region_trees(plan, regions, partner_of):
     return out
 
 
-def _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan):
+def _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan, own):
     """Route selector (and accumulator) chains between a vertex's edge tiles.
 
     Chains travel on free aux-slot arms along breadth- or depth-first tile
     paths through the vertex's tiles and the crossings it passes, and finish
     with an entry segment inside the destination tile, where the caterpillar
-    couplings land on perpendicular arms.
+    couplings land on perpendicular arms.  `own` holds v's tiles.
     """
     nbrs = inst.neighbors(v)
     if len(nbrs) <= 1:
         return
-    tiles = plan.region_with_crossings(v)
+    tiles = plan.region_with_crossings(v, own)
 
     def search(a, b, avoid, order, depth_first):
         # depth-first takes the newest frontier tile and pushes neighbours in

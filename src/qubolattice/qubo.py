@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -430,16 +431,37 @@ def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = CO
     """Exact spectrum restricted to an explicit collection of assignments.
 
     The states are read `_BLOCK` rows at a time, so a generator of any length
-    is never held in memory.
+    is never held in memory.  Each block is checked at once: a state without
+    `num_vars` values, or with a value outside the domain, raises `QuboError`
+    naming the position of the first such state.
     """
+    lo, hi = q._domain_values()
+
     def batches():
         it = iter(states)
-        while True:
-            rows = np.asarray(
-                [tuple(map(int, s)) for s in itertools.islice(it, _BLOCK)], dtype=np.int8
-            )
-            if not len(rows):
+        for start in itertools.count(0, _BLOCK):
+            block = list(itertools.islice(it, _BLOCK))
+            if not block:
                 return
+            try:
+                rows = np.asarray(block)
+            except ValueError:  # states of unequal lengths
+                rows = None
+            if rows is None or rows.shape != (len(block), q.num_vars):
+                i = next((i for i, s in enumerate(block) if len(s) != q.num_vars), 0)
+                raise QuboError(
+                    f"state {start + i} has {len(block[i])} values, num_vars is {q.num_vars}"
+                )
+            bad = ((rows != lo) & (rows != hi)).any(axis=1)
+            if bad.any():
+                i = int(bad.argmax())
+                raise QuboError(
+                    f"state {start + i} {tuple(block[i])!r} has a value outside domain {q.domain}"
+                )
+            # hold only the int8 rows while they are evaluated: the tuples
+            # and the wide array take ten times their memory
+            del block
+            rows = rows.astype(np.int8)
             yield _explicit_batch(q, rows)
 
     return _spectrum_from_batches(batches(), tol)
@@ -474,13 +496,19 @@ def restricted_gap(
 def clamp(q: Qubo, assignments: Mapping[int | str, int]) -> Qubo:
     """Substitute constants for some variables and drop them.
 
-    Keys may be indices or variable names.  The energy function over the
-    remaining free variables is unchanged.
+    Keys may be integer indices (not bools) or variable names.  The energy
+    function over the remaining free variables is unchanged.
     """
     image: dict[int, tuple[float, float, int]] = {}
     lo, hi = (0, 1) if q.domain == BINARY else (-1, 1)
     for key, value in assignments.items():
-        idx = q.index_of(key) if isinstance(key, str) else int(key)
+        if isinstance(key, str):
+            idx = q.index_of(key)
+        else:
+            try:  # only true integers index; a float or a bool is no variable
+                idx = -1 if isinstance(key, bool) else operator.index(key)
+            except TypeError:
+                idx = -1
         if not 0 <= idx < q.num_vars:
             raise QuboError(f"unknown variable {key!r}")
         if value != lo and value != hi:

@@ -77,11 +77,11 @@ class TilePlan:
         return out
 
     def region_with_crossings(
-        self, v: int, tiles: set[tuple[int, int]] | None = None
+        self, v: int, tiles: Iterable[tuple[int, int]] | None = None
     ) -> set[tuple[int, int]]:
         """Vertex tiles plus the crossing tiles its chain passes through.
 
-        `tiles`, when given, is v's `vertex_tiles`; it is copied, not changed.
+        `tiles`, when given, holds v's `vertex_tiles`; it is copied, not changed.
         """
         out = self.vertex_tiles(v) if tiles is None else set(tiles)
         for tile, (hv, vv) in self.crossing_passes.items():

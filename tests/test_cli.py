@@ -1,11 +1,16 @@
 """CLI pipelines: round trips, exit codes, determinism."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
-from qubolattice.cli import main
+import qubolattice
+from qubolattice.cli import main, make_parser
 from qubolattice.documents import KINDS, dumps, instance_to_doc, loads, parse_instance
 from qubolattice.qubo import SPIN, binary_assignment, brute_force, qubo_from_doc
 
@@ -295,3 +300,75 @@ class TestRegistry:
         assert code == (0 if decoded["balanced"] else 1)
         assert decoded["broken_chains"] == result["broken_chains"]
         assert sorted(decoded["set_a"] + decoded["set_b"]) == [2, 2, 3, 3]
+
+
+def fresh_python(code, tmp_path):
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(qubolattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import qubolattice\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'package'\n"
+            "import qubolattice.cli\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'cli'\n"
+        )
+        proc = fresh_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_pipeline_runs_without_scipy(self, tmp_path):
+        # importing scipy raises ImportError in this interpreter
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from qubolattice.cli import main\n"
+            "codes = [\n"
+            "    main(['build', 'inst.json', '--out', 'built.json']),\n"
+            "    main(['embed', 'inst.json', '--out', 'emb.json']),\n"
+            "    main(['validate', 'emb.json', '--out', 'valid.json']),\n"
+            "    main(['solve', 'emb.json', '--solver', 'anneal', '--sweeps', '200',\n"
+            "          '--restarts', '2', '--out', 'solved.json']),\n"
+            "]\n"
+            "print(codes)\n"
+        )
+        write(tmp_path, "inst.json", INSTANCES["partition"])
+        proc = fresh_python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] in ("[0, 0, 0, 0]", "[0, 0, 0, 1]")
+        assert loads((tmp_path / "valid.json").read_text())["valid"] is True
+        solved = loads((tmp_path / "solved.json").read_text())
+        assert solved["solver"] == "anneal" and "decoded" in solved
+
+    def test_predict_cartoon_bytes(self, capsys):
+        # recorded before scipy's import moved into `min_gap`; N = 1's s_star
+        # is the minimizer's, one ulp below 1/2
+        expected = {
+            1: '{"N":1,"gap":0.7071067811865475,"s_star":0.49999999999999994,'
+               '"tau_linear":2.0,"tau_optimal":1.4142135623730951}\n',
+            2: '{"N":2,"gap":0.5,"s_star":0.5,"tau_linear":4.0,"tau_optimal":2.0}\n',
+            3: '{"N":3,"gap":0.3535533905932738,"s_star":0.5,"tau_linear":8.0,'
+               '"tau_optimal":2.8284271247461903}\n',
+            4: '{"N":4,"gap":0.24999999999999997,"s_star":0.5,"tau_linear":16.0,'
+               '"tau_optimal":4.0}\n',
+        }
+        for n, text in expected.items():
+            assert main(["predict", "cartoon", str(n)]) == 0
+            assert capsys.readouterr().out == text
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        assert make_parser() is make_parser()
+        inst = write(tmp_path, "inst.json", INSTANCES["partition"])
+        code, built = run(capsys, "build", inst)
+        built_path = write(tmp_path, "built.json", built)
+        code, result = run(capsys, "solve", built_path, "--seed", "5", "--cap", "24")
+        assert result["seed"] == 5
+        code, result = run(capsys, "solve", built_path, "--cap", "24")
+        assert result["seed"] == 0 and result["solver"] == "brute"

@@ -23,7 +23,7 @@ from qubolattice.hamcycle import (
     predicted_permutation_length,
 )
 from qubolattice.qubo import BINARY, QuboBuilder, anneal_solve, brute_force
-from qubolattice.tiling import route_graph_to_tiles
+from qubolattice.tiling import TilePlan, route_graph_to_tiles
 
 
 class TestICQubo:
@@ -260,6 +260,22 @@ class TestTileableEmbedding:
             e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)
         )
         assert report.ok, report.summary()
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+            ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)),
+        ],
+    )
+    def test_embedding_reads_the_grid_once(self, edges, monkeypatch):
+        # every vertex's tiles come from one `tiles_by_vertex` scan
+        def rescan(plan, v):
+            raise AssertionError(f"vertex_tiles({v}) rescans the grid")
+
+        monkeypatch.setattr(TilePlan, "vertex_tiles", rescan)
+        e = embed_tileable_hamcycle(HamcycleInstance(edges))
+        assert validate(e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)).ok
 
     def test_size_formula_paper_point(self):
         assert predicted_hamcycle_length(45, 7, "tileable") == pytest.approx(490.0)

@@ -340,6 +340,36 @@ class TestRestricted:
         assert peak < 40 * 2**20
 
 
+class TestStateChecks:
+    def spin_pair(self):
+        q = Qubo(SPIN, 2)
+        q.add_quadratic(0, 1, 1.0)
+        return q
+
+    def test_value_outside_domain_is_named(self):
+        with pytest.raises(QuboError, match=r"state 1 \(2, 1\) has a value outside domain spin"):
+            spectrum_of_states(self.spin_pair(), [(-1, 1), (2, 1)])
+        with pytest.raises(QuboError, match="state 0 .* outside domain spin"):
+            spectrum_of_states(self.spin_pair(), [(0, 0), (2, 1)])
+        with pytest.raises(QuboError, match="state 2 .* outside domain binary"):
+            restricted_gap(one_hot_pair(), states=[(0, 1), (1, 0), (0, -1)])
+
+    def test_wrong_length_is_named(self):
+        with pytest.raises(QuboError, match="state 1 has 3 values, num_vars is 2"):
+            spectrum_of_states(self.spin_pair(), [(1, 1), (1, 1, 1), (1, -1)])
+        with pytest.raises(QuboError, match="state 0 has 1 values, num_vars is 2"):
+            spectrum_of_states(self.spin_pair(), [(1,), (-1,)])
+
+    def test_positions_count_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(qubo_module, "_BLOCK", 2)
+        states = [(1, 1), (-1, 1), (1, -1), (-1, -1), (1, 0)]
+        with pytest.raises(QuboError, match=r"state 4 \(1, 0\)"):
+            spectrum_of_states(self.spin_pair(), states)
+        spec = spectrum_of_states(self.spin_pair(), states[:4])
+        assert spec.ground_energy == -1.0
+        assert spec.ground_states == [(-1, 1), (1, -1)]
+
+
 @st.composite
 def substitutions(draw):
     """A QUBO, an empty output and an image of constants and affine maps.
@@ -434,6 +464,15 @@ class TestClamp:
     def test_unknown_variable(self):
         with pytest.raises(QuboError):
             clamp(one_hot_pair(), {5: 1})
+
+    @pytest.mark.parametrize("key", [1.7, 1.0, True, np.True_, None, (1,)])
+    def test_non_index_key_is_unknown(self, key):
+        with pytest.raises(QuboError, match="unknown variable"):
+            clamp(random_qubo(np.random.default_rng(3), 3), {key: 1})
+
+    def test_integer_like_keys_index(self):
+        q = random_qubo(np.random.default_rng(3), 3)
+        assert clamp(q, {np.int64(1): 1}) == clamp(q, {1: 1})
 
     def test_energy_function_preserved(self):
         rng = np.random.default_rng(23)
