@@ -68,7 +68,8 @@ def _parse_lattice(spec_text: str):
             raise UsageError("expected --lattice chimera:J,L") from None
         return chimera_spec(j, l), ("chimera", j)
     doc = _read_doc(spec_text)
-    return lattice_from_doc(doc), None
+    with documents.reading(spec_text):
+        return lattice_from_doc(doc), None
 
 
 def cmd_lattice(args) -> int:
@@ -139,18 +140,24 @@ def _objective_doc(doc, path: str) -> dict:
     return body
 
 
+def _read_qubo(body, path: str) -> Qubo:
+    with documents.reading(path):
+        return qubo_from_doc(body)
+
+
 def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
     if not isinstance(doc, dict) or "physical_qubo" not in doc:
         raise documents.DocumentError(f"{path} is not an embed document")
-    logical = qubo_from_doc(doc["logical_qubo"])
-    physical = qubo_from_doc(doc["physical_qubo"])
-    emb = embedding_from_doc(
-        doc["embedding"], [logical.name_of(i) for i in range(logical.num_vars)]
-    )
-    return EmbeddedQubo(physical, emb, logical, [int(v) for v in doc["vertex_order"]])
+    with documents.reading(path):
+        logical = qubo_from_doc(doc["logical_qubo"])
+        physical = qubo_from_doc(doc["physical_qubo"])
+        emb = embedding_from_doc(
+            doc["embedding"], [logical.name_of(i) for i in range(logical.num_vars)]
+        )
+        return EmbeddedQubo(physical, emb, logical, [int(v) for v in doc["vertex_order"]])
 
 
-def _solver_objective(doc, physical: Qubo) -> Qubo | None:
+def _solver_objective(doc, physical: Qubo, path: str) -> Qubo | None:
     """An embed document's `solver_qubo` when it is not the spin form of its
     physical QUBO, that is when `embed --normalize` or `--noise` made it.
 
@@ -160,7 +167,7 @@ def _solver_objective(doc, physical: Qubo) -> Qubo | None:
     """
     if "solver_qubo" not in doc:
         return None
-    solver = qubo_from_doc(doc["solver_qubo"])
+    solver = _read_qubo(doc["solver_qubo"], path)
     if solver.domain != SPIN or solver.num_vars != physical.num_vars:
         raise documents.DocumentError("solver_qubo does not match physical_qubo")
     spin = to_spin(physical) if physical.domain == BINARY else physical
@@ -177,8 +184,8 @@ def cmd_solve(args) -> int:
     body = _objective_doc(doc, args.input)
     inst = documents.parse_instance(doc["instance"]) if "instance" in doc else None
     embedded = _rebuild_embedded(doc, args.input) if "physical_qubo" in doc else None
-    target = embedded.physical if embedded is not None else qubo_from_doc(body)
-    solver = _solver_objective(doc, target) if embedded is not None else None
+    target = embedded.physical if embedded is not None else _read_qubo(body, args.input)
+    solver = _solver_objective(doc, target, args.input) if embedded is not None else None
     objective = target if solver is None else solver
     if args.solver == "brute":
         spec = brute_force(objective, cap=args.cap)
@@ -232,7 +239,7 @@ def cmd_gap(args) -> int:
         raise UsageError("gap needs an input document or --assembly")
     else:
         body = _objective_doc(_read_doc(args.input), args.input)
-        spec = brute_force(qubo_from_doc(body), cap=args.cap)
+        spec = brute_force(_read_qubo(body, args.input), cap=args.cap)
     _emit(
         {
             "ground_energy": spec.ground_energy,

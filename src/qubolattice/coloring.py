@@ -13,8 +13,7 @@ coefficient grid search reads its energies off the same stitched templates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -277,19 +276,14 @@ def compile_coloring(inst: ColoringInstance, tileset: ColoringTileSet | None = N
 def coloring_feasible_energy(inst: ColoringInstance, tileset: ColoringTileSet) -> float:
     """Energy every proper-coloring state would have.
 
-    Computed by re-stitching the same plan with the edge templates zeroed:
-    what remains is the per-tile grounds plus aligned chains, which is exactly
-    what a conflict-free state pays.  Valid whether or not the instance is
-    actually colorable.
+    Computed by re-stitching the same plan with the tileset's own templates
+    but no edge realized: what remains is the per-tile grounds plus aligned
+    chains, which is exactly what a conflict-free state pays.  Valid whether
+    or not the instance is actually colorable.
     """
     plan = route_graph_to_tiles(inst.edges, tile_side=tileset.ell, num_vertices=inst.n)
-    e = stitch(plan, _zero_edge_tiles(tileset.q, tileset.lam))
+    e = stitch(replace(plan, adjacency_realization={}), tileset.tiles)
     return _restricted_spectrum(e).ground_energy
-
-
-@lru_cache(maxsize=8)
-def _zero_edge_tiles(q: int, lam: float) -> TileHamiltonians:
-    return _build_tileset_any(q, lam=lam, edge_weight=0.0).tiles
 
 
 def count_ground_colorings(inst: ColoringInstance, e: EmbeddedQubo) -> tuple[int, float]:

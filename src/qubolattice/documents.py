@@ -8,8 +8,9 @@ per-kind decision in the file pipelines is a lookup in it.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .adder import AdderInstance, build_adder
 from .coloring import ColoringInstance, build_coloring_qubo, compile_coloring, decode_coloring
@@ -29,6 +30,18 @@ from .unary import UnaryInstance, build_unary_qubo, fractal_embed_unary
 
 class DocumentError(ValueError):
     """Malformed document."""
+
+
+@contextmanager
+def reading(what: str) -> Iterator[None]:
+    """Report a missing key or a wrong shape met while decoding `what` as a
+    `DocumentError` that names it."""
+    try:
+        yield
+    except KeyError as err:
+        raise DocumentError(f"{what}: {err} not found") from None
+    except (TypeError, AttributeError) as err:
+        raise DocumentError(f"{what}: wrong shape ({err})") from None
 
 
 @dataclass(frozen=True)
@@ -188,10 +201,8 @@ def parse_instance(doc: Mapping):
     tag, body = next(iter(doc.items()))
     if tag not in KINDS:
         raise DocumentError(f"unknown instance tag {tag!r}")
-    try:
+    with reading(f"malformed {tag!r} instance"):
         return KINDS[tag].parse(body)
-    except (KeyError, TypeError) as err:
-        raise DocumentError(f"malformed {tag!r} instance: {err}") from None
 
 
 def instance_to_doc(inst) -> dict:

@@ -38,10 +38,9 @@ class QuboError(ValueError):
     """Invalid parameter or assignment handed to a QUBO operation."""
 
 
-def _canonical_pair(i: int, j: int) -> tuple[int, int]:
-    if i == j:
-        raise QuboError(f"quadratic term requires two distinct variables, got ({i}, {j})")
-    return (i, j) if i < j else (j, i)
+def _check_distinct(keys: list) -> None:
+    if len(set(keys)) != len(keys):
+        raise QuboError("repeated variable inside squared expression")
 
 
 @dataclass
@@ -81,8 +80,10 @@ class Qubo:
             self.linear[i] = new
 
     def add_quadratic(self, i: int, j: int, c: float) -> None:
-        key = _canonical_pair(i, j)
-        if not (0 <= key[0] and key[1] < self.num_vars):
+        key = (i, j) if i < j else (j, i)
+        if not 0 <= key[0] < key[1] < self.num_vars:
+            if i == j:
+                raise QuboError(f"quadratic term requires two distinct variables, got ({i}, {j})")
             raise QuboError(f"variable pair {key} out of range")
         if c == 0.0:
             return
@@ -96,8 +97,13 @@ class Qubo:
         """Add (const + sum coeff_k * v_k)**2, expanded for this domain.
 
         Squares of variables reduce per the domain: x**2 = x for binary,
-        s**2 = 1 for spin.
+        s**2 = 1 for spin.  A repeated or out-of-range variable raises
+        before any term is added.
         """
+        _check_distinct([i for i, _ in terms])
+        for i, _ in terms:
+            if not 0 <= i < self.num_vars:
+                raise QuboError(f"variable {i} out of range")
         self.add_offset(const * const)
         for i, a in terms:
             if self.domain == BINARY:
@@ -107,8 +113,6 @@ class Qubo:
                 self.add_linear(i, 2.0 * const * a)
         for k, (i, a) in enumerate(terms):
             for j, b in terms[k + 1 :]:
-                if i == j:
-                    raise QuboError("repeated variable inside squared expression")
                 self.add_quadratic(i, j, 2.0 * a * b)
 
     def copy(self) -> "Qubo":
@@ -587,59 +591,35 @@ def anneal_solve(
 
 
 class QuboBuilder:
-    """Accumulates terms keyed by hashable variable names, then emits a Qubo."""
+    """Names the variables of one growing Qubo; every term goes through its methods."""
 
     def __init__(self, domain: str = BINARY):
         self.domain = domain
         self._index: dict[str, int] = {}
-        self._names: list[str] = []
-        self._offset = 0.0
-        self._linear: dict[int, float] = {}
-        self._quadratic: dict[tuple[int, int], float] = {}
+        self._qubo = Qubo(domain, 0, var_names=[])
 
     def var(self, name: str) -> int:
         if name not in self._index:
-            self._index[name] = len(self._names)
-            self._names.append(name)
+            self._index[name] = self._qubo.num_vars
+            self._qubo.var_names.append(name)
+            self._qubo.num_vars += 1
         return self._index[name]
 
-    def has(self, name: str) -> bool:
-        return name in self._index
-
     def add_offset(self, c: float) -> None:
-        self._offset += c
+        self._qubo.add_offset(c)
 
     def add_linear(self, name: str, c: float) -> None:
-        i = self.var(name)
-        self._linear[i] = self._linear.get(i, 0.0) + c
+        self._qubo.add_linear(self.var(name), c)
 
     def add_quadratic(self, n1: str, n2: str, c: float) -> None:
-        key = _canonical_pair(self.var(n1), self.var(n2))
-        self._quadratic[key] = self._quadratic.get(key, 0.0) + c
+        self._qubo.add_quadratic(self.var(n1), self.var(n2), c)
 
     def add_squared_affine(self, const: float, terms: Sequence[tuple[str, float]]) -> None:
-        indices = [(self.var(n), a) for n, a in terms]
-        # route through a throwaway Qubo-compatible expansion
-        self._offset += const * const
-        for i, a in indices:
-            if self.domain == BINARY:
-                self._linear[i] = self._linear.get(i, 0.0) + a * a + 2.0 * const * a
-            else:
-                self._offset += a * a
-                self._linear[i] = self._linear.get(i, 0.0) + 2.0 * const * a
-        for k, (i, a) in enumerate(indices):
-            for j, b in indices[k + 1 :]:
-                key = _canonical_pair(i, j)
-                self._quadratic[key] = self._quadratic.get(key, 0.0) + 2.0 * a * b
+        _check_distinct([n for n, _ in terms])
+        self._qubo.add_squared_affine(const, [(self.var(n), a) for n, a in terms])
+
     def build(self) -> Qubo:
-        q = Qubo(self.domain, len(self._names), self._offset, var_names=list(self._names))
-        for i, c in self._linear.items():
-            if c != 0.0:
-                q.linear[i] = c
-        for key, c in self._quadratic.items():
-            if c != 0.0:
-                q.quadratic[key] = c
-        return q
+        return self._qubo.copy()
 
 
 def qubo_to_doc(q: Qubo) -> dict:

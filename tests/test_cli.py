@@ -151,6 +151,39 @@ class TestEmbedValidate:
         assert main(["validate", write(tmp_path, "built.json", built)]) == 2
         assert capsys.readouterr().err.startswith("document error:")
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "path", [("logical_qubo",), ("embedding",), ("vertex_order",), ("embedding", "chains")]
+    )
+    def test_embed_document_without_a_key_is_document_error(self, command, path, tmp_path, capsys):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        parent = embedded
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        assert main([command, write(tmp_path, "emb.json", embedded)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("document error:") and repr(path[-1]) in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_chain_of_an_unknown_variable_is_document_error(self, command, tmp_path, capsys):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        chains = embedded["embedding"]["chains"]
+        chains["bogus"] = chains.pop(next(iter(chains)))
+        assert main([command, write(tmp_path, "emb.json", embedded)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("document error:") and "'bogus'" in err
+
+    @pytest.mark.parametrize("command", ["lattice", "embed"])
+    def test_lattice_document_without_side_is_document_error(self, command, tmp_path, capsys):
+        lattice = write(tmp_path, "f.json", {"family": "chimera", "J": 4})
+        argv = ["--lattice", lattice]
+        if command == "embed":
+            argv.insert(0, write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("document error:") and "'L'" in err
+
 
 class TestGapPredict:
     def test_gap_on_built_qubo(self, tmp_path, capsys):

@@ -194,7 +194,7 @@ class TestCompile:
         assert count == 2
         assert peak < 64 * 2**20
 
-    def test_zero_edge_tileset_built_once_per_q_and_lambda(self, monkeypatch):
+    def test_feasible_level_builds_no_tileset(self, monkeypatch):
         from qubolattice import coloring
 
         builds = []
@@ -205,13 +205,25 @@ class TestCompile:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(coloring, "_build_tileset_any", counting)
-        coloring._zero_edge_tiles.cache_clear()
-        tileset = original(3)
-        for edges in [((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]:
-            coloring_feasible_energy(ColoringInstance(edges, 3), tileset)
-        coloring_feasible_energy(ColoringInstance(((0, 1),), 3), original(3, lam=0.25))
-        coloring._zero_edge_tiles.cache_clear()
-        assert [b["lam"] for b in builds] == [0.5, 0.25]
+        for tileset in (original(3), original(3, lam=0.25)):
+            for edges in [((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]:
+                coloring_feasible_energy(ColoringInstance(edges, 3), tileset)
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "table, level",
+        [({"A": 0.5, "B": -1.0, "C": 1.0}, -9.0), ({"C": 1.5}, -15.0), (None, -18.0)],
+    )
+    def test_feasible_level_follows_the_coefficient_table(self, table, level):
+        # the level is stitched from the tileset's own templates, so a custom
+        # table moves it and every proper colouring of the path sits on it
+        from qubolattice.coloring import count_states_at_coloring_level, _build_tileset_any
+
+        tileset = _build_tileset_any(4, table=table)
+        inst = ColoringInstance(((0, 1), (1, 2)), 4)
+        e = compile_coloring(inst, tileset)
+        assert coloring_feasible_energy(inst, tileset) == level
+        assert count_states_at_coloring_level(inst, e, tileset) == 36
 
 
 class TestGridSearch:

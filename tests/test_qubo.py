@@ -10,10 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_graphs
 from qubolattice import qubo as qubo_module
-from qubolattice.coloring import ColoringInstance, compile_coloring
-from qubolattice.hamcycle import HamcycleInstance, build_tileable_hamcycle
-from qubolattice.numpart import PartitionInstance, embed_numpart
+from qubolattice.adder import build_adder
+from qubolattice.coloring import ColoringInstance, _build_tileset_any, compile_coloring
+from qubolattice.hamcycle import (
+    HamcycleInstance,
+    build_ic_qubo,
+    build_permutation_qubo,
+    build_tileable_hamcycle,
+)
+from qubolattice.knapsack import KnapsackInstance, build_knapsack_qubo
+from qubolattice.numpart import PartitionInstance, build_numpart_qubo, embed_numpart
 from qubolattice.qubo import (
     BINARY,
     COEFF_TOL,
@@ -37,6 +45,7 @@ from qubolattice.qubo import (
     to_binary,
     to_spin,
 )
+from qubolattice.unary import build_unary_qubo, fractal_embed_unary
 
 
 def one_hot_pair() -> Qubo:
@@ -400,13 +409,16 @@ def substitutions(draw):
     return q, out, image
 
 
-def terms_digest(*qubos: Qubo) -> str:
-    """sha256 of each QUBO's terms in insertion order, coefficients as float.hex."""
+def terms_digest(*qubos: Qubo, names: bool = False) -> str:
+    """sha256 of each QUBO's terms in insertion order, coefficients as float.hex,
+    and with `names` its variable names."""
     h = hashlib.sha256()
     for q in qubos:
         linear = [(i, c.hex()) for i, c in q.linear.items()]
         quadratic = [(i, j, c.hex()) for (i, j), c in q.quadratic.items()]
         h.update(repr((q.domain, q.num_vars, q.offset.hex(), linear, quadratic)).encode())
+        if names:
+            h.update(repr(q.var_names).encode())
     return h.hexdigest()
 
 
@@ -441,6 +453,79 @@ class TestSubstitute:
         assert terms_digest(q, s, *rewrites) == (
             "0e47fc0c331044a5d2cfb8148fec92133932b240a4afcc35c1ecfd43ceb01998"
         )
+
+
+def sweep_graphs():
+    """Every labelled graph on 3 to 5 vertices with minimum degree 2."""
+    for n in (3, 4, 5):
+        for edges in all_graphs(n):
+            if all(sum(v in e for e in edges) >= 2 for v in range(n)):
+                yield HamcycleInstance(edges, num_vertices=n)
+
+
+def tileset_templates(q: int) -> list[Qubo]:
+    t = _build_tileset_any(q).tiles
+    return [t.vertex_tile, t.edge_horizontal, t.edge_vertical, t.chain_horizontal, t.chain_vertical]
+
+
+def knapsack_windows(inst: KnapsackInstance) -> list[Qubo]:
+    width = max(1, sum(inst.values).bit_length())
+    return [build_knapsack_qubo(inst, l_star).qubo for l_star in range(width)]
+
+
+#: family -> (objectives made through QuboBuilder, digest recorded before
+#: QuboBuilder became a naming layer over one Qubo)
+COMPILER_DIGESTS = {
+    "unary": (
+        lambda: [build_unary_qubo(N, z).qubo for N in range(2, 40) for z in (False, True)],
+        "051f19237142eaa7b0d7fe37a910827d19e8caead37b6ce8dc8f18deb4fca3ad",
+    ),
+    "fractal": (
+        lambda: [fractal_embed_unary(N, J)[0].logical for N in (3, 8, 16, 64) for J in (2, 4)],
+        "0654ce4584dc2b21e6a24e3abf9befa2a0df5576fd72baa5f91e114fe56cd298",
+    ),
+    "adder": (
+        lambda: [build_adder(n).qubo for n in range(1, 6)],
+        "61e740a9694f256d8213e20bb121fafe70c6f675df3964b27a36dda90859414c",
+    ),
+    "partition": (
+        lambda: [
+            build_numpart_qubo(PartitionInstance(nums)).qubo
+            for nums in ((1, 1), (2, 2, 3, 3), (5, 3, 6, 2, 1, 1))
+        ],
+        "0d5cd209e52ffac5d10522d107587ce01b99b27c2f401288fee7f12aeb73bf4d",
+    ),
+    "knapsack": (
+        lambda: knapsack_windows(KnapsackInstance((2, 3, 1), (1, 1, 1), 2))
+        + knapsack_windows(KnapsackInstance((5, 4, 3, 2), (4, 3, 2, 1), 5)),
+        "e5923b049cf1241eb06a51d4c6acbfe0500da011885b88849d00748336483669",
+    ),
+    "ic": (
+        lambda: [build_ic_qubo(inst).qubo for inst in sweep_graphs()],
+        "e4d5b753f228e0d7de712833071b520eed5d7af82e47e5fc772468150321e427",
+    ),
+    "tileable": (
+        lambda: [build_tileable_hamcycle(inst).qubo for inst in sweep_graphs()],
+        "c32d54503a403d2269d30deb153b70bc27b944d1cb12a5234fc36d9947ee7d43",
+    ),
+    "permutation": (
+        lambda: [build_permutation_qubo(n) for n in (2, 4)],
+        "dba6b13e8e059e87e1b8b275e5b12f0b5651b0c7248198aebde8c10ad75b5c61",
+    ),
+    "tileset": (
+        lambda: [t for q in range(1, 10) for t in tileset_templates(q)],
+        "cdf154218ad081ed0fc30a91f0eb2e4514744fbfb493509a808199289475719e",
+    ),
+}
+
+
+class TestCompilerDigest:
+    @pytest.mark.parametrize("family", sorted(COMPILER_DIGESTS))
+    def test_term_order_and_bits(self, family):
+        # term order, coefficient bits and variable names of every compiler
+        # objective, so a change to how terms accumulate shows here
+        build, digest = COMPILER_DIGESTS[family]
+        assert terms_digest(*build(), names=True) == digest
 
 
 class TestClamp:
@@ -579,6 +664,31 @@ class TestBuilderAndDocs:
         q = b.build()
         assert q.var_names == ["u", "v"]
         assert q.energy((1, 0)) == 0.0
+
+    def test_failed_square_changes_nothing(self):
+        q = Qubo(BINARY, 3)
+        q.add_linear(2, 1.0)
+        before = q.copy()
+        with pytest.raises(QuboError, match="repeated variable inside squared expression"):
+            q.add_squared_affine(1.0, [(0, -1.0), (1, 2.0), (0, -1.0)])
+        with pytest.raises(QuboError, match="out of range"):
+            q.add_squared_affine(1.0, [(0, -1.0), (3, 2.0)])
+        assert q == before
+
+        b = QuboBuilder(BINARY)
+        b.add_linear("w", 1.0)
+        with pytest.raises(QuboError, match="repeated variable inside squared expression"):
+            b.add_squared_affine(1.0, [("u", -1.0), ("v", 2.0), ("u", -1.0)])
+        assert b.build() == Qubo(BINARY, 1, linear={0: 1.0}, var_names=["w"])
+
+    def test_build_is_a_snapshot(self):
+        b = QuboBuilder(SPIN)
+        b.add_quadratic("u", "v", 1.0)
+        first = b.build()
+        b.add_linear("w", 2.0)
+        b.add_quadratic("u", "v", -1.0)
+        assert first == Qubo(SPIN, 2, quadratic={(0, 1): 1.0}, var_names=["u", "v"])
+        assert b.build() == Qubo(SPIN, 3, linear={2: 2.0}, var_names=["u", "v", "w"])
 
     def test_doc_round_trip(self):
         rng = np.random.default_rng(41)
