@@ -29,11 +29,10 @@ class AdderInstance:
 
 @dataclass
 class AdderQubo:
-    """Adder objective plus the variable-role map."""
+    """Adder objective over two n-bit inputs."""
 
     n: int
     qubo: Qubo
-    role_index: dict[str, int]
 
 
 def add_columns(builder: QuboBuilder, out: str, carry: str, addends: list[list[str]]) -> None:
@@ -73,9 +72,7 @@ def build_adder(n: int) -> AdderQubo:
     for j in range(1, n):
         builder.var(f"z:{j}")
     add_columns(builder, "y", "z", [[f"x1:{j}", f"x2:{j}"] for j in range(n)])
-    q = builder.build()
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return AdderQubo(n, q, roles)
+    return AdderQubo(n, builder.build())
 
 
 def build_naive_adder(n: int) -> AdderQubo:
@@ -94,21 +91,19 @@ def build_naive_adder(n: int) -> AdderQubo:
     for j in range(n + 1):
         terms.append((f"y:{j}", float(2**j)))
     builder.add_squared_affine(0.0, terms)
-    q = builder.build()
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return AdderQubo(n, q, roles)
+    return AdderQubo(n, builder.build())
 
 
 def build_selectable_adder(
     constants: tuple[int, int],
     selectors: tuple[str, str] = ("xa", "xb"),
     prefix: str = "X",
-) -> tuple[Qubo, dict[str, int], int]:
+) -> tuple[Qubo, int]:
     """Adder whose two addends are fixed integers gated by selector bits.
 
     Ground states have output register = n_a * x_a + n_b * x_b for every
-    selector combination.  Returns (qubo, role index, output width M + 1)
-    where M is the bit width of the larger constant.
+    selector combination.  Returns (qubo, output width M + 1) where M is the
+    bit width of the larger constant.
     """
     n_a, n_b = constants
     if n_a < 0 or n_b < 0:
@@ -123,14 +118,12 @@ def build_selectable_adder(
         builder.var(f"Z{prefix}:{j}")
     columns = [[s for s, c in zip(selectors, constants) if (c >> j) & 1] for j in range(M)]
     add_columns(builder, prefix, f"Z{prefix}", columns)
-    q = builder.build()
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return q, roles, M + 1
+    return builder.build(), M + 1
 
 
-def read_register(assignment, roles: dict[str, int], prefix: str, width: int) -> int:
-    """Integer value of a register from its bit roles."""
+def read_register(assignment, qubo: Qubo, prefix: str, width: int) -> int:
+    """Integer value of register `prefix` from the bits of an assignment to qubo."""
     total = 0
     for j in range(width):
-        total += (1 << j) * int(assignment[roles[f"{prefix}:{j}"]])
+        total += (1 << j) * int(assignment[qubo.index_of(f"{prefix}:{j}")])
     return total

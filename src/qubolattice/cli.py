@@ -4,7 +4,7 @@ Subcommands compose through files: `build` turns an instance document into a
 logical objective, `embed` lays it onto a lattice, `solve` runs a solver and
 decodes, `validate` and `gap` verify, and `predict` prints the closed-form
 size estimates.  Identical inputs and seeds produce byte-identical outputs.
-Exit codes: 0 success, 1 infeasible or invalid, 2 usage error.
+Exit codes: 0 success, 1 infeasible or invalid, 2 usage or document error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import contextmanager
 
 from . import documents
 from .cartoon import lz_time, min_gap
@@ -140,15 +141,28 @@ def _objective_doc(doc, path: str) -> dict:
     return body
 
 
+@contextmanager
+def _decoding(path: str):
+    """`documents.reading`, plus a malformed value met while decoding a QUBO
+    or embedding body (a `ValueError`) reported as a `DocumentError`."""
+    try:
+        with documents.reading(path):
+            yield
+    except documents.DocumentError:
+        raise
+    except ValueError as err:
+        raise documents.DocumentError(f"{path}: {err}") from None
+
+
 def _read_qubo(body, path: str) -> Qubo:
-    with documents.reading(path):
+    with _decoding(path):
         return qubo_from_doc(body)
 
 
 def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
     if not isinstance(doc, dict) or "physical_qubo" not in doc:
         raise documents.DocumentError(f"{path} is not an embed document")
-    with documents.reading(path):
+    with _decoding(path):
         logical = qubo_from_doc(doc["logical_qubo"])
         physical = qubo_from_doc(doc["physical_qubo"])
         emb = embedding_from_doc(
@@ -266,7 +280,7 @@ PREDICTORS = {
 def cmd_predict(args) -> int:
     family = args.family
     arity, predict = PREDICTORS[family]
-    vals = [int(x) for x in args.values[:arity]]
+    vals = args.values[:arity]
     if len(vals) < arity:
         raise UsageError(f"missing arguments for predict {family}")
     if predict is None:
@@ -346,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="closed-form embedding-size estimates")
     p.add_argument("family", choices=list(PREDICTORS))
-    p.add_argument("values", nargs="*")
+    p.add_argument("values", nargs="*", type=int)
     p.add_argument("--strategy")
     p.add_argument("--optimized", action="store_true")
     p.add_argument("--out")

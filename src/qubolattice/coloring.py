@@ -59,14 +59,11 @@ class ColoringInstance:
 
 @dataclass
 class ColoringTileSet:
-    """Tile templates plus the coefficient table they were built from."""
+    """Tile templates for q colors on ell x ell-cell tiles."""
 
     q: int
     ell: int
-    lam: float
-    coefficients: dict[str, float]
     tiles: TileHamiltonians
-    ground_tile_energy: float
 
 
 #: (A, B, C) of the one-matched-pair and all-down cell objectives.
@@ -181,7 +178,6 @@ def _build_tileset_any(
         lam, edge = coefficients["lambda"], coefficients["D"]
         diag, chain = (lam, coefficients["A"], coefficients["B"], coefficients["C"]), 1.0
     else:
-        coefficients = {"lambda": lam, "G": edge}
         diag, chain = (lam / 2, *_DIAG), lam
     off = (lam, *_OFF)  # off-diagonal cells exist only for ell > 1
 
@@ -218,7 +214,7 @@ def _build_tileset_any(
     templates = [_clamp_unused(t, q, ell) for t in (vertex.build(), *edges, *chains)]
     colors = {color: _color_slots(color, ell) for color in range(q)}
     tiles = TileHamiltonians(4, ell, q, *templates, colors=colors)
-    return ColoringTileSet(q, ell, lam, coefficients, tiles, _single_tile_ground(tiles))
+    return ColoringTileSet(q, ell, tiles)
 
 
 def _assembly_plan(ell: int, assembly: str) -> TilePlan:
@@ -236,11 +232,6 @@ def _assembly_plan(ell: int, assembly: str) -> TilePlan:
     if assembly == "chain":
         return TilePlan(ell, [["v0", "v0"]], 1)
     raise ColoringError(f"unknown assembly {assembly!r}")
-
-
-def _single_tile_ground(tiles: TileHamiltonians) -> float:
-    e = stitch(_assembly_plan(tiles.ell, "1-tile"), tiles)
-    return _restricted_spectrum(e).ground_energy
 
 
 def _restricted_spectrum(e: EmbeddedQubo) -> Spectrum:

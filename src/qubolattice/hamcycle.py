@@ -11,7 +11,7 @@ a tile plan of the input graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embedding import (
     EmbeddedQubo,
@@ -65,8 +65,6 @@ class ICQubo:
     """Position-matrix objective; position indices wrap modulo N."""
 
     qubo: Qubo
-    n: int
-    roles: dict[str, int]
 
 
 def build_ic_qubo(inst: HamcycleInstance) -> ICQubo:
@@ -90,9 +88,7 @@ def build_ic_qubo(inst: HamcycleInstance) -> ICQubo:
                 continue
             for j in range(n):
                 builder.add_quadratic(f"x:{u}:{j}", f"x:{v}:{(j + 1) % n}", 1.0)
-    q = builder.build()
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return ICQubo(q, n, roles)
+    return ICQubo(builder.build())
 
 
 def decode_cycle(solution, inst: HamcycleInstance, roles: dict[str, int] | None = None) -> dict:
@@ -265,8 +261,6 @@ class TileHamcycleQubo:
 
     qubo: Qubo
     instance: HamcycleInstance
-    roles: dict[str, int] = field(default_factory=dict)
-    plan: TilePlan | None = None
 
 
 def and_gadget_terms(builder: QuboBuilder, z: str, x: str, y: str) -> None:
@@ -321,9 +315,7 @@ def build_tileable_hamcycle(inst: HamcycleInstance) -> TileHamcycleQubo:
                 and_gadget_terms(
                     builder, f"z:{v}:{u}:{j}", f"x:{v}:{j}", f"x:{u}:{(j + 1) % n}"
                 )
-    q = builder.build()
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return TileHamcycleQubo(q, inst, roles)
+    return TileHamcycleQubo(builder.build(), inst)
 
 
 def cycle_assignment(tq: TileHamcycleQubo, order: list[int]) -> tuple[int, ...]:
@@ -408,9 +400,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
         raise HamcycleError("the tileable layout is constructed for K_{4,4} cells")
     n = inst.n
     tq = build_tileable_hamcycle(inst)
-    base_plan = route_graph_to_tiles(inst.edges, num_vertices=n)
-    tq.plan = base_plan
-    plan = _double_plan(base_plan)
+    plan = _double_plan(route_graph_to_tiles(inst.edges, num_vertices=n))
     edge_tiles = _assign_edge_tiles(plan, inst.edges)
     q_slots = 3 * n + 3
     ell = -(-q_slots // 4)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .numpart import _TreeNode, build_summation_tree
+from .numpart import build_summation_tree
 from .qubo import BINARY, Qubo, QuboBuilder, brute_force, clamp
 
 
@@ -64,11 +64,6 @@ class KnapsackTreeQubo:
     qubo: Qubo
     instance: KnapsackInstance
     selectors: list[str]
-    value_root: _TreeNode
-    weight_root: _TreeNode
-    l_star: int
-    dummy_weight: int
-    roles: dict[str, int] = field(default_factory=dict)
 
 
 def build_knapsack_qubo(inst: KnapsackInstance, l_star: int) -> KnapsackTreeQubo:
@@ -107,18 +102,7 @@ def build_knapsack_qubo(inst: KnapsackInstance, l_star: int) -> KnapsackTreeQubo
         pins[f"{weight_root.prefix}:{p}"] = 0
     if dummy_weight > 0:
         pins["xdummy"] = 1
-    q = clamp(q, pins)
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return KnapsackTreeQubo(
-        q,
-        inst,
-        [s for s in selectors[:N]],
-        value_root,
-        weight_root,
-        l_star,
-        dummy_weight,
-        roles,
-    )
+    return KnapsackTreeQubo(clamp(q, pins), inst, selectors[:N])
 
 
 def predicted_knapsack_length(N: int, l_prime: int, m_prime: int, J: int) -> float:
@@ -181,7 +165,7 @@ def _solve_window(inst: KnapsackInstance, l_star: int, lo: int, hi: int, solver:
             return None
         state = spec.ground_states[0]
         return tuple(
-            i for i, name in enumerate(tree.selectors) if state[tree.roles[name]] == 1
+            i for i, name in enumerate(tree.selectors) if state[tree.qubo.index_of(name)] == 1
         )
     return _exact_window_solver(inst, lo, hi)
 
@@ -189,7 +173,7 @@ def _solve_window(inst: KnapsackInstance, l_star: int, lo: int, hi: int, solver:
 def decode_knapsack(tree: KnapsackTreeQubo, assignment) -> dict:
     """Subset selected by an assignment, with weight feasibility asserted."""
     subset = [
-        i for i, name in enumerate(tree.selectors) if assignment[tree.roles[name]] == 1
+        i for i, name in enumerate(tree.selectors) if assignment[tree.qubo.index_of(name)] == 1
     ]
     weight = sum(tree.instance.weights[i] for i in subset)
     value = sum(tree.instance.values[i] for i in subset)

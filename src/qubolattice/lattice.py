@@ -233,18 +233,18 @@ def neighbors(g: LatticeGraph, v: int) -> set[int]:
 
 @dataclass
 class SublatticeView:
-    """Induced subgraph on a rectangle of cells, with index remapping."""
+    """Induced subgraph on a rectangle of cells; `to_parent` maps each of its
+    vertices to the parent lattice's index."""
 
     graph: LatticeGraph
     to_parent: list[int]
-    from_parent: dict[int, int]
 
 
 def sublattice(g: LatticeGraph, i0: int, j0: int, r1: int, r2: int) -> SublatticeView:
     """Induced view of the r1 x r2 cell rectangle with corner (i0, j0).
 
     The rectangle of a cell-matrix lattice is itself a lattice of the same
-    family, so the view carries a real LatticeGraph plus the index maps.
+    family, so the view carries a real LatticeGraph plus the index map.
     """
     spec = g.spec
     if r1 < 1 or r2 < 1 or i0 < 0 or j0 < 0 or i0 + r1 > spec.width or j0 + r2 > spec.height:
@@ -255,14 +255,13 @@ def sublattice(g: LatticeGraph, i0: int, j0: int, r1: int, r2: int) -> Sublattic
         for j in range(r2):
             for a in range(spec.cell.n):
                 to_parent.append(g.vertex(i0 + i, j0 + j, a))
-    from_parent = {p: s for s, p in enumerate(to_parent)}
-    return SublatticeView(sub, to_parent, from_parent)
+    return SublatticeView(sub, to_parent)
 
 
 def boundary_edge_count(g: LatticeGraph, i0: int, j0: int, r1: int, r2: int) -> int:
     """Edges of the parent lattice crossing the rectangle boundary."""
     view = sublattice(g, i0, j0, r1, r2)
-    inside = set(view.from_parent)
+    inside = set(view.to_parent)
     count = 0
     for u, v in g.edges:
         if (u in inside) != (v in inside):

@@ -13,7 +13,7 @@ fractal unary constraint, with corridors widened to carry multi-bit registers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adder import add_columns, read_register
 from .embedding import EmbeddedQubo, SlotPlanner, choose_alpha, embed_qubo, place_clique_block
@@ -55,7 +55,6 @@ class PartitionInstance:
 
 @dataclass
 class _TreeNode:
-    key: tuple[int, int]
     prefix: str
     width: int
     children: tuple["_TreeNode", "_TreeNode"] | None
@@ -65,29 +64,13 @@ class _TreeNode:
 
 @dataclass
 class SummationTreeQubo:
-    """Pairwise-summation tree objective with its variable-role map."""
+    """Pairwise-summation tree objective; `root` is None for an odd total."""
 
     qubo: Qubo
     instance: PartitionInstance
     selectors: list[str]
     root: _TreeNode | None
-    levels: int
     feasible_parity: bool
-    roles: dict[str, int] = field(default_factory=dict)
-
-    def nodes(self) -> list[_TreeNode]:
-        out: list[_TreeNode] = []
-
-        def walk(node: _TreeNode | None):
-            if node is None:
-                return
-            out.append(node)
-            if node.children:
-                walk(node.children[0])
-                walk(node.children[1])
-
-        walk(self.root)
-        return out
 
 
 def build_summation_tree(
@@ -122,7 +105,7 @@ def build_summation_tree(
             columns = [[s for s, c in gated if (c >> j) & 1] for j in range(leaf_width - 1)]
             add_columns(builder, prefix, f"Z{prefix}", columns)
             sels, consts = zip(*gated)
-            return _TreeNode((level, k), prefix, leaf_width, None, sels, consts)
+            return _TreeNode(prefix, leaf_width, None, sels, consts)
         left = build(level + 1, 2 * k - 1)
         right = build(level + 1, 2 * k)
         if right is None:
@@ -132,7 +115,7 @@ def build_summation_tree(
             [f"{c.prefix}:{j}" for c in (left, right) if j < c.width] for j in range(width - 1)
         ]
         add_columns(builder, prefix, f"Z{prefix}", columns)
-        return _TreeNode((level, k), prefix, width, (left, right))
+        return _TreeNode(prefix, width, (left, right))
 
     root = build(0, 1)
     assert root is not None
@@ -146,18 +129,13 @@ def build_numpart_qubo(inst: PartitionInstance) -> SummationTreeQubo:
     selector bits x_i mark the subset.  An odd total cannot balance; the
     compiler then returns a flagged marker objective with constant energy 1.
     """
-    N = inst.N
-    m = max(1, math.ceil(math.log2(N)))
     builder = QuboBuilder(BINARY)
-    selectors = [f"x{i}" for i in range(1, N + 1)]
+    selectors = [f"x{i}" for i in range(1, inst.N + 1)]
     for s in selectors:
         builder.var(s)
     if not inst.feasible_parity:
         builder.add_offset(1.0)
-        q = builder.build()
-        return SummationTreeQubo(
-            q, inst, selectors, None, m, False, {q.name_of(i): i for i in range(q.num_vars)}
-        )
+        return SummationTreeQubo(builder.build(), inst, selectors, None, False)
 
     root = build_summation_tree(builder, list(inst.numbers), selectors, "X", inst.M + 1)
     W = inst.total // 2
@@ -165,9 +143,7 @@ def build_numpart_qubo(inst: PartitionInstance) -> SummationTreeQubo:
         bit = (W >> p) & 1
         # (bit - X_p)^2 folds to a linear pin on the register bit
         builder.add_squared_affine(float(bit), [(f"{root.prefix}:{p}", -1.0)])
-    q = builder.build()
-    roles = {q.name_of(i): i for i in range(q.num_vars)}
-    return SummationTreeQubo(q, inst, selectors, root, m, True, roles)
+    return SummationTreeQubo(builder.build(), inst, selectors, root, True)
 
 
 def predicted_numpart_length(N: int, M: int, J: int, strategy: str = "tree") -> float:
@@ -183,13 +159,11 @@ def predicted_numpart_length(N: int, M: int, J: int, strategy: str = "tree") -> 
 # layout
 
 
-def _node_vars(tree: SummationTreeQubo, node: _TreeNode) -> list[str]:
+def _node_vars(node: _TreeNode) -> list[str]:
     """Clique content of one node block: outputs, carries, inputs, selectors."""
     names: list[str] = []
     names.extend(f"{node.prefix}:{p}" for p in range(node.width))
-    names.extend(
-        f"Z{node.prefix}:{p}" for p in range(1, node.width - 1) if f"Z{node.prefix}:{p}" in tree.roles
-    )
+    names.extend(f"Z{node.prefix}:{p}" for p in range(1, node.width - 1))
     if node.children:
         for child in node.children:
             names.extend(f"{child.prefix}:{p}" for p in range(child.width))
@@ -199,7 +173,7 @@ def _node_vars(tree: SummationTreeQubo, node: _TreeNode) -> list[str]:
 
 
 def _layout_node(
-    planner: SlotPlanner, tree: SummationTreeQubo, node: _TreeNode, origin: tuple[int, int], level: int
+    planner: SlotPlanner, node: _TreeNode, origin: tuple[int, int], level: int
 ) -> tuple[int, int, dict[str, tuple[int, int, int]]]:
     """Place the subtree rooted at node; return (width, height, register pads).
 
@@ -221,7 +195,7 @@ def _layout_node(
     down, across = planner.run_vertical, planner.run_horizontal
     if flip:
         down, across = across, down
-    names = _node_vars(tree, node)
+    names = _node_vars(node)
     # from here on (u, v) coordinates and all sizes are in this level's frame
     ou, ov = frame(*origin)
     if node.children is None:
@@ -229,9 +203,9 @@ def _layout_node(
         block_v, width, height = ov, b, b
     else:
         left, right = node.children
-        w1, h1, pads1 = _layout_node(planner, tree, left, origin, level + 1)
+        w1, h1, pads1 = _layout_node(planner, left, origin, level + 1)
         w1, h1 = frame(w1, h1)
-        w2, h2, pads2 = _layout_node(planner, tree, right, frame(ou + w1, ov), level + 1)
+        w2, h2, pads2 = _layout_node(planner, right, frame(ou + w1, ov), level + 1)
         w2, h2 = frame(w2, h2)
         block_u, block_v = ou + w1 + w2, ov + max(h1, h2)
         b = place_clique_block(planner, frame(block_u, block_v), names)
@@ -268,7 +242,7 @@ def embed_numpart(inst: PartitionInstance, J: int = 4) -> EmbeddedQubo:
         raise PartitionError("odd total has no balanced partition; nothing to embed")
     planner = SlotPlanner(J)
     assert tree.root is not None
-    _layout_node(planner, tree, tree.root, (0, 0), 0)
+    _layout_node(planner, tree.root, (0, 0), 0)
     emb = planner.to_embedding(tree.qubo.index_of, choose_alpha(tree.qubo))
     return embed_qubo(tree.qubo, emb)
 
@@ -284,7 +258,7 @@ def decode_partition(
     inst = tree.instance
     set_a, set_b = [], []
     for i, name in enumerate(tree.selectors, start=1):
-        value = assignment[tree.roles[name]]
+        value = assignment[tree.qubo.index_of(name)]
         (set_a if value == 1 else set_b).append(inst.numbers[i - 1])
     residual = abs(sum(set_a) - sum(set_b))
     return {
@@ -298,7 +272,7 @@ def decode_partition(
 
 def root_register_value(tree: SummationTreeQubo, assignment) -> int:
     assert tree.root is not None
-    return read_register(assignment, tree.roles, tree.root.prefix, tree.root.width)
+    return read_register(assignment, tree.qubo, tree.root.prefix, tree.root.width)
 
 
 def arithmetic_completion(

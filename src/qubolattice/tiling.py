@@ -415,7 +415,6 @@ class TileHamiltonians:
     chain_horizontal: Qubo
     chain_vertical: Qubo
     colors: dict[int, list[str]]
-    crossing: Qubo | None = None
 
 
 def crossing_tile_chimera(J: int = 4) -> Qubo:

@@ -112,9 +112,7 @@ class UnaryTreeQubo:
     """Binary QUBO whose zero-energy states are exactly the one-hot patterns."""
 
     N: int
-    n: int
     qubo: Qubo
-    leaf_index: dict[int, int]
     tree: MergeTree
 
     def edge_count(self) -> int:
@@ -146,9 +144,7 @@ def build_unary_qubo(N: int, allow_zero: bool = False) -> UnaryTreeQubo:
         builder.add_squared_affine(1.0, [(c1, -1.0), (c2, -1.0)])
     for pad in tree.pad_leaves:
         builder.add_linear(pad, 1.0)
-    q = builder.build()
-    leaf_index = {k: q.index_of(f"x{k}") for k in range(1, N + 1)}
-    return UnaryTreeQubo(N, max(1, math.ceil(math.log2(N))), q, leaf_index, tree)
+    return UnaryTreeQubo(N, builder.build(), tree)
 
 
 def one_hot_ground_states(ut: UnaryTreeQubo) -> set[tuple[int, ...]]:
@@ -263,15 +259,13 @@ _ROOT_FRAME = _Frame(0, 1, 0, 1)
 
 @dataclass
 class FractalLayout:
-    """Cell-level description of a fractal unary embedding."""
+    """A fractal unary embedding with its sizes and merge tree; the chains of
+    `embedded` are the only record of where each leaf and gadget sits."""
 
     N_star: int
     L: int
-    tile_assignment: dict[str, tuple[int, int]]
-    gadget_spins: dict[tuple[int, int], list[dict[str, int]]]
     J: int
     N: int
-    leaf_tracks: dict[str, tuple[int, int, int]] = field(default_factory=dict)
     embedded: EmbeddedQubo | None = None
     tree: MergeTree | None = None
     added_bits: int = 0
@@ -288,54 +282,29 @@ class _FractalBuilder(SlotPlanner):
         self.per_cell = 4 if J >= 4 else 2
         self.leaves: list[str] = []
         self.gadgets: list[tuple[str, str, str, str]] = []
-        self.tile_assignment: dict[str, tuple[int, int]] = {}
-        self.gadget_spins: dict[tuple[int, int], list[dict[str, int]]] = {}
-        self.leaf_tracks: dict[str, tuple[int, int, int]] = {}
         self._node_counter = 0
+        self._leaf_counter = 0
 
     # gadget bookkeeping -----------------------------------------------------
-
-    def spot(self, var: str, cell: tuple[int, int]) -> int:
-        """Intra-cell vertex index of var's first claim inside a cell."""
-        for i, j, side, track in self.chains.get(var, ()):
-            if (i, j) == cell:
-                return self.role(side, track)
-        raise EmbeddingError(f"{var} has no claim in cell {cell}")
 
     def new_node(self, prefix: str = "m") -> str:
         self._node_counter += 1
         return f"{prefix}{self._node_counter}"
 
     def new_leaf(self) -> str:
-        name = f"x{len(self.leaves) + 1}"
+        self._leaf_counter += 1
+        name = f"x{self._leaf_counter}"
         self.leaves.append(name)
         return name
 
-    def merge(self, z: str, x: str, y: str, w: str, cell: tuple[int, int]) -> None:
+    def merge(self, z: str, x: str, y: str, w: str) -> None:
         self.gadgets.append((z, x, y, w))
-        self.tile_assignment.setdefault(z, cell)
-        self.gadget_spins.setdefault(cell, []).append(
-            {
-                "s_z": self.spot(z, cell),
-                "s_w": self.spot(w, cell),
-                "s_x": self.spot(x, cell),
-                "s_y": self.spot(y, cell),
-            }
-        )
 
     def layout(
         self, embedded: EmbeddedQubo, tree: MergeTree, **fields
     ) -> FractalLayout:
-        """The layout record of this builder's claims and bookkeeping."""
-        return FractalLayout(
-            tile_assignment=dict(self.tile_assignment),
-            gadget_spins=dict(self.gadget_spins),
-            J=self.J,
-            leaf_tracks=dict(self.leaf_tracks),
-            embedded=embedded,
-            tree=tree,
-            **fields,
-        )
+        """The layout record of this builder's embedding and merge tree."""
+        return FractalLayout(J=self.J, embedded=embedded, tree=tree, **fields)
 
     # cell recipes -------------------------------------------------------------
 
@@ -350,17 +319,13 @@ class _FractalBuilder(SlotPlanner):
         exports: list[tuple[str, int]] = []
         for idx in range(self.per_cell // 2):
             a, b = self.new_leaf(), self.new_leaf()
-            sa, sb = 2 * idx, 2 * idx + 1
-            self.claim(cell, "s", sa, a)
-            self.claim(cell, "s", sb, b)
-            for leaf, track in ((a, sa), (b, sb)):
-                self.tile_assignment[leaf] = cell
-                self.leaf_tracks[leaf] = (cell[0], cell[1], track)
+            self.claim(cell, "s", 2 * idx, a)
+            self.claim(cell, "s", 2 * idx + 1, b)
             t = export_tracks[idx]
             y, w = self.new_node(), self.new_node("w")
             self.claim(cell, "r", t, y)
             self.claim(cell, "r", t ^ 1, w)
-            self.merge(y, a, b, w, cell)
+            self.merge(y, a, b, w)
             exports.append((y, t))
         return exports
 
@@ -371,9 +336,6 @@ class _FractalBuilder(SlotPlanner):
             a, b = self.new_leaf(), self.new_leaf()
             self.claim(cell, "s", 0, a)
             self.claim(cell, "r", 0, b)
-            self.tile_assignment[a] = cell
-            self.tile_assignment[b] = cell
-            self.leaf_tracks[a] = (cell[0], cell[1], 0)
             return a, b
         if N == 3:
             a, b, c = self.new_leaf(), self.new_leaf(), self.new_leaf()
@@ -382,10 +344,8 @@ class _FractalBuilder(SlotPlanner):
             y, w = self.new_node(), self.new_node("w")
             self.claim(cell, "s", 0, y)
             self.claim(cell, "s", 1, w)
-            self.merge(y, a, b, w, cell)
+            self.merge(y, a, b, w)
             self.claim(cell, "r", 2, c)
-            for leaf in (a, b, c):
-                self.tile_assignment[leaf] = cell
             return y, c
         a, b = self.new_leaf(), self.new_leaf()
         self.claim(cell, "r", 0, a)
@@ -393,16 +353,14 @@ class _FractalBuilder(SlotPlanner):
         y1, w1 = self.new_node(), self.new_node("w")
         self.claim(cell, "s", 0, y1)
         self.claim(cell, "s", 1, w1)
-        self.merge(y1, a, b, w1, cell)
+        self.merge(y1, a, b, w1)
         c, d = self.new_leaf(), self.new_leaf()
         self.claim(cell, "s", 2, c)
         self.claim(cell, "s", 3, d)
         y2, w2 = self.new_node(), self.new_node("w")
         self.claim(cell, "r", 2, y2)
         self.claim(cell, "r", 3, w2)
-        self.merge(y2, c, d, w2, cell)
-        for leaf in (a, b, c, d):
-            self.tile_assignment[leaf] = cell
+        self.merge(y2, c, d, w2)
         return y1, y2
 
     # recursive blocks ---------------------------------------------------------
@@ -446,11 +404,11 @@ class _FractalBuilder(SlotPlanner):
         zl, wl = self.new_node(), self.new_node("w")
         self.claim(left_cell, "s", s_zl, zl)
         self.claim(left_cell, "s", s_wl, wl)
-        self.merge(zl, roots[0][0], roots[1][0], wl, left_cell)
+        self.merge(zl, roots[0][0], roots[1][0], wl)
         zr, wr = self.new_node(), self.new_node("w")
         self.claim(right_cell, "s", s_zr, zr)
         self.claim(right_cell, "s", s_wr, wr)
-        self.merge(zr, roots[2][0], roots[3][0], wr, right_cell)
+        self.merge(zr, roots[2][0], roots[3][0], wr)
         for i in range(mid_sub + 1, L_sub + 1):
             self.claim(frame.cell(i, corridor_j), "s", s_zl, zl)
         for i in range(L_sub + mid_sub, L_sub - 1, -1):
@@ -461,7 +419,7 @@ class _FractalBuilder(SlotPlanner):
         root, wroot = self.new_node(), self.new_node("w")
         self.claim(center, "r", export_track, root)
         self.claim(center, "r", export_track ^ (2 if self.per_cell == 4 else 1), wroot)
-        self.merge(root, zl, zr, wroot, center)
+        self.merge(root, zl, zr, wroot)
         L_here = (1 << m) - 1
         for j in range(corridor_j + 1, L_here):
             self.claim(frame.cell(L_sub, j), "r", export_track, root)
@@ -490,18 +448,18 @@ class _FractalBuilder(SlotPlanner):
             z, w = self.new_node(), self.new_node("w")
             self.claim(cell, "s", s_z, z)
             self.claim(cell, "s", s_w, w)
-            self.merge(z, pair[0][0], pair[1][0], w, cell)
+            self.merge(z, pair[0][0], pair[1][0], w)
             cell_sums.append((z, s_z))
         for z, track in cell_sums:
             self.claim(center, "s", track, z)
         zl, wl = self.new_node(), self.new_node("w")
         self.claim(center, "r", 0, zl)
         self.claim(center, "r", 1, wl)
-        self.merge(zl, cell_sums[0][0], cell_sums[1][0], wl, center)
+        self.merge(zl, cell_sums[0][0], cell_sums[1][0], wl)
         zr, wr = self.new_node(), self.new_node("w")
         self.claim(center, "r", 2, zr)
         self.claim(center, "r", 3, wr)
-        self.merge(zr, cell_sums[2][0], cell_sums[3][0], wr, center)
+        self.merge(zr, cell_sums[2][0], cell_sums[3][0], wr)
         self.claim(root_cell, "r", 0, zl)
         self.claim(root_cell, "r", 2, zr)
         if export_track is None:
@@ -510,7 +468,7 @@ class _FractalBuilder(SlotPlanner):
         root, wroot = self.new_node(), self.new_node("w")
         self.claim(root_cell, "s", 0, root)
         self.claim(root_cell, "s", 1, wroot)
-        self.merge(root, zl, zr, wroot, root_cell)
+        self.merge(root, zl, zr, wroot)
         self.claim(root_cell, "r", export_track, root)
         return root
 
@@ -634,10 +592,11 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
     def free(cell: tuple[int, int], side: str) -> list[int]:
         return [t for t in range(J) if (cell[0], cell[1], side, t) not in builder.claims]
 
+    # every real leaf holds one slot (i, j, side, track); s-side leaves can branch
+    slots = {x: next(iter(builder.chains[x])) for x in layout.tree.real_leaves}
     branches: list[tuple[str, list[str]]] = []
-    leaf_cells = sorted({cell for cell in (layout.tile_assignment[x] for x in layout.tree.real_leaves if x in layout.tile_assignment) if cell is not None})
     replaced: set[str] = set()
-    for cell in leaf_cells:
+    for cell in sorted({slot[:2] for slot in slots.values()}):
         for di in (-1, 1):
             fcell = (cell[0] + di, cell[1])
             if not (0 <= fcell[0] < layout.L and 0 <= fcell[1] < layout.L):
@@ -645,12 +604,12 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
             free_s, free_r = free(fcell, "s"), free(fcell, "r")
             # candidate leaves of this cell, by track
             for leaf in sorted(
-                (x for x in layout.tree.real_leaves if layout.leaf_tracks.get(x, (None,))[:2] == cell),
-                key=lambda x: layout.leaf_tracks[x][2],
+                (x for x, slot in slots.items() if slot[:3] == (*cell, "s")),
+                key=lambda x: slots[x][3],
             ):
                 if leaf in replaced:
                     continue
-                track = layout.leaf_tracks[leaf][2]
+                track = slots[leaf][3]
                 if track not in free_s:
                     continue
                 if len(free_s) >= 4 and len(free_r) >= 3:
@@ -679,14 +638,14 @@ def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
             builder.claim_vertex(emb.graph, p, name)
     builder.leaves = list(layout.tree.leaves)
     builder.gadgets = list(layout.tree.gadgets)
-    builder.tile_assignment = dict(layout.tile_assignment)
-    builder.gadget_spins = {k: list(v) for k, v in layout.gadget_spins.items()}
-    builder.leaf_tracks = dict(layout.leaf_tracks)
-    # fill nodes continue past every existing m/w node number (at least 1000)
-    builder._node_counter = max(
-        [1000]
-        + [int(name[1:]) for name in builder.chains if name[0] in "mw" and name[1:].isdigit()]
-    )
+
+    def numbers(prefixes: str) -> list[int]:
+        return [int(n[1:]) for n in builder.chains if n[0] in prefixes and n[1:].isdigit()]
+
+    # fill nodes continue past every existing m/w node number (at least 1000),
+    # and new leaves past every x leaf, including leaves an earlier fill replaced
+    builder._node_counter = max([1000] + numbers("mw"))
+    builder._leaf_counter = max(numbers("x"))
     return builder
 
 
@@ -712,12 +671,8 @@ def _branch3(
     builder.claim(fcell, "r", t_node_r, t_node)
     builder.claim(fcell, "r", w_t_r, w_t)
     builder.claim(fcell, "s", w_prime, w_pr)
-    builder.merge(t_node, new_u, new_v, w_t, fcell)
-    builder.merge(leaf, t_node, new_p, w_pr, fcell)
-    for x in (new_u, new_v, new_p):
-        builder.tile_assignment[x] = fcell
-    builder.leaf_tracks[new_u] = (fcell[0], fcell[1], u_s)
-    builder.leaf_tracks[new_v] = (fcell[0], fcell[1], v_s)
+    builder.merge(t_node, new_u, new_v, w_t)
+    builder.merge(leaf, t_node, new_p, w_pr)
     return [new_u, new_v, new_p]
 
 
@@ -737,21 +692,12 @@ def _branch2(
     builder.claim(fcell, "r", free_r[0], new_u)
     builder.claim(fcell, "r", free_r[1], new_v)
     builder.claim(fcell, "s", w_prime, w_pr)
-    builder.merge(leaf, new_u, new_v, w_pr, fcell)
-    for x in (new_u, new_v):
-        builder.tile_assignment[x] = fcell
+    builder.merge(leaf, new_u, new_v, w_pr)
     return [new_u, new_v]
 
 
 def _unchanged(layout: FractalLayout, note: str) -> FractalLayout:
-    return replace(
-        layout,
-        tile_assignment=dict(layout.tile_assignment),
-        gadget_spins=dict(layout.gadget_spins),
-        leaf_tracks=dict(layout.leaf_tracks),
-        added_bits=0,
-        notes=[*layout.notes, note],
-    )
+    return replace(layout, added_bits=0, notes=[*layout.notes, note])
 
 
 def _relayout(
@@ -759,12 +705,9 @@ def _relayout(
 ) -> FractalLayout:
     # constrained bits: old real leaves minus the replaced ones plus new leaves
     replaced = {old for old, _ in branches}
-    new_real: list[str] = [x for x in layout.tree.real_leaves if x not in replaced]
-    for _, added in branches:
-        new_real.extend(added)
-    ordered_leaves = [x for x in builder.leaves if x not in replaced]
-    pads = [x for x in layout.tree.pad_leaves]
-    real_ordered = [x for x in ordered_leaves if x not in set(pads)]
+    pads = layout.tree.pad_leaves
+    dropped = replaced.union(pads)
+    real_ordered = [x for x in builder.leaves if x not in dropped]
     leaves_for_qubo = real_ordered + pads
     embedded, tree = _embed_gadgets(
         builder, layout.tree.root_children, leaves_for_qubo, len(real_ordered), layout.L

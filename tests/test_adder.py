@@ -26,10 +26,10 @@ class TestBuildAdder:
         spec = brute_force(adder.qubo)
         assert spec.ground_energy == 0.0
         assert spec.state_count_at_ground == 4
-        r = adder.role_index
+        r = adder.qubo.index_of
         for state in spec.ground_states:
-            x1, x2 = state[r["x1:0"]], state[r["x2:0"]]
-            y = state[r["y:0"]] + 2 * state[r["y:1"]]
+            x1, x2 = state[r("x1:0")], state[r("x2:0")]
+            y = state[r("y:0")] + 2 * state[r("y:1")]
             assert y == x1 + x2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -41,8 +41,7 @@ class TestBuildAdder:
                 spec = brute_force(sub)
                 assert spec.ground_energy == 0.0
                 assert spec.state_count_at_ground == 1, (x1, x2)
-                roles = {sub.name_of(i): i for i in range(sub.num_vars)}
-                assert read_register(spec.ground_states[0], roles, "y", n + 1) == x1 + x2
+                assert read_register(spec.ground_states[0], sub, "y", n + 1) == x1 + x2
                 # wrong completions cost at least one unit
                 assert spec.gap >= 1.0
 
@@ -50,9 +49,8 @@ class TestBuildAdder:
         adder = build_adder(3)
         sub = clamp_inputs(adder, 3, 5)
         spec = brute_force(sub)
-        roles = {sub.name_of(i): i for i in range(sub.num_vars)}
         assert spec.state_count_at_ground == 1
-        assert read_register(spec.ground_states[0], roles, "y", 4) == 8
+        assert read_register(spec.ground_states[0], sub, "y", 4) == 8
 
     def test_all_zero_assignment(self):
         adder = build_adder(2)
@@ -82,12 +80,12 @@ class TestNaiveAdder:
         naive = build_naive_adder(2)
         spec = brute_force(naive.qubo)
         assert spec.ground_energy == 0.0
-        r = naive.role_index
+        r = naive.qubo.index_of
         sums = set()
         for state in spec.ground_states:
-            x1 = state[r["x1:0"]] + 2 * state[r["x1:1"]]
-            x2 = state[r["x2:0"]] + 2 * state[r["x2:1"]]
-            y = read_register(state, r, "y", 3)
+            x1 = state[r("x1:0")] + 2 * state[r("x1:1")]
+            x2 = state[r("x2:0")] + 2 * state[r("x2:1")]
+            y = read_register(state, naive.qubo, "y", 3)
             assert y == x1 + x2
             sums.add((x1, x2))
         assert sums == {(a, b) for a in range(4) for b in range(4)}
@@ -103,16 +101,15 @@ class TestSelectableAdder:
         [((3, 5), (1, 1), 8), ((3, 5), (0, 0), 0), ((1, 1), (1, 0), 1), ((3, 5), (1, 0), 3)],
     )
     def test_output_tracks_selection(self, constants, selectors, expected):
-        q, roles, width = build_selectable_adder(constants)
+        q, width = build_selectable_adder(constants)
         sub = clamp(q, {"xa": selectors[0], "xb": selectors[1]})
         spec = brute_force(sub)
         assert spec.ground_energy == 0.0
-        sub_roles = {sub.name_of(i): i for i in range(sub.num_vars)}
-        assert read_register(spec.ground_states[0], sub_roles, "X", width) == expected
+        assert read_register(spec.ground_states[0], sub, "X", width) == expected
         assert spec.state_count_at_ground == 1
 
     def test_zero_selection_forces_zero_carries(self):
-        q, roles, width = build_selectable_adder((3, 5))
+        q, width = build_selectable_adder((3, 5))
         sub = clamp(q, {"xa": 0, "xb": 0})
         spec = brute_force(sub)
         assert all(v == 0 for v in spec.ground_states[0])

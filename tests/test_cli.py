@@ -184,6 +184,22 @@ class TestEmbedValidate:
         err = capsys.readouterr().err
         assert err.startswith("document error:") and "'L'" in err
 
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("validate", lambda d: d["vertex_order"].__setitem__(0, "x"), "invalid literal"),
+            ("solve", lambda d: d["physical_qubo"]["linear"].append([99999, 1.0]), "out of range"),
+        ],
+        ids=["vertex_order", "linear"],
+    )
+    def test_malformed_value_is_document_error(self, command, edit, message, tmp_path, capsys):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        edit(embedded)
+        path = write(tmp_path, "emb.json", embedded)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"document error: {path}:") and message in err
+
 
 class TestGapPredict:
     def test_gap_on_built_qubo(self, tmp_path, capsys):
@@ -222,6 +238,10 @@ class TestGapPredict:
         assert doc["predicted_side"] == pytest.approx(56.0)
         code, doc = run(capsys, "predict", "cartoon", "4")
         assert doc["tau_linear"] == 16.0
+
+    def test_non_integer_predict_argument_is_usage_error(self, capsys):
+        assert main(["predict", "unary", "x", "4"]) == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
 
     def test_round_trip_documents(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"partition": {"numbers": [2, 2, 3, 3]}})

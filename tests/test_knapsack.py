@@ -25,7 +25,7 @@ class TestBuildKnapsack:
         assert spec.ground_energy == 0.0
         for state in spec.ground_states:
             picked = [
-                i for i, n in enumerate(tree.selectors) if state[tree.roles[n]] == 1
+                i for i, n in enumerate(tree.selectors) if state[tree.qubo.index_of(n)] == 1
             ]
             assert len(picked) == 1
 

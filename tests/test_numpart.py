@@ -29,7 +29,7 @@ class TestBuildNumpart:
         subsets = set()
         for state in spec.ground_states:
             picked = tuple(
-                i for i, name in enumerate(tree.selectors) if state[tree.roles[name]] == 1
+                i for i, name in enumerate(tree.selectors) if state[tree.qubo.index_of(name)] == 1
             )
             subsets.add(picked)
             assert sum(tree.instance.numbers[i] for i in picked) == 5
@@ -42,7 +42,7 @@ class TestBuildNumpart:
         spec = brute_force(tree.qubo)
         assert spec.ground_energy == 0.0
         for state in spec.ground_states:
-            hot = [name for name in tree.selectors if state[tree.roles[name]] == 1]
+            hot = [name for name in tree.selectors if state[tree.qubo.index_of(name)] == 1]
             assert len(hot) == 1
 
     def test_odd_total_flagged(self):
@@ -96,7 +96,7 @@ class TestOracleEquivalence:
                 picked = [
                     numbers[k]
                     for k, name in enumerate(tree.selectors)
-                    if witness[tree.roles[name]]
+                    if witness[tree.qubo.index_of(name)]
                 ]
                 assert sum(picked) * 2 == sum(numbers)
 

@@ -1,5 +1,6 @@
 """Unary tree QUBOs, the K_{2,2} gadget, and fractal embeddings."""
 
+import hashlib
 import itertools
 import math
 
@@ -29,7 +30,7 @@ class TestBuildUnaryQubo:
         assert set(spec.ground_states) == one_hot_ground_states(ut)
         hot_leaves = set()
         for state in spec.ground_states:
-            hot = [k for k in range(1, N + 1) if state[ut.leaf_index[k]] == 1]
+            hot = [k for k in range(1, N + 1) if state[ut.qubo.index_of(f"x{k}")] == 1]
             assert len(hot) == 1
             hot_leaves.add(hot[0])
         assert hot_leaves == set(range(1, N + 1))
@@ -57,7 +58,7 @@ class TestBuildUnaryQubo:
         assert spec.ground_energy == 0.0
         projections = set()
         for state in spec.ground_states:
-            projections.add(tuple(state[ut.leaf_index[k]] for k in range(1, 5)))
+            projections.add(tuple(state[ut.qubo.index_of(f"x{k}")] for k in range(1, 5)))
         assert projections == {
             (0, 0, 0, 0),
             (1, 0, 0, 0),
@@ -202,22 +203,26 @@ class TestFractalEmbedding:
     @pytest.mark.parametrize("J", [2, 4])
     @pytest.mark.parametrize("N", [3, 8, 16, 64])
     def test_gadget_spins_lie_on_their_chains(self, N, J):
-        embedded, layout = fractal_embed_unary(N, J)
-        emb, logical = embedded.embedding, embedded.logical
-        hosted: dict[tuple[int, int], list[dict[str, str]]] = {}
-        for z, x, y, w in layout.tree.gadgets:
-            hosted.setdefault(layout.tile_assignment[z], []).append(
-                {"s_z": z, "s_w": w, "s_x": x, "s_y": y}
-            )
-        assert {c: len(m) for c, m in hosted.items()} == {
-            c: len(m) for c, m in layout.gadget_spins.items()
-        }
-        for cell, merges in hosted.items():
-            for names, spins in zip(merges, layout.gadget_spins[cell]):
-                assert len(set(spins.values())) == 4
-                for role, name in names.items():
-                    p = emb.graph.vertex(cell[0], cell[1], spins[role])
-                    assert p in emb.chains[logical.index_of(name)]
+        # each gadget (z, x, y, w) sits in one cell's K_{2,2} block: all four
+        # chains meet there, z and w on one side, x and y on the other
+        _, plain = fractal_embed_unary(N, J)
+        for layout in (plain, fill_tree_optimize(plain)):
+            emb, logical = layout.embedded.embedding, layout.embedded.logical
+
+            def sides(name):
+                out: dict[tuple[int, int], set[bool]] = {}
+                for p in emb.chains[logical.index_of(name)]:
+                    i, j, a = emb.graph.cell_of(p)
+                    out.setdefault((i, j), set()).add(a < J)
+                return out
+
+            for z, x, y, w in layout.tree.gadgets:
+                held = [sides(name) for name in (z, w, x, y)]
+                assert any(
+                    all(side in h.get(cell, ()) for h, side in zip(held, (s, s, not s, not s)))
+                    for cell in held[0]
+                    for s in (True, False)
+                ), (z, x, y, w)
 
 
 class TestFillOptimize:
@@ -265,6 +270,18 @@ class TestFillOptimize:
         assert filled.added_bits == 0
         assert filled.notes[-1].startswith("no fill possible")
 
+    def test_second_fill_names_new_leaves_past_the_first(self):
+        # the first fill drops the leaves it replaces from the leaf list, so
+        # new leaves are numbered past the largest x number, not the list size
+        twice = fill_tree_optimize(fill_tree_optimize(fractal_embed_unary(6, 8)[1]))
+        emb = twice.embedded
+        report = validate(
+            emb.embedding, emb.logical.interaction_edges(), range(emb.logical.num_vars)
+        )
+        assert report.ok, report.summary()
+        real = twice.tree.real_leaves
+        assert len(set(real)) == len(real) == twice.N
+
     def test_filled_ground_states_still_one_hot(self):
         _, layout = fractal_embed_unary(16, 4)
         filled = fill_tree_optimize(layout)
@@ -274,3 +291,40 @@ class TestFillOptimize:
         for name in hot_names[:3] + hot_names[-3:]:
             state = lift_one_hot(emb, filled.tree, name)
             assert emb.physical.energy(state) == pytest.approx(0.0, abs=1e-9)
+
+
+def layout_digest(layouts) -> str:
+    """sha256 of each layout's chains (in iteration order, members sorted),
+    vertex order, physical and logical terms as float.hex, logical names and
+    sizes."""
+    h = hashlib.sha256()
+    for layout in layouts:
+        e = layout.embedded
+        terms = [
+            (
+                q.offset.hex(),
+                [(i, c.hex()) for i, c in q.linear.items()],
+                [(i, j, c.hex()) for (i, j), c in q.quadratic.items()],
+            )
+            for q in (e.physical, e.logical)
+        ]
+        chains = [(k, sorted(v)) for k, v in e.embedding.chains.items()]
+        sizes = (layout.N, layout.L, layout.N_star, layout.added_bits, layout.notes)
+        h.update(repr((chains, list(e.vertex_order), terms, e.logical.var_names, sizes)).encode())
+    return h.hexdigest()
+
+
+class TestFractalDigest:
+    def test_layouts_and_single_fills(self):
+        # every layout for J in {2, 3, 4, 8} and N in 2..40, 64, 128, 256, each
+        # followed by its fill, so a change to where the builder or the fill
+        # puts a chain, a term or a leaf shows here
+        def layouts():
+            for J in (2, 3, 4, 8):
+                for N in [*range(2, 41), 64, 128, 256]:
+                    layout = fractal_embed_unary(N, J)[1]
+                    yield layout
+                    yield fill_tree_optimize(layout)
+
+        digest = "e7e45742f98b484af38dac9ddfb343060e70f0fdc62fef3c36de727c0aacedae"
+        assert layout_digest(layouts()) == digest
