@@ -69,7 +69,7 @@ def _parse_lattice(spec_text: str):
             raise UsageError("expected --lattice chimera:J,L") from None
         return chimera_spec(j, l), ("chimera", j)
     doc = _read_doc(spec_text)
-    with documents.reading(spec_text):
+    with _decoding(spec_text):
         return lattice_from_doc(doc), None
 
 

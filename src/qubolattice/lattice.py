@@ -12,7 +12,7 @@ cell matrices and the coordinates instead of storing an edge set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -68,12 +68,14 @@ class CellAdjacency:
         return sum(sum(row) for row in self.A_v)
 
 
+@lru_cache(maxsize=64)
 def chimera_cell(J: int) -> CellAdjacency:
     """Complete-bipartite K_{J,J} cell.
 
     Left vertices 0..J-1 carry the horizontal couplers (track-aligned), right
     vertices J..2J-1 the vertical ones.  J=4 reproduces the standard Chimera
-    cell with n=8, e=16, e_h=e_v=4.
+    cell with n=8, e=16, e_h=e_v=4.  The record is frozen, so one instance
+    per J is built and shared.
     """
     if J < 1:
         raise LatticeError("chimera cell requires J >= 1")

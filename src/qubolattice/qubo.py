@@ -30,8 +30,13 @@ BRUTE_FORCE_CAP = 28
 
 _BLOCK = 1 << 16
 
-#: Energies per block of the split enumeration (8 MiB of float64).
-_SPLIT_BLOCK = 1 << 20
+#: Energies per block of the split enumeration (1 MiB of float64).
+_SPLIT_BLOCK = 1 << 17
+
+#: Codes whose kept rows are re-evaluated together.  `Qubo.energies` can round
+#: a row differently in calls of different shapes, so fixed groups keep every
+#: result independent of `_SPLIT_BLOCK`.
+_PICK_SPAN = 1 << 20
 
 
 class QuboError(ValueError):
@@ -333,15 +338,27 @@ def apply_noise(q: Qubo, model: NoiseModel) -> Qubo:
 
 
 def _code_rows(start: int, stop: int, num_vars: int, domain: str) -> np.ndarray:
-    """Assignments of the codes start..stop-1; bit i of a code is variable i."""
+    """Assignments of the codes start..stop-1; bit i of a code is variable i.
+
+    The int8 table is allocated once and filled one bit column at a time, so
+    no wider table of its shape is ever built; spins are mapped in place.
+    """
     codes = np.arange(start, stop, dtype=np.uint64)
-    bits = ((codes[:, None] >> np.arange(num_vars, dtype=np.uint64)) & 1).astype(np.int8)
-    return 2 * bits - 1 if domain == SPIN else bits
+    bits = np.empty((len(codes), num_vars), dtype=np.int8)
+    for i in range(num_vars):
+        bits[:, i] = codes & 1
+        codes >>= 1
+    if domain == SPIN:
+        bits *= 2
+        bits -= 1
+    return bits
 
 
 #: One batch of states: their energies, and `pick(idx)` giving the rows at
-#: positions `idx` together with their exact `Qubo.energies`.
-Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
+#: positions `idx` together with their exact `Qubo.energies`.  A batch whose
+#: `pick` is None continues into the next one: positions run over every batch
+#: since the last `pick`, which serves them all.
+Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None]
 
 
 def _explicit_batch(q: Qubo, rows: np.ndarray) -> Batch:
@@ -357,8 +374,9 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
     C = U[:k, k:] the cross couplings, the block over high rows h and every
     low row l is e_hi[h] + e_lo[l] + S_hi[h] . (S_lo C)[l]: one matrix product
     of at most `_SPLIT_BLOCK` entries.  Entries are hi-major, which is code
-    order.  `pick` re-evaluates rows with `Qubo.energies`, whose rounding the
-    split sum does not share.
+    order.  Each span of `_PICK_SPAN` codes has one `pick`, on its last
+    block; it re-evaluates rows with `Qubo.energies`, whose rounding the split
+    sum does not share.
     """
     n, k = q.num_vars, q.num_vars // 2
     l, u = q._dense_terms()
@@ -368,44 +386,102 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
     e_lo = _quadratic_form(lo_f, l[:k], u[:k, :k], 0.0)
     e_hi = _quadratic_form(hi_f, l[k:], u[k:, k:], q.offset)
     cross = (lo_f @ u[:k, k:]).T
-    step = max(1, _SPLIT_BLOCK >> k)
-    for h0 in range(0, len(hi), step):
-        block = hi_f[h0 : h0 + step] @ cross
-        block += e_hi[h0 : h0 + step, None]
-        block += e_lo
+    step, span = max(1, _SPLIT_BLOCK >> k), max(1, _PICK_SPAN >> k)
 
-        def pick(idx: np.ndarray, h0: int = h0) -> tuple[np.ndarray, np.ndarray]:
+    for s0 in range(0, len(hi), span):
+        s1 = min(s0 + span, len(hi))
+
+        def pick(idx: np.ndarray, s0: int = s0) -> tuple[np.ndarray, np.ndarray]:
             h, low = np.divmod(idx, len(lo))
-            rows = np.hstack((lo[low], hi[h0 + h]))
+            rows = np.hstack((lo[low], hi[s0 + h]))
             energies = [q.energies(rows[s : s + _BLOCK]) for s in range(0, len(rows), _BLOCK)]
             return rows, np.concatenate(energies)
 
-        yield block.ravel(), pick
+        for h0 in range(s0, s1, step):
+            h1 = min(h0 + step, s1)
+            block = hi_f[h0:h1] @ cross
+            block += e_hi[h0:h1, None]
+            block += e_lo
+            yield block.ravel(), (pick if h1 == s1 else None)
+
+
+def _drop_above(
+    chunks: list[tuple[np.ndarray, np.ndarray]], band: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[float, np.ndarray] | None]:
+    """Merge (items, energies) chunks, in order, and drop the items whose
+    energy exceeds `band`; also return the first lowest dropped (energy, item)."""
+    if not chunks:
+        return [], None
+    items = np.concatenate([i for i, _ in chunks])
+    energies = np.concatenate([e for _, e in chunks])
+    out = energies > band
+    if not out.any():
+        return [(items, energies)], None
+    j = np.flatnonzero(out)[np.argmin(energies[out])]
+    lowest = (float(energies[j]), items[j])
+    if out.all():
+        return [], lowest
+    return [(items[~out], energies[~out])], lowest
 
 
 def _spectrum_from_batches(batches: Iterable[Batch], tol: float, slack: float = 0.0) -> Spectrum:
-    # Keep the rows within tol (+ slack, a bound on the rounding gap between
-    # batch and exact energies) of the running minimum, and the lowest row
-    # outside that band as a witness of the next level; the exact energies of
-    # the kept rows then decide the ground set and the gap.
-    running = math.inf
-    kept: list[tuple[float, tuple[int, ...]]] = []
+    # Over each stretch of batches up to a `pick`, select the positions within
+    # tol (+ slack, a bound on the rounding gap between batch and exact
+    # energies) of the running minimum, and the first lowest position outside
+    # that band as a witness of the next level; `pick` gives their rows and
+    # exact energies, which then decide the ground set and the gap.  The
+    # selection is the one a single batch over the stretch would make.  When
+    # the running minimum falls, selected positions and kept rows that left
+    # the band can no longer be ground states (the row at the minimum stays,
+    # within slack of it): they are dropped, a dropped position may become
+    # the witness, and `floor`, the lowest exact energy of the dropped rows,
+    # stands in for them in the gap.
+    running = floor = math.inf
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    chosen: list[tuple[np.ndarray, np.ndarray]] = []  # positions, batch energies
+    witness: tuple[float, int] = (math.inf, -1)
+    start = 0
     for energies, pick in batches:
-        running = min(running, float(energies.min()))
-        near = energies <= running + tol + slack
+        low = float(energies.min())
+        band = min(running, low) + tol + slack
+        if low < running:
+            chosen, lowest = _drop_above(chosen, band)
+            if lowest is not None:
+                witness = min(witness, (lowest[0], int(lowest[1])))
+            kept, lowest = _drop_above(kept, band)
+            if lowest is not None:
+                floor = min(floor, lowest[0])
+            running = low
+        near = energies <= band
         idx = np.flatnonzero(near)
+        chosen.append((idx + start, energies[idx]))
         if len(idx) < len(energies):
-            idx = np.append(idx, np.argmin(np.where(near, np.inf, energies)))
-        rows, exact = pick(idx)
-        kept.extend(zip(exact.tolist(), map(tuple, rows.tolist())))
+            above = float(np.min(energies, where=~near, initial=np.inf))
+            witness = min(witness, (above, start + int(np.argmax(energies == above))))
+        start += len(energies)
+        if pick is None:
+            continue
+        idx = np.concatenate([i for i, _ in chosen])
+        if witness[1] >= 0:
+            idx = np.append(idx, witness[1])
+        kept.append(pick(idx))
+        chosen, witness, start = [], (math.inf, -1), 0
     if not kept:
         raise QuboError("empty subspace: no states to take a spectrum over")
-    ground = min(e for e, _ in kept)
-    states = [s for e, s in kept if e <= ground + tol]
-    excited = [e for e, _ in kept if e > ground + tol]
-    if not excited:
+    # the first lowest in kept order, as `min` over all values finds it: the
+    # sign of a zero ground energy depends on which row gives it
+    ground = min(float(e[e.argmin()]) for _, e in kept)
+    states: list[tuple[int, ...]] = []
+    for rows, exact in kept:
+        excited = exact > ground + tol
+        if excited.any():
+            floor = min(floor, float(exact[excited].min()))
+        rows = rows[~excited]
+        for s in range(0, len(rows), _BLOCK):
+            states.extend(map(tuple, rows[s : s + _BLOCK].tolist()))
+    if floor == math.inf:
         return Spectrum(ground, states, 0.0, len(states), degenerate=True)
-    return Spectrum(ground, states, min(excited) - ground, len(states))
+    return Spectrum(ground, states, floor - ground, len(states))
 
 
 def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> Spectrum:
@@ -415,10 +491,13 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
     exhaustively, in code order (bit i of the code is variable i).  The
     variables split into a low and a high half whose rows and energies are
     built once; each block of energies is one matrix product over the cross
-    couplings, capped at `_SPLIT_BLOCK` entries (8 MiB), so memory does not
+    couplings, capped at `_SPLIT_BLOCK` entries (1 MiB), so memory does not
     grow with 2**num_vars.  Only rows within `tol` of the running minimum and
-    one witness of the next level per block are materialized, and their
-    energies are re-evaluated with `Qubo.energies`.
+    one witness of the next level per `_PICK_SPAN` codes are materialized, as
+    int8 rows, and their energies are re-evaluated with `Qubo.energies`.
+    Kept rows that the running minimum leaves behind are dropped as it falls,
+    so apart from the ground set returned the working set stays under about
+    8 MiB.
     """
     if q.num_vars > cap:
         raise QuboError(

@@ -266,8 +266,8 @@ class FractalLayout:
     L: int
     J: int
     N: int
-    embedded: EmbeddedQubo | None = None
-    tree: MergeTree | None = None
+    embedded: EmbeddedQubo
+    tree: MergeTree
     added_bits: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -581,8 +581,6 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
     exists the original layout is returned with a note.
     """
     J = layout.J
-    if layout.tree is None or layout.embedded is None:
-        raise UnaryError("layout lacks its construction record")
     if J < 4:
         return _unchanged(layout, "no fill possible: J - 2 branch gain is zero")
 

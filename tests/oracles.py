@@ -36,6 +36,19 @@ def knapsack_best_subset(values, weights, capacity):
     return best_value, set(best_subset)
 
 
+def exhaustive_spectrum(values, num_vars: int, energy, tol: float):
+    """(ground energy, ground states, gap, ground count, degenerate) by one
+    `energy` call per assignment.  Assignments run in code order: bit i of
+    the code picks values[1] for variable i."""
+    rows = [code[::-1] for code in itertools.product(values, repeat=num_vars)]
+    energies = [energy(row) for row in rows]
+    ground = min(energies)
+    states = [row for row, e in zip(rows, energies) if e <= ground + tol]
+    excited = [e for e in energies if e > ground + tol]
+    gap = min(excited) - ground if excited else 0.0
+    return ground, states, gap, len(states), not excited
+
+
 def proper_coloring_count(n: int, edges, q: int) -> int:
     count = 0
     for coloring in itertools.product(range(q), repeat=n):

@@ -184,6 +184,24 @@ class TestEmbedValidate:
         err = capsys.readouterr().err
         assert err.startswith("document error:") and "'L'" in err
 
+    @pytest.mark.parametrize("command", ["lattice", "embed"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("L", "x", "invalid literal"), ("J", 0, "requires J >= 1")],
+        ids=["side", "cell"],
+    )
+    def test_malformed_lattice_value_is_document_error(
+        self, command, field, value, message, tmp_path, capsys
+    ):
+        doc = {"family": "chimera", "J": 4, "L": 2, field: value}
+        lattice = write(tmp_path, "f.json", doc)
+        argv = ["--lattice", lattice]
+        if command == "embed":
+            argv.insert(0, write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"document error: {lattice}: ") and message in err
+
     @pytest.mark.parametrize(
         "command, edit, message",
         [

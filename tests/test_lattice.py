@@ -35,6 +35,10 @@ class TestChimeraCell:
         with pytest.raises(LatticeError):
             chimera_cell(0)
 
+    def test_one_record_per_side(self):
+        assert chimera_cell(4) is chimera_cell(4)
+        assert chimera_cell(4) is not chimera_cell(3)
+
     def test_cell_matrix_validation(self):
         with pytest.raises(LatticeError):
             CellAdjacency.from_matrices([[1]], [[0]], [[0]])  # diagonal entry

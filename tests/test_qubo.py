@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_graphs
+from oracles import all_graphs, exhaustive_spectrum
 from qubolattice import qubo as qubo_module
 from qubolattice.adder import build_adder
 from qubolattice.coloring import ColoringInstance, _build_tileset_any, compile_coloring
@@ -255,18 +255,7 @@ class TestBruteForce:
 
 def python_spectrum(q: Qubo, tol: float = COEFF_TOL) -> Spectrum:
     """Spectrum by one `Qubo.energy` call per assignment, in code order."""
-    lo, hi = (0, 1) if q.domain == BINARY else (-1, 1)
-    rows = [
-        tuple(hi if code >> i & 1 else lo for i in range(q.num_vars))
-        for code in range(1 << q.num_vars)
-    ]
-    energies = [q.energy(row) for row in rows]
-    ground = min(energies)
-    states = [row for row, e in zip(rows, energies) if e <= ground + tol]
-    excited = [e for e in energies if e > ground + tol]
-    if not excited:
-        return Spectrum(ground, states, 0.0, len(states), degenerate=True)
-    return Spectrum(ground, states, min(excited) - ground, len(states))
+    return Spectrum(*exhaustive_spectrum(q._domain_values(), q.num_vars, q.energy, tol))
 
 
 @st.composite
@@ -311,6 +300,87 @@ class TestSplitEnumerator:
         for entries in (1, 48, qubo_module._SPLIT_BLOCK):
             monkeypatch.setattr(qubo_module, "_SPLIT_BLOCK", entries)
             assert [brute_force(dense), brute_force(ties)] == expected
+
+    @pytest.mark.parametrize("span", [1 << 11, qubo_module._PICK_SPAN])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_non_dyadic_spectrum_does_not_depend_on_block_size(self, seed, span, monkeypatch):
+        # exact energies are re-evaluated in the same groups whatever the
+        # block size, so even their rounding is the same
+        rng = np.random.default_rng(seed)
+        q = Qubo(SPIN, 15, float(rng.normal()))
+        for i in range(15):
+            q.add_linear(i, float(rng.normal()))
+            for j in range(i + 1, 15):
+                q.add_quadratic(i, j, float(rng.normal()) / 3)
+        monkeypatch.setattr(qubo_module, "_PICK_SPAN", span)
+        reference = brute_force(q)
+        for entries in (1, 7, 1 << 8, 1 << 10):
+            monkeypatch.setattr(qubo_module, "_SPLIT_BLOCK", entries)
+            assert brute_force(q) == reference
+
+
+@st.composite
+def plateau_qubos(draw):
+    """Dyadic objectives of at most 12 variables.  Unless `spread` is drawn,
+    every term lies on the variables from `top` up, so the low codes form a
+    plateau of 2**top states, often above the ground level.  A nudge of
+    2**-31 on the last variable, below `COEFF_TOL` yet exact in float64, may
+    split a level into two within tolerance of each other, in different
+    blocks."""
+    n = draw(st.integers(0, 12))
+    top = draw(st.integers(0, n))
+    spread = draw(st.booleans())
+    coeff = st.integers(-4, 4).map(lambda k: k / 2)
+    q = Qubo(draw(st.sampled_from([BINARY, SPIN])), n, draw(coeff))
+    first = 0 if spread else top
+    for i in range(first, n):
+        q.add_linear(i, draw(coeff))
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                q.add_quadratic(i, j, draw(coeff))
+    if n and draw(st.booleans()):
+        q.add_linear(n - 1, draw(st.sampled_from([-1, 1])) * 2.0**-31)
+    return q
+
+
+class TestBoundedEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(q=plateau_qubos(), entries=st.sampled_from([1, 3, 16, 64, qubo_module._SPLIT_BLOCK]))
+    def test_spectrum_equals_itertools_enumeration(self, q, entries):
+        # small blocks make the running minimum fall block after block, so
+        # kept rows are pruned and the gap comes from the pruned floor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qubo_module, "_SPLIT_BLOCK", entries)
+            spec = brute_force(q)
+        assert spec == python_spectrum(q)
+
+    def test_code_rows_build_no_wide_table(self):
+        tracemalloc.start()
+        try:
+            rows = qubo_module._code_rows(0, 2**16, 16, SPIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.dtype == np.int8 and rows.shape == (2**16, 16)
+        assert peak <= 3 * 2**20
+
+    def test_random_objective_stays_in_block_budget(self):
+        q = random_qubo(np.random.default_rng(24), 24, SPIN)
+        tracemalloc.start()
+        try:
+            spec = brute_force(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.state_count_at_ground >= 1 and spec.gap > 0
+        assert peak <= 8 * 2**20
+
+    def test_zero_objective_returns_every_state_in_code_order(self):
+        spec = brute_force(Qubo(SPIN, 18))
+        assert (spec.ground_energy, spec.gap, spec.degenerate) == (0.0, 0.0, True)
+        assert spec.state_count_at_ground == len(spec.ground_states) == 2**18
+        codes = itertools.product((-1, 1), repeat=18)
+        assert all(s == c[::-1] for s, c in zip(spec.ground_states, codes))
 
 
 class TestRestricted:
