@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import all_graphs, exhaustive_spectrum
@@ -343,14 +343,31 @@ def plateau_qubos(draw):
     return q
 
 
+def nudged_zero(domain: str, n: int) -> Qubo:
+    """Zero objective whose upper half of codes lies 2**-31 lower: within
+    tolerance, every state is a ground state, and the running minimum falls
+    halfway."""
+    q = Qubo(domain, n)
+    q.add_linear(n - 1, -(2.0**-31))
+    return q
+
+
 class TestBoundedEnumeration:
     @settings(max_examples=150, deadline=None)
-    @given(q=plateau_qubos(), entries=st.sampled_from([1, 3, 16, 64, qubo_module._SPLIT_BLOCK]))
-    def test_spectrum_equals_itertools_enumeration(self, q, entries):
-        # small blocks make the running minimum fall block after block, so
-        # kept rows are pruned and the gap comes from the pruned floor
+    @given(
+        q=plateau_qubos(),
+        entries=st.sampled_from([1, 3, 16, 64, qubo_module._SPLIT_BLOCK]),
+        span=st.sampled_from([1, 16, 256, qubo_module._PICK_SPAN]),
+    )
+    @example(q=nudged_zero(BINARY, 6), entries=1, span=qubo_module._PICK_SPAN)
+    @example(q=nudged_zero(SPIN, 6), entries=1, span=1)
+    def test_spectrum_equals_itertools_enumeration(self, q, entries, span):
+        # small blocks make the running minimum fall block after block, and
+        # small spans pick rows many times: selected positions and kept rows
+        # are pruned, and the witness and the gap come from what was dropped
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qubo_module, "_SPLIT_BLOCK", entries)
+            mp.setattr(qubo_module, "_PICK_SPAN", span)
             spec = brute_force(q)
         assert spec == python_spectrum(q)
 
