@@ -20,7 +20,14 @@ from .coloring import build_tileset, verify_gap
 from .embedding import EmbeddedQubo, embedding_from_doc, embedding_to_doc, unembed, validate
 from .hamcycle import predicted_hamcycle_length, predicted_permutation_length
 from .knapsack import predicted_knapsack_length
-from .lattice import build_lattice, chimera_spec, detect_chimera, lattice_from_doc, lattice_to_doc
+from .lattice import (
+    LatticeError,
+    build_lattice,
+    chimera_spec,
+    detect_chimera,
+    lattice_from_doc,
+    lattice_to_doc,
+)
 from .numpart import predicted_numpart_length
 from .qubo import (
     BINARY,
@@ -67,7 +74,10 @@ def _parse_lattice(spec_text: str):
             j, l = (int(x) for x in spec_text.split(":", 1)[1].split(","))
         except ValueError:
             raise UsageError("expected --lattice chimera:J,L") from None
-        return chimera_spec(j, l), ("chimera", j)
+        try:
+            return chimera_spec(j, l), ("chimera", j)
+        except LatticeError as err:
+            raise UsageError(str(err)) from None
     doc = _read_doc(spec_text)
     with _decoding(spec_text):
         return lattice_from_doc(doc), None

@@ -33,11 +33,6 @@ _BLOCK = 1 << 16
 #: Energies per block of the split enumeration (1 MiB of float64).
 _SPLIT_BLOCK = 1 << 17
 
-#: Codes whose kept rows are re-evaluated together.  `Qubo.energies` can round
-#: a row differently in calls of different shapes, so fixed groups keep every
-#: result independent of `_SPLIT_BLOCK`.
-_PICK_SPAN = 1 << 20
-
 
 class QuboError(ValueError):
     """Invalid parameter or assignment handed to a QUBO operation."""
@@ -202,12 +197,25 @@ class Qubo:
         return l, u
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Vectorized energies for a (num_states, num_vars) array of assignments."""
-        l, u = self._dense_terms()
-        return _quadratic_form(np.asarray(states, dtype=np.float64), l, u, self.offset)
+        """Vectorized energies for a (num_states, num_vars) array of assignments.
+
+        Each row is summed in one fixed order, so its energy does not depend on
+        how many rows share the call.
+        """
+        return _row_energies(states, *self._dense_terms(), self.offset)
+
+
+def _row_energies(states: np.ndarray, l: np.ndarray, u: np.ndarray, offset: float) -> np.ndarray:
+    # einsum without `optimize` never calls BLAS, whose sums round a row
+    # differently with the number of rows in the product
+    states = np.asarray(states, dtype=np.float64)
+    field = np.einsum("si,ij->sj", states, u, optimize=False)
+    return offset + np.einsum("si,si->s", states, field + l, optimize=False)
 
 
 def _quadratic_form(states: np.ndarray, l: np.ndarray, u: np.ndarray, offset: float) -> np.ndarray:
+    """Bulk energies by BLAS: within rounding of `_row_energies`, and only used
+    to select the rows it re-evaluates."""
     return offset + states @ l + np.einsum("si,si->s", states @ u, states)
 
 
@@ -354,16 +362,16 @@ def _code_rows(start: int, stop: int, num_vars: int, domain: str) -> np.ndarray:
     return bits
 
 
-#: One batch of states: their energies, and `pick(idx)` giving the rows at
-#: positions `idx` together with their exact `Qubo.energies`.  A batch whose
-#: `pick` is None continues into the next one: positions run over every batch
-#: since the last `pick`, which serves them all.
-Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None]
+#: One batch of states: their bulk energies, within rounding of the exact
+#: ones and only used to select rows (`_spectrum_from_batches` overwrites
+#: them), and `pick(idx)` giving the rows at positions `idx` of the batch
+#: together with their exact `Qubo.energies`.
+Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
 
 
-def _explicit_batch(q: Qubo, rows: np.ndarray) -> Batch:
-    energies = q.energies(rows)
-    return energies, lambda idx: (rows[idx], energies[idx])
+def _explicit_batch(rows: np.ndarray, l: np.ndarray, u: np.ndarray, offset: float) -> Batch:
+    energies = _quadratic_form(rows.astype(np.float64), l, u, offset)
+    return energies, lambda idx: (rows[idx], _row_energies(rows[idx], l, u, offset))
 
 
 def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
@@ -374,9 +382,8 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
     C = U[:k, k:] the cross couplings, the block over high rows h and every
     low row l is e_hi[h] + e_lo[l] + S_hi[h] . (S_lo C)[l]: one matrix product
     of at most `_SPLIT_BLOCK` entries.  Entries are hi-major, which is code
-    order.  Each span of `_PICK_SPAN` codes has one `pick`, on its last
-    block; it re-evaluates rows with `Qubo.energies`, whose rounding the split
-    sum does not share.
+    order.  Each block's `pick` builds the picked rows and re-evaluates them
+    exactly.
     """
     n, k = q.num_vars, q.num_vars // 2
     l, u = q._dense_terms()
@@ -386,86 +393,68 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
     e_lo = _quadratic_form(lo_f, l[:k], u[:k, :k], 0.0)
     e_hi = _quadratic_form(hi_f, l[k:], u[k:, k:], q.offset)
     cross = (lo_f @ u[:k, k:]).T
-    step, span = max(1, _SPLIT_BLOCK >> k), max(1, _PICK_SPAN >> k)
+    step = max(1, _SPLIT_BLOCK >> k)
 
-    for s0 in range(0, len(hi), span):
-        s1 = min(s0 + span, len(hi))
+    for h0 in range(0, len(hi), step):
 
-        def pick(idx: np.ndarray, s0: int = s0) -> tuple[np.ndarray, np.ndarray]:
+        def pick(idx: np.ndarray, h0: int = h0) -> tuple[np.ndarray, np.ndarray]:
             h, low = np.divmod(idx, len(lo))
-            rows = np.hstack((lo[low], hi[s0 + h]))
-            energies = [q.energies(rows[s : s + _BLOCK]) for s in range(0, len(rows), _BLOCK)]
-            return rows, np.concatenate(energies)
+            rows = np.hstack((lo[low], hi[h0 + h]))
+            return rows, _row_energies(rows, l, u, q.offset)
 
-        for h0 in range(s0, s1, step):
-            h1 = min(h0 + step, s1)
-            block = hi_f[h0:h1] @ cross
-            block += e_hi[h0:h1, None]
-            block += e_lo
-            yield block.ravel(), (pick if h1 == s1 else None)
+        block = hi_f[h0 : h0 + step] @ cross
+        block += e_hi[h0 : h0 + step, None]
+        block += e_lo
+        yield block.ravel(), pick
 
 
 def _drop_above(
-    chunks: list[tuple[np.ndarray, np.ndarray]], band: float
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[float, np.ndarray] | None]:
-    """Merge (items, energies) chunks, in order, and drop the items whose
-    energy exceeds `band`; also return the first lowest dropped (energy, item)."""
-    if not chunks:
-        return [], None
-    items = np.concatenate([i for i, _ in chunks])
-    energies = np.concatenate([e for _, e in chunks])
-    out = energies > band
-    if not out.any():
-        return [(items, energies)], None
-    j = np.flatnonzero(out)[np.argmin(energies[out])]
-    lowest = (float(energies[j]), items[j])
-    if out.all():
-        return [], lowest
-    return [(items[~out], energies[~out])], lowest
+    kept: list[tuple[np.ndarray, np.ndarray]], band: float
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
+    """Merge (rows, energies) chunks, in order, and drop the rows whose energy
+    exceeds `band`; also return the lowest dropped energy (inf if none)."""
+    if not kept:
+        return [], math.inf
+    rows = np.concatenate([r for r, _ in kept])
+    energies = np.concatenate([e for _, e in kept])
+    keep = energies <= band
+    lowest = float(np.min(energies, where=~keep, initial=np.inf))
+    return ([(rows[keep], energies[keep])] if keep.any() else []), lowest
 
 
-def _spectrum_from_batches(batches: Iterable[Batch], tol: float, slack: float = 0.0) -> Spectrum:
-    # Over each stretch of batches up to a `pick`, select the positions within
-    # tol (+ slack, a bound on the rounding gap between batch and exact
-    # energies) of the running minimum, and the first lowest position outside
-    # that band as a witness of the next level; `pick` gives their rows and
-    # exact energies, which then decide the ground set and the gap.  The
-    # selection is the one a single batch over the stretch would make.  When
-    # the running minimum falls, selected positions and kept rows that left
-    # the band can no longer be ground states (the row at the minimum stays,
-    # within slack of it): they are dropped, a dropped position may become
-    # the witness, and `floor`, the lowest exact energy of the dropped rows,
-    # stands in for them in the gap.
-    running = floor = math.inf
+def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spectrum:
+    # Each batch's bulk energies select the positions within tol + slack (a
+    # bound on the rounding gap between bulk and exact energies) of the
+    # running minimum; `pick` gives their rows and exact energies, which alone
+    # decide the ground set and the gap.  When the running minimum falls, kept
+    # rows that left the band can no longer be ground states (the row at the
+    # minimum stays, within slack of it): they are dropped, and `floor`, the
+    # lowest exact energy of the excited rows seen, stands in for them in the
+    # gap.  Whenever a batch's lowest bulk energy outside the band comes within
+    # slack of the lowest so far, its rows within slack of it are picked too,
+    # so the next level is the lowest exact energy of every row that could
+    # hold it, whichever of them the bulk sums round lowest.
+    # either sum of at most ~400 terms rounds by far less than 1e-12 of their magnitudes
+    scale = abs(q.offset) + sum(map(abs, q.linear.values())) + sum(map(abs, q.quadratic.values()))
+    slack = 1e-12 * scale
+    running = floor = outside = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []
-    chosen: list[tuple[np.ndarray, np.ndarray]] = []  # positions, batch energies
-    witness: tuple[float, int] = (math.inf, -1)
-    start = 0
     for energies, pick in batches:
         low = float(energies.min())
         band = min(running, low) + tol + slack
         if low < running:
-            chosen, lowest = _drop_above(chosen, band)
-            if lowest is not None:
-                witness = min(witness, (lowest[0], int(lowest[1])))
             kept, lowest = _drop_above(kept, band)
-            if lowest is not None:
-                floor = min(floor, lowest[0])
+            floor = min(floor, lowest)
             running = low
-        near = energies <= band
-        idx = np.flatnonzero(near)
-        chosen.append((idx + start, energies[idx]))
-        if len(idx) < len(energies):
-            above = float(np.min(energies, where=~near, initial=np.inf))
-            witness = min(witness, (above, start + int(np.argmax(energies == above))))
-        start += len(energies)
-        if pick is None:
-            continue
-        idx = np.concatenate([i for i, _ in chosen])
-        if witness[1] >= 0:
-            idx = np.append(idx, witness[1])
-        kept.append(pick(idx))
-        chosen, witness, start = [], (math.inf, -1), 0
+        near = np.flatnonzero(energies <= band)
+        if len(near):
+            kept.append(pick(near))
+            energies[near] = math.inf  # leaves the energies outside the band
+        above = float(energies.min())
+        if above < math.inf and above <= outside + slack:
+            witnesses = np.flatnonzero(energies <= above + slack)
+            floor = min(floor, float(pick(witnesses)[1].min()))
+            outside = min(outside, above)
     if not kept:
         raise QuboError("empty subspace: no states to take a spectrum over")
     # the first lowest in kept order, as `min` over all values finds it: the
@@ -493,11 +482,10 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
     built once; each block of energies is one matrix product over the cross
     couplings, capped at `_SPLIT_BLOCK` entries (1 MiB), so memory does not
     grow with 2**num_vars.  Only rows within `tol` of the running minimum and
-    one witness of the next level per `_PICK_SPAN` codes are materialized, as
-    int8 rows, and their energies are re-evaluated with `Qubo.energies`.
-    Kept rows that the running minimum leaves behind are dropped as it falls,
-    so apart from the ground set returned the working set stays under about
-    8 MiB.
+    the rows that may hold the next level are materialized, as int8 rows, and
+    their energies are re-evaluated with `Qubo.energies`.  Kept rows that the
+    running minimum leaves behind are dropped as it falls, so apart from the
+    ground set returned the working set stays under about 8 MiB.
     """
     if q.num_vars > cap:
         raise QuboError(
@@ -505,9 +493,7 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
         )
     if q.num_vars == 0:
         return Spectrum(q.offset, [()], 0.0, 1, degenerate=True)
-    # either sum of at most ~400 terms rounds by far less than 1e-12 of their magnitudes
-    scale = abs(q.offset) + sum(map(abs, q.linear.values())) + sum(map(abs, q.quadratic.values()))
-    return _spectrum_from_batches(_split_energy_blocks(q), tol, slack=1e-12 * scale)
+    return _spectrum_from_batches(q, _split_energy_blocks(q), tol)
 
 
 def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = COEFF_TOL) -> Spectrum:
@@ -519,6 +505,7 @@ def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = CO
     naming the position of the first such state.
     """
     lo, hi = q._domain_values()
+    l, u = q._dense_terms()
 
     def batches():
         it = iter(states)
@@ -545,9 +532,9 @@ def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = CO
             # and the wide array take ten times their memory
             del block
             rows = rows.astype(np.int8)
-            yield _explicit_batch(q, rows)
+            yield _explicit_batch(rows, l, u, q.offset)
 
-    return _spectrum_from_batches(batches(), tol)
+    return _spectrum_from_batches(q, batches(), tol)
 
 
 def restricted_gap(

@@ -47,8 +47,14 @@ class TestLattice:
         assert doc["vertices"] == 32 and doc["edges"] == 80
 
     def test_bad_spec_is_usage_error(self, capsys):
-        code = main(["lattice", "--lattice", "chimera:banana"])
-        assert code == 2
+        # a malformed spec and extents out of range alike
+        for spec in ("chimera:banana", "chimera:0,4", "chimera:4,0"):
+            assert main(["lattice", "--lattice", spec]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: expected --lattice chimera:J,L",
+            "error: chimera cell requires J >= 1",
+            "error: lattice extents must be positive",
+        ]
 
 
 class TestBuildSolve:
@@ -419,10 +425,9 @@ class TestColdStart:
         assert solved["solver"] == "anneal" and "decoded" in solved
 
     def test_predict_cartoon_bytes(self, capsys):
-        # recorded before scipy's import moved into `min_gap`; N = 1's s_star
-        # is the minimizer's, one ulp below 1/2
+        # the closed-form minimum, sqrt(2^-N) at s = 1/2
         expected = {
-            1: '{"N":1,"gap":0.7071067811865475,"s_star":0.49999999999999994,'
+            1: '{"N":1,"gap":0.7071067811865476,"s_star":0.5,'
                '"tau_linear":2.0,"tau_optimal":1.4142135623730951}\n',
             2: '{"N":2,"gap":0.5,"s_star":0.5,"tau_linear":4.0,"tau_optimal":2.0}\n',
             3: '{"N":3,"gap":0.3535533905932738,"s_star":0.5,"tau_linear":8.0,'

@@ -93,6 +93,21 @@ class TestEvaluate:
         for row, e in zip(states, vec):
             assert math.isclose(q.energy(tuple(int(v) for v in row)), e, abs_tol=1e-12)
 
+    @pytest.mark.parametrize("domain", [BINARY, SPIN])
+    def test_energies_do_not_depend_on_call_shape(self, domain):
+        rng = np.random.default_rng(20)
+        q = Qubo(domain, 20, float(rng.normal()))
+        for i in range(20):
+            q.add_linear(i, float(rng.normal()))
+            for j in range(i + 1, 20):
+                q.add_quadratic(i, j, float(rng.normal()) / 3)
+        lo, hi = q._domain_values()
+        states = np.where(rng.random((4096, 20)) < 0.5, lo, hi).astype(np.int8)
+        whole = q.energies(states)
+        for rows in (1, 3, 64, 1000):
+            chunks = [q.energies(states[s : s + rows]) for s in range(0, len(states), rows)]
+            assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
 
 class TestDomainConversion:
     def test_single_bit(self):
@@ -301,18 +316,20 @@ class TestSplitEnumerator:
             monkeypatch.setattr(qubo_module, "_SPLIT_BLOCK", entries)
             assert [brute_force(dense), brute_force(ties)] == expected
 
-    @pytest.mark.parametrize("span", [1 << 11, qubo_module._PICK_SPAN])
+    @pytest.mark.parametrize("reference_block", [1 << 11, 1 << 20])
     @pytest.mark.parametrize("seed", range(8))
-    def test_non_dyadic_spectrum_does_not_depend_on_block_size(self, seed, span, monkeypatch):
-        # exact energies are re-evaluated in the same groups whatever the
-        # block size, so even their rounding is the same
+    def test_non_dyadic_spectrum_does_not_depend_on_block_size(
+        self, seed, reference_block, monkeypatch
+    ):
+        # exact energies do not depend on the rows evaluated with them, so
+        # even their rounding is the same whatever the block size
         rng = np.random.default_rng(seed)
         q = Qubo(SPIN, 15, float(rng.normal()))
         for i in range(15):
             q.add_linear(i, float(rng.normal()))
             for j in range(i + 1, 15):
                 q.add_quadratic(i, j, float(rng.normal()) / 3)
-        monkeypatch.setattr(qubo_module, "_PICK_SPAN", span)
+        monkeypatch.setattr(qubo_module, "_SPLIT_BLOCK", reference_block)
         reference = brute_force(q)
         for entries in (1, 7, 1 << 8, 1 << 10):
             monkeypatch.setattr(qubo_module, "_SPLIT_BLOCK", entries)
@@ -357,19 +374,33 @@ class TestBoundedEnumeration:
     @given(
         q=plateau_qubos(),
         entries=st.sampled_from([1, 3, 16, 64, qubo_module._SPLIT_BLOCK]),
-        span=st.sampled_from([1, 16, 256, qubo_module._PICK_SPAN]),
     )
-    @example(q=nudged_zero(BINARY, 6), entries=1, span=qubo_module._PICK_SPAN)
-    @example(q=nudged_zero(SPIN, 6), entries=1, span=1)
-    def test_spectrum_equals_itertools_enumeration(self, q, entries, span):
-        # small blocks make the running minimum fall block after block, and
-        # small spans pick rows many times: selected positions and kept rows
-        # are pruned, and the witness and the gap come from what was dropped
+    @example(q=nudged_zero(BINARY, 6), entries=1)
+    @example(q=nudged_zero(SPIN, 6), entries=1)
+    def test_spectrum_equals_itertools_enumeration(self, q, entries):
+        # small blocks make the running minimum fall block after block: kept
+        # rows are pruned, and the gap comes from what was dropped
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qubo_module, "_SPLIT_BLOCK", entries)
-            mp.setattr(qubo_module, "_PICK_SPAN", span)
             spec = brute_force(q)
         assert spec == python_spectrum(q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=plateau_qubos(), rows=st.sampled_from([1, 3, 16]))
+    def test_explicit_states_equal_itertools_enumeration(self, q, rows):
+        # one state per batch, or a few: the next level may lie in any batch.
+        # A third of the objective is not exact in float64, and its plateaus
+        # tie states whose bulk energies round apart
+        third = Qubo(q.domain, q.num_vars, q.offset / 3)
+        third.linear = {i: c / 3 for i, c in q.linear.items()}
+        third.quadratic = {k: c / 3 for k, c in q.quadratic.items()}
+        specs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qubo_module, "_BLOCK", rows)
+            for p in (q, third):
+                codes = itertools.product(p._domain_values(), repeat=p.num_vars)
+                specs.append(spectrum_of_states(p, (code[::-1] for code in codes)))
+        assert specs == [python_spectrum(q), brute_force(third)]
 
     def test_code_rows_build_no_wide_table(self):
         tracemalloc.start()
@@ -434,6 +465,34 @@ class TestRestricted:
         assert spec.ground_energy == pytest.approx(ref.ground_energy, abs=COEFF_TOL)
         assert spec.state_count_at_ground == ref.state_count_at_ground
         assert peak < 40 * 2**20
+
+
+def tied_non_dyadic_qubo(seed: int) -> Qubo:
+    """12 to 16 variables with coefficients k/3, k/10 or k/17, |k| <= 8:
+    not exact in float64, and many states share an energy."""
+    rng = np.random.default_rng(seed)
+    n, denominator = 12 + seed % 5, (3, 10, 17)[seed % 3]
+    coeff = lambda: float(rng.integers(-8, 9)) / denominator
+    q = Qubo((BINARY, SPIN)[seed % 2], n, coeff())
+    for i in range(n):
+        q.add_linear(i, coeff())
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                q.add_quadratic(i, j, coeff())
+    return q
+
+
+class TestExactPathsAgree:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_exact_path_gives_one_spectrum(self, seed):
+        # bulk energies of split blocks and of explicit batches round
+        # differently; the ground set, the ground energy and the gap come
+        # from exact energies only, bit for bit
+        q = tied_non_dyadic_qubo(seed)
+        codes = itertools.product(q._domain_values(), repeat=q.num_vars)
+        explicit = spectrum_of_states(q, (code[::-1] for code in codes))
+        assert brute_force(q) == explicit
+        assert restricted_gap(q, predicate=lambda s: True) == explicit
 
 
 class TestStateChecks:
