@@ -363,15 +363,9 @@ def _code_rows(start: int, stop: int, num_vars: int, domain: str) -> np.ndarray:
 
 
 #: One batch of states: their bulk energies, within rounding of the exact
-#: ones and only used to select rows (`_spectrum_from_batches` overwrites
-#: them), and `pick(idx)` giving the rows at positions `idx` of the batch
-#: together with their exact `Qubo.energies`.
-Batch = tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
-
-
-def _explicit_batch(rows: np.ndarray, l: np.ndarray, u: np.ndarray, offset: float) -> Batch:
-    energies = _quadratic_form(rows.astype(np.float64), l, u, offset)
-    return energies, lambda idx: (rows[idx], _row_energies(rows[idx], l, u, offset))
+#: ones and used to select rows (`_spectrum_from_batches` overwrites them),
+#: and `pick(idx)` giving the rows at positions `idx` of the batch.
+Batch = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
@@ -382,8 +376,7 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
     C = U[:k, k:] the cross couplings, the block over high rows h and every
     low row l is e_hi[h] + e_lo[l] + S_hi[h] . (S_lo C)[l]: one matrix product
     of at most `_SPLIT_BLOCK` entries.  Entries are hi-major, which is code
-    order.  Each block's `pick` builds the picked rows and re-evaluates them
-    exactly.
+    order.  Each block's `pick` builds the picked rows.
     """
     n, k = q.num_vars, q.num_vars // 2
     l, u = q._dense_terms()
@@ -397,10 +390,9 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
 
     for h0 in range(0, len(hi), step):
 
-        def pick(idx: np.ndarray, h0: int = h0) -> tuple[np.ndarray, np.ndarray]:
+        def pick(idx: np.ndarray, h0: int = h0) -> np.ndarray:
             h, low = np.divmod(idx, len(lo))
-            rows = np.hstack((lo[low], hi[h0 + h]))
-            return rows, _row_energies(rows, l, u, q.offset)
+            return np.hstack((lo[low], hi[h0 + h]))
 
         block = hi_f[h0 : h0 + step] @ cross
         block += e_hi[h0 : h0 + step, None]
@@ -425,19 +417,31 @@ def _drop_above(
 def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spectrum:
     # Each batch's bulk energies select the positions within tol + slack (a
     # bound on the rounding gap between bulk and exact energies) of the
-    # running minimum; `pick` gives their rows and exact energies, which alone
+    # running minimum; `pick` gives their rows, whose exact energies alone
     # decide the ground set and the gap.  When the running minimum falls, kept
     # rows that left the band can no longer be ground states (the row at the
     # minimum stays, within slack of it): they are dropped, and `floor`, the
     # lowest exact energy of the excited rows seen, stands in for them in the
     # gap.  Whenever a batch's lowest bulk energy outside the band comes within
-    # slack of the lowest so far, its rows within slack of it are picked too,
-    # so the next level is the lowest exact energy of every row that could
-    # hold it, whichever of them the bulk sums round lowest.
-    # either sum of at most ~400 terms rounds by far less than 1e-12 of their magnitudes
-    scale = abs(q.offset) + sum(map(abs, q.linear.values())) + sum(map(abs, q.quadratic.values()))
-    slack = 1e-12 * scale
-    running = floor = outside = math.inf
+    # slack of `floor`, its rows within slack of it are picked too, so the
+    # next level is the lowest exact energy of every row that could hold it,
+    # whichever of them the bulk sums round lowest; a batch whose outside rows
+    # all lie further above `floor` holds none of them.
+    coefficients = [q.offset, *q.linear.values(), *q.quadratic.values()]
+    scale = sum(map(abs, coefficients))
+    # Each coefficient is a multiple of 1/denominator (a power of two), so is
+    # every partial sum of an energy, and none exceeds `scale`.  If all such
+    # multiples fit in 53 bits, as for integer objectives, no sum rounds in
+    # any order: bulk energies are exact, slack is 0, no row is re-evaluated,
+    # and a batch's lowest bulk energy outside the band is exact too.
+    exact_sums = math.isfinite(scale) and scale * max(
+        float(c).as_integer_ratio()[1] for c in coefficients
+    ) <= 2**53
+    # otherwise either sum of at most ~400 terms rounds by far less than
+    # 1e-12 of their magnitudes
+    slack = 0.0 if exact_sums else 1e-12 * scale
+    l, u = q._dense_terms()
+    running = floor = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for energies, pick in batches:
         low = float(energies.min())
@@ -447,14 +451,21 @@ def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spe
             floor = min(floor, lowest)
             running = low
         near = np.flatnonzero(energies <= band)
-        if len(near):
-            kept.append(pick(near))
-            energies[near] = math.inf  # leaves the energies outside the band
+        values = energies[near]
+        energies[near] = math.inf  # leaves the energies outside the band
         above = float(energies.min())
-        if above < math.inf and above <= outside + slack:
-            witnesses = np.flatnonzero(energies <= above + slack)
-            floor = min(floor, float(pick(witnesses)[1].min()))
-            outside = min(outside, above)
+        idx = near
+        if exact_sums:
+            floor = min(floor, above)
+        elif above < math.inf and above <= floor + slack:
+            idx = np.append(near, np.flatnonzero(energies <= above + slack))
+        if len(idx):
+            rows = pick(idx)
+            if not exact_sums:
+                values = _row_energies(rows, l, u, q.offset)
+            if len(near):
+                kept.append((rows[: len(near)], values[: len(near)]))
+            floor = min(floor, float(values[len(near) :].min(initial=math.inf)))
     if not kept:
         raise QuboError("empty subspace: no states to take a spectrum over")
     # the first lowest in kept order, as `min` over all values finds it: the
@@ -483,7 +494,8 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
     couplings, capped at `_SPLIT_BLOCK` entries (1 MiB), so memory does not
     grow with 2**num_vars.  Only rows within `tol` of the running minimum and
     the rows that may hold the next level are materialized, as int8 rows, and
-    their energies are re-evaluated with `Qubo.energies`.  Kept rows that the
+    their energies are re-evaluated with `Qubo.energies` unless no sum of the
+    objective can round (integer coefficients, say).  Kept rows that the
     running minimum leaves behind are dropped as it falls, so apart from the
     ground set returned the working set stays under about 8 MiB.
     """
@@ -532,7 +544,7 @@ def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = CO
             # and the wide array take ten times their memory
             del block
             rows = rows.astype(np.int8)
-            yield _explicit_batch(rows, l, u, q.offset)
+            yield _quadratic_form(rows.astype(np.float64), l, u, q.offset), rows.__getitem__
 
     return _spectrum_from_batches(q, batches(), tol)
 

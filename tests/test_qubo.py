@@ -494,6 +494,44 @@ class TestExactPathsAgree:
         assert brute_force(q) == explicit
         assert restricted_gap(q, predicate=lambda s: True) == explicit
 
+    def test_next_level_rounded_above_the_floor_is_picked(self):
+        # 0.1 + 0.2 and 0.3 tie but round apart; the second batch's bulk
+        # energy lies above the first's exact 0.1 + 0.2 by less than slack
+        # (6e-13 here), and its exact energy below it
+        q = Qubo(BINARY, 3)
+        for i, c in enumerate((0.1, 0.2, 0.3)):
+            q.add_linear(i, c)
+        rows = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=np.int8)
+        exact = q.energies(rows)
+        assert exact[1] > exact[2] == 0.3
+        batches = [
+            (exact[:2].copy(), rows[:2].__getitem__),
+            (exact[1:2] + 1e-13, rows[2:].__getitem__),
+        ]
+        spec = qubo_module._spectrum_from_batches(q, batches, COEFF_TOL)
+        assert (spec.ground_states, spec.gap) == ([(0, 0, 0)], 0.3)
+
+    @pytest.mark.parametrize(
+        "coefficients, re_evaluated",
+        [((3.0, -2.0, 1.0), False), ((0.5, 2.0**50), False), ((0.5, 2.0**52), True), ((1 / 3, 1.0), True)],
+    )
+    def test_rows_are_re_evaluated_only_if_bulk_sums_can_round(
+        self, monkeypatch, coefficients, re_evaluated
+    ):
+        # sums of multiples of 2**-k stay exact while they fit in 53 bits
+        calls = []
+        row_energies = qubo_module._row_energies
+        monkeypatch.setattr(
+            qubo_module, "_row_energies", lambda *a: calls.append(1) or row_energies(*a)
+        )
+        q = Qubo(SPIN, 18)
+        for i, c in enumerate(coefficients):
+            q.add_linear(i, c)
+            q.add_quadratic(i, i + 1, c)
+        spec = brute_force(q)
+        assert spec == spectrum_of_states(q, qubo_module._code_rows(0, 1 << 18, 18, SPIN))
+        assert bool(calls) == re_evaluated
+
 
 class TestStateChecks:
     def spin_pair(self):
