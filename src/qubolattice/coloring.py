@@ -21,6 +21,7 @@ import numpy as np
 from .embedding import EmbeddedQubo
 from .qubo import (
     BINARY,
+    COEFF_TOL,
     SPIN,
     Qubo,
     QuboBuilder,
@@ -46,9 +47,12 @@ class ColoringInstance:
     def __post_init__(self):
         if self.q < 1:
             raise ColoringError("need at least one color")
+        n = self.n
         for u, v in self.edges:
             if u == v:
                 raise ColoringError("self loops are not colorable")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ColoringError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
 
     @property
     def n(self) -> int:
@@ -265,40 +269,37 @@ def compile_coloring(inst: ColoringInstance, tileset: ColoringTileSet | None = N
 
 
 def coloring_feasible_energy(inst: ColoringInstance, tileset: ColoringTileSet) -> float:
-    """Energy every proper-coloring state would have.
+    """Energy every proper-coloring state has, from one lifted state.
 
-    Computed by re-stitching the same plan with the tileset's own templates
-    but no edge realized: what remains is the per-tile grounds plus aligned
-    chains, which is exactly what a conflict-free state pays.  Valid whether
-    or not the instance is actually colorable.
+    The routed plan is re-stitched with the tileset's own templates but no
+    edge, and its logical objective is evaluated with every vertex on color 0;
+    nothing is enumerated.  An edge template w (1 + s_a)(1 + s_b) vanishes
+    unless both ends carry the same color, so any one-hot state pays here what
+    a proper coloring pays on the full stitch, colorable instance or not.
     """
     plan = route_graph_to_tiles(inst.edges, tile_side=tileset.ell, num_vertices=inst.n)
     e = stitch(replace(plan, adjacency_realization={}), tileset.tiles)
-    return _restricted_spectrum(e).ground_energy
-
-
-def count_ground_colorings(inst: ColoringInstance, e: EmbeddedQubo) -> tuple[int, float]:
-    """Number of chain-intact ground states and the ground energy."""
-    spec = _restricted_spectrum(e)
-    return spec.state_count_at_ground, spec.ground_energy
+    return e.logical.energy([1 if c == 0 else -1 for v in range(inst.n) for c in range(tileset.q)])
 
 
 def count_states_at_coloring_level(
     inst: ColoringInstance, e: EmbeddedQubo, tileset: ColoringTileSet
 ) -> int:
-    """Chain-intact states at the coloring-feasible energy level.
+    """Chain-intact states at the coloring-feasible level, from one spectrum.
 
-    Equals the proper q-coloring count: zero for uncolorable instances, where
-    the whole spectrum sits above the feasible level.
+    The ground count when the ground energy is within `COEFF_TOL` of the
+    level, which equals the proper q-coloring count, or zero when it lies
+    above (uncolorable).  A state below the level, as a negative edge weight
+    gives, raises `ColoringError` naming it and its energy.
     """
     level = coloring_feasible_energy(inst, tileset)
-    eff = e.chain_intact_qubo()
-    if eff.num_vars > 24:
-        raise ColoringError("instance too large for exact level counting")
-    return sum(
-        int(np.count_nonzero(np.abs(energies - level) <= 1e-9))
-        for energies, _ in _split_energy_blocks(eff)
-    )
+    spec = _restricted_spectrum(e)
+    if spec.ground_energy < level - COEFF_TOL:
+        raise ColoringError(
+            f"chain-intact state {spec.ground_states[0]} has energy {spec.ground_energy!r}, "
+            f"below the coloring-feasible level {level!r}"
+        )
+    return spec.state_count_at_ground if spec.ground_energy <= level + COEFF_TOL else 0
 
 
 def decode_coloring(inst: ColoringInstance, assignment, broken_chains: int = 0) -> dict:
@@ -323,7 +324,7 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     spectrum is taken over the chain-intact subspace.
     """
     e = stitch(_assembly_plan(tileset.tiles.ell, assembly), tileset.tiles)
-    if tileset.q <= 4 and e.physical.num_vars <= 16:
+    if tileset.q <= 4:
         return brute_force(e.physical)
     return _restricted_spectrum(e)
 

@@ -36,9 +36,12 @@ class HamcycleInstance:
     num_vertices: int | None = None
 
     def __post_init__(self):
+        n = self.n
         for u, v in self.edges:
             if u == v:
                 raise HamcycleError("self loops not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise HamcycleError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
 
     @property
     def n(self) -> int:

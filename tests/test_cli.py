@@ -333,6 +333,21 @@ class TestRegistry:
         err = capsys.readouterr().err
         assert err.startswith("document error:") and message in err
 
+    @pytest.mark.parametrize("command", [["build"], ["embed", "--strategy", "tiles"]], ids=["build", "embed"])
+    @pytest.mark.parametrize(
+        "doc, edge",
+        [
+            ({"coloring": {"edges": [[0, 5]], "q": 2, "num_vertices": 3}}, "(0, 5)"),
+            ({"hamcycle": {"edges": [[0, 1], [1, 2], [2, 0], [0, 7]], "num_vertices": 3}}, "(0, 7)"),
+            ({"hamcycle": {"edges": [[0, 1], [1, 2], [2, 0], [0, -1]], "num_vertices": 3}}, "(0, -1)"),
+        ],
+        ids=["coloring", "hamcycle", "hamcycle-negative"],
+    )
+    def test_edge_to_a_missing_vertex_is_an_error(self, command, doc, edge, tmp_path, capsys):
+        assert main([command[0], write(tmp_path, "inst.json", doc), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: edge {edge} names a vertex outside 0..2\n"
+
     @pytest.mark.parametrize("strategy", ["tree", "complete", "tiles"])
     @pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(EXTRA_INSTANCES))
     def test_build_and_embed_emit_the_same_logical_qubo(self, name, strategy, tmp_path, capsys):

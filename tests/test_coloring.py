@@ -13,7 +13,7 @@ from qubolattice.coloring import (
     build_tileset,
     coloring_feasible_energy,
     compile_coloring,
-    count_ground_colorings,
+    count_states_at_coloring_level,
     grid_search_coefficients,
     h_diag,
     h_off,
@@ -139,7 +139,7 @@ class TestCompile:
     def test_triangle_three_colors(self):
         inst = ColoringInstance(((0, 1), (1, 2), (0, 2)), 3)
         e = compile_coloring(inst)
-        count, energy = count_ground_colorings(inst, e)
+        count = count_states_at_coloring_level(inst, e, build_tileset(3))
         assert count == 6
         report = validate(
             e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)
@@ -149,7 +149,7 @@ class TestCompile:
     def test_single_vertex_q4(self):
         inst = ColoringInstance((), 4, num_vertices=1)
         e = compile_coloring(inst)
-        count, _ = count_ground_colorings(inst, e)
+        count = count_states_at_coloring_level(inst, e, build_tileset(4))
         assert count == 4
 
     def test_edge_graph_one_color_infeasible(self):
@@ -160,7 +160,7 @@ class TestCompile:
 
         tileset = _build_tileset_any(1)
         feasible = coloring_feasible_energy(inst, tileset)
-        _, energy = count_ground_colorings(inst, e)
+        energy = brute_force(e.chain_intact_qubo()).ground_energy
         assert energy > feasible + 1e-9
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -224,6 +224,59 @@ class TestCompile:
         e = compile_coloring(inst, tileset)
         assert coloring_feasible_energy(inst, tileset) == level
         assert count_states_at_coloring_level(inst, e, tileset) == 36
+
+
+class TestColoringLevel:
+    def test_count_runs_one_enumeration(self, monkeypatch):
+        from qubolattice import coloring, qubo
+
+        starts = []
+        for module in (qubo, coloring):
+            original = module._split_energy_blocks
+
+            def counting(q, original=original):
+                starts.append(q.num_vars)
+                return original(q)
+
+            monkeypatch.setattr(module, "_split_energy_blocks", counting)
+        inst = ColoringInstance(((0, 1), (1, 2), (0, 2)), 3)
+        tileset = build_tileset(3)
+        e = compile_coloring(inst, tileset)
+        assert count_states_at_coloring_level(inst, e, tileset) == 6
+        assert starts == [9]
+
+    def test_state_below_the_level_is_named(self):
+        # a negative edge weight rewards equal colors across the edge
+        tileset = build_tileset(3, edge_weight=-0.5)
+        inst = ColoringInstance(((0, 1),), 3)
+        e = compile_coloring(inst, tileset)
+        with pytest.raises(ColoringError, match=r"state \([-1, ]+\) has energy .* below"):
+            count_states_at_coloring_level(inst, e, tileset)
+
+    def test_level_is_the_ground_of_the_edge_free_stitch(self):
+        from dataclasses import replace
+
+        from qubolattice.coloring import _build_tileset_any
+        from qubolattice.tiling import route_graph_to_tiles, stitch
+
+        cases = 0
+        for q in range(1, 10):
+            tileset = _build_tileset_any(q)
+            for n in range(1, 5):
+                if n * q > 16:
+                    continue
+                for edges in all_graphs(n):
+                    inst = ColoringInstance(edges, q, num_vertices=n)
+                    plan = route_graph_to_tiles(edges, tile_side=tileset.ell, num_vertices=n)
+                    e = stitch(replace(plan, adjacency_realization={}), tileset.tiles)
+                    ground = brute_force(e.chain_intact_qubo()).ground_energy
+                    level = coloring_feasible_energy(inst, tileset)
+                    if q <= 4:
+                        assert level == ground, (q, edges)
+                    else:
+                        assert abs(level - ground) <= 1e-12, (q, edges)
+                    cases += 1
+        assert cases == 321
 
 
 class TestGridSearch:
