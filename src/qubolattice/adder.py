@@ -94,14 +94,10 @@ def build_naive_adder(n: int) -> AdderQubo:
     return AdderQubo(n, builder.build())
 
 
-def build_selectable_adder(
-    constants: tuple[int, int],
-    selectors: tuple[str, str] = ("xa", "xb"),
-    prefix: str = "X",
-) -> tuple[Qubo, int]:
+def build_selectable_adder(constants: tuple[int, int]) -> tuple[Qubo, int]:
     """Adder whose two addends are fixed integers gated by selector bits.
 
-    Ground states have output register = n_a * x_a + n_b * x_b for every
+    Ground states have output register X = n_a * xa + n_b * xb for every
     selector combination.  Returns (qubo, output width M + 1) where M is the
     bit width of the larger constant.
     """
@@ -109,15 +105,16 @@ def build_selectable_adder(
     if n_a < 0 or n_b < 0:
         raise AdderError("selectable adder constants must be nonnegative")
     M = max(1, max(n_a, n_b).bit_length())
+    selectors = ("xa", "xb")
     builder = QuboBuilder(BINARY)
-    builder.var(selectors[0])
-    builder.var(selectors[1])
+    for name in selectors:
+        builder.var(name)
     for j in range(M + 1):
-        builder.var(f"{prefix}:{j}")
+        builder.var(f"X:{j}")
     for j in range(1, M):
-        builder.var(f"Z{prefix}:{j}")
+        builder.var(f"ZX:{j}")
     columns = [[s for s, c in zip(selectors, constants) if (c >> j) & 1] for j in range(M)]
-    add_columns(builder, prefix, f"Z{prefix}", columns)
+    add_columns(builder, "X", "ZX", columns)
     return builder.build(), M + 1
 
 

@@ -13,7 +13,7 @@ coefficient grid search reads its energies off the same stitched templates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -238,9 +238,9 @@ def _assembly_plan(ell: int, assembly: str) -> TilePlan:
     raise ColoringError(f"unknown assembly {assembly!r}")
 
 
-def _restricted_spectrum(e: EmbeddedQubo) -> Spectrum:
-    """Spectrum over chain-intact states via the contracted objective."""
-    return brute_force(e.chain_intact_qubo(), cap=24)
+def _restricted_spectrum(contracted: Qubo) -> Spectrum:
+    """Spectrum over chain-intact states, from the contracted objective."""
+    return brute_force(contracted, cap=24)
 
 
 def build_coloring_qubo(inst: ColoringInstance) -> Qubo:
@@ -268,18 +268,23 @@ def compile_coloring(inst: ColoringInstance, tileset: ColoringTileSet | None = N
     return stitch(plan, tileset.tiles)
 
 
-def coloring_feasible_energy(inst: ColoringInstance, tileset: ColoringTileSet) -> float:
-    """Energy every proper-coloring state has, from one lifted state.
+def coloring_feasible_energy(contracted: Qubo, q: int) -> float:
+    """Energy every proper-coloring state has, from one state of `contracted`.
 
-    The routed plan is re-stitched with the tileset's own templates but no
-    edge, and its logical objective is evaluated with every vertex on color 0;
-    nothing is enumerated.  An edge template w (1 + s_a)(1 + s_b) vanishes
-    unless both ends carry the same color, so any one-hot state pays here what
-    a proper coloring pays on the full stitch, colorable instance or not.
+    `contracted` is a coloring's chain-intact objective over the spins
+    v * q + c.  Only edge templates couple two vertices' spins, each coupler
+    w as w (1 + s_a)(1 + s_b), which vanishes unless both ends carry the same
+    color.  So the state with every vertex on color 0, less those couplers'
+    terms, pays what every proper coloring pays, colorable instance or not;
+    nothing is enumerated, routed or stitched.
     """
-    plan = route_graph_to_tiles(inst.edges, tile_side=tileset.ell, num_vertices=inst.n)
-    e = stitch(replace(plan, adjacency_realization={}), tileset.tiles)
-    return e.logical.energy([1 if c == 0 else -1 for v in range(inst.n) for c in range(tileset.q)])
+    state = [1 if i % q == 0 else -1 for i in range(contracted.num_vars)]
+    edge_terms = sum(
+        w * (1 + state[i]) * (1 + state[j])
+        for (i, j), w in contracted.quadratic.items()
+        if i // q != j // q
+    )
+    return contracted.energy(state) - edge_terms
 
 
 def count_states_at_coloring_level(
@@ -290,10 +295,14 @@ def count_states_at_coloring_level(
     The ground count when the ground energy is within `COEFF_TOL` of the
     level, which equals the proper q-coloring count, or zero when it lies
     above (uncolorable).  A state below the level, as a negative edge weight
-    gives, raises `ColoringError` naming it and its energy.
+    gives, raises `ColoringError` naming it and its energy, and so does a
+    tileset for another number of colors.
     """
-    level = coloring_feasible_energy(inst, tileset)
-    spec = _restricted_spectrum(e)
+    if tileset.q != inst.q:
+        raise ColoringError(f"tileset has {tileset.q} colors, the instance {inst.q}")
+    contracted = e.chain_intact_qubo()
+    level = coloring_feasible_energy(contracted, inst.q)
+    spec = _restricted_spectrum(contracted)
     if spec.ground_energy < level - COEFF_TOL:
         raise ColoringError(
             f"chain-intact state {spec.ground_states[0]} has energy {spec.ground_energy!r}, "
@@ -326,7 +335,7 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     e = stitch(_assembly_plan(tileset.tiles.ell, assembly), tileset.tiles)
     if tileset.q <= 4:
         return brute_force(e.physical)
-    return _restricted_spectrum(e)
+    return _restricted_spectrum(e.chain_intact_qubo())
 
 
 def grid_search_coefficients(
@@ -433,9 +442,9 @@ def _table_gap(model, A, B, C, lam, D):
     for terms, valid in model:
         e = lam * (A * terms["A"] + B * terms["B"] + C * terms["C"]) + D * terms["D"]
         low = e.min()
-        if not math.isclose(low, e[valid].min(), abs_tol=1e-9):
+        if not math.isclose(low, e[valid].min(), abs_tol=COEFF_TOL):
             return None
-        at_ground = np.isclose(e, low, atol=1e-9)
+        at_ground = np.isclose(e, low, atol=COEFF_TOL)
         if at_ground.sum() != len(valid) or not at_ground[valid].all():
             return None
         rest = e[~at_ground]

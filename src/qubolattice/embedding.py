@@ -503,30 +503,22 @@ def unembed(
     return tuple(logical), broken
 
 
-def embedding_to_doc(emb: MinorEmbedding, logical_names: Sequence[str] | None = None) -> dict:
+def embedding_to_doc(emb: MinorEmbedding, logical_names: Sequence[str]) -> dict:
+    """Document form; each chain is keyed by its logical variable's name."""
     J = detect_chimera(emb.lattice)
     hint = ("chimera", J) if J is not None and emb.lattice.width == emb.lattice.height else None
-    chains = {}
-    for v, chain in emb.chains.items():
-        name = logical_names[v] if logical_names is not None else str(v)
-        chains[name] = sorted(chain)
     return {
         "lattice": lattice_to_doc(emb.lattice, hint),
         "alpha": emb.alpha,
-        "chains": chains,
+        "chains": {logical_names[v]: sorted(chain) for v, chain in emb.chains.items()},
     }
 
 
-def embedding_from_doc(doc: Mapping, logical_names: Sequence[str] | None = None) -> MinorEmbedding:
+def embedding_from_doc(doc: Mapping, logical_names: Sequence[str]) -> MinorEmbedding:
     spec = lattice_from_doc(doc["lattice"])
-    name_to_index: dict[str, int] | None = None
-    if logical_names is not None:
-        name_to_index = {n: i for i, n in enumerate(logical_names)}
-    chains: dict[int, frozenset[int]] = {}
-    for name, members in doc["chains"].items():
-        if name_to_index is not None:
-            idx = name_to_index[name]
-        else:
-            idx = int(name)
-        chains[idx] = frozenset(int(p) for p in members)
+    name_to_index = {n: i for i, n in enumerate(logical_names)}
+    chains = {
+        name_to_index[name]: frozenset(int(p) for p in members)
+        for name, members in doc["chains"].items()
+    }
     return MinorEmbedding(spec, chains, float(doc.get("alpha", 1.0)))

@@ -164,23 +164,14 @@ def build_permutation_qubo(n: int) -> Qubo:
     return b.build()
 
 
-def embed_permutation_tree(
-    N: int, J: int = 4, lattice_side: int | None = None
-) -> EmbeddedQubo:
-    """Thread N per-position merge trees through the lattice.
+def embed_permutation_tree(N: int) -> EmbeddedQubo:
+    """Thread N per-position merge trees through a lattice of K_{4,4} cells.
 
     Constructed for N = 4 (and the trivial N = 2): the four vertex blocks
     occupy the lattice corners, position values descend into mid-edge merge
     cells, and the per-position root links join in the center, realizing the
     (N/2)(2 sqrt(N) - 1) = 6 side length.
     """
-    if J != 4:
-        raise HamcycleError("the constructed permutation layout uses K_{4,4} cells")
-    required = 1 if N == 2 else 6
-    if lattice_side is not None and lattice_side < required:
-        raise HamcycleError(
-            f"lattice side {lattice_side} too small; the layout needs L={required}"
-        )
     logical = build_permutation_qubo(N)
     if N == 2:
         emb = embed_complete_chimera(4, 4)
@@ -188,7 +179,7 @@ def embed_permutation_tree(
         return embed_qubo(logical, emb)
     planner = SlotPlanner(4)
     _permutation_layout_4(planner)
-    emb = planner.to_embedding(logical.index_of, choose_alpha(logical), L=lattice_side or 6)
+    emb = planner.to_embedding(logical.index_of, choose_alpha(logical), L=6)
     return embed_qubo(logical, emb)
 
 

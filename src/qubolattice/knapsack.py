@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .numpart import build_summation_tree
-from .qubo import BINARY, Qubo, QuboBuilder, brute_force, clamp
+from .qubo import BINARY, COEFF_TOL, Qubo, QuboBuilder, brute_force, clamp
 
 
 class KnapsackError(ValueError):
@@ -161,7 +161,7 @@ def _solve_window(inst: KnapsackInstance, l_star: int, lo: int, hi: int, solver:
     if solver == "brute":
         tree = build_knapsack_qubo(inst, l_star)
         spec = brute_force(tree.qubo, cap=24)
-        if spec.ground_energy > 1e-9:
+        if spec.ground_energy > COEFF_TOL:
             return None
         state = spec.ground_states[0]
         return tuple(

@@ -119,8 +119,8 @@ class LatticeSpec:
         return self.cell.n * self.width * self.height
 
 
-def chimera_spec(J: int, L: int, height: int | None = None) -> LatticeSpec:
-    return LatticeSpec(chimera_cell(J), L, L if height is None else height)
+def chimera_spec(J: int, L: int) -> LatticeSpec:
+    return LatticeSpec(chimera_cell(J), L, L)
 
 
 class LatticeGraph:
@@ -226,11 +226,6 @@ class LatticeGraph:
 
 def build_lattice(spec: LatticeSpec) -> LatticeGraph:
     return LatticeGraph(spec)
-
-
-def neighbors(g: LatticeGraph, v: int) -> set[int]:
-    """Adjacency of a vertex; symmetric by construction."""
-    return g.neighbors(v)
 
 
 @dataclass

@@ -300,10 +300,6 @@ def to_binary(q: Qubo) -> Qubo:
     return out
 
 
-def spin_assignment(binary_assignment: Sequence[int]) -> tuple[int, ...]:
-    return tuple(2 * x - 1 for x in binary_assignment)
-
-
 def binary_assignment(spin_assignment: Sequence[int]) -> tuple[int, ...]:
     return tuple((s + 1) // 2 for s in spin_assignment)
 
@@ -414,10 +410,10 @@ def _drop_above(
     return ([(rows[keep], energies[keep])] if keep.any() else []), lowest
 
 
-def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spectrum:
-    # Each batch's bulk energies select the positions within tol + slack (a
-    # bound on the rounding gap between bulk and exact energies) of the
-    # running minimum; `pick` gives their rows, whose exact energies alone
+def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch]) -> Spectrum:
+    # Each batch's bulk energies select the positions within COEFF_TOL +
+    # slack (a bound on the rounding gap between bulk and exact energies) of
+    # the running minimum; `pick` gives their rows, whose exact energies alone
     # decide the ground set and the gap.  When the running minimum falls, kept
     # rows that left the band can no longer be ground states (the row at the
     # minimum stays, within slack of it): they are dropped, and `floor`, the
@@ -445,7 +441,7 @@ def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spe
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for energies, pick in batches:
         low = float(energies.min())
-        band = min(running, low) + tol + slack
+        band = min(running, low) + COEFF_TOL + slack
         if low < running:
             kept, lowest = _drop_above(kept, band)
             floor = min(floor, lowest)
@@ -473,7 +469,7 @@ def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spe
     ground = min(float(e[e.argmin()]) for _, e in kept)
     states: list[tuple[int, ...]] = []
     for rows, exact in kept:
-        excited = exact > ground + tol
+        excited = exact > ground + COEFF_TOL
         if excited.any():
             floor = min(floor, float(exact[excited].min()))
         rows = rows[~excited]
@@ -484,7 +480,7 @@ def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch], tol: float) -> Spe
     return Spectrum(ground, states, floor - ground, len(states))
 
 
-def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> Spectrum:
+def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP) -> Spectrum:
     """Exhaustive spectrum over all 2**num_vars assignments.
 
     Refuses above `cap` variables; ties at the ground level are collected
@@ -492,8 +488,8 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
     variables split into a low and a high half whose rows and energies are
     built once; each block of energies is one matrix product over the cross
     couplings, capped at `_SPLIT_BLOCK` entries (1 MiB), so memory does not
-    grow with 2**num_vars.  Only rows within `tol` of the running minimum and
-    the rows that may hold the next level are materialized, as int8 rows, and
+    grow with 2**num_vars.  Only rows within `COEFF_TOL` of the running minimum
+    and the rows that may hold the next level are materialized, as int8 rows, and
     their energies are re-evaluated with `Qubo.energies` unless no sum of the
     objective can round (integer coefficients, say).  Kept rows that the
     running minimum leaves behind are dropped as it falls, so apart from the
@@ -505,10 +501,10 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP, tol: float = COEFF_TOL) -> 
         )
     if q.num_vars == 0:
         return Spectrum(q.offset, [()], 0.0, 1, degenerate=True)
-    return _spectrum_from_batches(q, _split_energy_blocks(q), tol)
+    return _spectrum_from_batches(q, _split_energy_blocks(q))
 
 
-def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = COEFF_TOL) -> Spectrum:
+def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]]) -> Spectrum:
     """Exact spectrum restricted to an explicit collection of assignments.
 
     The states are read `_BLOCK` rows at a time, so a generator of any length
@@ -546,15 +542,13 @@ def spectrum_of_states(q: Qubo, states: Iterable[Sequence[int]], tol: float = CO
             rows = rows.astype(np.int8)
             yield _quadratic_form(rows.astype(np.float64), l, u, q.offset), rows.__getitem__
 
-    return _spectrum_from_batches(q, batches(), tol)
+    return _spectrum_from_batches(q, batches())
 
 
 def restricted_gap(
     q: Qubo,
     predicate: Callable[[tuple[int, ...]], bool] | None = None,
     states: Iterable[Sequence[int]] | None = None,
-    cap: int = BRUTE_FORCE_CAP,
-    tol: float = COEFF_TOL,
 ) -> Spectrum:
     """Spectrum restricted to a subspace.
 
@@ -565,14 +559,14 @@ def restricted_gap(
     if states is None:
         if predicate is None:
             raise QuboError("restricted_gap needs a predicate or a state generator")
-        if q.num_vars > cap:
+        if q.num_vars > BRUTE_FORCE_CAP:
             raise QuboError(
-                f"restricted_gap refused: {q.num_vars} variables exceed cap {cap} "
+                f"restricted_gap refused: {q.num_vars} variables exceed cap {BRUTE_FORCE_CAP} "
                 "and no state generator was given"
             )
         codes = itertools.product(q._domain_values(), repeat=q.num_vars)
         states = filter(predicate, (code[::-1] for code in codes))
-    return spectrum_of_states(q, states, tol)
+    return spectrum_of_states(q, states)
 
 
 def clamp(q: Qubo, assignments: Mapping[int | str, int]) -> Qubo:
@@ -610,9 +604,9 @@ def anneal_solve(
     restarts: int = 8,
     seed: int = 0,
     t_hot: float | None = None,
-    t_cold: float = 0.05,
 ) -> tuple[tuple[int, ...], float]:
-    """Single-spin-flip Metropolis annealing with a geometric schedule.
+    """Single-spin-flip Metropolis annealing with a geometric schedule from
+    `t_hot` down to 0.05.
 
     Each restart draws its start state from one ``rng.random(n)``; each sweep
     draws one ``rng.random(n)`` and visits the variables in index order,
@@ -640,7 +634,7 @@ def anneal_solve(
         )
     lo, hi = (0.0, 1.0) if q.domain == BINARY else (-1.0, 1.0)
     span = lo + hi  # a flip from v to span - v changes it by span - 2v, exactly
-    temps = (t_hot * (t_cold / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))).tolist()
+    temps = (t_hot * (0.05 / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))).tolist()
     exp = math.exp
 
     best_state: list[float] | None = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .embedding import EmbeddedQubo, MinorEmbedding, SlotPlanner, embed_qubo
-from .lattice import LatticeSpec, chimera_spec, detect_chimera
+from .lattice import chimera_spec, detect_chimera
 from .qubo import SPIN, Qubo, QuboBuilder, substitute
 
 VERTEX, CROSSING, EMPTY = "v", "x", "-"
@@ -52,21 +52,8 @@ class TilePlan:
             return self.grid[r][c]
         return EMPTY
 
-    def vertex_tiles(self, v: int) -> set[tuple[int, int]]:
-        tag = f"v{v}"
-        return {
-            (r, c)
-            for r in range(self.rows)
-            for c in range(self.cols)
-            if self.grid[r][c] == tag
-        }
-
     def tiles_by_vertex(self) -> list[set[tuple[int, int]]]:
-        """`vertex_tiles(v)` for every vertex, from one scan of the grid.
-
-        Each set is filled in the same row-major order, so it iterates in the
-        same order as `vertex_tiles(v)`.
-        """
+        """The tiles tagged with each vertex, from one scan of the grid."""
         out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_vertices)]
         index = {f"v{v}": tiles for v, tiles in enumerate(out)}
         for r in range(self.rows):
@@ -77,13 +64,13 @@ class TilePlan:
         return out
 
     def region_with_crossings(
-        self, v: int, tiles: Iterable[tuple[int, int]] | None = None
+        self, v: int, tiles: Iterable[tuple[int, int]]
     ) -> set[tuple[int, int]]:
-        """Vertex tiles plus the crossing tiles its chain passes through.
+        """v's own `tiles` plus the crossing tiles its chain passes through.
 
-        `tiles`, when given, holds v's `vertex_tiles`; it is copied, not changed.
+        `tiles` is copied, not changed.
         """
-        out = self.vertex_tiles(v) if tiles is None else set(tiles)
+        out = set(tiles)
         for tile, (hv, vv) in self.crossing_passes.items():
             if hv == v or vv == v:
                 out.add(tile)
@@ -417,16 +404,14 @@ class TileHamiltonians:
     colors: dict[int, list[str]]
 
 
-def crossing_tile_chimera(J: int = 4) -> Qubo:
-    """Turn-style crossing template for one K_{J,J} cell.
+def crossing_tile_chimera() -> Qubo:
+    """Turn-style crossing template for one K_{4,4} cell.
 
     Two disjoint four-spin ferromagnetic paths thread the cell: one enters on
     a horizontal coupler and leaves on a vertical one, the other the reverse.
     Ground states are the four per-chain-aligned sign choices; the gap is 2
     (an end flip breaks one unit bond).
     """
-    if J < 4:
-        raise TilingError("the paired-turn crossing needs J >= 4")
     b = QuboBuilder(SPIN)
     chain_a = ["a:s0:0:0", "a:r0:0:0", "a:s1:0:0", "a:r1:0:0"]
     chain_b = ["a:r2:0:0", "a:s2:0:0", "a:r3:0:0", "a:s3:0:0"]
@@ -458,23 +443,17 @@ def _instantiate(
     substitute(template, physical, image)
 
 
-def stitch(
-    plan: TilePlan, tiles: TileHamiltonians, lattice: LatticeSpec | None = None
-) -> EmbeddedQubo:
+def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     """Assemble per-tile templates into one physical objective.
 
     Vertex tiles get the vertex template; each logical edge gets one edge
     template at its realized tile pair; chains propagate between same-vertex
     tiles and straight through crossings.  The logical view of the result is
     the chain-contracted objective over (vertex, color) variables, variable
-    v * q + color.
+    v * q + color, on a lattice of side ell * grid_side.
     """
     J, ell = tiles.J, tiles.ell
-    if lattice is None:
-        lattice = chimera_spec(J, ell * plan.grid_side)
-    if lattice.width < ell * plan.cols or lattice.height < ell * plan.rows:
-        raise TilingError("lattice too small for the plan")
-    emb = MinorEmbedding(lattice, {}, alpha=1.0)
+    emb = MinorEmbedding(chimera_spec(J, ell * plan.grid_side), {}, alpha=1.0)
     graph = emb.graph
     planner = SlotPlanner(J)
 

@@ -154,13 +154,9 @@ class TestCompile:
 
     def test_edge_graph_one_color_infeasible(self):
         inst = ColoringInstance(((0, 1),), 1)
-        e = compile_coloring(inst)
-        tileset = None
-        from qubolattice.coloring import _build_tileset_any
-
-        tileset = _build_tileset_any(1)
-        feasible = coloring_feasible_energy(inst, tileset)
-        energy = brute_force(e.chain_intact_qubo()).ground_energy
+        contracted = compile_coloring(inst).chain_intact_qubo()
+        feasible = coloring_feasible_energy(contracted, 1)
+        energy = brute_force(contracted).ground_energy
         assert energy > feasible + 1e-9
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -207,7 +203,8 @@ class TestCompile:
         monkeypatch.setattr(coloring, "_build_tileset_any", counting)
         for tileset in (original(3), original(3, lam=0.25)):
             for edges in [((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]:
-                coloring_feasible_energy(ColoringInstance(edges, 3), tileset)
+                e = compile_coloring(ColoringInstance(edges, 3), tileset)
+                coloring_feasible_energy(e.chain_intact_qubo(), 3)
         assert builds == []
 
     @pytest.mark.parametrize(
@@ -215,14 +212,14 @@ class TestCompile:
         [({"A": 0.5, "B": -1.0, "C": 1.0}, -9.0), ({"C": 1.5}, -15.0), (None, -18.0)],
     )
     def test_feasible_level_follows_the_coefficient_table(self, table, level):
-        # the level is stitched from the tileset's own templates, so a custom
+        # the level is read off the tileset's own templates, so a custom
         # table moves it and every proper colouring of the path sits on it
         from qubolattice.coloring import count_states_at_coloring_level, _build_tileset_any
 
         tileset = _build_tileset_any(4, table=table)
         inst = ColoringInstance(((0, 1), (1, 2)), 4)
         e = compile_coloring(inst, tileset)
-        assert coloring_feasible_energy(inst, tileset) == level
+        assert coloring_feasible_energy(e.chain_intact_qubo(), 4) == level
         assert count_states_at_coloring_level(inst, e, tileset) == 36
 
 
@@ -253,6 +250,26 @@ class TestColoringLevel:
         with pytest.raises(ColoringError, match=r"state \([-1, ]+\) has energy .* below"):
             count_states_at_coloring_level(inst, e, tileset)
 
+    def test_count_routes_and_stitches_nothing(self, monkeypatch):
+        from qubolattice import coloring
+
+        inst = ColoringInstance(((0, 1), (1, 2), (0, 2)), 4)
+        tileset = build_tileset(4)
+        e = compile_coloring(inst, tileset)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the count routed or stitched")
+
+        monkeypatch.setattr(coloring, "stitch", refuse)
+        monkeypatch.setattr(coloring, "route_graph_to_tiles", refuse)
+        assert count_states_at_coloring_level(inst, e, tileset) == 24
+
+    def test_tileset_for_another_q_is_refused(self):
+        inst = ColoringInstance(((0, 1),), 3)
+        e = compile_coloring(inst, build_tileset(3))
+        with pytest.raises(ColoringError, match="tileset has 4 colors, the instance 3"):
+            count_states_at_coloring_level(inst, e, build_tileset(4))
+
     def test_level_is_the_ground_of_the_edge_free_stitch(self):
         from dataclasses import replace
 
@@ -270,7 +287,8 @@ class TestColoringLevel:
                     plan = route_graph_to_tiles(edges, tile_side=tileset.ell, num_vertices=n)
                     e = stitch(replace(plan, adjacency_realization={}), tileset.tiles)
                     ground = brute_force(e.chain_intact_qubo()).ground_energy
-                    level = coloring_feasible_energy(inst, tileset)
+                    contracted = compile_coloring(inst, tileset).chain_intact_qubo()
+                    level = coloring_feasible_energy(contracted, q)
                     if q <= 4:
                         assert level == ground, (q, edges)
                     else:

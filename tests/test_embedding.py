@@ -337,8 +337,10 @@ class TestEmbeddingDocs:
     def test_round_trip(self):
         emb = embed_complete_chimera(5, 4)
         emb.alpha = 2.5
-        doc = embedding_to_doc(emb)
-        back = embedding_from_doc(doc)
+        names = [f"x{v}" for v in range(5)]
+        doc = embedding_to_doc(emb, names)
+        assert sorted(doc["chains"]) == names
+        back = embedding_from_doc(doc, names)
         assert back.lattice == emb.lattice
         assert back.alpha == emb.alpha
         assert back.chains == emb.chains

@@ -124,8 +124,8 @@ EQUIVALENCE_SPECS = [
     chimera_spec(2, 3),
     chimera_spec(4, 2),
     chimera_spec(4, 1),
-    chimera_spec(2, 4, height=2),
-    chimera_spec(2, 1, height=3),
+    LatticeSpec(chimera_cell(2), 4, 2),
+    LatticeSpec(chimera_cell(2), 1, 3),
     LatticeSpec(ASYMMETRIC_CELL, 3, 4),
     LatticeSpec(ASYMMETRIC_CELL, 4, 1),
     LatticeSpec(ASYMMETRIC_CELL, 1, 3),

@@ -508,8 +508,22 @@ class TestExactPathsAgree:
             (exact[:2].copy(), rows[:2].__getitem__),
             (exact[1:2] + 1e-13, rows[2:].__getitem__),
         ]
-        spec = qubo_module._spectrum_from_batches(q, batches, COEFF_TOL)
+        spec = qubo_module._spectrum_from_batches(q, batches)
         assert (spec.ground_states, spec.gap) == ([(0, 0, 0)], 0.3)
+
+    def test_kept_row_above_the_tolerance_is_the_next_level(self):
+        # (1, 1) lies within COEFF_TOL + slack of the ground (0, 1), so it is
+        # kept while the band is open, but its exact energy is more than
+        # COEFF_TOL above the ground: it sets the gap and is no ground state
+        q = Qubo(BINARY, 2)
+        q.add_linear(0, 1e-9 + 5e-13)
+        q.add_linear(1, -1.0)
+        spec = brute_force(q)
+        assert spec == spectrum_of_states(q, itertools.product((0, 1), repeat=2))
+        assert (spec.ground_energy, spec.ground_states, spec.state_count_at_ground) == (
+            -1.0, [(0, 1)], 1
+        )
+        assert spec.gap == 1.0005000161683597e-09
 
     @pytest.mark.parametrize(
         "coefficients, re_evaluated",

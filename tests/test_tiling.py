@@ -7,7 +7,7 @@ import pytest
 
 from qubolattice.coloring import build_tileset
 from qubolattice.embedding import MinorEmbedding, choose_alpha, embed_qubo, unembed, validate
-from qubolattice.lattice import build_lattice, chimera_spec
+from qubolattice.lattice import build_lattice
 from qubolattice.qubo import SPIN, Qubo, brute_force
 from qubolattice.tiling import (
     TilePlan,
@@ -94,13 +94,13 @@ class TestValidatePlan:
 
 class TestCrossingTemplate:
     def test_ground_states_and_gap(self):
-        template = crossing_tile_chimera(4)
+        template = crossing_tile_chimera()
         spec = brute_force(template)
         assert spec.state_count_at_ground == 4  # 2 sign choices per chain
         assert spec.gap == pytest.approx(2.0)
 
     def test_clamping_entries_forces_exits(self):
-        template = crossing_tile_chimera(4)
+        template = crossing_tile_chimera()
         from qubolattice.qubo import clamp
 
         pinned = clamp(template, {"a:s0:0:0": 1, "a:r2:0:0": -1})
@@ -111,7 +111,7 @@ class TestCrossingTemplate:
         assert state[pinned.index_of("a:s3:0:0")] == -1
 
     def test_interior_flip_costs_two_bonds(self):
-        template = crossing_tile_chimera(4)
+        template = crossing_tile_chimera()
         aligned = tuple(1 for _ in range(8))
         base = template.energy(aligned)
         idx = template.index_of("a:r0:0:0")  # interior of the first chain
@@ -150,12 +150,6 @@ class TestStitch:
             e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)
         )
         assert report.ok, report.summary()
-
-    def test_lattice_too_small(self):
-        tiles = build_tileset(4).tiles
-        plan = TilePlan(1, [["v0", "v1"]], 2)
-        with pytest.raises(TilingError):
-            stitch(plan, tiles, lattice=chimera_spec(4, 1))
 
 
 class TestSupertile:
