@@ -221,20 +221,20 @@ def _build_tileset_any(
     return ColoringTileSet(q, ell, tiles)
 
 
-def _assembly_plan(ell: int, assembly: str) -> TilePlan:
+def _assembly_plan(assembly: str) -> TilePlan:
     """Tile plan of a named small assembly (see `verify_gap`)."""
     if assembly == "1-tile":
-        return TilePlan(ell, [["v0"]], 1)
+        return TilePlan([["v0"]], 1)
     if assembly == "2-tile-hor":
-        plan = TilePlan(ell, [["v0", "v1"]], 2)
+        plan = TilePlan([["v0", "v1"]], 2)
         plan.adjacency_realization[(0, 1)] = ((0, 0), (0, 1))
         return plan
     if assembly == "2-tile-vert":
-        plan = TilePlan(ell, [["v0"], ["v1"]], 2)
+        plan = TilePlan([["v0"], ["v1"]], 2)
         plan.adjacency_realization[(0, 1)] = ((0, 0), (1, 0))
         return plan
     if assembly == "chain":
-        return TilePlan(ell, [["v0", "v0"]], 1)
+        return TilePlan([["v0", "v0"]], 1)
     raise ColoringError(f"unknown assembly {assembly!r}")
 
 
@@ -264,7 +264,7 @@ def compile_coloring(inst: ColoringInstance, tileset: ColoringTileSet | None = N
     the other color slots pinned.
     """
     tileset = _build_tileset_any(inst.q) if tileset is None else tileset
-    plan = route_graph_to_tiles(inst.edges, tile_side=tileset.ell, num_vertices=inst.n)
+    plan = route_graph_to_tiles(inst.edges, num_vertices=inst.n)
     return stitch(plan, tileset.tiles)
 
 
@@ -332,7 +332,7 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     vertices), and "chain" (one vertex spanning two tiles).  For q > 4 the
     spectrum is taken over the chain-intact subspace.
     """
-    e = stitch(_assembly_plan(tileset.tiles.ell, assembly), tileset.tiles)
+    e = stitch(_assembly_plan(assembly), tileset.tiles)
     if tileset.q <= 4:
         return brute_force(e.physical)
     return _restricted_spectrum(e.chain_intact_qubo())
@@ -411,7 +411,7 @@ def _le4_energy_model() -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
     for assembly, vertices in (("1-tile", 1), ("2-tile-hor", 2)):
         rows = _code_rows(0, 1 << (8 * vertices), 8 * vertices, SPIN)
         valid = _valid_coloring_indices(rows, vertices)
-        plan = _assembly_plan(1, assembly)
+        plan = _assembly_plan(assembly)
         energies = {
             term: np.concatenate([e for e, _ in _split_energy_blocks(stitch(plan, t).physical)])
             for term, t in tiles.items()

@@ -115,12 +115,23 @@ class SlotPlanner:
         else:
             self.run_vertical(var, track, oi + line, oj + lo, oj + hi)
 
-    def snapshot(self) -> tuple:
-        return (dict(self.claims), {k: dict(v) for k, v in self.chains.items()})
+    def undo_to(self, mark: int) -> None:
+        """Drop the claims made since `mark = len(self.claims)`, newest first.
 
-    def restore(self, snap: tuple) -> None:
-        self.claims = dict(snap[0])
-        self.chains = {k: dict(v) for k, v in snap[1].items()}
+        Claims only grow between a mark and its undo, so this leaves the
+        claims, every chain's slot order and the chain order as they were at
+        the mark; a chain left empty is dropped.
+        """
+        while len(self.claims) > mark:
+            key, var = self.claims.popitem()
+            chain = self.chains[var]
+            del chain[key]
+            if not chain:
+                del self.chains[var]
+
+    def free_tracks(self, cell: tuple[int, int], side: str) -> list[int]:
+        """Unclaimed tracks of one side of a cell, in increasing order."""
+        return [t for t in range(self.J) if (cell[0], cell[1], side, t) not in self.claims]
 
     def extent(self) -> tuple[int, int]:
         w = 1 + max((i for (i, _, _, _) in self.claims), default=0)

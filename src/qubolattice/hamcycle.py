@@ -357,7 +357,7 @@ def _double_plan(plan: TilePlan) -> TilePlan:
         doubled = [tag for tag in row for _ in (0, 1)]
         grid.append(doubled)
         grid.append(list(doubled))
-    out = TilePlan(plan.tile_side, grid, plan.num_vertices)
+    out = TilePlan(grid, plan.num_vertices)
     for (r, c), passes in plan.crossing_passes.items():
         for dr in (0, 1):
             for dc in (0, 1):
@@ -365,11 +365,11 @@ def _double_plan(plan: TilePlan) -> TilePlan:
     return out
 
 
-def _assign_edge_tiles(plan: TilePlan, edges):
-    """One adjacent tile pair per edge, every tile hosting at most one edge."""
+def _assign_edge_tiles(tiles_of: list[set[tuple[int, int]]], edges):
+    """One adjacent tile pair per edge from each vertex's tiles `tiles_of`,
+    every tile hosting at most one edge."""
     busy: set[tuple[int, int]] = set()
     chosen: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
-    tiles_of = plan.tiles_by_vertex()
     for u, v in sorted({tuple(sorted(e)) for e in edges}):
         for pair in _edge_tile_pairs(tiles_of[u], tiles_of[v]):
             if pair[0] not in busy and pair[1] not in busy:
@@ -395,7 +395,8 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
     n = inst.n
     tq = build_tileable_hamcycle(inst)
     plan = _double_plan(route_graph_to_tiles(inst.edges, num_vertices=n))
-    edge_tiles = _assign_edge_tiles(plan, inst.edges)
+    tiles_of = plan.tiles_by_vertex()
+    edge_tiles = _assign_edge_tiles(tiles_of, inst.edges)
     q_slots = 3 * n + 3
     ell = -(-q_slots // 4)
     planner = SlotPlanner(4)
@@ -424,7 +425,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
         else:
             planner.arm(name, origin(tile), slot, axis, 0, hi)
 
-    regions = {v: sorted(tiles) for v, tiles in enumerate(plan.tiles_by_vertex())}
+    regions = {v: sorted(tiles) for v, tiles in enumerate(tiles_of)}
     partner_of: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
     for (u, v), (t1, t2) in edge_tiles.items():
         for mine, theirs in ((t1, t2), (t2, t1)):
@@ -432,30 +433,30 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
             other = v if owner == u else u
             partner_of[mine] = (theirs, owner, other)
 
+    def copies_along(tile, horizontal):
+        # whether tile hosts an edge whose neighbour copies run along the
+        # horizontal (or vertical) axis
+        partner = partner_of.get(tile)
+        return partner is not None and (partner[0][0] == tile[0]) == horizontal
+
     for v in range(n):
         for tile in regions[v]:
             for j in range(n):
                 full_arms(tile, slot_x(tile, j), f"x:{v}:{j}")
     # crossings conduct one vertex horizontally (s arms) and one vertically
     # (r arms); a whole run of consecutive crossings carries the entry-side
-    # phase, and the exit tile bridges if its own phase differs
-    seen_runs: set[tuple[int, int, str]] = set()
+    # phase, and the exit tile bridges if its own phase differs.  A run is
+    # handled at its entry-side tile, its first in sorted order.
     for tile in sorted(plan.crossing_passes):
-        for axis in ("h", "v"):
-            if (tile[0], tile[1], axis) in seen_runs:
+        for axis, (dr, dc) in (("h", (0, 1)), ("v", (1, 0))):
+            enter = (tile[0] - dr, tile[1] - dc)
+            if plan.role(*enter) == "x":
                 continue
-            dr, dc = (0, 1) if axis == "h" else (1, 0)
-            r, c = tile
-            while plan.role(r - dr, c - dc) == "x":
-                r, c = r - dr, c - dc
-            run = []
-            rr, cc = r, c
-            while plan.role(rr, cc) == "x":
-                run.append((rr, cc))
-                seen_runs.add((rr, cc, axis))
-                rr, cc = rr + dr, cc + dc
-            enter, exit_tile = (r - dr, c - dc), (rr, cc)
-            passer = plan.crossing_passes[run[0]][0 if axis == "h" else 1]
+            run = [tile]
+            while plan.role(run[-1][0] + dr, run[-1][1] + dc) == "x":
+                run.append((run[-1][0] + dr, run[-1][1] + dc))
+            exit_tile = (run[-1][0] + dr, run[-1][1] + dc)
+            passer = plan.crossing_passes[tile][0 if axis == "h" else 1]
             ph = phase(enter)
             for cross in run:
                 for j in range(n):
@@ -465,7 +466,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
                     own = slot_x(exit_tile, j) // 4
                     segment(exit_tile, run[-1], ph * n + j, f"x:{passer}:{j}", own, own)
 
-    tree_edges = _region_trees(plan, regions, partner_of)
+    tree_edges = _region_trees(plan, regions, copies_along)
 
     for v in range(n):
         for (t1, t2) in tree_edges[v]:
@@ -473,11 +474,9 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
             # in an endpoint whose partner (copy traffic) runs the other axis
             hop_horizontal = t1[0] == t2[0]
             t_from, t_to = t1, t2
-            partner = partner_of.get(t1)
-            if partner is not None and (partner[0][0] == t1[0]) == hop_horizontal:
+            if copies_along(t1, hop_horizontal):
                 t_from, t_to = t2, t1
-                partner2 = partner_of.get(t2)
-                if partner2 is not None and (partner2[0][0] == t2[0]) == hop_horizontal:
+                if copies_along(t2, hop_horizontal):
                     raise EmbeddingError(
                         f"no safe side for a chain bridge between {t1} and {t2}"
                     )
@@ -505,20 +504,25 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
                     min(links), max(links),
                 )
 
+    # selector chains route on the slots the ceiling leaves spare, then on
+    # the selector and accumulator slots
+    route_slots = [*range(q_slots, 4 * ell), 3 * n + 1, 3 * n + 2, 3 * n]
     for v in range(n):
         _wire_selector_chain(
-            planner, full_arms, segment, inst, v, n, edge_tiles, plan, regions[v]
+            planner, full_arms, segment, route_slots, inst, v, edge_tiles, plan, regions[v]
         )
 
     emb = planner.to_embedding(tq.qubo.index_of, choose_alpha(tq.qubo), L=ell * plan.grid_side)
     return embed_qubo(tq.qubo, emb)
 
 
-def _region_trees(plan, regions, partner_of):
+def _region_trees(plan, regions, copies_along):
     """Spanning tree per region; crossing runs connect tiles without bridges.
 
     Returns the direct-adjacency hops that need phase bridges.  Hops through
-    crossing tiles are already track-aligned by the pass-through claims.
+    crossing tiles are already track-aligned by the pass-through claims.  A
+    hop is worse for each endpoint where `copies_along(tile, horizontal)`
+    says neighbour copies run along the hop axis.
     """
     out = {}
     for v, tiles_list in regions.items():
@@ -538,14 +542,7 @@ def _region_trees(plan, regions, partner_of):
                 if res is None:
                     continue
                 nxt, hops = res
-                horizontal_hop = dr == 0
-                bad = 0
-                for t in (cur, nxt):
-                    partner = partner_of.get(t)
-                    if partner is not None:
-                        partner_horizontal = partner[0][0] == t[0]
-                        if partner_horizontal == horizontal_hop:
-                            bad += 1
+                bad = sum(copies_along(t, dr == 0) for t in (cur, nxt))
                 candidates.append((bad, cur, nxt, hops))
         # minimum-badness spanning tree keeps bridges off copy-laden axes
         parent = {t: t for t in tiles}
@@ -570,17 +567,20 @@ def _region_trees(plan, regions, partner_of):
     return out
 
 
-def _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, plan, own):
+def _wire_selector_chain(planner, full_arms, segment, slots, inst, v, edge_tiles, plan, own):
     """Route selector (and accumulator) chains between a vertex's edge tiles.
 
     Chains travel on free aux-slot arms along breadth- or depth-first tile
     paths through the vertex's tiles and the crossings it passes, and finish
     with an entry segment inside the destination tile, where the caterpillar
-    couplings land on perpendicular arms.  `own` holds v's tiles.
+    couplings land on perpendicular arms.  Each link tries every route with
+    each of `slots` in turn, undoing a failed try's claims.  `own` holds v's
+    tiles.
     """
     nbrs = inst.neighbors(v)
     if len(nbrs) <= 1:
         return
+    n = inst.n
     tiles = plan.region_with_crossings(v, own)
 
     def search(a, b, avoid, order, depth_first):
@@ -631,9 +631,11 @@ def _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, pl
         pair = edge_tiles[tuple(sorted((v, u)))]
         return pair[0] if plan.role(*pair[0]) == f"v{v}" else pair[1]
 
-    chain_order = [f"z:{v}:{u}" for u in nbrs]
+    # the entry segment's couplings land where it crosses the destination's
+    # selector and accumulator perpendicular arms, so it spans all their lines
+    lo_need, hi_need = (3 * n) // 4, (3 * n + 2) // 4
     hosts = [host_of(u) for u in nbrs]
-    prev_name, prev_host, prev_slot = chain_order[0], hosts[0], 3 * n
+    prev_name, prev_host, prev_slot = f"z:{v}:{nbrs[0]}", hosts[0], 3 * n
     for i in range(1, len(nbrs)):
         target_host = hosts[i]
         acc = acc_slot = None
@@ -644,47 +646,25 @@ def _wire_selector_chain(planner, full_arms, segment, inst, v, n, edge_tiles, pl
         routes = route_variants(
             prev_host, target_host, set(hosts) - {prev_host, target_host}
         )
-        last_err: Exception | None = None
-        for route in routes:
-            snap = planner.snapshot()
+        # the chain hops off its own arms in route[0], takes full arms through
+        # the interior tiles and enters the destination route[-1]
+        mark = len(planner.claims)
+        own_line = prev_slot // 4
+        tries = ((route, slot) for route in routes for slot in slots if slot != prev_slot)
+        for route, slot in tries:
             try:
-                _route_chain(planner, full_arms, segment, route, prev_name, prev_slot, n)
+                segment(route[0], route[1], slot, prev_name, own_line, own_line)
+                for tile in route[1:-1]:
+                    full_arms(tile, slot, prev_name)
+                segment(route[-1], route[-2], slot, prev_name, lo_need, hi_need)
                 break
             except EmbeddingError as err:
-                last_err = err
-                planner.restore(snap)
+                last = err
+                planner.undo_to(mark)
         else:
-            raise EmbeddingError(f"selector routing failed for vertex {v}: {last_err}")
+            raise EmbeddingError(
+                f"selector routing failed for vertex {v}: "
+                f"no free aux slot for a selector chain route: {last}"
+            )
         if acc is not None:
             prev_name, prev_host, prev_slot = acc, target_host, acc_slot
-
-
-def _route_chain(planner, full_arms, segment, route, name, own_slot, n):
-    """Carry an aux chain along a tile route to a destination host.
-
-    The chain hops off its own arms in route[0], takes full arms through the
-    interior tiles, and finishes with an entry segment that crosses the
-    destination's selector and accumulator arms.  Routing slots are tried
-    with rollback until one fits.
-    """
-    ell4 = 4 * -(-(3 * n + 3) // 4)
-    spare = list(range(3 * n + 3, ell4))  # slots left over by the ceiling
-    # the entry segment's couplings land where it crosses the destination's
-    # selector and accumulator perpendicular arms, so it spans all their lines
-    lo_need, hi_need = (3 * n) // 4, (3 * n + 2) // 4
-    own = own_slot // 4
-    last_err: Exception | None = None
-    for slot in spare + [3 * n + 1, 3 * n + 2, 3 * n]:
-        if slot == own_slot:
-            continue
-        snap = planner.snapshot()
-        try:
-            segment(route[0], route[1], slot, name, own, own)
-            for tile in route[1:-1]:
-                full_arms(tile, slot, name)
-            segment(route[-1], route[-2], slot, name, lo_need, hi_need)
-            return
-        except EmbeddingError as err:
-            last_err = err
-            planner.restore(snap)
-    raise EmbeddingError(f"no free aux slot for a selector chain route: {last_err}")

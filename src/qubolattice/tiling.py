@@ -4,7 +4,12 @@ per-tile Hamiltonians into one lattice objective.
 A plan assigns each grid tile a role: a vertex tile (hosting that vertex's
 building-block Hamiltonian), a crossing tile (letting one vertex's chain pass
 horizontally while another passes vertically, which encodes nonplanarity), or
-empty.  Every logical edge is realized by exactly one adjacent tile pair.
+empty.  Every logical edge is realized by exactly one adjacent tile pair.  A
+plan counts tiles, not lattice cells: a tile's side in cells is set by what is
+placed on it (`TileHamiltonians.ell` when stitching, the slot count of the
+tileable Hamiltonian-cycle blocks).  Supertiles interleave two embedded
+problems and claim their bridges, like every other layout, through
+`SlotPlanner`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ class TilingError(ValueError):
 class TilePlan:
     """Grid of tile roles plus the bookkeeping to stitch them."""
 
-    tile_side: int
     grid: list[list[str]]  # row-major; entries "v<k>", "x", "-"
     num_vertices: int
     crossing_passes: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
@@ -173,7 +177,7 @@ def _grid(rows: int, cols: int) -> list[list[str]]:
     return [[EMPTY] * cols for _ in range(rows)]
 
 
-def _canned_complete_plan(n: int, tile_side: int) -> TilePlan | None:
+def _canned_complete_plan(n: int) -> TilePlan | None:
     layouts = {
         1: ["0"],
         2: ["01"],
@@ -194,7 +198,7 @@ def _canned_complete_plan(n: int, tile_side: int) -> TilePlan | None:
             else:
                 out.append(f"v{ch}")
         grid.append(out)
-    plan = TilePlan(tile_side, grid, n)
+    plan = TilePlan(grid, n)
     if n == 5:
         plan.crossing_passes[(2, 1)] = (1, 3)  # v1 passes horizontally, v3 vertically
     return plan
@@ -247,7 +251,7 @@ def _cycle_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
     return order if order[0] in adj[order[-1]] else None
 
 
-def _ladder_plan(n: int, edges: set[tuple[int, int]], tile_side: int) -> TilePlan:
+def _ladder_plan(n: int, edges: set[tuple[int, int]]) -> TilePlan:
     """Deterministic row/column construction with pass-down crossings.
 
     Vertices in degree-descending order get one horizontal segment each (the
@@ -326,13 +330,13 @@ def _ladder_plan(n: int, edges: set[tuple[int, int]], tile_side: int) -> TilePla
     grid = _grid(rows, width)
     for (r, c), tag in cells.items():
         grid[r][c] = tag
-    plan = TilePlan(tile_side, grid, n)
+    plan = TilePlan(grid, n)
     plan.crossing_passes = passes
     return plan
 
 
 def route_graph_to_tiles(
-    edges: Iterable[tuple[int, int]], tile_side: int = 1, num_vertices: int | None = None
+    edges: Iterable[tuple[int, int]], num_vertices: int | None = None
 ) -> TilePlan:
     """Deterministic constructive tile plan for an arbitrary simple graph.
 
@@ -353,12 +357,12 @@ def route_graph_to_tiles(
     complete = len(edge_set) == n * (n - 1) // 2 and n * (n - 1) // 2 > 0 or n == 1
     plan: TilePlan | None = None
     if complete:
-        plan = _canned_complete_plan(n, tile_side)
+        plan = _canned_complete_plan(n)
     if plan is None:
         order = _path_order(n, edge_set)
         if order is not None:
             grid = [[f"v{v}" for v in order]]
-            plan = TilePlan(tile_side, grid, n)
+            plan = TilePlan(grid, n)
     if plan is None:
         order = _cycle_order(n, edge_set)
         if order is not None:
@@ -368,9 +372,9 @@ def route_graph_to_tiles(
             while len(bottom) < half:
                 bottom.append(bottom[-1] if bottom else top[-1])
             grid = [[f"v{v}" for v in top], [f"v{v}" for v in bottom]]
-            plan = TilePlan(tile_side, grid, n)
+            plan = TilePlan(grid, n)
     if plan is None:
-        plan = _ladder_plan(n, edge_set, tile_side)
+        plan = _ladder_plan(n, edge_set)
     _assign_realizations(plan, edge_set)
     problems = validate_plan(plan, edge_set)
     if problems:
@@ -608,8 +612,8 @@ def _track_into_bridge(planner: SlotPlanner, var: str, cell: tuple[int, int], si
     if tracks:
         return min(tracks)
     # hop onto a free slot of the needed side inside the quadrant cell
-    for t in range(planner.J):
-        if (cell[0], cell[1], side, t) not in planner.claims:
-            planner.claim(cell, side, t, var)
-            return t
-    raise TilingError(f"no free {side} track in cell {cell}")
+    free = planner.free_tracks(cell, side)
+    if not free:
+        raise TilingError(f"no free {side} track in cell {cell}")
+    planner.claim(cell, side, free[0], var)
+    return free[0]

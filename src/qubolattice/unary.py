@@ -587,9 +587,6 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
     # rebuild the raw claim table from the embedding
     builder = _rebuilder_from(layout)
 
-    def free(cell: tuple[int, int], side: str) -> list[int]:
-        return [t for t in range(J) if (cell[0], cell[1], side, t) not in builder.claims]
-
     # every real leaf holds one slot (i, j, side, track); s-side leaves can branch
     slots = {x: next(iter(builder.chains[x])) for x in layout.tree.real_leaves}
     branches: list[tuple[str, list[str]]] = []
@@ -599,7 +596,7 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
             fcell = (cell[0] + di, cell[1])
             if not (0 <= fcell[0] < layout.L and 0 <= fcell[1] < layout.L):
                 continue
-            free_s, free_r = free(fcell, "s"), free(fcell, "r")
+            free_s, free_r = builder.free_tracks(fcell, "s"), builder.free_tracks(fcell, "r")
             # candidate leaves of this cell, by track
             for leaf in sorted(
                 (x for x, slot in slots.items() if slot[:3] == (*cell, "s")),
@@ -618,7 +615,7 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
                     continue
                 replaced.add(leaf)
                 branches.append((leaf, new_names))
-                free_s, free_r = free(fcell, "s"), free(fcell, "r")
+                free_s, free_r = builder.free_tracks(fcell, "s"), builder.free_tracks(fcell, "r")
                 if len(free_s) < 2 or len(free_r) < 2:
                     break
     if not branches:

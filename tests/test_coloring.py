@@ -127,7 +127,7 @@ class TestTileset:
         from qubolattice.tiling import TilePlan, stitch
 
         tileset = build_tileset(4)
-        plan = TilePlan(1, [["v0", "v1", "v2"]], 3)
+        plan = TilePlan([["v0", "v1", "v2"]], 3)
         plan.adjacency_realization[(0, 1)] = ((0, 0), (0, 1))
         plan.adjacency_realization[(1, 2)] = ((0, 1), (0, 2))
         e = stitch(plan, tileset.tiles)
@@ -284,7 +284,7 @@ class TestColoringLevel:
                     continue
                 for edges in all_graphs(n):
                     inst = ColoringInstance(edges, q, num_vertices=n)
-                    plan = route_graph_to_tiles(edges, tile_side=tileset.ell, num_vertices=n)
+                    plan = route_graph_to_tiles(edges, num_vertices=n)
                     e = stitch(replace(plan, adjacency_realization={}), tileset.tiles)
                     ground = brute_force(e.chain_intact_qubo()).ground_energy
                     contracted = compile_coloring(inst, tileset).chain_intact_qubo()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qubolattice.embedding import (
     EmbeddingError,
     MinorEmbedding,
+    SlotPlanner,
     choose_alpha,
     embed_complete_chimera,
     embed_complete_generic,
@@ -41,6 +42,38 @@ def alpha_by_variable(q):
                 total += abs(c)
         worst = max(worst, total)
     return 1.0 + worst
+
+
+class TestSlotPlanner:
+    def test_undo_to_restores_the_claims_at_the_mark(self):
+        planner = SlotPlanner(4)
+        planner.claim((0, 0), "s", 0, "a")
+        planner.claim((0, 1), "r", 2, "b")
+        planner.claim((1, 0), "s", 1, "a")
+        claims = list(planner.claims.items())
+        chains = [(var, list(slots)) for var, slots in planner.chains.items()]
+        mark = len(planner.claims)
+        planner.claim((2, 0), "s", 3, "b")
+        planner.claim((2, 1), "r", 0, "c")
+        planner.claim((2, 2), "s", 0, "a")
+        planner.claim((0, 0), "s", 0, "a")  # re-claiming its own slot adds nothing
+        planner.undo_to(mark)
+        assert list(planner.claims.items()) == claims
+        assert [(var, list(slots)) for var, slots in planner.chains.items()] == chains
+        assert "c" not in planner.chains  # created after the mark
+        # an undone slot is free again, for any variable
+        assert planner.free_tracks((2, 0), "s") == [0, 1, 2, 3]
+        planner.claim((2, 0), "s", 3, "c")
+        assert planner.claims[(2, 0, "s", 3)] == "c"
+        assert list(planner.chains) == ["a", "b", "c"]
+
+    def test_free_tracks(self):
+        planner = SlotPlanner(4)
+        planner.claim((1, 2), "s", 1, "a")
+        planner.claim((1, 2), "r", 3, "b")
+        assert planner.free_tracks((1, 2), "s") == [0, 2, 3]
+        assert planner.free_tracks((1, 2), "r") == [0, 1, 2]
+        assert planner.free_tracks((2, 1), "s") == [0, 1, 2, 3]
 
 
 class TestValidate:

@@ -1,12 +1,13 @@
 """Hamiltonian-cycle compilers: intersecting cliques, permutation trees,
 and the tileable per-vertex encoding."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from oracles import all_graphs, hamiltonian_cycles
-from qubolattice.embedding import unembed, validate
+from qubolattice.embedding import EmbeddingError, unembed, validate
 from qubolattice.hamcycle import (
     HamcycleError,
     HamcycleInstance,
@@ -23,7 +24,7 @@ from qubolattice.hamcycle import (
     predicted_permutation_length,
 )
 from qubolattice.qubo import BINARY, QuboBuilder, anneal_solve, brute_force
-from qubolattice.tiling import route_graph_to_tiles
+from qubolattice.tiling import TilePlan, TilingError, route_graph_to_tiles
 
 
 class TestICQubo:
@@ -268,10 +269,60 @@ class TestTileableEmbedding:
             ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)),
         ],
     )
-    def test_embedding_reads_the_grid_once(self, edges):
+    def test_embedding_reads_the_grid_once(self, edges, monkeypatch):
+        # the router scans the grid to realize edges and to validate the plan;
+        # the embedding scans its doubled plan once more, and no more
+        scans = []
+        scan = TilePlan.tiles_by_vertex
+
+        def counting(plan):
+            scans.append(plan)
+            return scan(plan)
+
+        monkeypatch.setattr(TilePlan, "tiles_by_vertex", counting)
         e = embed_tileable_hamcycle(HamcycleInstance(edges))
         assert validate(e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)).ok
+        assert len(scans) == 3
 
     def test_size_formula_paper_point(self):
         assert predicted_hamcycle_length(45, 7, "tileable") == pytest.approx(490.0)
         assert predicted_hamcycle_length(45, 7, "complete") == pytest.approx(506.25)
+
+
+def tileable_digest(instances) -> str:
+    """sha256 of each tileable embedding's chains (in iteration order, members
+    too), vertex order and physical terms as float.hex, or of its error text."""
+    h = hashlib.sha256()
+    for inst in instances:
+        try:
+            e = embed_tileable_hamcycle(inst)
+        except (EmbeddingError, TilingError) as err:
+            h.update(repr((inst.edges, str(err))).encode())
+            continue
+        q = e.physical
+        chains = [(k, list(v)) for k, v in e.embedding.chains.items()]
+        terms = (
+            q.offset.hex(),
+            [(i, c.hex()) for i, c in q.linear.items()],
+            [(i, j, c.hex()) for (i, j), c in q.quadratic.items()],
+        )
+        h.update(repr((inst.edges, chains, list(e.vertex_order), terms)).encode())
+    return h.hexdigest()
+
+
+class TestTileableDigest:
+    def test_small_graphs_and_known_failures(self):
+        # the 11 labelled graphs on 3 and 4 vertices with minimum degree 2,
+        # then K5 (no free tile pair) and a 5-vertex graph whose selector
+        # routing fails, so a change to where the router puts a chain, a
+        # term or an error shows here
+        def instances():
+            for n in (3, 4):
+                for edges in all_graphs(n):
+                    if all(sum(v in e for e in edges) >= 2 for v in range(n)):
+                        yield HamcycleInstance(edges, num_vertices=n)
+            yield HamcycleInstance(tuple(itertools.combinations(range(5), 2)))
+            yield HamcycleInstance(((0, 2), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)))
+
+        digest = "36490fa9520214c5d740a4d783bf72e7660828ae0f2ce584cee63a08f59010f9"
+        assert tileable_digest(instances()) == digest

@@ -29,7 +29,7 @@ def plan_of(rows, passes=(), realized=()):
     """Hand-built plan: digits are vertex tiles, "x" crossings, "-" empty."""
     grid = [[ch if ch in "x-" else f"v{ch}" for ch in row] for row in rows]
     n = 1 + max(int(ch) for row in rows for ch in row if ch.isdigit())
-    plan = TilePlan(1, grid, n)
+    plan = TilePlan(grid, n)
     plan.crossing_passes.update(passes)
     plan.adjacency_realization.update(realized)
     return plan
@@ -122,7 +122,7 @@ class TestCrossingTemplate:
 class TestStitch:
     def test_single_tile_equals_template(self):
         tiles = build_tileset(4).tiles
-        plan = TilePlan(1, [["v0"]], 1)
+        plan = TilePlan([["v0"]], 1)
         e = stitch(plan, tiles)
         assert e.physical.num_vars == 8
         spec = brute_force(e.physical)
@@ -130,7 +130,7 @@ class TestStitch:
 
     def test_two_tile_edge_has_one_coupling_block(self):
         tiles = build_tileset(4).tiles
-        plan = TilePlan(1, [["v0", "v1"]], 2)
+        plan = TilePlan([["v0", "v1"]], 2)
         plan.adjacency_realization[(0, 1)] = ((0, 0), (0, 1))
         e = stitch(plan, tiles)
         g = build_lattice(e.embedding.lattice)
@@ -144,7 +144,6 @@ class TestStitch:
     def test_stitched_embedding_validates(self):
         tiles = build_tileset(4).tiles
         plan = route_graph_to_tiles(k(5))
-        plan.tile_side = 1
         e = stitch(plan, tiles)
         report = validate(
             e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)
