@@ -39,6 +39,7 @@ from .qubo import (
     apply_noise,
     binary_assignment,
     brute_force,
+    doc_int,
     normalize_couplings,
     qubo_from_doc,
     qubo_to_doc,
@@ -178,7 +179,7 @@ def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
         emb = embedding_from_doc(
             doc["embedding"], [logical.name_of(i) for i in range(logical.num_vars)]
         )
-        return EmbeddedQubo(physical, emb, logical, [int(v) for v in doc["vertex_order"]])
+        return EmbeddedQubo(physical, emb, logical, [doc_int(v) for v in doc["vertex_order"]])
 
 
 def _solver_objective(doc, physical: Qubo, path: str) -> Qubo | None:

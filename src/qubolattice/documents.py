@@ -24,7 +24,7 @@ from .hamcycle import (
 )
 from .knapsack import KnapsackInstance, build_knapsack_qubo
 from .numpart import PartitionInstance, build_numpart_qubo, decode_partition, embed_numpart
-from .qubo import Qubo
+from .qubo import Qubo, doc_int
 from .unary import UnaryInstance, build_unary_qubo, fractal_embed_unary
 
 
@@ -77,15 +77,23 @@ class ProblemKind:
 
 
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(x) for x in values)
+    return tuple(doc_int(x) for x in values)
 
 
 def _edges(body: Mapping) -> tuple[tuple[int, int], ...]:
-    return tuple((int(u), int(v)) for u, v in body.get("edges", []))
+    return tuple((doc_int(u), doc_int(v)) for u, v in body.get("edges", []))
 
 
 def _num_vertices(body: Mapping) -> int | None:
-    return int(body["num_vertices"]) if "num_vertices" in body else None
+    return doc_int(body["num_vertices"]) if "num_vertices" in body else None
+
+
+def _flag(body: Mapping, key: str) -> bool:
+    """A boolean field, false when absent; only JSON true or false passes."""
+    value = body.get(key, False)
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _partition_logical(inst: PartitionInstance, strategy, l_star):
@@ -139,7 +147,7 @@ KINDS: dict[str, ProblemKind] = {
             "knapsack",
             KnapsackInstance,
             parse=lambda body: KnapsackInstance(
-                _ints(body["values"]), _ints(body["weights"]), int(body["capacity"])
+                _ints(body["values"]), _ints(body["weights"]), doc_int(body["capacity"])
             ),
             body=lambda inst: {
                 "values": list(inst.values), "weights": list(inst.weights), "capacity": inst.capacity
@@ -149,7 +157,7 @@ KINDS: dict[str, ProblemKind] = {
         ProblemKind(
             "coloring",
             ColoringInstance,
-            parse=lambda body: ColoringInstance(_edges(body), int(body["q"]), _num_vertices(body)),
+            parse=lambda body: ColoringInstance(_edges(body), doc_int(body["q"]), _num_vertices(body)),
             body=lambda inst: {
                 "edges": [list(e) for e in inst.edges], "q": inst.q, "num_vertices": inst.n
             },
@@ -169,7 +177,7 @@ KINDS: dict[str, ProblemKind] = {
         ProblemKind(
             "unary",
             UnaryInstance,
-            parse=lambda body: UnaryInstance(int(body["n"]), bool(body.get("allow_zero", False))),
+            parse=lambda body: UnaryInstance(doc_int(body["n"]), _flag(body, "allow_zero")),
             body=lambda inst: {"n": inst.n, "allow_zero": inst.allow_zero},
             logical=lambda inst, strategy, l_star: (build_unary_qubo(inst.n, inst.allow_zero).qubo, {}),
             # the fractal tree encodes exactly-one; at-most-one takes the fallback
@@ -178,7 +186,7 @@ KINDS: dict[str, ProblemKind] = {
         ProblemKind(
             "adder",
             AdderInstance,
-            parse=lambda body: AdderInstance(int(body["n"])),
+            parse=lambda body: AdderInstance(doc_int(body["n"])),
             body=lambda inst: {"n": inst.n},
             logical=lambda inst, strategy, l_star: (build_adder(inst.n).qubo, {}),
         ),

@@ -9,6 +9,7 @@ realizable by at least one lattice edge between the two chains.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -22,7 +23,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .qubo import BINARY, Qubo, substitute
+from .qubo import BINARY, Qubo, doc_int, substitute
 
 
 class EmbeddingError(ValueError):
@@ -31,15 +32,30 @@ class EmbeddingError(ValueError):
 
 @dataclass
 class MinorEmbedding:
-    """Logical vertex -> physical chain map on a lattice, plus penalty weight."""
+    """Logical vertex -> physical chain map on a lattice, plus penalty weight.
+
+    The embedding keeps its last chain walk, so :func:`validate` after
+    :func:`embed_qubo` does not walk the chains again.  A walk is reused only
+    while the lattice and chains compare equal to the walked ones: the lattice
+    equal, and ``chains`` holding the same frozenset objects under the same
+    keys in the same order, since key and member order fix the order and
+    attribution of the witnesses.  Replacing a chain or the lattice, or
+    reordering the keys, walks again.
+    """
 
     lattice: LatticeSpec
     chains: dict[int, frozenset[int]]
     alpha: float = 1.0
+    _graph: LatticeGraph | None = field(default=None, init=False, repr=False, compare=False)
+    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def graph(self) -> LatticeGraph:
-        return build_lattice(self.lattice)
+        """The lattice graph, built again when `lattice` is replaced."""
+        graph = self._graph
+        if graph is None or graph.spec is not self.lattice:
+            graph = self._graph = build_lattice(self.lattice)
+        return graph
 
     def physical_vertices(self) -> list[int]:
         out: set[int] = set()
@@ -203,18 +219,20 @@ def _walk_chains(
     list[tuple[int, int, int]],
     dict[int, list[tuple[int, int]] | None],
     dict[tuple[int, int], tuple[int, int]],
+    dict[int, list[int]],
 ]:
     """Walk the lattice neighbours of every in-lattice chain member once.
 
-    Returns ``(shared, trees, couplers)``.  ``shared`` lists ``(p, first,
-    later)`` for each physical vertex that a later chain reuses.  ``trees``
-    maps each chain to the edges of its spanning tree, grown by depth-first
-    search from the smallest member with neighbours in increasing order, or to
-    None when the chain is empty, leaves the lattice or is disconnected.
-    ``couplers`` maps each pair ``u < v`` of chains joined by a lattice edge to
-    the lexicographically smallest such edge ``(p, q)``, ``p < q``; it is
-    complete only when ``shared`` is empty, since each vertex has one owner.
-    Out-of-lattice members are skipped, never looked up.
+    Returns ``(shared, trees, couplers, outside)``.  ``shared`` lists ``(p,
+    first, later)`` for each physical vertex that a later chain reuses.
+    ``trees`` maps each chain to the edges of its spanning tree, grown by
+    depth-first search from the smallest member with neighbours in increasing
+    order, or to None when the chain is empty, leaves the lattice or is
+    disconnected.  ``couplers`` maps each pair ``u < v`` of chains joined by a
+    lattice edge to the lexicographically smallest such edge ``(p, q)``, ``p <
+    q``; it is complete only when ``shared`` is empty, since each vertex has
+    one owner.  ``outside`` maps each chain that leaves the lattice to its
+    out-of-lattice members in member order; they are skipped, never looked up.
     """
     owner: dict[int, int] = {}
     shared: list[tuple[int, int, int]] = []
@@ -227,6 +245,7 @@ def _walk_chains(
     nv = graph.num_vertices
     trees: dict[int, list[tuple[int, int]] | None] = {}
     couplers: dict[tuple[int, int], tuple[int, int]] = {}
+    outside: dict[int, list[int]] = {}
 
     def visit(v, chain, u, seen, stack, tree):
         for w in nbrs(u):
@@ -258,10 +277,30 @@ def _walk_chains(
                 tree = None
         else:
             rest = [p for p in chain if 0 <= p < nv]
+            if len(rest) < len(chain):
+                outside[v] = [p for p in chain if not 0 <= p < nv]
         for u in rest:
             visit(v, chain, u, {u}, [], [])
         trees[v] = tree
-    return shared, trees, couplers
+    return shared, trees, couplers, outside
+
+
+def _cached_walk(emb: MinorEmbedding) -> tuple:
+    """:func:`_walk_chains` of `emb`, reused from its last walk while the
+    lattice compares equal and every chain is the walked object, under the
+    same key in the same order."""
+    keys, chains = tuple(emb.chains), tuple(emb.chains.values())
+    memo = emb._walk
+    if (
+        memo is not None
+        and memo[0] == emb.lattice
+        and memo[1] == keys
+        and all(map(operator.is_, memo[2], chains))
+    ):
+        return memo[3]
+    walk = _walk_chains(emb.graph, emb.chains)
+    emb._walk = (emb.lattice, keys, chains, walk)
+    return walk
 
 
 def _touching(graph: LatticeGraph, cu: frozenset[int], cv: frozenset[int]) -> bool:
@@ -280,15 +319,14 @@ def _validate(
 ) -> tuple[ValidationReport, dict, dict]:
     """:func:`validate`, also returning the chain walk's trees and couplers."""
     report = ValidationReport()
-    graph = emb.graph
-    shared, trees, couplers = _walk_chains(graph, emb.chains)
+    shared, trees, couplers, outside = _cached_walk(emb)
     vertices = set(logical_vertices) if logical_vertices is not None else set(emb.chains)
     for v in vertices:
         chain = emb.chains.get(v)
         if not chain:
             report.add("missing-chain", f"logical vertex {v} has no chain")
             continue
-        bad = [p for p in chain if not 0 <= p < graph.num_vertices]
+        bad = outside.get(v)
         if bad:
             report.add("out-of-lattice", f"vertex {v} chain uses {bad}")
             continue
@@ -304,7 +342,7 @@ def _validate(
             report.add("unrealizable-edge", f"({u}, {v}): missing chain")
             continue
         if shared or u == v:
-            touching = _touching(graph, cu, cv)
+            touching = _touching(emb.graph, cu, cv)
         else:
             touching = ((u, v) if u < v else (v, u)) in couplers
         if not touching:
@@ -318,7 +356,12 @@ def validate(
     logical_vertices: Iterable[int] | None = None,
 ) -> ValidationReport:
     """Check the three minor-embedding properties; violations become report
-    entries with witnesses, never exceptions."""
+    entries with witnesses, never exceptions.
+
+    The chain walk of the last call on `emb` (or of :func:`embed_qubo`) is
+    reused only while the lattice and chains compare equal to the walked ones
+    (see :class:`MinorEmbedding`); otherwise the chains are walked again.
+    """
     return _validate(emb, logical_edges, logical_vertices)[0]
 
 
@@ -529,7 +572,7 @@ def embedding_from_doc(doc: Mapping, logical_names: Sequence[str]) -> MinorEmbed
     spec = lattice_from_doc(doc["lattice"])
     name_to_index = {n: i for i, n in enumerate(logical_names)}
     chains = {
-        name_to_index[name]: frozenset(int(p) for p in members)
+        name_to_index[name]: frozenset(doc_int(p) for p in members)
         for name, members in doc["chains"].items()
     }
     return MinorEmbedding(spec, chains, float(doc.get("alpha", 1.0)))

@@ -17,18 +17,21 @@ from typing import Mapping
 
 import numpy as np
 
+from .qubo import doc_int
+
 
 class LatticeError(ValueError):
     """Invalid lattice parameter."""
 
 
 def _as_bitmatrix(m, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.int8)
+    arr = np.asarray(m)
     if arr.shape != (n, n):
         raise LatticeError(f"{name} must be {n}x{n}")
-    if not np.isin(arr, (0, 1)).all():
+    # check before casting, which would truncate an entry such as 1.7 to 1
+    if not ((arr == 0) | (arr == 1)).all():
         raise LatticeError(f"{name} must contain only 0/1 entries")
-    return arr
+    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -284,10 +287,11 @@ def lattice_to_doc(spec: LatticeSpec, family_hint: tuple[str, int] | None = None
 
 def lattice_from_doc(doc: Mapping) -> LatticeSpec:
     if doc.get("family") == "chimera":
-        return chimera_spec(int(doc["J"]), int(doc["L"]))
-    cell = CellAdjacency.from_matrices(doc["A"], doc["A_h"], doc["A_v"])
-    width = int(doc["L"])
-    height = int(doc.get("height", width))
+        return chimera_spec(doc_int(doc["J"]), doc_int(doc["L"]))
+    A, A_h, A_v = ([[doc_int(v) for v in row] for row in doc[key]] for key in ("A", "A_h", "A_v"))
+    cell = CellAdjacency.from_matrices(A, A_h, A_v)
+    width = doc_int(doc["L"])
+    height = doc_int(doc.get("height", width))
     return LatticeSpec(cell, width, height)
 
 

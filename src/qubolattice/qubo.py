@@ -38,6 +38,22 @@ class QuboError(ValueError):
     """Invalid parameter or assignment handed to a QUBO operation."""
 
 
+def doc_int(value) -> int:
+    """An integer field of a document or an index key.
+
+    Only a true integer passes (``operator.index``); a float, a string or a
+    bool raises TypeError rather than being truncated or read as 0 or 1.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def _check_distinct(keys: list) -> None:
     if len(set(keys)) != len(keys):
         raise QuboError("repeated variable inside squared expression")
@@ -582,7 +598,7 @@ def clamp(q: Qubo, assignments: Mapping[int | str, int]) -> Qubo:
             idx = q.index_of(key)
         else:
             try:  # only true integers index; a float or a bool is no variable
-                idx = -1 if isinstance(key, bool) else operator.index(key)
+                idx = doc_int(key)
             except TypeError:
                 idx = -1
         if not 0 <= idx < q.num_vars:
@@ -624,41 +640,53 @@ def anneal_solve(
     lin = [0.0] * n
     for i, c in q.linear.items():
         lin[i] = float(c)
-    neighbours: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), c in q.quadratic.items():
-        neighbours[i].append((j, float(c)))
-        neighbours[j].append((i, float(c)))
-    if t_hot is None:
-        t_hot = max(
-            1.0, max(abs(lin[i]) + sum(abs(c) for _, c in neighbours[i]) for i in range(n))
-        )
     lo, hi = (0.0, 1.0) if q.domain == BINARY else (-1.0, 1.0)
     span = lo + hi  # a flip from v to span - v changes it by span - 2v, exactly
+    unit = hi - lo  # so every flip step is +unit or -unit
+    # moves[i] holds (j, unit * c) for each coupling c of i and j: what a flip
+    # of i up adds to field[j] and a flip down subtracts.  unit is 1 or 2, so
+    # the scaling is exact, and a sum over moves divided by unit is exactly
+    # the sum over the couplings themselves.
+    moves: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (i, j), c in q.quadratic.items():
+        inc = unit * float(c)
+        moves[i].append((j, inc))
+        moves[j].append((i, inc))
+    if t_hot is None:
+        t_hot = max(
+            1.0, max(abs(lin[i]) + sum(abs(inc) for _, inc in moves[i]) / unit for i in range(n))
+        )
     temps = (t_hot * (0.05 / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))).tolist()
     exp = math.exp
 
-    best_state: list[float] | None = None
+    best_steps: list[float] | None = None
     best_energy = math.inf
     for _ in range(max(1, restarts)):
         state = [lo if draw < 0.5 else hi for draw in rng.random(n).tolist()]
         field = [
-            lin[i] + sum(c * state[j] for j, c in nbrs) for i, nbrs in enumerate(neighbours)
+            lin[i] + sum(inc * state[j] for j, inc in nbrs) / unit for i, nbrs in enumerate(moves)
         ]
         energy = q.energy(state)
+        # each variable's next flip step, negated on a flip
+        steps = [span - 2.0 * v for v in state]
         for t in temps:
             for i, draw in enumerate(rng.random(n).tolist()):
-                step = span - 2.0 * state[i]
+                step = steps[i]
                 delta = step * field[i]
                 if delta <= 0.0 or draw < exp(-delta / t):
-                    state[i] += step
+                    steps[i] = -step
                     energy += delta
-                    for j, c in neighbours[i]:
-                        field[j] += step * c
+                    if step > 0.0:
+                        for j, inc in moves[i]:
+                            field[j] += inc
+                    else:
+                        for j, inc in moves[i]:
+                            field[j] -= inc
         if energy < best_energy - COEFF_TOL:
             best_energy = energy
-            best_state = state
-    assert best_state is not None
-    result = tuple(int(v) for v in best_state)
+            best_steps = steps
+    assert best_steps is not None
+    result = tuple(int((span - step) / 2.0) for step in best_steps)
     return result, q.energy(result)
 
 
@@ -711,12 +739,12 @@ def qubo_to_doc(q: Qubo) -> dict:
 def qubo_from_doc(doc: Mapping) -> Qubo:
     q = Qubo(
         doc["domain"],
-        int(doc["num_vars"]),
+        doc_int(doc["num_vars"]),
         float(doc.get("offset", 0.0)),
         var_names=list(doc["var_names"]) if "var_names" in doc else None,
     )
     for i, c in doc.get("linear", []):
-        q.add_linear(int(i), float(c))
+        q.add_linear(doc_int(i), float(c))
     for i, j, c in doc.get("quadratic", []):
-        q.add_quadratic(int(i), int(j), float(c))
+        q.add_quadratic(doc_int(i), doc_int(j), float(c))
     return q

@@ -425,26 +425,13 @@ def crossing_tile_chimera() -> Qubo:
     return b.build()
 
 
-def _slot(name: str, origins: Mapping[str, tuple[int, int]]) -> tuple[tuple[int, int], str, int]:
-    """Lattice cell, side and track of a named tile slot."""
-    tile, slot, m, n = name.split(":")
-    oi, oj = origins[tile]
-    return (oi + int(m), oj + int(n)), slot[0], int(slot[1:])
-
-
-def _instantiate(
-    physical: Qubo,
-    pos: dict[int, int],
-    graph,
-    planner: SlotPlanner,
-    template: Qubo,
-    origins: Mapping[str, tuple[int, int]],
-) -> None:
-    image = []
-    for name in template.var_names:
-        cell, side, track = _slot(name, origins)
-        image.append((0.0, 1.0, pos[graph.vertex(*cell, planner.role(side, track))]))
-    substitute(template, physical, image)
+def _parse_slots(names: Iterable[str]) -> list[tuple[str, int, int, str, int]]:
+    """``(tile, m, n, side, track)`` of each named tile slot, in order."""
+    out = []
+    for name in names:
+        tile, slot, m, n = name.split(":")
+        out.append((tile, int(m), int(n), slot[0], int(slot[1:])))
+    return out
 
 
 def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
@@ -454,7 +441,8 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     template at its realized tile pair; chains propagate between same-vertex
     tiles and straight through crossings.  The logical view of the result is
     the chain-contracted objective over (vertex, color) variables, variable
-    v * q + color, on a lattice of side ell * grid_side.
+    v * q + color, on a lattice of side ell * grid_side.  Slot names are
+    parsed once per call, not once per tile.
     """
     J, ell = tiles.J, tiles.ell
     emb = MinorEmbedding(chimera_spec(J, ell * plan.grid_side), {}, alpha=1.0)
@@ -465,13 +453,18 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
         r, c = tile
         return (c * ell, r * ell)
 
+    color_slots = [
+        (color, slot)
+        for color, names in tiles.colors.items()
+        for slot in _parse_slots(names)
+    ]
+
     def claim_colors(v: int, tile: tuple[int, int], sides: str):
         origins = {"a": origin(tile)}
-        for color, names in tiles.colors.items():
-            for name in names:
-                cell, side, track = _slot(name, origins)
-                if side in sides:
-                    planner.claim(cell, side, track, v * tiles.q + color)
+        for color, (t, m, n, side, track) in color_slots:
+            if side in sides:
+                oi, oj = origins[t]
+                planner.claim((oi + m, oj + n), side, track, v * tiles.q + color)
 
     tiles_of = plan.tiles_by_vertex()
     for v in range(plan.num_vertices):
@@ -486,30 +479,39 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     pos = {p: k for k, p in enumerate(order)}
     physical = Qubo(SPIN, len(order), var_names=[str(p) for p in order])
 
+    def parsed(template: Qubo) -> tuple[Qubo, list[tuple[str, int, int, int]]]:
+        """The template with the tile, cell offset and cell role of each slot."""
+        slots = _parse_slots(template.var_names)
+        return template, [(t, m, n, planner.role(side, track)) for t, m, n, side, track in slots]
+
+    def instantiate(template, origins: Mapping[str, tuple[int, int]]) -> None:
+        qubo, slots = template
+        image = []
+        for t, m, n, role in slots:
+            oi, oj = origins[t]
+            image.append((0.0, 1.0, pos[graph.vertex(oi + m, oj + n, role)]))
+        substitute(qubo, physical, image)
+
+    vertex_tile = parsed(tiles.vertex_tile)
     for v in range(plan.num_vertices):
         for tile in sorted(tiles_of[v]):
-            _instantiate(physical, pos, graph, planner, tiles.vertex_tile, {"a": origin(tile)})
+            instantiate(vertex_tile, {"a": origin(tile)})
 
     # chains between adjacent tiles that both conduct the vertex on that axis
     chain_templates = (
-        ("h", 0, 1, tiles.chain_horizontal), ("v", 1, 0, tiles.chain_vertical)
+        ("h", 0, 1, parsed(tiles.chain_horizontal)), ("v", 1, 0, parsed(tiles.chain_vertical))
     )
     for v in range(plan.num_vertices):
         for (r, c) in sorted(plan.region_with_crossings(v, tiles_of[v])):
             for axis, dr, dc, template in chain_templates:
                 nxt = (r + dr, c + dc)
                 if plan.conducts((r, c), v, axis) and plan.conducts(nxt, v, axis):
-                    _instantiate(
-                        physical, pos, graph, planner, template,
-                        {"a": origin((r, c)), "b": origin(nxt)},
-                    )
+                    instantiate(template, {"a": origin((r, c)), "b": origin(nxt)})
 
+    edge_horizontal, edge_vertical = parsed(tiles.edge_horizontal), parsed(tiles.edge_vertical)
     for (u, v), (t1, t2) in sorted(plan.adjacency_realization.items()):
-        horizontal = t1[0] == t2[0]
-        template = tiles.edge_horizontal if horizontal else tiles.edge_vertical
-        _instantiate(
-            physical, pos, graph, planner, template, {"a": origin(t1), "b": origin(t2)}
-        )
+        template = edge_horizontal if t1[0] == t2[0] else edge_vertical
+        instantiate(template, {"a": origin(t1), "b": origin(t2)})
 
     names = [f"v{v}:c{color}" for v in range(plan.num_vertices) for color in range(tiles.q)]
     placeholder = Qubo(SPIN, plan.num_vertices * tiles.q, var_names=names)

@@ -1,6 +1,11 @@
 """Independent brute-force oracles used to pin expected values."""
 
 import itertools
+import math
+
+import numpy as np
+
+from qubolattice.qubo import BINARY, COEFF_TOL
 
 
 def balanced_subset_exists(numbers) -> bool:
@@ -74,3 +79,50 @@ def all_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield tuple(p for k, p in enumerate(pairs) if (mask >> k) & 1)
+
+
+def reference_anneal(q, sweeps=400, restarts=8, seed=0, t_hot=None):
+    """`anneal_solve`'s neighbour-list kernel as it was before it kept flip
+    steps: the step is recomputed from the state on every visit and every
+    neighbour increment is multiplied out per flip."""
+    n = q.num_vars
+    if n == 0:
+        return (), q.offset
+    rng = np.random.default_rng(seed)
+    lin = [0.0] * n
+    for i, c in q.linear.items():
+        lin[i] = float(c)
+    neighbours = [[] for _ in range(n)]
+    for (i, j), c in q.quadratic.items():
+        neighbours[i].append((j, float(c)))
+        neighbours[j].append((i, float(c)))
+    if t_hot is None:
+        t_hot = max(
+            1.0, max(abs(lin[i]) + sum(abs(c) for _, c in neighbours[i]) for i in range(n))
+        )
+    lo, hi = (0.0, 1.0) if q.domain == BINARY else (-1.0, 1.0)
+    span = lo + hi
+    temps = (t_hot * (0.05 / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))).tolist()
+
+    best_state = None
+    best_energy = math.inf
+    for _ in range(max(1, restarts)):
+        state = [lo if draw < 0.5 else hi for draw in rng.random(n).tolist()]
+        field = [
+            lin[i] + sum(c * state[j] for j, c in nbrs) for i, nbrs in enumerate(neighbours)
+        ]
+        energy = q.energy(state)
+        for t in temps:
+            for i, draw in enumerate(rng.random(n).tolist()):
+                step = span - 2.0 * state[i]
+                delta = step * field[i]
+                if delta <= 0.0 or draw < math.exp(-delta / t):
+                    state[i] += step
+                    energy += delta
+                    for j, c in neighbours[i]:
+                        field[j] += step * c
+        if energy < best_energy - COEFF_TOL:
+            best_energy = energy
+            best_state = state
+    result = tuple(int(v) for v in best_state)
+    return result, q.energy(result)

@@ -12,6 +12,7 @@ import pytest
 import qubolattice
 from qubolattice.cli import main, make_parser
 from qubolattice.documents import KINDS, dumps, instance_to_doc, loads, parse_instance
+from qubolattice.lattice import chimera_spec, lattice_to_doc
 from qubolattice.qubo import SPIN, binary_assignment, brute_force, qubo_from_doc
 
 # one small instance per registered tag, in canonical (round-trip) form
@@ -193,7 +194,7 @@ class TestEmbedValidate:
     @pytest.mark.parametrize("command", ["lattice", "embed"])
     @pytest.mark.parametrize(
         "field, value, message",
-        [("L", "x", "invalid literal"), ("J", 0, "requires J >= 1")],
+        [("L", "x", "expected an integer, got 'x'"), ("J", 0, "requires J >= 1")],
         ids=["side", "cell"],
     )
     def test_malformed_lattice_value_is_document_error(
@@ -211,7 +212,7 @@ class TestEmbedValidate:
     @pytest.mark.parametrize(
         "command, edit, message",
         [
-            ("validate", lambda d: d["vertex_order"].__setitem__(0, "x"), "invalid literal"),
+            ("validate", lambda d: d["vertex_order"].__setitem__(0, "x"), "expected an integer, got 'x'"),
             ("solve", lambda d: d["physical_qubo"]["linear"].append([99999, 1.0]), "out of range"),
         ],
         ids=["vertex_order", "linear"],
@@ -223,6 +224,55 @@ class TestEmbedValidate:
         assert main([command, path]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"document error: {path}:") and message in err
+
+    @pytest.mark.parametrize("command", ["lattice", "embed"])
+    @pytest.mark.parametrize(
+        "edit, value",
+        [
+            (lambda d: d.update(family="chimera", J=2, L=2.9), "2.9"),
+            (lambda d: d.update(family="chimera", J=2.0, L=2), "2.0"),
+            (lambda d: d.update(height=True), "True"),
+            (lambda d: d["A"][0].__setitem__(2, 1.7), "1.7"),
+        ],
+        ids=["side", "cell-size", "height", "cell-matrix"],
+    )
+    def test_non_integer_lattice_field_is_document_error(
+        self, command, edit, value, tmp_path, capsys
+    ):
+        doc = lattice_to_doc(chimera_spec(2, 2))
+        edit(doc)
+        lattice = write(tmp_path, "f.json", doc)
+        argv = ["--lattice", lattice]
+        if command == "embed":
+            argv.insert(0, write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"document error: {lattice}: ")
+        assert f"expected an integer, got {value}" in err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "edit, value",
+        [
+            (lambda d: [c.__setitem__(k, p + 0.5) for c in d["embedding"]["chains"].values()
+                        for k, p in enumerate(c)], "0.5"),
+            (lambda d: d["vertex_order"].__setitem__(0, 0.0), "0.0"),
+            (lambda d: d["physical_qubo"].update(num_vars=float(d["physical_qubo"]["num_vars"])), ".0"),
+            (lambda d: d["logical_qubo"]["linear"][0].__setitem__(0, False), "False"),
+            (lambda d: d["physical_qubo"]["quadratic"][0].__setitem__(1, 1.0), "1.0"),
+        ],
+        ids=["chain-member", "vertex_order", "num_vars", "linear-index", "quadratic-index"],
+    )
+    def test_non_integer_embed_field_is_document_error(
+        self, command, edit, value, tmp_path, capsys
+    ):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 3}}))
+        edit(embedded)
+        path = write(tmp_path, "emb.json", embedded)
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"document error: {path}:")
+        assert "expected an integer, got " in err and value in err
 
 
 class TestGapPredict:
@@ -332,6 +382,29 @@ class TestRegistry:
         assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("document error:") and message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"partition": {"numbers": [2.5, 3, 2, 3]}}, "expected an integer, got 2.5"),
+            ({"knapsack": {"values": [1], "weights": [1], "capacity": 1.0}},
+             "expected an integer, got 1.0"),
+            ({"coloring": {"edges": [[0, True]], "q": 2}}, "expected an integer, got True"),
+            ({"coloring": {"edges": [[0, 1]], "q": 2.5}}, "expected an integer, got 2.5"),
+            ({"hamcycle": {"edges": [[0, 1], [1, 2], [2, 0]], "num_vertices": 3.5}},
+             "expected an integer, got 3.5"),
+            ({"unary": {"n": "3"}}, "expected an integer, got '3'"),
+            ({"unary": {"n": 3, "allow_zero": "false"}},
+             "allow_zero must be true or false, got 'false'"),
+            ({"adder": {"n": 2.0}}, "expected an integer, got 2.0"),
+        ],
+        ids=["numbers", "capacity", "edge", "q", "num_vertices", "n", "allow_zero", "adder-n"],
+    )
+    def test_non_integer_instance_field_is_document_error(self, doc, message, tmp_path, capsys):
+        assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"document error: malformed '{next(iter(doc))}' instance")
+        assert message in err
 
     @pytest.mark.parametrize("command", [["build"], ["embed", "--strategy", "tiles"]], ids=["build", "embed"])
     @pytest.mark.parametrize(

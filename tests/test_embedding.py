@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubolattice import embedding as embedding_module
 from qubolattice.embedding import (
     EmbeddingError,
     MinorEmbedding,
@@ -136,6 +137,119 @@ class TestValidate:
                 if not pair_scan_touching(g, chains[u], chains[v])
             ]
             assert any(k == "overlapping-chains" for k, _ in report.violations) == overlap
+
+
+def counted_walks(monkeypatch) -> list:
+    """Record every chain walk from now on; returns the list of walked chains."""
+    walks = []
+    walk = embedding_module._walk_chains
+
+    def counting(graph, chains):
+        walks.append(dict(chains))
+        return walk(graph, chains)
+
+    monkeypatch.setattr(embedding_module, "_walk_chains", counting)
+    return walks
+
+
+def k8_embedded() -> tuple:
+    """A K8 objective on its clique embedding, with the validate arguments."""
+    q = Qubo(SPIN, 8)
+    for i, j in complete_edges(8):
+        q.add_quadratic(i, j, 1.0 if (i + j) % 3 else -1.0)
+    emb = embed_complete_chimera(8, 4)
+    emb.alpha = choose_alpha(q)
+    return embed_qubo(q, emb), (q.interaction_edges(), range(q.num_vars))
+
+
+@st.composite
+def chain_edits(draw):
+    """A list of edits to a five-chain embedding on chimera(2, L), L <= 3.
+
+    A replaced chain draws members from just below 0 to just past the
+    36 vertices of chimera(2, 3), so it may leave the lattice.
+    """
+    member = st.integers(-2, 37)
+    chain = st.frozensets(member, max_size=4)
+    edit = st.one_of(
+        st.tuples(st.just("replace"), st.integers(0, 4), chain),
+        st.tuples(st.just("remove"), st.integers(0, 4), st.none()),
+        st.tuples(st.just("reinsert"), st.integers(0, 4), st.none()),
+        st.tuples(st.just("lattice"), st.integers(1, 3), st.none()),
+    )
+    return draw(st.lists(edit, max_size=8))
+
+
+class TestWalkMemo:
+    def test_validate_after_embed_qubo_walks_once(self, monkeypatch):
+        walks = counted_walks(monkeypatch)
+        e, args = k8_embedded()
+        assert validate(e.embedding, *args).ok
+        assert validate(e.embedding, *args).ok
+        assert len(walks) == 1
+
+    def test_equal_lattice_keeps_the_walk(self, monkeypatch):
+        e, args = k8_embedded()
+        walks = counted_walks(monkeypatch)
+        e.embedding.lattice = chimera_spec(4, 2)
+        assert validate(e.embedding, *args).ok
+        assert walks == []
+
+    @pytest.mark.parametrize(
+        "edit, kind",
+        [
+            (lambda emb: emb.chains.__setitem__(0, frozenset({0, 1})), "disconnected-chain"),
+            (lambda emb: emb.chains.__setitem__(0, emb.chains[0] | {min(emb.chains[1])}),
+             "overlapping-chains"),
+            (lambda emb: setattr(emb, "lattice", chimera_spec(4, 1)), "out-of-lattice"),
+        ],
+        ids=["disconnected", "overlapping", "lattice"],
+    )
+    def test_edit_after_embed_qubo_walks_again(self, edit, kind, monkeypatch):
+        e, args = k8_embedded()
+        walks = counted_walks(monkeypatch)
+        edit(e.embedding)
+        report = validate(e.embedding, *args)
+        assert len(walks) == 1 and walks[0] == e.embedding.chains
+        assert kind in [k for k, _ in report.violations]
+        fresh = MinorEmbedding(e.embedding.lattice, dict(e.embedding.chains))
+        assert report == validate(fresh, *args)
+
+    def test_reinserted_chain_walks_again(self):
+        # equal chains in another key order: the first owner of a shared
+        # vertex, and so the witness, follows the order
+        spec = chimera_spec(4, 1)
+        emb = MinorEmbedding(spec, {0: frozenset({0, 4}), 1: frozenset({4, 1})})
+        assert validate(emb, []).violations == [
+            ("overlapping-chains", "physical vertex 4 shared by 0 and 1")
+        ]
+        emb.chains[0] = emb.chains.pop(0)
+        assert validate(emb, []).violations == [
+            ("overlapping-chains", "physical vertex 4 shared by 1 and 0")
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(edits=chain_edits())
+    def test_edited_embedding_reports_as_a_fresh_one(self, edits):
+        spec = chimera_spec(2, 2)
+        g = build_lattice(spec)
+        chains = {v: frozenset({g.vertex(v % 2, v // 2, 0), g.vertex(v % 2, v // 2, 2)})
+                  for v in range(4)}
+        chains[4] = frozenset({g.vertex(1, 1, 1)})
+        emb = MinorEmbedding(spec, chains)
+        edges, vertices = complete_edges(5) + [(2, 2)], range(6)
+        validate(emb, edges, vertices)
+        for op, v, chain in edits:
+            if op == "replace":
+                emb.chains[v] = chain
+            elif op == "remove":
+                emb.chains.pop(v, None)
+            elif op == "reinsert" and v in emb.chains:
+                emb.chains[v] = emb.chains.pop(v)
+            elif op == "lattice":
+                emb.lattice = chimera_spec(2, v)
+            fresh = MinorEmbedding(emb.lattice, dict(emb.chains))
+            assert validate(emb, edges, vertices) == validate(fresh, edges, vertices)
 
 
 class TestCompleteEmbeddings:

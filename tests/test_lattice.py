@@ -44,6 +44,9 @@ class TestChimeraCell:
             CellAdjacency.from_matrices([[1]], [[0]], [[0]])  # diagonal entry
         with pytest.raises(LatticeError):
             CellAdjacency.from_matrices([[0, 1], [0, 0]], np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(LatticeError, match="only 0/1 entries"):
+            # checked before the int8 cast, which would read 1.7 as 1
+            CellAdjacency.from_matrices([[0, 1.7], [1.7, 0]], np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestBuildLattice:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import all_graphs, exhaustive_spectrum
+from oracles import all_graphs, exhaustive_spectrum, reference_anneal
 from qubolattice import qubo as qubo_module
 from qubolattice.adder import build_adder
 from qubolattice.coloring import ColoringInstance, _build_tileset_any, compile_coloring
@@ -837,6 +837,21 @@ class TestAnneal:
         state, got = anneal_solve(self.golden_qubo(case), **kwargs)
         assert "".join("1" if v == 1 else "0" for v in state) == bits
         assert got == energy
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=small_qubos([3, 7, 10]),
+        sweeps=st.integers(1, 12),
+        restarts=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        t_hot=st.sampled_from([None, 0.3, 2.5]),
+    )
+    def test_same_trajectories_as_reference_kernel(self, q, sweeps, restarts, seed, t_hot):
+        kwargs = dict(sweeps=sweeps, restarts=restarts, seed=seed, t_hot=t_hot)
+        state, energy = anneal_solve(q, **kwargs)
+        want_state, want_energy = reference_anneal(q, **kwargs)
+        assert state == want_state
+        assert energy.hex() == want_energy.hex()
 
     def test_sparse_chain_has_no_dense_couplings(self):
         # a dense n x n float64 coupling matrix alone would be 32 MB here
