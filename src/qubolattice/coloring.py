@@ -26,7 +26,6 @@ from .qubo import (
     Qubo,
     QuboBuilder,
     Spectrum,
-    _code_rows,
     _split_energy_blocks,
     brute_force,
     clamp,
@@ -396,10 +395,13 @@ def _le4_energy_model() -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
 
     Assembled energies are linear in lambda*A, lambda*B, lambda*C and D, so
     the energies of each term over all states come from the real templates
-    stitched at a unit table.  Energies are in code order, the order of the
-    `_code_rows` rows; each stitched tile contributes s0..s3, r0..r3.  One
-    (energies by term, valid state indices) pair per assembly: "1-tile" and
-    "2-tile-hor".
+    stitched at a unit table.  Energies are in code order: bit i of a code is
+    variable i, up when set, and each stitched tile contributes s0..s3, r0..r3,
+    one byte per tile.  A tile is valid when its s nibble equals its r nibble
+    with one bit set, one matched pair up, and the two tiles of a pair hold
+    different colors, so the valid codes follow from the bits alone.  One
+    (energies by term, valid codes in increasing order) pair per assembly:
+    "1-tile" and "2-tile-hor".
     """
     tiles = {
         term: _build_tileset_any(
@@ -407,30 +409,17 @@ def _le4_energy_model() -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
         ).tiles
         for term in "ABCD"
     }
+    one_pair = [0x11 << color for color in range(4)]
+    two_pairs = sorted(a | b << 8 for a in one_pair for b in one_pair if a != b)
     model = []
-    for assembly, vertices in (("1-tile", 1), ("2-tile-hor", 2)):
-        rows = _code_rows(0, 1 << (8 * vertices), 8 * vertices, SPIN)
-        valid = _valid_coloring_indices(rows, vertices)
+    for assembly, valid in (("1-tile", one_pair), ("2-tile-hor", two_pairs)):
         plan = _assembly_plan(assembly)
         energies = {
             term: np.concatenate([e for e, _ in _split_energy_blocks(stitch(plan, t).physical)])
             for term, t in tiles.items()
         }
-        model.append((energies, valid))
+        model.append((energies, np.array(valid)))
     return model
-
-
-def _valid_coloring_indices(rows: np.ndarray, vertices: int) -> np.ndarray:
-    """Rows where every tile holds one matched pair, in different colors."""
-    mask = np.ones(len(rows), dtype=bool)
-    for t in range(vertices):
-        s = rows[:, 8 * t : 8 * t + 4]
-        r = rows[:, 8 * t + 4 : 8 * t + 8]
-        mask &= (s == r).all(1)
-        mask &= (s.sum(1) == -2)
-    if vertices == 2:
-        mask &= (rows[:, 0:4] != rows[:, 8:12]).any(1)
-    return np.nonzero(mask)[0]
 
 
 def _table_gap(model, A, B, C, lam, D):

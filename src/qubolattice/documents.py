@@ -24,7 +24,7 @@ from .hamcycle import (
 )
 from .knapsack import KnapsackInstance, build_knapsack_qubo
 from .numpart import PartitionInstance, build_numpart_qubo, decode_partition, embed_numpart
-from .qubo import Qubo, doc_int
+from .qubo import FieldTypeError, Qubo, doc_int
 from .unary import UnaryInstance, build_unary_qubo, fractal_embed_unary
 
 
@@ -34,12 +34,14 @@ class DocumentError(ValueError):
 
 @contextmanager
 def reading(what: str) -> Iterator[None]:
-    """Report a missing key or a wrong shape met while decoding `what` as a
-    `DocumentError` that names it."""
+    """Report a missing key, a field of the wrong type or a wrong shape met
+    while decoding `what` as a `DocumentError` that names it."""
     try:
         yield
     except KeyError as err:
         raise DocumentError(f"{what}: {err} not found") from None
+    except FieldTypeError as err:
+        raise DocumentError(f"{what}: {err}") from None
     except (TypeError, AttributeError) as err:
         raise DocumentError(f"{what}: wrong shape ({err})") from None
 
@@ -92,7 +94,7 @@ def _flag(body: Mapping, key: str) -> bool:
     """A boolean field, false when absent; only JSON true or false passes."""
     value = body.get(key, False)
     if not isinstance(value, bool):
-        raise TypeError(f"{key} must be true or false, got {value!r}")
+        raise FieldTypeError(f"{key} must be true or false, got {value!r}")
     return value
 
 

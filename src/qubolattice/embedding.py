@@ -40,7 +40,9 @@ class MinorEmbedding:
     equal, and ``chains`` holding the same frozenset objects under the same
     keys in the same order, since key and member order fix the order and
     attribution of the witnesses.  Replacing a chain or the lattice, or
-    reordering the keys, walks again.
+    reordering the keys, walks again.  Once :func:`embed_qubo` has read a
+    walk's spanning trees, only what :func:`validate` reads is kept, so a
+    second :func:`embed_qubo` walks again.
     """
 
     lattice: LatticeSpec
@@ -223,6 +225,10 @@ def _walk_chains(
 ]:
     """Walk the lattice neighbours of every in-lattice chain member once.
 
+    Each member's neighbours are read straight off the lattice's shared offset
+    table (``LatticeGraph._offsets_at``), unchecked: the walk visits only
+    members it has checked lie in the lattice, and their neighbours.
+
     Returns ``(shared, trees, couplers, outside)``.  ``shared`` lists ``(p,
     first, later)`` for each physical vertex that a later chain reuses.
     ``trees`` maps each chain to the edges of its spanning tree, grown by
@@ -241,14 +247,15 @@ def _walk_chains(
             first = owner.setdefault(p, v)
             if first != v:
                 shared.append((p, first, v))
-    nbrs = graph.sorted_neighbors
+    offsets_at = graph._offsets_at
     nv = graph.num_vertices
     trees: dict[int, list[tuple[int, int]] | None] = {}
     couplers: dict[tuple[int, int], tuple[int, int]] = {}
     outside: dict[int, list[int]] = {}
 
     def visit(v, chain, u, seen, stack, tree):
-        for w in nbrs(u):
+        for d in offsets_at(u):
+            w = u + d
             if w in chain:
                 if w not in seen:
                     seen.add(w)
@@ -285,10 +292,15 @@ def _walk_chains(
     return shared, trees, couplers, outside
 
 
-def _cached_walk(emb: MinorEmbedding) -> tuple:
-    """:func:`_walk_chains` of `emb`, reused from its last walk while the
-    lattice compares equal and every chain is the walked object, under the
-    same key in the same order."""
+def _cached_walk(emb: MinorEmbedding, trees_needed: bool) -> tuple:
+    """``(shared, outside, broken, couplers, trees)`` of `emb`'s chain walk
+    (:func:`_walk_chains`), ``broken`` being the frozenset of chains without
+    a tree.
+
+    The last walk is reused while the lattice compares equal and every chain
+    is the walked object, under the same key in the same order; but not when
+    `trees_needed` and :func:`_slim_walk` has dropped its trees since.
+    """
     keys, chains = tuple(emb.chains), tuple(emb.chains.values())
     memo = emb._walk
     if (
@@ -296,11 +308,21 @@ def _cached_walk(emb: MinorEmbedding) -> tuple:
         and memo[0] == emb.lattice
         and memo[1] == keys
         and all(map(operator.is_, memo[2], chains))
+        and not (trees_needed and memo[3][4] is None)
     ):
         return memo[3]
-    walk = _walk_chains(emb.graph, emb.chains)
+    shared, trees, couplers, outside = _walk_chains(emb.graph, emb.chains)
+    broken = frozenset(v for v, tree in trees.items() if tree is None)
+    walk = (shared, outside, broken, couplers, trees)
     emb._walk = (emb.lattice, keys, chains, walk)
     return walk
+
+
+def _slim_walk(emb: MinorEmbedding) -> None:
+    """Keep of `emb`'s walk only what :func:`validate` reads: the trees go
+    and the couplers shrink to their chain pairs."""
+    lattice, keys, chains, (shared, outside, broken, couplers, _) = emb._walk
+    emb._walk = (lattice, keys, chains, (shared, outside, broken, frozenset(couplers), None))
 
 
 def _touching(graph: LatticeGraph, cu: frozenset[int], cv: frozenset[int]) -> bool:
@@ -316,10 +338,11 @@ def _validate(
     emb: MinorEmbedding,
     logical_edges: Iterable[tuple[int, int]],
     logical_vertices: Iterable[int] | None,
-) -> tuple[ValidationReport, dict, dict]:
-    """:func:`validate`, also returning the chain walk's trees and couplers."""
+) -> ValidationReport:
+    """:func:`validate`; :func:`embed_qubo` calls it directly, so its own
+    check is not a call of the public entry point."""
     report = ValidationReport()
-    shared, trees, couplers, outside = _cached_walk(emb)
+    shared, outside, broken, couplers, _ = _cached_walk(emb, trees_needed=False)
     vertices = set(logical_vertices) if logical_vertices is not None else set(emb.chains)
     for v in vertices:
         chain = emb.chains.get(v)
@@ -330,7 +353,7 @@ def _validate(
         if bad:
             report.add("out-of-lattice", f"vertex {v} chain uses {bad}")
             continue
-        if trees[v] is None:
+        if v in broken:
             report.add("disconnected-chain", f"vertex {v} chain {sorted(chain)}")
     for p, first, later in shared:
         report.add(
@@ -347,7 +370,7 @@ def _validate(
             touching = ((u, v) if u < v else (v, u)) in couplers
         if not touching:
             report.add("unrealizable-edge", f"({u}, {v}): no lattice edge between chains")
-    return report, trees, couplers
+    return report
 
 
 def validate(
@@ -362,7 +385,7 @@ def validate(
     reused only while the lattice and chains compare equal to the walked ones
     (see :class:`MinorEmbedding`); otherwise the chains are walked again.
     """
-    return _validate(emb, logical_edges, logical_vertices)[0]
+    return _validate(emb, logical_edges, logical_vertices)
 
 
 def embed_complete_generic(
@@ -488,9 +511,8 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
     chain with the paper-form penalty of weight alpha (counted over ordered
     pairs, so a broken tree edge costs 2 * alpha).
     """
-    report, trees, couplers = _validate(
-        emb, logical.interaction_edges(), range(logical.num_vars)
-    )
+    *_, couplers, trees = _cached_walk(emb, trees_needed=True)
+    report = _validate(emb, logical.interaction_edges(), range(logical.num_vars))
     if not report.ok:
         raise EmbeddingError(f"embedding invalid: {report.summary()}")
 
@@ -531,6 +553,7 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
             else:
                 physical.add_offset(alpha)
                 physical.add_quadratic(kp, kq, -alpha)
+    _slim_walk(emb)
     return EmbeddedQubo(physical, emb, logical, order, placement)
 
 

@@ -126,50 +126,62 @@ def chimera_spec(J: int, L: int) -> LatticeSpec:
     return LatticeSpec(chimera_cell(J), L, L)
 
 
+@lru_cache(maxsize=64)
+def _neighbor_offsets(
+    cell: CellAdjacency, height: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per intra-cell role ``a`` and border mask, the index offsets of its
+    neighbours in a lattice of `cell`s with `height` cells per column.
+
+    Intra-cell neighbours come through ``A``, right and left through ``A_h``
+    and its transpose, down and up through ``A_v`` and its transpose.  Mask
+    bit 1 means a left cell exists, 2 up, 4 down and 8 right (see
+    :meth:`LatticeGraph._offsets_at`); the groups lie in disjoint, increasing
+    index ranges, so each row is sorted.  The width never enters, so lattices
+    of one cell and height share one table.
+    """
+    n = cell.n
+    step = height * n  # index distance to the cell one step right
+    tables = []
+    for a in range(n):
+        left = [b - a - step for b in range(n) if cell.A_h[b][a]]
+        up = [b - a - n for b in range(n) if cell.A_v[b][a]]
+        intra = [b - a for b in range(n) if cell.A[a][b]]
+        down = [b - a + n for b in range(n) if cell.A_v[a][b]]
+        right = [b - a + step for b in range(n) if cell.A_h[a][b]]
+        tables.append(
+            tuple(
+                tuple(
+                    (left if m & 1 else [])
+                    + (up if m & 2 else [])
+                    + intra
+                    + (down if m & 4 else [])
+                    + (right if m & 8 else [])
+                )
+                for m in range(16)
+            )
+        )
+    return tuple(tables)
+
+
 class LatticeGraph:
     """Vertex indexing and adjacency of a LatticeSpec, computed by arithmetic.
 
-    Construction stores the spec and, per intra-cell role ``a``, the index
-    offsets of its neighbours: intra-cell through ``A``, right and left through
-    ``A_h`` and its transpose, down and up through ``A_v`` and its transpose.
-    The offsets are pre-summed for each of the 16 combinations of grid borders
-    a cell can touch, so :meth:`sorted_neighbors` is one table lookup after
+    A graph holds its spec and the neighbour-offset table of its cell shape
+    (:func:`_neighbor_offsets`), which every graph of equal cell and height
+    shares, so :meth:`sorted_neighbors` is one table lookup after
     :meth:`cell_of`.  Nothing proportional to the lattice size is built;
     :attr:`edges` is materialized on first use only.
     """
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        cell = spec.cell
-        n = cell.n
-        self._n = n
+        self._n = spec.cell.n
         self._num_vertices = spec.num_vertices
         self._height = spec.height
         self._last_i = spec.width - 1
         self._last_j = spec.height - 1
-        step = spec.height * n  # index distance to the cell one step right
-        tables = []
-        for a in range(n):
-            left = [b - a - step for b in range(n) if cell.A_h[b][a]]
-            up = [b - a - n for b in range(n) if cell.A_v[b][a]]
-            intra = [b - a for b in range(n) if cell.A[a][b]]
-            down = [b - a + n for b in range(n) if cell.A_v[a][b]]
-            right = [b - a + step for b in range(n) if cell.A_h[a][b]]
-            # bit 1: a left cell exists, 2: up, 4: down, 8: right.  The groups
-            # lie in disjoint, increasing index ranges, so each row is sorted.
-            tables.append(
-                tuple(
-                    tuple(
-                        (left if m & 1 else [])
-                        + (up if m & 2 else [])
-                        + intra
-                        + (down if m & 4 else [])
-                        + (right if m & 8 else [])
-                    )
-                    for m in range(16)
-                )
-            )
-        self._offsets = tuple(tables)
+        self._offsets = _neighbor_offsets(spec.cell, spec.height)
 
     @property
     def num_vertices(self) -> int:
@@ -206,14 +218,23 @@ class LatticeGraph:
         i, j = divmod(cell, self._height)
         return i, j, a
 
+    def _offsets_at(self, v: int) -> tuple[int, ...]:
+        """Sorted offsets from in-lattice vertex ``v`` to its neighbours.
+
+        Unchecked: ``v`` must lie in the lattice.  This is the one place that
+        reads a vertex's cell border, for :meth:`sorted_neighbors` and the
+        chain walk of :mod:`qubolattice.embedding`.
+        """
+        cell, a = divmod(v, self._n)
+        i, j = divmod(cell, self._height)
+        border = (i > 0) + 2 * (j > 0) + 4 * (j < self._last_j) + 8 * (i < self._last_i)
+        return self._offsets[a][border]
+
     def sorted_neighbors(self, v: int) -> list[int]:
         """Neighbours of ``v`` in increasing index order."""
         if not 0 <= v < self._num_vertices:
             raise LatticeError(f"vertex {v} out of range")
-        cell, a = divmod(v, self._n)
-        i, j = divmod(cell, self._height)
-        border = (i > 0) + 2 * (j > 0) + 4 * (j < self._last_j) + 8 * (i < self._last_i)
-        return [v + d for d in self._offsets[a][border]]
+        return [v + d for d in self._offsets_at(v)]
 
     def neighbors(self, v: int) -> set[int]:
         return set(self.sorted_neighbors(v))

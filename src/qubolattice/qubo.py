@@ -38,11 +38,16 @@ class QuboError(ValueError):
     """Invalid parameter or assignment handed to a QUBO operation."""
 
 
+class FieldTypeError(TypeError):
+    """A document field holding a value of the wrong type, such as 2.5 where
+    an integer belongs; documents report its text as it stands."""
+
+
 def doc_int(value) -> int:
     """An integer field of a document or an index key.
 
     Only a true integer passes (``operator.index``); a float, a string or a
-    bool raises TypeError rather than being truncated or read as 0 or 1.
+    bool raises FieldTypeError rather than being truncated or read as 0 or 1.
     """
     if type(value) is int:
         return value
@@ -51,7 +56,7 @@ def doc_int(value) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"expected an integer, got {value!r}")
+    raise FieldTypeError(f"expected an integer, got {value!r}")
 
 
 def _check_distinct(keys: list) -> None:

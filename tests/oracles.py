@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from qubolattice.lattice import LatticeGraph
 from qubolattice.qubo import BINARY, COEFF_TOL
 
 
@@ -126,3 +128,66 @@ def reference_anneal(q, sweeps=400, restarts=8, seed=0, t_hot=None):
             best_state = state
     result = tuple(int(v) for v in best_state)
     return result, q.energy(result)
+
+
+def reference_walk(
+    graph: LatticeGraph, chains: Mapping[int, frozenset[int]]
+) -> tuple[
+    list[tuple[int, int, int]],
+    dict[int, list[tuple[int, int]] | None],
+    dict[tuple[int, int], tuple[int, int]],
+    dict[int, list[int]],
+]:
+    """`embedding._walk_chains` as it was before it read the lattice's offset
+    tables: each member's neighbours come from one checked
+    `LatticeGraph.sorted_neighbors` list.  Returns ``(shared, trees,
+    couplers, outside)``."""
+    owner: dict[int, int] = {}
+    shared: list[tuple[int, int, int]] = []
+    for v, chain in chains.items():
+        for p in chain:
+            first = owner.setdefault(p, v)
+            if first != v:
+                shared.append((p, first, v))
+    nbrs = graph.sorted_neighbors
+    nv = graph.num_vertices
+    trees: dict[int, list[tuple[int, int]] | None] = {}
+    couplers: dict[tuple[int, int], tuple[int, int]] = {}
+    outside: dict[int, list[int]] = {}
+
+    def visit(v, chain, u, seen, stack, tree):
+        for w in nbrs(u):
+            if w in chain:
+                if w not in seen:
+                    seen.add(w)
+                    tree.append((u, w))
+                    stack.append(w)
+                continue
+            # each cross-chain edge is met from both sides; keep one
+            o = owner.get(w)
+            if o is not None and o > v:
+                pq = (u, w) if u < w else (w, u)
+                best = couplers.get((v, o))
+                if best is None or pq < best:
+                    couplers[(v, o)] = pq
+
+    for v, chain in chains.items():
+        tree: list[tuple[int, int]] | None = None
+        if chain and min(chain) >= 0 and max(chain) < nv:
+            start = min(chain)
+            seen = {start}
+            stack = [start]
+            tree = []
+            while stack:
+                visit(v, chain, stack.pop(), seen, stack, tree)
+            rest: Iterable[int] = chain - seen
+            if rest:
+                tree = None
+        else:
+            rest = [p for p in chain if 0 <= p < nv]
+            if len(rest) < len(chain):
+                outside[v] = [p for p in chain if not 0 <= p < nv]
+        for u in rest:
+            visit(v, chain, u, {u}, [], [])
+        trees[v] = tree
+    return shared, trees, couplers, outside

@@ -406,6 +406,23 @@ class TestRegistry:
         assert err.startswith(f"document error: malformed '{next(iter(doc))}' instance")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"partition": {"numbers": [2.5, 3, 2, 3]}},
+             "malformed 'partition' instance: expected an integer, got 2.5"),
+            ({"unary": {"n": 3, "allow_zero": "false"}},
+             "malformed 'unary' instance: allow_zero must be true or false, got 'false'"),
+            ({"partition": {"numbers": 5}},
+             "malformed 'partition' instance: wrong shape ('int' object is not iterable)"),
+        ],
+        ids=["float", "allow_zero", "shape"],
+    )
+    def test_field_error_says_what_is_wrong(self, doc, message, tmp_path, capsys):
+        # a value of the wrong type is not called a wrong shape; a shape error is
+        assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
+        assert capsys.readouterr().err == f"document error: {message}\n"
+
     @pytest.mark.parametrize("command", [["build"], ["embed", "--strategy", "tiles"]], ids=["build", "embed"])
     @pytest.mark.parametrize(
         "doc, edge",

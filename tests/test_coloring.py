@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import all_graphs, proper_coloring_count
@@ -306,6 +307,33 @@ class TestGridSearch:
         assert table["C"] == pytest.approx(2.0)
         assert table["lambda"] == pytest.approx(0.5)
         assert table["D"] == pytest.approx(0.5)
+
+    def test_le4_table_is_exact(self):
+        assert grid_search_coefficients("le4", 5) == (
+            {"A": 1.0, "B": -2.0, "C": 2.0, "lambda": 0.5, "D": 0.5}, 2.0
+        )
+
+    def test_valid_codes_match_the_row_mask(self):
+        # the valid codes read off the bits equal the mask over every row
+        from qubolattice.coloring import _le4_energy_model
+        from qubolattice.qubo import SPIN, _code_rows
+
+        def row_mask(vertices):
+            rows = _code_rows(0, 1 << (8 * vertices), 8 * vertices, SPIN)
+            mask = np.ones(len(rows), dtype=bool)
+            for t in range(vertices):
+                s = rows[:, 8 * t : 8 * t + 4]
+                r = rows[:, 8 * t + 4 : 8 * t + 8]
+                mask &= (s == r).all(1)
+                mask &= (s.sum(1) == -2)
+            if vertices == 2:
+                mask &= (rows[:, 0:4] != rows[:, 8:12]).any(1)
+            return np.nonzero(mask)[0]
+
+        (one, valid_one), (two, valid_two) = _le4_energy_model()
+        assert valid_one.tolist() == row_mask(1).tolist() and len(valid_one) == 4
+        assert valid_two.tolist() == row_mask(2).tolist() and len(valid_two) == 12
+        assert len(one["A"]) == 1 << 8 and len(two["A"]) == 1 << 16
 
     def test_le4_requires_resolution(self):
         with pytest.raises(ColoringError):

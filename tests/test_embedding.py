@@ -1,12 +1,15 @@
 """Minor embedding validation, constructive embeddings, chain penalties."""
 
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_walk
 from qubolattice import embedding as embedding_module
 from qubolattice.embedding import (
     EmbeddingError,
@@ -21,7 +24,8 @@ from qubolattice.embedding import (
     unembed,
     validate,
 )
-from qubolattice.lattice import build_lattice, chimera_spec
+from qubolattice.lattice import CellAdjacency, LatticeSpec, build_lattice, chimera_cell, chimera_spec
+from qubolattice.numpart import PartitionInstance, embed_numpart
 from qubolattice.qubo import BINARY, SPIN, Qubo, brute_force
 
 
@@ -250,6 +254,90 @@ class TestWalkMemo:
                 emb.lattice = chimera_spec(2, v)
             fresh = MinorEmbedding(emb.lattice, dict(emb.chains))
             assert validate(emb, edges, vertices) == validate(fresh, edges, vertices)
+
+    def test_validate_then_embed_qubo_walks_once(self, monkeypatch):
+        q = k8_embedded()[0].logical
+        walks = counted_walks(monkeypatch)
+        emb = embed_complete_chimera(8, 4)
+        emb.alpha = choose_alpha(q)
+        assert validate(emb, q.interaction_edges(), range(q.num_vars)).ok
+        embed_qubo(q, emb)
+        assert len(walks) == 1
+
+    def test_second_embed_qubo_walks_again(self, monkeypatch):
+        # embed_qubo keeps no trees, so the next one walks for them
+        e, args = k8_embedded()
+        walks = counted_walks(monkeypatch)
+        again = embed_qubo(e.logical, e.embedding)
+        assert len(walks) == 1
+        assert again.physical == e.physical
+        for terms in ("linear", "quadratic"):
+            assert list(getattr(again.physical, terms)) == list(getattr(e.physical, terms))
+        assert again.placement == e.placement
+        assert validate(e.embedding, *args).ok and len(walks) == 1
+
+    def test_memo_keeps_only_what_validate_reads(self):
+        # after embed_qubo the memo keeps at most a third of a whole walk
+        tracemalloc.start()
+        try:
+            emb = embed_numpart(PartitionInstance(tuple(range(1, 33))), 4).embedding
+            gc.collect()
+            with_memo = tracemalloc.get_traced_memory()[0]
+            emb._walk = None
+            gc.collect()
+            without = tracemalloc.get_traced_memory()[0]
+            walk = embedding_module._walk_chains(emb.graph, emb.chains)
+            gc.collect()
+            whole = tracemalloc.get_traced_memory()[0] - without
+        finally:
+            tracemalloc.stop()
+        assert walk[1] and whole > 0
+        assert with_memo - without <= whole / 3
+
+
+@st.composite
+def walk_cases(draw):
+    """A lattice graph and chains to walk on it.
+
+    The cell is chimera or a random 0/1 cell, the extents run from 1 to 4,
+    and each chain is a random set (often disconnected, sometimes empty or
+    reaching past the lattice) or grown along lattice edges; chains may
+    overlap.
+    """
+    if draw(st.booleans()):
+        cell = chimera_cell(draw(st.integers(1, 3)))
+    else:
+        n = draw(st.integers(1, 4))
+
+        def matrix():
+            bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+            return [bits[a * n : a * n + n] for a in range(n)]
+
+        upper = matrix()
+        A = [[upper[min(a, b)][max(a, b)] if a != b else 0 for b in range(n)] for a in range(n)]
+        cell = CellAdjacency.from_matrices(A, matrix(), matrix())
+    g = build_lattice(LatticeSpec(cell, draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    nv = g.num_vertices
+    chains = {}
+    for v in draw(st.lists(st.integers(0, 7), max_size=6, unique=True)):
+        if draw(st.booleans()):
+            chains[v] = draw(st.frozensets(st.integers(-2, nv + 1), max_size=6))
+            continue
+        members = [draw(st.integers(0, nv - 1))]
+        for _ in range(draw(st.integers(0, 8))):
+            nbrs = g.sorted_neighbors(draw(st.sampled_from(members)))
+            if nbrs:
+                members.append(draw(st.sampled_from(nbrs)))
+        chains[v] = frozenset(members)
+    return g, chains
+
+
+class TestWalkReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=walk_cases())
+    def test_same_walk_as_reference(self, case):
+        g, chains = case
+        assert embedding_module._walk_chains(g, chains) == reference_walk(g, chains)
 
 
 class TestCompleteEmbeddings:

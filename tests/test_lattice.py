@@ -132,6 +132,9 @@ EQUIVALENCE_SPECS = [
     LatticeSpec(ASYMMETRIC_CELL, 3, 4),
     LatticeSpec(ASYMMETRIC_CELL, 4, 1),
     LatticeSpec(ASYMMETRIC_CELL, 1, 3),
+    # these share the offset table of a spec above: same cell and height
+    LatticeSpec(chimera_cell(2), 2, 3),
+    LatticeSpec(ASYMMETRIC_CELL, 2, 4),
 ]
 
 
@@ -163,6 +166,14 @@ class TestArithmeticAdjacency:
             with pytest.raises(LatticeError):
                 g.sorted_neighbors(bad)
         assert not g.has_edge(-1, nv)
+
+    def test_equal_shapes_share_one_table(self):
+        # the offsets depend on the cell and the height, never the width
+        tables = build_lattice(LatticeSpec(ASYMMETRIC_CELL, 3, 4))._offsets
+        assert build_lattice(LatticeSpec(ASYMMETRIC_CELL, 1, 4))._offsets is tables
+        assert build_lattice(chimera_spec(4, 3))._offsets is build_lattice(chimera_spec(4, 3))._offsets
+        assert build_lattice(LatticeSpec(ASYMMETRIC_CELL, 3, 3))._offsets is not tables
+        assert build_lattice(LatticeSpec(chimera_cell(3), 3, 4))._offsets is not tables
 
     def test_large_lattice_needs_no_edge_set(self):
         g = build_lattice(chimera_spec(4, 132))
