@@ -28,7 +28,6 @@ from .qubo import (
     apply_noise,
     brute_force,
     clamp,
-    evaluate,
     normalize_couplings,
     restricted_gap,
     to_binary,
@@ -39,7 +38,6 @@ from .embedding import (
     MinorEmbedding,
     choose_alpha,
     embed_complete_chimera,
-    embed_complete_generic,
     embed_qubo,
     unembed,
     validate,
@@ -52,7 +50,7 @@ from .unary import (
     k22_gadget,
     predicted_unary_length,
 )
-from .adder import AdderInstance, build_adder, build_naive_adder, build_selectable_adder
+from .adder import AdderInstance, build_adder, build_naive_adder
 from .numpart import (
     PartitionInstance,
     build_numpart_qubo,
@@ -82,7 +80,6 @@ from .coloring import (
     decode_coloring,
     grid_search_coefficients,
     h_diag,
-    h_off,
     verify_gap,
 )
 from .hamcycle import (

@@ -5,8 +5,9 @@ The grade-school algorithm is encoded column by column: each column constraint
 carry bits are consistent, so the total is zero iff Y = X1 + X2.  The incoming
 carry z_0 is omitted (it is identically zero) and the top output bit doubles
 as the final carry, giving 4n bits for n-bit inputs.  `add_columns` is the
-one column encoding: the selectable-constant adder and the summation trees of
-number partitioning and knapsack add their columns through it.
+one column encoding: the summation trees of number partitioning and knapsack
+add their columns through it, and each tree leaf is the paper's
+selectable-constant adder (see `numpart.build_summation_tree`).
 """
 
 from __future__ import annotations
@@ -92,30 +93,6 @@ def build_naive_adder(n: int) -> AdderQubo:
         terms.append((f"y:{j}", float(2**j)))
     builder.add_squared_affine(0.0, terms)
     return AdderQubo(n, builder.build())
-
-
-def build_selectable_adder(constants: tuple[int, int]) -> tuple[Qubo, int]:
-    """Adder whose two addends are fixed integers gated by selector bits.
-
-    Ground states have output register X = n_a * xa + n_b * xb for every
-    selector combination.  Returns (qubo, output width M + 1) where M is the
-    bit width of the larger constant.
-    """
-    n_a, n_b = constants
-    if n_a < 0 or n_b < 0:
-        raise AdderError("selectable adder constants must be nonnegative")
-    M = max(1, max(n_a, n_b).bit_length())
-    selectors = ("xa", "xb")
-    builder = QuboBuilder(BINARY)
-    for name in selectors:
-        builder.var(name)
-    for j in range(M + 1):
-        builder.var(f"X:{j}")
-    for j in range(1, M):
-        builder.var(f"ZX:{j}")
-    columns = [[s for s, c in zip(selectors, constants) if (c >> j) & 1] for j in range(M)]
-    add_columns(builder, "X", "ZX", columns)
-    return builder.build(), M + 1
 
 
 def read_register(assignment, qubo: Qubo, prefix: str, width: int) -> int:

@@ -113,10 +113,15 @@ def cmd_build(args) -> int:
 
 def cmd_embed(args) -> int:
     inst = documents.parse_instance(_read_doc(args.instance))
-    J = 4
-    if args.lattice:
-        J = detect_chimera(_parse_lattice(args.lattice)[0]) or 4
+    given = _parse_lattice(args.lattice)[0] if args.lattice else None
+    J = (detect_chimera(given) or 4) if given else 4
     embedded = documents.kind_of(inst).embed(inst, args.strategy, J)
+    need = embedded.embedding.lattice
+    if given and (need.cell != given.cell or need.width > given.width or need.height > given.height):
+        raise UsageError(
+            f"the embedding does not fit --lattice {args.lattice}; "
+            f"it needs chimera:{detect_chimera(need)},{max(need.width, need.height)}"
+        )
     physical = embedded.physical
     scale = 1.0
     if physical.domain == BINARY:
@@ -294,6 +299,8 @@ def cmd_predict(args) -> int:
     vals = args.values[:arity]
     if len(vals) < arity:
         raise UsageError(f"missing arguments for predict {family}")
+    if min(vals) < 1:
+        raise UsageError(f"predict {family} needs arguments of at least 1, got {min(vals)}")
     if predict is None:
         n = vals[0]
         gap, s_star = min_gap(n)

@@ -69,7 +69,8 @@ class ColoringTileSet:
     tiles: TileHamiltonians
 
 
-#: (A, B, C) of the one-matched-pair and all-down cell objectives.
+#: (A, B, C) of the one-matched-pair and all-down cell objectives.  The
+#: all-down one equals (S + 4)(R + 4)/2 - 8 with S, R the side sums.
 _DIAG = (1.0, -2.0, 2.0)
 _OFF = (0.5, 0.0, 2.0)
 
@@ -96,17 +97,6 @@ def h_diag(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
     """
     b = QuboBuilder(SPIN)
     _cell_terms(b, s_names, r_names, 1.0, *_DIAG)
-    return b.build()
-
-
-def h_off(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
-    """All-down objective for off-diagonal cells, in coupler form.
-
-    Equals (S + 4)(R + 4)/2 - 8 with S, R the side sums: half-weight couplers
-    on every intra-cell pair plus uniform fields of 2.
-    """
-    b = QuboBuilder(SPIN)
-    _cell_terms(b, s_names, r_names, 1.0, *_OFF)
     return b.build()
 
 
@@ -143,9 +133,7 @@ def _clamp_unused(template: Qubo, q: int, ell: int) -> Qubo:
     return clamp(template, pins) if pins else template
 
 
-def build_tileset(
-    q: int, lam: float | None = None, edge_weight: float | None = None
-) -> ColoringTileSet:
+def build_tileset(q: int) -> ColoringTileSet:
     """Templates with the gap-optimal coefficients for q colors.
 
     One construction for every q: the vertex tile is ell x ell K_{4,4} cells,
@@ -161,25 +149,22 @@ def build_tileset(
     """
     if q < 2:
         raise ColoringError("coloring with q < 2 is trivial; nothing to build")
-    return _build_tileset_any(q, lam, edge_weight)
+    return _build_tileset_any(q)
 
 
-def _build_tileset_any(
-    q: int,
-    lam: float | None = None,
-    edge_weight: float | None = None,
-    table: dict[str, float] | None = None,
-) -> ColoringTileSet:
+def _build_tileset_any(q: int, table: dict[str, float] | None = None) -> ColoringTileSet:
+    """`build_tileset` for any q, with `table` overriding the class's
+    coefficients: A, B, C, lambda and the edge weight D for q <= 4, lambda and
+    the edge weight G for q > 4 (the tables `grid_search_coefficients`
+    returns).  The edge weight defaults to 1 - lambda."""
     ell = max(1, math.ceil(q / 4))
-    if lam is None:
-        lam = 0.5 if q <= 4 else 2.0 / 3.0
+    defaults = {"A": 1.0, "B": -2.0, "C": 2.0, "lambda": 0.5} if q <= 4 else {"lambda": 2.0 / 3.0}
+    coefficients = {**defaults, **(table or {})}
+    lam = coefficients["lambda"]
     # per-spin field budget leaves 1 - lambda for each of two possible edges
-    edge = 1.0 - lam if edge_weight is None else edge_weight
+    edge = coefficients.get("D" if q <= 4 else "G", 1.0 - lam)
     if q <= 4:
-        coefficients = {"A": 1.0, "B": -2.0, "C": 2.0, "lambda": lam, "D": edge}
-        coefficients.update(table or {})
-        lam, edge = coefficients["lambda"], coefficients["D"]
-        diag, chain = (lam, coefficients["A"], coefficients["B"], coefficients["C"]), 1.0
+        diag, chain = (lam, *(coefficients[k] for k in "ABC")), 1.0
     else:
         diag, chain = (lam / 2, *_DIAG), lam
     off = (lam, *_OFF)  # off-diagonal cells exist only for ell > 1
@@ -448,11 +433,12 @@ def _grid_search_gt4(resolution: int) -> tuple[dict[str, float], float]:
         g = 1.0 - lam
         if g <= 0:
             continue
-        tileset = build_tileset(8, lam=lam, edge_weight=g)
+        table = {"lambda": lam, "G": g}
+        tileset = _build_tileset_any(8, table)
         spec1 = verify_gap(tileset, "1-tile")
         spec2 = verify_gap(tileset, "2-tile-hor")
         gap = min(spec1.gap, spec2.gap)
         if gap > best_gap + 1e-12:
-            best_gap, best_table = gap, {"lambda": lam, "G": g}
+            best_gap, best_table = gap, table
     assert best_table is not None
     return best_table, best_gap

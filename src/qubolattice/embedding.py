@@ -388,39 +388,6 @@ def validate(
     return _validate(emb, logical_edges, logical_vertices)
 
 
-def embed_complete_generic(
-    N: int, spec: LatticeSpec, u_role: int, v_role: int
-) -> MinorEmbedding:
-    """Row/column cross embedding of K_N on any cell family with suitable roles.
-
-    Logical i occupies the u-role vertex across lattice row i and the v-role
-    vertex down column i; the two arms meet (and couple) in the diagonal cell.
-    Requires an intra-cell edge between the roles, a track-aligned horizontal
-    coupler on u and a vertical one on v, and side length at least N.
-    """
-    cell = spec.cell
-    if not (0 <= u_role < cell.n and 0 <= v_role < cell.n):
-        raise EmbeddingError("role indices outside the cell")
-    if cell.A[u_role][v_role] != 1:
-        raise EmbeddingError("roles are not adjacent inside the cell")
-    if cell.A_h[u_role][u_role] != 1:
-        raise EmbeddingError("u role has no track-aligned horizontal coupler")
-    if cell.A_v[v_role][v_role] != 1:
-        raise EmbeddingError("v role has no track-aligned vertical coupler")
-    if spec.width < N or spec.height < N:
-        raise EmbeddingError(f"lattice side must be at least N={N}")
-    emb = MinorEmbedding(spec, {})
-    graph = emb.graph
-    for i in range(N):
-        members = set()
-        for x in range(N):
-            members.add(graph.vertex(x, i, u_role))
-        for y in range(N):
-            members.add(graph.vertex(i, y, v_role))
-        emb.chains[i] = frozenset(members)
-    return emb
-
-
 def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
     """Triangular half-grid embedding of K_N on chimera(J) with L = ceil(N/J).
 

@@ -107,10 +107,6 @@ class LatticeSpec:
         if self.width < 1 or self.height < 1:
             raise LatticeError("lattice extents must be positive")
 
-    @staticmethod
-    def square(cell: CellAdjacency, L: int) -> "LatticeSpec":
-        return LatticeSpec(cell, L, L)
-
     @property
     def L(self) -> int:
         if self.width != self.height:

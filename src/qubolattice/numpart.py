@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adder import add_columns, read_register
+from .adder import add_columns
 from .embedding import EmbeddedQubo, SlotPlanner, choose_alpha, embed_qubo, place_clique_block
 from .qubo import BINARY, Qubo, QuboBuilder
 
@@ -268,11 +268,6 @@ def decode_partition(
         "balanced": residual == 0,
         "broken_chains": broken_chains,
     }
-
-
-def root_register_value(tree: SummationTreeQubo, assignment) -> int:
-    assert tree.root is not None
-    return read_register(assignment, tree.qubo, tree.root.prefix, tree.root.width)
 
 
 def arithmetic_completion(

@@ -259,11 +259,6 @@ class NoiseModel:
     seed: int = 0
 
 
-def evaluate(q: Qubo, assignment: Sequence[float]) -> float:
-    """Exact energy of an assignment; raises on wrong length or domain."""
-    return q.energy(assignment)
-
-
 def substitute(
     q: Qubo,
     out: Qubo,

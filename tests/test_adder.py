@@ -6,10 +6,10 @@ from qubolattice.adder import (
     AdderError,
     build_adder,
     build_naive_adder,
-    build_selectable_adder,
     read_register,
 )
-from qubolattice.qubo import brute_force, clamp
+from qubolattice.numpart import build_summation_tree
+from qubolattice.qubo import BINARY, QuboBuilder, brute_force, clamp
 
 
 def clamp_inputs(adder, x1: int, x2: int):
@@ -95,21 +95,38 @@ class TestNaiveAdder:
         assert naive.qubo.max_abs_quadratic() > 4.0
 
 
+def selectable_adder(constants: tuple[int, int]):
+    """The paper's selectable adder X = a xa + b xb: a one-leaf summation tree.
+
+    Returns the objective over xa, xb and the register, and the register node.
+    """
+    M = max(1, max(constants).bit_length())
+    builder = QuboBuilder(BINARY)
+    for name in ("xa", "xb"):
+        builder.var(name)
+    root = build_summation_tree(builder, list(constants), ["xa", "xb"], "X", M + 1)
+    return builder.build(), root
+
+
 class TestSelectableAdder:
     @pytest.mark.parametrize(
         "constants,selectors,expected",
-        [((3, 5), (1, 1), 8), ((3, 5), (0, 0), 0), ((1, 1), (1, 0), 1), ((3, 5), (1, 0), 3)],
+        [
+            ((3, 5), (1, 1), 8), ((3, 5), (0, 0), 0), ((1, 1), (1, 0), 1), ((3, 5), (1, 0), 3),
+            # the tree leaves a zero constant out of the register's columns
+            ((0, 7), (1, 1), 7), ((0, 7), (1, 0), 0), ((6, 0), (1, 1), 6), ((6, 0), (0, 1), 0),
+        ],
     )
     def test_output_tracks_selection(self, constants, selectors, expected):
-        q, width = build_selectable_adder(constants)
+        q, root = selectable_adder(constants)
         sub = clamp(q, {"xa": selectors[0], "xb": selectors[1]})
         spec = brute_force(sub)
         assert spec.ground_energy == 0.0
-        assert read_register(spec.ground_states[0], sub, "X", width) == expected
+        assert read_register(spec.ground_states[0], sub, root.prefix, root.width) == expected
         assert spec.state_count_at_ground == 1
 
     def test_zero_selection_forces_zero_carries(self):
-        q, width = build_selectable_adder((3, 5))
+        q, _ = selectable_adder((3, 5))
         sub = clamp(q, {"xa": 0, "xb": 0})
         spec = brute_force(sub)
         assert all(v == 0 for v in spec.ground_states[0])

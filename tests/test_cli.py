@@ -12,7 +12,7 @@ import pytest
 import qubolattice
 from qubolattice.cli import main, make_parser
 from qubolattice.documents import KINDS, dumps, instance_to_doc, loads, parse_instance
-from qubolattice.lattice import chimera_spec, lattice_to_doc
+from qubolattice.lattice import CellAdjacency, LatticeSpec, chimera_spec, lattice_to_doc
 from qubolattice.qubo import SPIN, binary_assignment, brute_force, qubo_from_doc
 
 # one small instance per registered tag, in canonical (round-trip) form
@@ -225,6 +225,42 @@ class TestEmbedValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"document error: {path}:") and message in err
 
+    @pytest.mark.parametrize(
+        "instance, argv, need",
+        [
+            ({"partition": {"numbers": [2, 3, 2, 3]}}, ["--lattice", "chimera:4,2"], "chimera:4,7"),
+            ({"partition": {"numbers": [2, 3, 2, 3]}}, ["--lattice", "path-cell"], "chimera:4,7"),
+            (
+                {"coloring": {"edges": [[0, 1], [1, 2]], "q": 3}},
+                ["--strategy", "tiles", "--lattice", "chimera:2,40"],
+                "chimera:4,3",
+            ),
+        ],
+        ids=["too-small", "not-chimera", "other-cell"],
+    )
+    def test_lattice_the_embedding_does_not_fit_is_usage_error(
+        self, instance, argv, need, tmp_path, capsys
+    ):
+        if argv[-1] == "path-cell":
+            # a 4-vertex path cell: no chimera cell, so the embedder falls back to J = 4
+            path = [[int(abs(a - b) == 1) for b in range(4)] for a in range(4)]
+            unit = [[int(a == b == 0) for b in range(4)] for a in range(4)]
+            cell = CellAdjacency.from_matrices(path, unit, unit)
+            argv = ["--lattice", write(tmp_path, "cell.json", lattice_to_doc(LatticeSpec(cell, 3, 3)))]
+        assert main(["embed", write(tmp_path, "inst.json", instance), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the embedding does not fit --lattice {argv[-1]}; it needs {need}\n"
+
+    def test_lattice_that_fits_keeps_the_document(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"partition": {"numbers": [2, 3, 2, 3]}})
+        assert main(["embed", inst]) == 0
+        plain = capsys.readouterr().out
+        for lattice in ("chimera:4,7", "chimera:4,9"):
+            assert main(["embed", inst, "--lattice", lattice]) == 0
+            assert capsys.readouterr().out == plain
+        assert loads(plain)["embedding"]["lattice"] == {"family": "chimera", "J": 4, "L": 7}
+
     @pytest.mark.parametrize("command", ["lattice", "embed"])
     @pytest.mark.parametrize(
         "edit, value",
@@ -312,6 +348,22 @@ class TestGapPredict:
         assert doc["predicted_side"] == pytest.approx(56.0)
         code, doc = run(capsys, "predict", "cartoon", "4")
         assert doc["tau_linear"] == 16.0
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["numpart", "16", "2", "0"], 0),
+            (["knapsack", "4", "2", "2", "0"], 0),
+            (["permutation", "-4"], -4),
+            (["numpart", "-16", "2", "4"], -16),
+            (["hamcycle", "-3", "2"], -3),
+        ],
+    )
+    def test_non_positive_predict_argument_is_usage_error(self, argv, value, capsys):
+        assert main(["predict", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: predict {argv[0]} needs arguments of at least 1, got {value}\n"
 
     def test_non_integer_predict_argument_is_usage_error(self, capsys):
         assert main(["predict", "unary", "x", "4"]) == 2

@@ -9,19 +9,29 @@ import pytest
 
 from oracles import all_graphs, proper_coloring_count
 from qubolattice.coloring import (
+    _OFF,
     ColoringError,
     ColoringInstance,
+    _build_tileset_any,
+    _cell_terms,
     build_tileset,
     coloring_feasible_energy,
     compile_coloring,
     count_states_at_coloring_level,
     grid_search_coefficients,
     h_diag,
-    h_off,
     verify_gap,
 )
 from qubolattice.embedding import validate
-from qubolattice.qubo import brute_force
+from qubolattice.qubo import SPIN, QuboBuilder, brute_force
+
+
+def h_off():
+    """The all-down objective of an off-diagonal cell, at the unit weight
+    the q > 4 tiles scale by lambda."""
+    b = QuboBuilder(SPIN)
+    _cell_terms(b, [f"s{i}" for i in range(4)], [f"r{i}" for i in range(4)], 1.0, *_OFF)
+    return b.build()
 
 
 class TestHdiagHoff:
@@ -36,7 +46,7 @@ class TestHdiagHoff:
             assert sum(s) == -2  # exactly one matched pair up
 
     def test_h_off_minimum_all_down(self):
-        frag = h_off([f"s{i}" for i in range(4)], [f"r{i}" for i in range(4)])
+        frag = h_off()
         spec = brute_force(frag)
         assert (-1,) * 8 in spec.ground_states
         down = frag.energy((-1,) * 8)
@@ -46,7 +56,7 @@ class TestHdiagHoff:
         assert one_each - down == pytest.approx(2.0)
 
     def test_h_off_matches_sum_form(self):
-        frag = h_off([f"s{i}" for i in range(4)], [f"r{i}" for i in range(4)])
+        frag = h_off()
         for code in range(256):
             spins = tuple(2 * ((code >> k) & 1) - 1 for k in range(8))
             s_sum, r_sum = sum(spins[:4]), sum(spins[4:])
@@ -90,7 +100,7 @@ class TestVerifyGap:
 
     def test_q8_tile_gap_before_rescale(self):
         # the bare multi-cell vertex tile saturates a chain-intact gap of 2
-        unscaled = build_tileset(8, lam=1.0, edge_weight=0.0)
+        unscaled = _build_tileset_any(8, table={"lambda": 1.0, "G": 0.0})
         spec = verify_gap(unscaled, "1-tile")
         assert spec.gap == pytest.approx(2.0, abs=1e-9)
 
@@ -162,8 +172,6 @@ class TestCompile:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_count_matches_oracle_small(self, q):
-        from qubolattice.coloring import count_states_at_coloring_level, _build_tileset_any
-
         tileset = _build_tileset_any(q)
         for edges in [((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]:
             n = 1 + max(max(e) for e in edges)
@@ -176,8 +184,6 @@ class TestCompile:
     def test_level_count_streams_state_blocks(self):
         # the path P10 at q=2 has 20 chain-intact variables; all 2^20 state
         # rows at once peak near 365 MB, one enumeration block at a time far less
-        from qubolattice.coloring import count_states_at_coloring_level, _build_tileset_any
-
         tileset = _build_tileset_any(2)
         inst = ColoringInstance(tuple((i, i + 1) for i in range(9)), 2, num_vertices=10)
         e = compile_coloring(inst, tileset)
@@ -202,7 +208,7 @@ class TestCompile:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(coloring, "_build_tileset_any", counting)
-        for tileset in (original(3), original(3, lam=0.25)):
+        for tileset in (original(3), original(3, table={"lambda": 0.25})):
             for edges in [((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2))]:
                 e = compile_coloring(ColoringInstance(edges, 3), tileset)
                 coloring_feasible_energy(e.chain_intact_qubo(), 3)
@@ -215,8 +221,6 @@ class TestCompile:
     def test_feasible_level_follows_the_coefficient_table(self, table, level):
         # the level is read off the tileset's own templates, so a custom
         # table moves it and every proper colouring of the path sits on it
-        from qubolattice.coloring import count_states_at_coloring_level, _build_tileset_any
-
         tileset = _build_tileset_any(4, table=table)
         inst = ColoringInstance(((0, 1), (1, 2)), 4)
         e = compile_coloring(inst, tileset)
@@ -245,7 +249,7 @@ class TestColoringLevel:
 
     def test_state_below_the_level_is_named(self):
         # a negative edge weight rewards equal colors across the edge
-        tileset = build_tileset(3, edge_weight=-0.5)
+        tileset = _build_tileset_any(3, table={"D": -0.5})
         inst = ColoringInstance(((0, 1),), 3)
         e = compile_coloring(inst, tileset)
         with pytest.raises(ColoringError, match=r"state \([-1, ]+\) has energy .* below"):
@@ -274,7 +278,6 @@ class TestColoringLevel:
     def test_level_is_the_ground_of_the_edge_free_stitch(self):
         from dataclasses import replace
 
-        from qubolattice.coloring import _build_tileset_any
         from qubolattice.tiling import route_graph_to_tiles, stitch
 
         cases = 0
@@ -351,7 +354,7 @@ class TestGridSearch:
     )
     def test_le4_energy_model_matches_stitched_templates(self, A, B, C, lam):
         # the search's energies and the stitched q = 4 templates give one gap
-        from qubolattice.coloring import _build_tileset_any, _le4_energy_model, _table_gap
+        from qubolattice.coloring import _le4_energy_model, _table_gap
 
         D = (2.0 - lam * C) / 2.0
         gap = _table_gap(_le4_energy_model(), A, B, C, lam, D)

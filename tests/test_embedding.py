@@ -17,7 +17,6 @@ from qubolattice.embedding import (
     SlotPlanner,
     choose_alpha,
     embed_complete_chimera,
-    embed_complete_generic,
     embed_qubo,
     embedding_from_doc,
     embedding_to_doc,
@@ -359,23 +358,6 @@ class TestCompleteEmbeddings:
                 emb = embed_complete_chimera(n, J)
                 assert emb.lattice.L == max(1, math.ceil(n / J))
                 assert validate(emb, complete_edges(n)).ok
-
-    def test_generic_k3(self):
-        emb = embed_complete_generic(3, chimera_spec(4, 3), 0, 4)
-        assert validate(emb, complete_edges(3)).ok
-        assert all(len(c) == 6 for c in emb.chains.values())
-
-    def test_generic_single_vertex(self):
-        emb = embed_complete_generic(1, chimera_spec(4, 1), 0, 4)
-        assert len(emb.chains[0]) == 2
-
-    def test_generic_refuses_small_lattice(self):
-        with pytest.raises(EmbeddingError):
-            embed_complete_generic(3, chimera_spec(4, 2), 0, 4)
-
-    def test_generic_refuses_bad_roles(self):
-        with pytest.raises(EmbeddingError):
-            embed_complete_generic(2, chimera_spec(4, 2), 0, 1)
 
 
 class TestChooseAlpha:

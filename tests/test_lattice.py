@@ -61,7 +61,7 @@ class TestBuildLattice:
 
     def test_single_cell(self):
         cell = chimera_cell(3)
-        g = build_lattice(LatticeSpec.square(cell, 1))
+        g = build_lattice(LatticeSpec(cell, 1, 1))
         assert g.num_vertices == cell.n
         assert g.num_edges == cell.e
 
@@ -69,14 +69,14 @@ class TestBuildLattice:
         for J in (1, 2, 4):
             cell = chimera_cell(J)
             for L in (1, 2, 3, 5):
-                g = build_lattice(LatticeSpec.square(cell, L))
+                g = build_lattice(LatticeSpec(cell, L, L))
                 expected = cell.e * L * L + (cell.e_h + cell.e_v) * L * (L - 1)
                 assert g.num_edges == expected
 
     def test_average_degree_bound(self):
         for J in (1, 2, 4):
             cell = chimera_cell(J)
-            g = build_lattice(LatticeSpec.square(cell, 3))
+            g = build_lattice(LatticeSpec(cell, 3, 3))
             assert g.average_degree() <= 2.0 / cell.n * (cell.e + cell.e_h + cell.e_v) * cell.n / 2 * 2
             assert g.average_degree() <= 2.0 * (cell.e + cell.e_h + cell.e_v) / cell.n
 
@@ -263,4 +263,4 @@ class TestDocs:
     def test_detect_chimera(self):
         assert detect_chimera(chimera_spec(4, 2)) == 4
         cell = CellAdjacency.from_matrices([[0, 1], [1, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
-        assert detect_chimera(LatticeSpec.square(cell, 2)) is None
+        assert detect_chimera(LatticeSpec(cell, 2, 2)) is None

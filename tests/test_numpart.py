@@ -6,6 +6,7 @@ import math
 import pytest
 
 from oracles import balanced_subset_exists
+from qubolattice.adder import read_register
 from qubolattice.embedding import unembed, validate
 from qubolattice.numpart import (
     PartitionError,
@@ -16,7 +17,6 @@ from qubolattice.numpart import (
     embed_numpart,
     ground_energy_by_completion,
     predicted_numpart_length,
-    root_register_value,
 )
 from qubolattice.qubo import brute_force, clamp
 
@@ -33,7 +33,7 @@ class TestBuildNumpart:
             )
             subsets.add(picked)
             assert sum(tree.instance.numbers[i] for i in picked) == 5
-            assert root_register_value(tree, state) == 5
+            assert read_register(state, tree.qubo, tree.root.prefix, tree.root.width) == 5
         # one 2 and one 3, four ways
         assert subsets == {(0, 2), (0, 3), (1, 2), (1, 3)}
 

@@ -35,7 +35,6 @@ from qubolattice.qubo import (
     apply_noise,
     brute_force,
     clamp,
-    evaluate,
     normalize_couplings,
     qubo_from_doc,
     qubo_to_doc,
@@ -69,21 +68,21 @@ def random_qubo(rng, n, domain=BINARY) -> Qubo:
 class TestEvaluate:
     def test_satisfied_unary_constraint(self):
         q = one_hot_pair()
-        assert evaluate(q, (1, 0)) == 0.0
-        assert evaluate(q, (0, 1)) == 0.0
+        assert q.energy((1, 0)) == 0.0
+        assert q.energy((0, 1)) == 0.0
 
     def test_double_assignment_costs_one(self):
-        assert evaluate(one_hot_pair(), (1, 1)) == 1.0
+        assert one_hot_pair().energy((1, 1)) == 1.0
 
     def test_constant_term(self):
-        assert evaluate(one_hot_pair(), (0, 0)) == 1.0
+        assert one_hot_pair().energy((0, 0)) == 1.0
 
     def test_rejects_wrong_length_and_domain(self):
         q = one_hot_pair()
         with pytest.raises(QuboError):
-            evaluate(q, (1,))
+            q.energy((1,))
         with pytest.raises(QuboError):
-            evaluate(q, (1, -1))
+            q.energy((1, -1))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
