@@ -23,7 +23,7 @@ from .embedding import (
 )
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
 from .tiling import TilePlan, TilingError, _edge_tile_pairs, route_graph_to_tiles
-from .unary import _add_bit_constraint, _add_gadget
+from .unary import _add_bit_constraint, _add_gadget, _lift_gadgets
 
 
 class HamcycleError(ValueError):
@@ -222,27 +222,16 @@ def _permutation_layout_4(p: SlotPlanner) -> None:
 
 def lift_permutation(e: EmbeddedQubo, perm: tuple[int, ...]) -> tuple[int, ...]:
     """Chain-aligned physical state for x[v][j] = 1 iff perm[v] == j."""
-    logical = e.logical
     n = len(perm)
-    bits: dict[str, int] = {}
-    for v in range(n):
-        for j in range(n):
-            bits[f"x:{v}:{j}"] = 1 if perm[v] == j else 0
-    for j in range(n):
-        bits[f"zl:{j}"] = bits[f"x:0:{j}"] + bits[f"x:1:{j}"]
-        bits[f"zr:{j}"] = bits[f"x:2:{j}"] + bits[f"x:3:{j}"]
-    assignment = []
-    for idx in range(logical.num_vars):
-        name = logical.name_of(idx)
-        if name.startswith("w"):
-            j = int(name.split(":")[1])
-            a, bnm = (f"x:0:{j}", f"x:1:{j}") if name.startswith("wl") else (
-                f"x:2:{j}", f"x:3:{j}")
-            sx, sy = 2 * bits[a] - 1, 2 * bits[bnm] - 1
-            assignment.append(-1 if sx >= sy else 1)
-        else:
-            assignment.append(2 * bits[name] - 1)
-    return e.lift(assignment)
+    bits = {f"x:{v}:{j}": int(perm[v] == j) for v in range(n) for j in range(n)}
+    gadgets = [
+        (f"z{side}:{j}", f"x:{v}:{j}", f"x:{v + 1}:{j}", f"w{side}:{j}")
+        for j in range(n)
+        for side, v in (("l", 0), ("r", 2))
+    ] if n == 4 else []
+    for z, x, y, _ in gadgets:
+        bits[z] = bits[x] + bits[y]
+    return _lift_gadgets(e, gadgets, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -171,14 +171,15 @@ def _solve_window(inst: KnapsackInstance, l_star: int, lo: int, hi: int, solver:
 
 
 def decode_knapsack(tree: KnapsackTreeQubo, assignment) -> dict:
-    """Subset selected by an assignment, with weight feasibility asserted."""
+    """Subset selected by an assignment (item indices in increasing order),
+    with weight feasibility asserted."""
     subset = [
         i for i, name in enumerate(tree.selectors) if assignment[tree.qubo.index_of(name)] == 1
     ]
     weight = sum(tree.instance.weights[i] for i in subset)
     value = sum(tree.instance.values[i] for i in subset)
     return {
-        "subset": set(subset),
+        "subset": subset,
         "value": value,
         "weight": weight,
         "feasible": weight <= tree.instance.capacity,

@@ -179,9 +179,6 @@ def _grid(rows: int, cols: int) -> list[list[str]]:
 
 def _canned_complete_plan(n: int) -> TilePlan | None:
     layouts = {
-        1: ["0"],
-        2: ["01"],
-        3: ["01", "22"],
         4: ["000", "132", "112"],
         5: ["0004", "1324", "1x14", "-344"],
     }
@@ -340,10 +337,10 @@ def route_graph_to_tiles(
 ) -> TilePlan:
     """Deterministic constructive tile plan for an arbitrary simple graph.
 
-    Paths and cycles lay out directly; complete graphs up to K5 use minimal
-    verified patterns (K5 in a 4x4 grid with one crossing tile); everything
-    else falls back to a row/column ladder with crossings that stays within
-    2N - 3 tiles per side.
+    Paths and cycles lay out directly, K1 to K3 among them; K4 and K5 use
+    minimal verified patterns (K5 in a 4x4 grid with one crossing tile);
+    everything else falls back to a row/column ladder with crossings that
+    stays within 2N - 3 tiles per side.
     """
     edge_set = {tuple(sorted(e)) for e in edges}
     for u, v in edge_set:
@@ -354,9 +351,8 @@ def route_graph_to_tiles(
         n = 1 + max((max(e) for e in edge_set), default=0)
     if n < 1:
         raise TilingError("need at least one vertex")
-    complete = len(edge_set) == n * (n - 1) // 2 and n * (n - 1) // 2 > 0 or n == 1
     plan: TilePlan | None = None
-    if complete:
+    if len(edge_set) == n * (n - 1) // 2:
         plan = _canned_complete_plan(n)
     if plan is None:
         order = _path_order(n, edge_set)

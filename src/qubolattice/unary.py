@@ -300,12 +300,6 @@ class _FractalBuilder(SlotPlanner):
     def merge(self, z: str, x: str, y: str, w: str) -> None:
         self.gadgets.append((z, x, y, w))
 
-    def layout(
-        self, embedded: EmbeddedQubo, tree: MergeTree, **fields
-    ) -> FractalLayout:
-        """The layout record of this builder's embedding and merge tree."""
-        return FractalLayout(J=self.J, embedded=embedded, tree=tree, **fields)
-
     # cell recipes -------------------------------------------------------------
 
     def leaf_cell(
@@ -495,26 +489,28 @@ def _build_gadget_qubo(
     return b.build(), tree
 
 
-def _embed_gadgets(
+def _finish(
     builder: _FractalBuilder,
     root_children: tuple[str, str],
-    leaves: list[str],
-    real_count: int,
+    dropped: set[str],
+    pads: list[str],
     L: int,
-) -> tuple[EmbeddedQubo, MergeTree]:
-    """Gadget QUBO of the builder's merges, embedded on its claimed chains."""
-    logical, tree = _build_gadget_qubo(builder.gadgets, root_children, leaves, real_count)
+    N_star: int,
+    notes: list[str],
+    added_bits: int = 0,
+) -> FractalLayout:
+    """The layout of the builder's merges, embedded on its claimed chains.
+
+    The real leaves are the builder's leaves outside `dropped`, in builder
+    order; `pads` follow them.
+    """
+    real = [x for x in builder.leaves if x not in dropped]
+    logical, tree = _build_gadget_qubo(builder.gadgets, root_children, real + pads, len(real))
     emb = builder.to_embedding(logical.index_of, choose_alpha(logical), L=L)
-    return embed_qubo(logical, emb), tree
-
-
-def _finish_layout(
-    builder: _FractalBuilder, root_children: tuple[str, str], N: int, L: int, n_star: int
-) -> tuple[EmbeddedQubo, FractalLayout]:
-    embedded, tree = _embed_gadgets(builder, root_children, builder.leaves, N, L)
-    capacity = len(builder.leaves)
-    notes = [f"capacity {capacity} leaf slots, {capacity - N} padding"]
-    return embedded, builder.layout(embedded, tree, N_star=n_star, L=L, N=N, notes=notes)
+    return FractalLayout(
+        N_star=N_star, L=L, J=builder.J, N=len(real), embedded=embed_qubo(logical, emb),
+        tree=tree, added_bits=added_bits, notes=notes,
+    )
 
 
 def fractal_embed_unary(N: int, J: int = 4) -> tuple[EmbeddedQubo, FractalLayout]:
@@ -527,19 +523,31 @@ def fractal_embed_unary(N: int, J: int = 4) -> tuple[EmbeddedQubo, FractalLayout
     """
     if N < 2:
         raise UnaryError("unary constraint needs at least 2 bits")
-    if J < 2:
-        raise EmbeddingError("fractal embedding needs K_{2,2} blocks, J >= 2")
     builder = _FractalBuilder(J)
-    per_cell = builder.per_cell
-    if N <= per_cell:
-        root_children = builder.single_cell(N)
-        return _finish_layout(builder, root_children, N, 1, 1)
-    m = 2
-    while per_cell * 4 ** (m - 1) < N:
-        m += 1
-    L = (1 << m) - 1
-    root_children = builder.block(m, _ROOT_FRAME, None)
-    return _finish_layout(builder, root_children, N, L, 4 ** (m - 1))
+    if N <= builder.per_cell:
+        root_children, L, n_star = builder.single_cell(N), 1, 1
+    else:
+        m = 2
+        while builder.per_cell * 4 ** (m - 1) < N:
+            m += 1
+        root_children, L, n_star = builder.block(m, _ROOT_FRAME, None), (1 << m) - 1, 4 ** (m - 1)
+    pads = builder.leaves[N:]
+    notes = [f"capacity {len(builder.leaves)} leaf slots, {len(pads)} padding"]
+    layout = _finish(builder, root_children, set(pads), pads, L, n_star, notes)
+    return layout.embedded, layout
+
+
+def _lift_gadgets(
+    embedded: EmbeddedQubo, gadgets: list[tuple[str, str, str, str]], bits: dict[str, int]
+) -> tuple[int, ...]:
+    """Chain-aligned physical spin state for logical bit values.
+
+    The ancilla w of each merge (z, x, y, w) takes its energy-minimizing sign:
+    +1 when bit(x) < bit(y), -1 otherwise (the free direction when they agree).
+    """
+    w_value = {w: 1 if bits[x] < bits[y] else -1 for _, x, y, w in gadgets}
+    names = map(embedded.logical.name_of, range(embedded.logical.num_vars))
+    return embedded.lift([w_value[n] if n in w_value else 2 * bits[n] - 1 for n in names])
 
 
 def lift_one_hot(
@@ -547,23 +555,9 @@ def lift_one_hot(
 ) -> tuple[int, ...]:
     """Chain-aligned physical spin state for a one-hot (or all-zero) pattern.
 
-    Gadget ancillas take their energy-minimizing sign: -sign(s_x - s_y) when
-    the children differ, -1 (free direction) otherwise.
+    Gadget ancillas take their energy-minimizing sign (`_lift_gadgets`).
     """
-    logical = embedded.logical
-    totals = tree.subtree_totals(hot_leaf)
-    w_value: dict[str, int] = {}
-    for z, x, y, w in tree.gadgets:
-        sx, sy = 2 * totals[x] - 1, 2 * totals[y] - 1
-        w_value[w] = -1 if sx >= sy else 1
-    assignment = []
-    for idx in range(logical.num_vars):
-        name = logical.name_of(idx)
-        if name in w_value:
-            assignment.append(w_value[name])
-        else:
-            assignment.append(2 * totals[name] - 1)
-    return embedded.lift(assignment)
+    return _lift_gadgets(embedded, tree.gadgets, tree.subtree_totals(hot_leaf))
 
 
 # ---------------------------------------------------------------------------
@@ -580,47 +574,48 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
     N -> 4N + (J - 2) L.  Returns a rebuilt layout; if no adjacent capacity
     exists the original layout is returned with a note.
     """
-    J = layout.J
-    if J < 4:
-        return _unchanged(layout, "no fill possible: J - 2 branch gain is zero")
+    if layout.J < 4:
+        note = "no fill possible: J - 2 branch gain is zero"
+        return replace(layout, added_bits=0, notes=[*layout.notes, note])
 
     # rebuild the raw claim table from the embedding
     builder = _rebuilder_from(layout)
 
-    # every real leaf holds one slot (i, j, side, track); s-side leaves can branch
-    slots = {x: next(iter(builder.chains[x])) for x in layout.tree.real_leaves}
-    branches: list[tuple[str, list[str]]] = []
-    replaced: set[str] = set()
-    for cell in sorted({slot[:2] for slot in slots.values()}):
+    # every real leaf holds one slot (i, j, side, track); s-side leaves can
+    # branch, so group those by cell as sorted (track, leaf)
+    by_cell: dict[tuple[int, int], list[tuple[int, str]]] = {}
+    for x in layout.tree.real_leaves:
+        i, j, side, track = next(iter(builder.chains[x]))
+        if side == "s":
+            by_cell.setdefault((i, j), []).append((track, x))
+    replaced: list[str] = []
+    added = 0
+    for cell in sorted(by_cell):
+        candidates = sorted(by_cell[cell])
         for di in (-1, 1):
             fcell = (cell[0] + di, cell[1])
-            if not (0 <= fcell[0] < layout.L and 0 <= fcell[1] < layout.L):
+            if not 0 <= fcell[0] < layout.L:
                 continue
             free_s, free_r = builder.free_tracks(fcell, "s"), builder.free_tracks(fcell, "r")
-            # candidate leaves of this cell, by track
-            for leaf in sorted(
-                (x for x, slot in slots.items() if slot[:3] == (*cell, "s")),
-                key=lambda x: slots[x][3],
-            ):
-                if leaf in replaced:
-                    continue
-                track = slots[leaf][3]
-                if track not in free_s:
-                    continue
-                if len(free_s) >= 4 and len(free_r) >= 3:
-                    new_names = _branch3(builder, leaf, fcell, track, free_s, free_r)
-                elif len(free_s) >= 2 and len(free_r) >= 2:
-                    new_names = _branch2(builder, leaf, fcell, track, free_s, free_r)
-                else:
-                    continue
-                replaced.add(leaf)
-                branches.append((leaf, new_names))
-                free_s, free_r = builder.free_tracks(fcell, "s"), builder.free_tracks(fcell, "r")
+            for track, leaf in list(candidates):
                 if len(free_s) < 2 or len(free_r) < 2:
                     break
-    if not branches:
-        return _unchanged(layout, "no free adjacent cells: layout unchanged")
-    return _relayout(layout, branches, builder)
+                if track not in free_s:
+                    continue
+                branch = _branch3 if len(free_s) >= 4 and len(free_r) >= 3 else _branch2
+                added += len(branch(builder, leaf, fcell, track, free_s, free_r)) - 1
+                replaced.append(leaf)
+                candidates.remove((track, leaf))
+                free_s, free_r = builder.free_tracks(fcell, "s"), builder.free_tracks(fcell, "r")
+    if not replaced:
+        note = "no free adjacent cells: layout unchanged"
+        return replace(layout, added_bits=0, notes=[*layout.notes, note])
+    pads = layout.tree.pad_leaves
+    notes = [*layout.notes, f"{len(replaced)} branches, +{added} bits"]
+    return _finish(
+        builder, layout.tree.root_children, {*replaced, *pads}, pads, layout.L, layout.N_star,
+        notes, added,
+    )
 
 
 def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
@@ -689,31 +684,3 @@ def _branch2(
     builder.claim(fcell, "s", w_prime, w_pr)
     builder.merge(leaf, new_u, new_v, w_pr)
     return [new_u, new_v]
-
-
-def _unchanged(layout: FractalLayout, note: str) -> FractalLayout:
-    return replace(layout, added_bits=0, notes=[*layout.notes, note])
-
-
-def _relayout(
-    layout: FractalLayout, branches: list[tuple[str, list[str]]], builder: _FractalBuilder
-) -> FractalLayout:
-    # constrained bits: old real leaves minus the replaced ones plus new leaves
-    replaced = {old for old, _ in branches}
-    pads = layout.tree.pad_leaves
-    dropped = replaced.union(pads)
-    real_ordered = [x for x in builder.leaves if x not in dropped]
-    leaves_for_qubo = real_ordered + pads
-    embedded, tree = _embed_gadgets(
-        builder, layout.tree.root_children, leaves_for_qubo, len(real_ordered), layout.L
-    )
-    added = sum(len(v) - 1 for _, v in branches)
-    return builder.layout(
-        embedded,
-        tree,
-        N_star=layout.N_star,
-        L=layout.L,
-        N=layout.N + added,
-        added_bits=added,
-        notes=[*layout.notes, f"{len(branches)} branches, +{added} bits"],
-    )

@@ -106,6 +106,12 @@ class TestPermutationTree:
         state = lift_permutation(e, (0, 1, 1, 3))
         assert e.physical.energy(state) > 0.5
 
+    def test_n2_permutations_reach_zero(self):
+        e = embed_permutation_tree(2)
+        for perm in ((0, 1), (1, 0)):
+            assert e.physical.energy(lift_permutation(e, perm)) == pytest.approx(0.0, abs=1e-9)
+        assert e.physical.energy(lift_permutation(e, (0, 0))) > 0.5
+
     def test_n2_brute_force(self):
         e = embed_permutation_tree(2)
         spec = brute_force(e.physical)

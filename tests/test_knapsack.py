@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import knapsack_best_subset, knapsack_dp
+from qubolattice.documents import dumps
 from qubolattice.knapsack import (
     KnapsackError,
     KnapsackInstance,
@@ -42,6 +43,11 @@ class TestBuildKnapsack:
             assert 4 <= decoded["value"] < 8
             subsets.add(frozenset(decoded["subset"]))
         assert frozenset({0, 1}) in subsets
+
+    def test_decoded_subset_serializes_in_index_order(self):
+        tree = build_knapsack_qubo(KnapsackInstance((3, 1), (2, 1), 2), 1)
+        decoded = decode_knapsack(tree, [1] * tree.qubo.num_vars)
+        assert '"subset":[0,1]' in dumps(decoded)
 
     def test_unreachable_window_positive_energy(self):
         inst = KnapsackInstance((1, 1), (1, 1), 1)

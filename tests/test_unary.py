@@ -328,3 +328,16 @@ class TestFractalDigest:
 
         digest = "e7e45742f98b484af38dac9ddfb343060e70f0fdc62fef3c36de727c0aacedae"
         assert layout_digest(layouts()) == digest
+
+    def test_large_layouts_and_fills(self):
+        # J in {4, 8} and N in {1024, 4096}, each layout followed by its fill:
+        # fills that branch hundreds of leaves across many levels of the tree
+        def layouts():
+            for J in (4, 8):
+                for N in (1024, 4096):
+                    layout = fractal_embed_unary(N, J)[1]
+                    yield layout
+                    yield fill_tree_optimize(layout)
+
+        digest = "9253ca9633a57bbe2db2cb177296964fe6ef8cd901814b16f3266c2c132bb0a5"
+        assert layout_digest(layouts()) == digest
