@@ -210,6 +210,10 @@ def _solver_objective(doc, physical: Qubo, path: str) -> Qubo | None:
 
 
 def cmd_solve(args) -> int:
+    if args.solver == "anneal":
+        for flag, budget in (("--sweeps", args.sweeps), ("--restarts", args.restarts)):
+            if budget < 1:
+                raise UsageError(f"solve {flag} must be at least 1, got {budget}")
     doc = _read_doc(args.input)
     body = _objective_doc(doc, args.input)
     inst = documents.parse_instance(doc["instance"]) if "instance" in doc else None

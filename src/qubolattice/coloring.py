@@ -12,6 +12,7 @@ coefficient grid search reads its energies off the same stitched templates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -314,12 +315,13 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
 
     Assemblies: "1-tile", "2-tile-hor", "2-tile-vert" (an edge between two
     vertices), and "chain" (one vertex spanning two tiles).  For q > 4 the
-    spectrum is taken over the chain-intact subspace.
+    spectrum is taken over the chain-intact subspace, whose objective `stitch`
+    leaves in `e.logical`.
     """
     e = stitch(_assembly_plan(assembly), tileset.tiles)
     if tileset.q <= 4:
         return brute_force(e.physical)
-    return _restricted_spectrum(e.chain_intact_qubo())
+    return _restricted_spectrum(e.logical)
 
 
 def grid_search_coefficients(
@@ -375,18 +377,25 @@ def _grid_search_le4(resolution: int) -> tuple[dict[str, float], float]:
     return best_table, best_gap
 
 
-def _le4_energy_model() -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
-    """Per-term energies of the q = 4 assemblies, with their valid states.
+@functools.lru_cache(maxsize=None)
+def _le4_energy_model() -> tuple[
+    tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray], ...
+]:
+    """Distinct per-term energies of the q = 4 assemblies, with their valid states.
 
     Assembled energies are linear in lambda*A, lambda*B, lambda*C and D, so
     the energies of each term over all states come from the real templates
-    stitched at a unit table.  Energies are in code order: bit i of a code is
+    stitched at a unit table.  States with equal term energies have equal
+    energies under every table, so only the distinct (A, B, C, D) columns are
+    kept (22 of the 2^8 one-tile states, 440 of the 2^16 two-tile ones), with
+    the number of states in each.  Codes are in code order: bit i of a code is
     variable i, up when set, and each stitched tile contributes s0..s3, r0..r3,
     one byte per tile.  A tile is valid when its s nibble equals its r nibble
     with one bit set, one matched pair up, and the two tiles of a pair hold
     different colors, so the valid codes follow from the bits alone.  One
-    (energies by term, valid codes in increasing order) pair per assembly:
-    "1-tile" and "2-tile-hor".
+    (columns by term, state count per column, column of each valid state,
+    valid codes in increasing order) tuple per assembly: "1-tile" and
+    "2-tile-hor".  Built once per process; the arrays are read-only.
     """
     tiles = {
         term: _build_tileset_any(
@@ -403,23 +412,43 @@ def _le4_energy_model() -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
             term: np.concatenate([e for e, _ in _split_energy_blocks(stitch(plan, t).physical)])
             for term, t in tiles.items()
         }
-        model.append((energies, np.array(valid)))
-    return model
+        # group equal (A, B, C, D) rows: sort once, then gather one term at a
+        # time to mark where a sorted row differs from the one before it
+        order = np.lexsort([energies[term] for term in "DCBA"])
+        starts = np.zeros(len(order), dtype=bool)
+        starts[0] = True
+        for term in "ABCD":
+            ordered = energies[term][order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+            del ordered  # before the next term's copy is made
+        first = np.flatnonzero(starts)
+        columns = {term: energies[term][order[first]] for term in "ABCD"}
+        counts = np.diff(first, append=len(order))
+        valid = np.array(valid)
+        # a valid state's column is the one holding its term energies
+        held = [[columns[t] == energies[t][v] for t in "ABCD"] for v in valid]
+        valid_columns = np.array([np.logical_and.reduce(h).argmax() for h in held])
+        for array in (*columns.values(), counts, valid_columns, valid):
+            array.flags.writeable = False
+        model.append((columns, counts, valid_columns, valid))
+    return tuple(model)
 
 
 def _table_gap(model, A, B, C, lam, D):
     """Worst gap of a table over the model's assemblies.
 
     None unless each assembly's ground states are exactly its valid states.
+    Each term is evaluated on the distinct columns, which gives every state
+    the energy it has over the full state space.
     """
     worst = math.inf
-    for terms, valid in model:
+    for terms, counts, valid, _ in model:
         e = lam * (A * terms["A"] + B * terms["B"] + C * terms["C"]) + D * terms["D"]
         low = e.min()
         if not math.isclose(low, e[valid].min(), abs_tol=COEFF_TOL):
             return None
         at_ground = np.isclose(e, low, atol=COEFF_TOL)
-        if at_ground.sum() != len(valid) or not at_ground[valid].all():
+        if counts[at_ground].sum() != len(valid) or not at_ground[valid].all():
             return None
         rest = e[~at_ground]
         worst = min(worst, float(rest.min() - low) if rest.size else math.inf)

@@ -11,6 +11,7 @@ annealing, coupling normalization, hardware-noise modeling) lives here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,6 +33,13 @@ _BLOCK = 1 << 16
 
 #: Energies per block of the split enumeration (1 MiB of float64).
 _SPLIT_BLOCK = 1 << 17
+
+#: Half-enumeration code-row tables kept, one per (variables, domain): room
+#: for all 30 halves of objectives within `BRUTE_FORCE_CAP`, 0.8 MiB of int8.
+_CODE_ROW_CACHE = 32
+
+#: Annealer draws per block of sweeps (32 KiB of float64).
+_DRAW_BLOCK = 4096
 
 
 class QuboError(ValueError):
@@ -374,6 +382,14 @@ def _code_rows(start: int, stop: int, num_vars: int, domain: str) -> np.ndarray:
     return bits
 
 
+@functools.lru_cache(maxsize=_CODE_ROW_CACHE)
+def _half_rows(k: int, domain: str) -> np.ndarray:
+    """Read-only `_code_rows` of all 2**k codes, built once per (k, domain)."""
+    rows = _code_rows(0, 1 << k, k, domain)
+    rows.flags.writeable = False
+    return rows
+
+
 #: One batch of states: their bulk energies, within rounding of the exact
 #: ones and used to select rows (`_spectrum_from_batches` overwrites them),
 #: and `pick(idx)` giving the rows at positions `idx` of the batch.
@@ -388,12 +404,14 @@ def _split_energy_blocks(q: Qubo) -> Iterable[Batch]:
     C = U[:k, k:] the cross couplings, the block over high rows h and every
     low row l is e_hi[h] + e_lo[l] + S_hi[h] . (S_lo C)[l]: one matrix product
     of at most `_SPLIT_BLOCK` entries.  Entries are hi-major, which is code
-    order.  Each block's `pick` builds the picked rows.
+    order.  Each half's int8 rows come from the `_half_rows` cache, unless n
+    exceeds `BRUTE_FORCE_CAP` and they are too large to keep; each block's
+    `pick` builds the picked rows.
     """
     n, k = q.num_vars, q.num_vars // 2
     l, u = q._dense_terms()
-    lo = _code_rows(0, 1 << k, k, q.domain)
-    hi = _code_rows(0, 1 << (n - k), n - k, q.domain)
+    rows = _half_rows if n <= BRUTE_FORCE_CAP else _half_rows.__wrapped__
+    lo, hi = rows(k, q.domain), rows(n - k, q.domain)
     lo_f, hi_f = lo.astype(np.float64), hi.astype(np.float64)
     e_lo = _quadratic_form(lo_f, l[:k], u[:k, :k], 0.0)
     e_hi = _quadratic_form(hi_f, l[k:], u[k:, k:], q.offset)
@@ -452,7 +470,8 @@ def _spectrum_from_batches(q: Qubo, batches: Iterable[Batch]) -> Spectrum:
     # otherwise either sum of at most ~400 terms rounds by far less than
     # 1e-12 of their magnitudes
     slack = 0.0 if exact_sums else 1e-12 * scale
-    l, u = q._dense_terms()
+    if not exact_sums:
+        l, u = q._dense_terms()
     running = floor = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for energies, pick in batches:
@@ -501,13 +520,16 @@ def brute_force(q: Qubo, cap: int = BRUTE_FORCE_CAP) -> Spectrum:
 
     Refuses above `cap` variables; ties at the ground level are collected
     exhaustively, in code order (bit i of the code is variable i).  The
-    variables split into a low and a high half whose rows and energies are
-    built once; each block of energies is one matrix product over the cross
-    couplings, capped at `_SPLIT_BLOCK` entries (1 MiB), so memory does not
-    grow with 2**num_vars.  Only rows within `COEFF_TOL` of the running minimum
-    and the rows that may hold the next level are materialized, as int8 rows, and
-    their energies are re-evaluated with `Qubo.energies` unless no sum of the
-    objective can round (integer coefficients, say).  Kept rows that the
+    variables split into a low and a high half whose energies are built once
+    per call; each half's int8 code rows are the same rows a fresh build
+    gives, read from a read-only cache keyed by (variables, domain) within
+    `BRUTE_FORCE_CAP`.  Each block of energies is one matrix product over the
+    cross couplings, capped at `_SPLIT_BLOCK` entries (1 MiB), so memory does
+    not grow with 2**num_vars.  Only rows within `COEFF_TOL` of the running
+    minimum and the rows that may hold the next level are materialized, as
+    int8 rows, and their energies are re-evaluated with the dense terms unless
+    no sum of the objective can round (integer coefficients, say), in which
+    case those terms are not built a second time.  Kept rows that the
     running minimum leaves behind are dropped as it falls, so apart from the
     ground set returned the working set stays under about 8 MiB.
     """
@@ -625,14 +647,22 @@ def anneal_solve(
     `t_hot` down to 0.05.
 
     Each restart draws its start state from one ``rng.random(n)``; each sweep
-    draws one ``rng.random(n)`` and visits the variables in index order,
-    flipping variable i when ``delta <= 0`` or its draw is below
-    ``exp(-delta / t)``.  The couplings are per-variable neighbour lists, so an
-    accepted flip updates only the flipped variable's neighbours: memory and
-    the cost of a sweep grow with the number of terms, not with n**2.  For a
-    given seed the trajectories are those of the earlier dense-matrix kernel.
-    Returns the best assignment over all restarts with its energy.
+    takes the next n draws and visits the variables in index order, flipping
+    variable i when ``delta <= 0`` or its draw is below ``exp(-delta / t)``.
+    The sweeps' draws come one ``rng.random((rows, n))`` per block of
+    ``rows = max(1, 4096 // n)`` sweeps, the last block of a restart cut to
+    the sweeps left; PCG64 fills a block with the doubles of its sweeps' own
+    ``rng.random(n)`` calls, in the same order, so blocking changes no draw.
+    The couplings are per-variable neighbour lists, so an accepted flip
+    updates only the flipped variable's neighbours: memory and the cost of a
+    sweep grow with the number of terms, not with n**2.  For a given seed the
+    trajectories are those of the earlier dense-matrix kernel.  `sweeps` and
+    `restarts` below 1 raise `QuboError`.  Returns the best assignment over
+    all restarts with its energy.
     """
+    for name, budget in (("sweeps", sweeps), ("restarts", restarts)):
+        if budget < 1:
+            raise QuboError(f"anneal {name} must be at least 1, got {budget}")
     n = q.num_vars
     if n == 0:
         return (), q.offset
@@ -658,10 +688,11 @@ def anneal_solve(
         )
     temps = (t_hot * (0.05 / t_hot) ** (np.arange(sweeps) / max(1, sweeps - 1))).tolist()
     exp = math.exp
+    rows = max(1, _DRAW_BLOCK // n)
 
     best_steps: list[float] | None = None
     best_energy = math.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         state = [lo if draw < 0.5 else hi for draw in rng.random(n).tolist()]
         field = [
             lin[i] + sum(inc * state[j] for j, inc in nbrs) / unit for i, nbrs in enumerate(moves)
@@ -669,19 +700,21 @@ def anneal_solve(
         energy = q.energy(state)
         # each variable's next flip step, negated on a flip
         steps = [span - 2.0 * v for v in state]
-        for t in temps:
-            for i, draw in enumerate(rng.random(n).tolist()):
-                step = steps[i]
-                delta = step * field[i]
-                if delta <= 0.0 or draw < exp(-delta / t):
-                    steps[i] = -step
-                    energy += delta
-                    if step > 0.0:
-                        for j, inc in moves[i]:
-                            field[j] += inc
-                    else:
-                        for j, inc in moves[i]:
-                            field[j] -= inc
+        for start in range(0, sweeps, rows):
+            block = temps[start : start + rows]
+            for t, draws in zip(block, rng.random((len(block), n)).tolist()):
+                for i, draw in enumerate(draws):
+                    step = steps[i]
+                    delta = step * field[i]
+                    if delta <= 0.0 or draw < exp(-delta / t):
+                        steps[i] = -step
+                        energy += delta
+                        if step > 0.0:
+                            for j, inc in moves[i]:
+                                field[j] += inc
+                        else:
+                            for j, inc in moves[i]:
+                                field[j] -= inc
         if energy < best_energy - COEFF_TOL:
             best_energy = energy
             best_steps = steps

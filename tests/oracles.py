@@ -6,8 +6,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from qubolattice.coloring import _assembly_plan, _build_tileset_any
 from qubolattice.lattice import LatticeGraph
-from qubolattice.qubo import BINARY, COEFF_TOL
+from qubolattice.qubo import BINARY, COEFF_TOL, _split_energy_blocks
+from qubolattice.tiling import stitch
 
 
 def balanced_subset_exists(numbers) -> bool:
@@ -191,3 +193,43 @@ def reference_walk(
             visit(v, chain, u, {u}, [], [])
         trees[v] = tree
     return shared, trees, couplers, outside
+
+
+def reference_le4_energy_model():
+    """`coloring._le4_energy_model` as it was before it kept only the
+    distinct term columns: one (energies by term over all states, valid
+    codes) pair per assembly, "1-tile" and "2-tile-hor"."""
+    tiles = {
+        term: _build_tileset_any(
+            4, table={"A": 0.0, "B": 0.0, "C": 0.0, "lambda": 1.0, "D": 0.0, term: 1.0}
+        ).tiles
+        for term in "ABCD"
+    }
+    one_pair = [0x11 << color for color in range(4)]
+    two_pairs = sorted(a | b << 8 for a in one_pair for b in one_pair if a != b)
+    model = []
+    for assembly, valid in (("1-tile", one_pair), ("2-tile-hor", two_pairs)):
+        plan = _assembly_plan(assembly)
+        energies = {
+            term: np.concatenate([e for e, _ in _split_energy_blocks(stitch(plan, t).physical)])
+            for term, t in tiles.items()
+        }
+        model.append((energies, np.array(valid)))
+    return model
+
+
+def reference_table_gap(model, A, B, C, lam, D):
+    """`coloring._table_gap` over `reference_le4_energy_model`: every state's
+    energy is evaluated."""
+    worst = math.inf
+    for terms, valid in model:
+        e = lam * (A * terms["A"] + B * terms["B"] + C * terms["C"]) + D * terms["D"]
+        low = e.min()
+        if not math.isclose(low, e[valid].min(), abs_tol=COEFF_TOL):
+            return None
+        at_ground = np.isclose(e, low, atol=COEFF_TOL)
+        if at_ground.sum() != len(valid) or not at_ground[valid].all():
+            return None
+        rest = e[~at_ground]
+        worst = min(worst, float(rest.min() - low) if rest.size else math.inf)
+    return worst

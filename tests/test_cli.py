@@ -107,6 +107,21 @@ class TestBuildSolve:
         assert main(["solve", inst, "--solver", "brute"]) == 2
         assert capsys.readouterr().err.startswith("document error:")
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--sweeps", 0), ("--sweeps", -5), ("--restarts", 0), ("--restarts", -3)]
+    )
+    def test_anneal_budget_below_one_is_usage_error(self, flag, value, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"partition": {"numbers": [2, 3, 2, 3]}})
+        _, built = run(capsys, "build", inst)
+        built_path = write(tmp_path, "built.json", built)
+        assert main(["solve", built_path, "--solver", "anneal", flag, str(value)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: solve {flag} must be at least 1, got {value}\n"
+        # the brute-force solver reads no anneal budget
+        code, _ = run(capsys, "solve", built_path, "--solver", "brute", flag, str(value))
+        assert code == 0
+
 
 class TestEmbedValidate:
     def test_unary_embed_validate_solve(self, tmp_path, capsys):

@@ -7,7 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import all_graphs, proper_coloring_count
+from oracles import (
+    all_graphs,
+    proper_coloring_count,
+    reference_le4_energy_model,
+    reference_table_gap,
+)
 from qubolattice.coloring import (
     _OFF,
     ColoringError,
@@ -97,6 +102,16 @@ class TestVerifyGap:
         spec1 = verify_gap(tileset, "1-tile")
         assert spec1.gap == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert spec1.state_count_at_ground == 8
+
+    def test_q8_spectra_read_the_stitched_contraction(self):
+        # the stitched logical objective is the chain-intact contraction
+        from qubolattice.coloring import _assembly_plan
+        from qubolattice.tiling import stitch
+
+        tileset = build_tileset(8)
+        for assembly in ("1-tile", "2-tile-hor", "2-tile-vert", "chain"):
+            contracted = stitch(_assembly_plan(assembly), tileset.tiles).chain_intact_qubo()
+            assert verify_gap(tileset, assembly) == brute_force(contracted, cap=24)
 
     def test_q8_tile_gap_before_rescale(self):
         # the bare multi-cell vertex tile saturates a chain-intact gap of 2
@@ -317,7 +332,8 @@ class TestGridSearch:
         )
 
     def test_valid_codes_match_the_row_mask(self):
-        # the valid codes read off the bits equal the mask over every row
+        # the valid codes read off the bits equal the mask over every row, and
+        # the distinct columns hold every state once
         from qubolattice.coloring import _le4_energy_model
         from qubolattice.qubo import SPIN, _code_rows
 
@@ -333,10 +349,61 @@ class TestGridSearch:
                 mask &= (rows[:, 0:4] != rows[:, 8:12]).any(1)
             return np.nonzero(mask)[0]
 
-        (one, valid_one), (two, valid_two) = _le4_energy_model()
+        (one, counts_one, _, valid_one), (two, counts_two, _, valid_two) = _le4_energy_model()
         assert valid_one.tolist() == row_mask(1).tolist() and len(valid_one) == 4
         assert valid_two.tolist() == row_mask(2).tolist() and len(valid_two) == 12
-        assert len(one["A"]) == 1 << 8 and len(two["A"]) == 1 << 16
+        assert counts_one.sum() == 1 << 8 and counts_two.sum() == 1 << 16
+        for columns, counts in ((one, counts_one), (two, counts_two)):
+            assert all(len(columns[t]) == len(counts) for t in "ABCD")
+
+    def test_distinct_columns_match_the_full_state_arrays(self):
+        # the columns and their counts are the full arrays' distinct rows
+        from qubolattice.coloring import _le4_energy_model
+
+        model = _le4_energy_model()
+        assert model is _le4_energy_model()
+        for (columns, counts, valid_columns, valid), (energies, ref_valid) in zip(
+            model, reference_le4_energy_model()
+        ):
+            full = np.stack([energies[t] for t in "ABCD"], axis=1)
+            distinct = np.stack([columns[t] for t in "ABCD"], axis=1)
+            assert np.array_equal(valid, ref_valid)
+            assert np.array_equal(distinct[valid_columns], full[valid])
+            found = {}
+            for row in full.tolist():
+                found[tuple(row)] = found.get(tuple(row), 0) + 1
+            assert found == dict(zip(map(tuple, distinct.tolist()), counts.tolist()))
+            for array in (*columns.values(), counts, valid_columns, valid):
+                assert not array.flags.writeable
+
+    def test_every_scored_table_has_the_reference_gap(self, monkeypatch):
+        # resolution 5: every table the search scores gets the gap the
+        # full-array model gives it
+        from qubolattice import coloring
+
+        reference = reference_le4_energy_model()
+        table_gap = coloring._table_gap
+        scored = []
+
+        def checked(model, *table):
+            gap = table_gap(model, *table)
+            assert gap == reference_table_gap(reference, *table), table
+            scored.append(gap)
+            return gap
+
+        monkeypatch.setattr(coloring, "_table_gap", checked)
+        grid_search_coefficients("le4", 5)
+        assert len(scored) == 195 and sum(g is not None for g in scored) > 1
+
+    @pytest.mark.parametrize("resolution", range(2, 10))
+    def test_search_equals_the_full_array_search(self, resolution, monkeypatch):
+        from qubolattice import coloring
+
+        got = grid_search_coefficients("le4", resolution)
+        reference = reference_le4_energy_model()
+        monkeypatch.setattr(coloring, "_le4_energy_model", lambda: reference)
+        monkeypatch.setattr(coloring, "_table_gap", reference_table_gap)
+        assert got == grid_search_coefficients("le4", resolution)
 
     def test_le4_requires_resolution(self):
         with pytest.raises(ColoringError):

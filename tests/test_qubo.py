@@ -411,6 +411,21 @@ class TestBoundedEnumeration:
         assert rows.dtype == np.int8 and rows.shape == (2**16, 16)
         assert peak <= 3 * 2**20
 
+    @pytest.mark.parametrize("domain", [BINARY, SPIN])
+    def test_cached_half_rows_equal_fresh_rows_and_refuse_writes(self, domain):
+        for k in (0, 1, 5, 14):
+            rows = qubo_module._half_rows(k, domain)
+            assert rows is qubo_module._half_rows(k, domain)
+            fresh = qubo_module._code_rows(0, 1 << k, k, domain)
+            assert rows.dtype == fresh.dtype and np.array_equal(rows, fresh)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[...] = 0
+        info = qubo_module._half_rows.cache_info()
+        assert info.maxsize == qubo_module._CODE_ROW_CACHE
+        # the halves of an objective past BRUTE_FORCE_CAP are not kept
+        energies, _ = next(iter(qubo_module._split_energy_blocks(Qubo(domain, 29, 1.5))))
+        assert (energies == 1.5).all() and qubo_module._half_rows.cache_info() == info
+
     def test_random_objective_stays_in_block_budget(self):
         q = random_qubo(np.random.default_rng(24), 24, SPIN)
         tracemalloc.start()
@@ -851,6 +866,47 @@ class TestAnneal:
         want_state, want_energy = reference_anneal(q, **kwargs)
         assert state == want_state
         assert energy.hex() == want_energy.hex()
+
+    @pytest.mark.parametrize("domain", [BINARY, SPIN])
+    @pytest.mark.parametrize(
+        "n, sweeps", [(3, 3000), (4100, 2)], ids=["blocks", "one-sweep-blocks"]
+    )
+    def test_draw_blocks_keep_the_reference_trajectories(self, n, sweeps, domain, monkeypatch):
+        # n = 3: a restart spans three blocks, the last one partial, before
+        # the next restart draws its start state; n > 4096: one sweep a block
+        rows = max(1, qubo_module._DRAW_BLOCK // n)
+        assert sweeps > rows and (sweeps % rows or rows == 1)
+        rng = np.random.default_rng(n)
+        q = Qubo(domain, n, 1 / 3)
+        for i in range(n):
+            q.add_linear(i, int(rng.integers(-9, 10)) / 7)
+            if i:
+                q.add_quadratic(i - 1, i, int(rng.integers(-9, 10)) / 10)
+        kwargs = dict(sweeps=sweeps, restarts=3, seed=n + 1)
+        default_rng, generators = np.random.default_rng, []
+
+        def recording(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        state, energy = anneal_solve(q, **kwargs)
+        monkeypatch.undo()
+        want_state, want_energy = reference_anneal(q, **kwargs)
+        assert state == want_state
+        assert energy.hex() == want_energy.hex()
+        # the blocks drew exactly the doubles of the sweeps, no more
+        drawn = default_rng(kwargs["seed"])
+        drawn.random(kwargs["restarts"] * n * (sweeps + 1))
+        assert generators[0].bit_generator.state == drawn.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "name, value", [("sweeps", 0), ("sweeps", -5), ("restarts", 0), ("restarts", -3)]
+    )
+    def test_budget_below_one_is_refused(self, name, value):
+        for q in (Qubo(SPIN, 3, 1.0), Qubo(BINARY, 0)):
+            with pytest.raises(QuboError, match=f"anneal {name} must be at least 1, got {value}$"):
+                anneal_solve(q, **{name: value})
 
     def test_sparse_chain_has_no_dense_couplings(self):
         # a dense n x n float64 coupling matrix alone would be 32 MB here
