@@ -16,7 +16,23 @@ import numpy as np
 
 
 class CartoonError(ValueError):
-    """Invalid model parameter."""
+    """Invalid model parameter, or a result outside the float range."""
+
+
+# The largest N for which `min_gap` and each `lz_time` schedule give a float:
+# eps = 2^-N underflows past N = 1074, 2^N overflows past 1023 and 2^(N/2)
+# past 2047.
+MAX_N = {"gap": 1074, "linear": 1023, "optimal": 2047}
+_LEAVES_RANGE = {
+    "gap": "eps = 2^-N underflows",
+    "linear": "2^N overflows",
+    "optimal": "2^(N/2) overflows",
+}
+
+
+def _check_range(N: int, result: str) -> None:
+    if N > MAX_N[result]:
+        raise CartoonError(f"{_LEAVES_RANGE[result]} past N = {MAX_N[result]}, got N = {N}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,7 @@ def min_gap(N: int) -> tuple[float, float]:
     The squared gap is 4t^2(1 - eps) - 4t(1 - eps) + 1 with t = 1 - s, a
     parabola whose minimum eps lies at s = 1/2.
     """
+    _check_range(N, "gap")
     return spectral_gap(N, 0.5), 0.5
 
 
@@ -70,12 +87,13 @@ def lz_time(N: int, schedule: str = "linear") -> float:
     """
     if N < 0:
         raise CartoonError("N must be nonnegative")
-    inverse_eps = 2.0**N
+    if schedule not in ("linear", "optimal"):
+        raise CartoonError(f"unknown schedule {schedule!r}")
+    _check_range(N, schedule)
     if schedule == "linear":
-        return inverse_eps
-    if schedule == "optimal":
-        return math.sqrt(inverse_eps)
-    raise CartoonError(f"unknown schedule {schedule!r}")
+        return 2.0**N
+    # sqrt(2^N) split at a power of two, which scales exactly
+    return math.sqrt(2.0 ** (N % 2)) * 2.0 ** (N // 2)
 
 
 def report_rows(n_values) -> list[dict]:

@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 
 from . import documents
-from .cartoon import lz_time, min_gap
+from .cartoon import MAX_N, report_rows
 from .coloring import build_tileset, verify_gap
 from .embedding import EmbeddedQubo, embedding_from_doc, embedding_to_doc, unembed, validate
 from .hamcycle import predicted_hamcycle_length, predicted_permutation_length
@@ -184,7 +184,21 @@ def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
         emb = embedding_from_doc(
             doc["embedding"], [logical.name_of(i) for i in range(logical.num_vars)]
         )
-        return EmbeddedQubo(physical, emb, logical, [doc_int(v) for v in doc["vertex_order"]])
+        embedded = EmbeddedQubo(physical, emb, logical, [doc_int(v) for v in doc["vertex_order"]])
+    if physical.num_vars != len(embedded.vertex_order):
+        raise documents.DocumentError(
+            f"{path}: physical_qubo has {physical.num_vars} variables, "
+            f"but vertex_order lists {len(embedded.vertex_order)}"
+        )
+    listed = embedded.position_of
+    for v, chain in emb.chains.items():
+        stray = next((p for p in chain if p not in listed), None)
+        if stray is not None:
+            raise documents.DocumentError(
+                f"{path}: embedding chain {logical.name_of(v)} holds vertex {stray}, "
+                "which vertex_order does not list"
+            )
+    return embedded
 
 
 def _solver_objective(doc, physical: Qubo, path: str) -> Qubo | None:
@@ -306,15 +320,11 @@ def cmd_predict(args) -> int:
     if min(vals) < 1:
         raise UsageError(f"predict {family} needs arguments of at least 1, got {min(vals)}")
     if predict is None:
-        n = vals[0]
-        gap, s_star = min_gap(n)
-        doc = {
-            "N": n,
-            "gap": gap,
-            "s_star": s_star,
-            "tau_linear": lz_time(n, "linear"),
-            "tau_optimal": lz_time(n, "optimal"),
-        }
+        largest = min(MAX_N.values())
+        if vals[0] > largest:
+            raise UsageError(f"predict cartoon needs N of at most {largest}, got {vals[0]}")
+        doc = report_rows(vals)[0]
+        del doc["eps"]
     else:
         doc = {"family": family, "predicted_side": predict(args, *vals)}
     _emit(doc, args.out)

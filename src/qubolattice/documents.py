@@ -114,9 +114,19 @@ def _hamcycle_logical(inst: HamcycleInstance, strategy, l_star):
     return build(inst).qubo, {}
 
 
+def _mismatch(inst, reads: int, state) -> DocumentError:
+    """The error for a document whose instance and logical QUBO disagree."""
+    return DocumentError(
+        f"the {kind_of(inst).tag} instance reads {reads} logical variables, "
+        f"but the logical QUBO has {len(state)}"
+    )
+
+
 def _decode_partition(inst: PartitionInstance, state, broken: int):
     # every partition embedding keeps build_numpart_qubo's variable order
     tree = build_numpart_qubo(inst)
+    if len(state) != tree.qubo.num_vars:
+        raise _mismatch(inst, tree.qubo.num_vars, state)
     if not tree.feasible_parity:
         return None
     decoded = decode_partition(tree, state, broken)
@@ -124,11 +134,16 @@ def _decode_partition(inst: PartitionInstance, state, broken: int):
 
 
 def _decode_coloring(inst: ColoringInstance, state, broken: int):
+    if len(state) != inst.n * inst.q:
+        raise _mismatch(inst, inst.n * inst.q, state)
     decoded = decode_coloring(inst, state, broken)
     return decoded, decoded["proper"]
 
 
 def _decode_hamcycle(inst: HamcycleInstance, state, broken: int):
+    # the n^2 position bits come first; the tileable encoding adds more
+    if len(state) < inst.n**2:
+        raise _mismatch(inst, inst.n**2, state)
     decoded = decode_cycle(state, inst)
     return decoded, decoded["ok"]
 

@@ -1,11 +1,14 @@
-"""Independent brute-force oracles used to pin expected values."""
+"""Independent brute-force oracles used to pin expected values, and the
+digests and counters that tier-1 and the long checks share."""
 
+import hashlib
 import itertools
 import math
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from qubolattice import embedding
 from qubolattice.coloring import _assembly_plan, _build_tileset_any
 from qubolattice.lattice import LatticeGraph
 from qubolattice.qubo import BINARY, COEFF_TOL, _split_energy_blocks
@@ -193,6 +196,44 @@ def reference_walk(
             visit(v, chain, u, {u}, [], [])
         trees[v] = tree
     return shared, trees, couplers, outside
+
+
+def counted_walks(monkeypatch) -> list:
+    """Record the chains of every chain walk from now on, each checked
+    against `reference_walk`; returns the list of walked chains."""
+    walks = []
+    walk = embedding._walk_chains
+
+    def counting(graph, chains):
+        walks.append(dict(chains))
+        got = walk(graph, chains)
+        assert got == reference_walk(graph, chains), (
+            f"walk {len(walks)} differs from the reference walk"
+        )
+        return got
+
+    monkeypatch.setattr(embedding, "_walk_chains", counting)
+    return walks
+
+
+def tileable_digest(outcomes) -> str:
+    """sha256 over `(edges, outcome)` pairs of the tileable Hamiltonian-cycle
+    encoding: an embedding's chains (in iteration order, members too), vertex
+    order and physical terms as float.hex, or a failure's error text."""
+    h = hashlib.sha256()
+    for edges, e in outcomes:
+        if isinstance(e, Exception):
+            h.update(repr((edges, str(e))).encode())
+            continue
+        q = e.physical
+        chains = [(k, list(v)) for k, v in e.embedding.chains.items()]
+        terms = (
+            q.offset.hex(),
+            [(i, c.hex()) for i, c in q.linear.items()],
+            [(i, j, c.hex()) for (i, j), c in q.quadratic.items()],
+        )
+        h.update(repr((edges, chains, list(e.vertex_order), terms)).encode())
+    return h.hexdigest()
 
 
 def reference_le4_energy_model():

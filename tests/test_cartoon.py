@@ -50,6 +50,15 @@ class TestMinGap:
             gap, _ = min_gap(n)
             assert gap * gap * 2**n == pytest.approx(1.0, abs=1e-9)
 
+    def test_refuses_n_whose_eps_underflows(self):
+        # at N = 1074 eps is the least subnormal and the gap still sqrt(eps);
+        # past it eps is 0.0, and the gap would be 0.0 too
+        gap, _ = min_gap(1074)
+        assert gap == 2.0**-537
+        message = r"eps = 2\^-N underflows past N = 1074, got N = 1075"
+        with pytest.raises(CartoonError, match=message):
+            min_gap(1075)
+
     def test_no_crossing_on_grid(self):
         svals = np.linspace(0.0, 1.0, 10_001)
         gaps = [spectral_gap(6, s) for s in svals]
@@ -68,6 +77,21 @@ class TestLzTime:
     def test_unknown_schedule(self):
         with pytest.raises(CartoonError):
             lz_time(4, "adiabatic")
+
+    @pytest.mark.parametrize(
+        "schedule, largest, tau",
+        [("linear", 1023, 2.0**1023), ("optimal", 2047, 2.0**1023 * 2**0.5)],
+        ids=["linear", "optimal"],
+    )
+    def test_refuses_n_whose_time_overflows(self, schedule, largest, tau):
+        assert lz_time(largest, schedule) == tau
+        message = f"overflows past N = {largest}, got N = {largest + 1}"
+        with pytest.raises(CartoonError, match=message):
+            lz_time(largest + 1, schedule)
+
+    def test_optimal_is_the_root_of_linear(self):
+        for n in range(1024):
+            assert lz_time(n, "optimal") == math.sqrt(lz_time(n, "linear"))
 
     def test_report_rows(self):
         rows = report_rows([1, 2])

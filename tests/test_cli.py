@@ -241,6 +241,62 @@ class TestEmbedValidate:
         assert err.startswith(f"document error: {path}:") and message in err
 
     @pytest.mark.parametrize(
+        "instance, edit, reads, has",
+        [
+            # the instance says q = 3, the QUBO was built for q = 2
+            ({"coloring": {"edges": [[0, 1]], "q": 2}}, ("q", 3), "coloring instance reads 6", 4),
+            (
+                {"hamcycle": {"edges": [[0, 1], [1, 2], [2, 0]]}},
+                ("num_vertices", 4),
+                "hamcycle instance reads 16",
+                9,
+            ),
+            (
+                {"partition": {"numbers": [2, 2, 3, 3]}},
+                ("numbers", [2, 2, 3, 3, 4, 4]),
+                "partition instance reads 42",
+                18,
+            ),
+        ],
+        ids=["coloring", "hamcycle", "partition"],
+    )
+    def test_instance_that_disagrees_with_its_qubo_is_document_error(
+        self, instance, edit, reads, has, tmp_path, capsys
+    ):
+        _, built = run(capsys, "build", write(tmp_path, "inst.json", instance))
+        next(iter(built["instance"].values()))[edit[0]] = edit[1]
+        assert main(["solve", "--solver", "brute", write(tmp_path, "built.json", built)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"document error: the {reads} logical variables, but the logical QUBO has {has}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_chain_member_outside_vertex_order_is_document_error(self, command, tmp_path, capsys):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 4}}))
+        embedded["embedding"]["chains"]["m1"].append(8)
+        path = write(tmp_path, "emb.json", embedded)
+        argv = ["--solver", "anneal", "--sweeps", "5"] if command == "solve" else []
+        assert main([command, path, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"document error: {path}: embedding chain m1 holds vertex 8, "
+            "which vertex_order does not list\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_vertex_order_of_another_length_is_document_error(self, command, tmp_path, capsys):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 4}}))
+        embedded["vertex_order"].append(8)
+        path = write(tmp_path, "emb.json", embedded)
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            f"document error: {path}: physical_qubo has 8 variables, but vertex_order lists 9\n"
+        )
+
+    @pytest.mark.parametrize(
         "instance, argv, need",
         [
             ({"partition": {"numbers": [2, 3, 2, 3]}}, ["--lattice", "chimera:4,2"], "chimera:4,7"),
@@ -379,6 +435,16 @@ class TestGapPredict:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: predict {argv[0]} needs arguments of at least 1, got {value}\n"
+
+    def test_predict_cartoon_past_the_float_range_is_usage_error(self, capsys):
+        # tau_linear = 2^N overflows first, past N = 1023
+        for n in (1024, 1075, 4096):
+            assert main(["predict", "cartoon", str(n)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: predict cartoon needs N of at most 1023, got {n}\n"
+        code, doc = run(capsys, "predict", "cartoon", "1023")
+        assert code == 0 and doc["tau_linear"] == 2.0**1023 and doc["gap"] > 0.0
 
     def test_non_integer_predict_argument_is_usage_error(self, capsys):
         assert main(["predict", "unary", "x", "4"]) == 2

@@ -397,9 +397,15 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("resolution", range(2, 10))
     def test_search_equals_the_full_array_search(self, resolution, monkeypatch):
+        # the paper's table with gap 2 at every resolution; the energy model
+        # is built once per process, and this search looks it up once
         from qubolattice import coloring
 
+        before = coloring._le4_energy_model.cache_info()
         got = grid_search_coefficients("le4", resolution)
+        after = coloring._le4_energy_model.cache_info()
+        assert got == ({"A": 1.0, "B": -2.0, "C": 2.0, "lambda": 0.5, "D": 0.5}, 2.0)
+        assert after.misses == 1 and after.hits + after.misses == before.hits + before.misses + 1
         reference = reference_le4_energy_model()
         monkeypatch.setattr(coloring, "_le4_energy_model", lambda: reference)
         monkeypatch.setattr(coloring, "_table_gap", reference_table_gap)
@@ -411,6 +417,9 @@ class TestGridSearch:
 
     def test_gt4_budget_surface_peak(self):
         table, gap = grid_search_coefficients("gt4", resolution=5)
+        assert (table, gap) == (
+            {"lambda": 0.6666666666666666, "G": 0.33333333333333337}, 1.3333333333333286
+        )
         assert gap <= 4.0 / 3.0 + 1e-9
         assert gap == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert table["lambda"] == pytest.approx(2.0 / 3.0)

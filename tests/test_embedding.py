@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_walk
+from oracles import counted_walks, reference_walk
 from qubolattice import embedding as embedding_module
 from qubolattice.embedding import (
     EmbeddingError,
@@ -140,19 +140,6 @@ class TestValidate:
                 if not pair_scan_touching(g, chains[u], chains[v])
             ]
             assert any(k == "overlapping-chains" for k, _ in report.violations) == overlap
-
-
-def counted_walks(monkeypatch) -> list:
-    """Record every chain walk from now on; returns the list of walked chains."""
-    walks = []
-    walk = embedding_module._walk_chains
-
-    def counting(graph, chains):
-        walks.append(dict(chains))
-        return walk(graph, chains)
-
-    monkeypatch.setattr(embedding_module, "_walk_chains", counting)
-    return walks
 
 
 def k8_embedded() -> tuple:

@@ -332,12 +332,27 @@ class TestFractalDigest:
     def test_large_layouts_and_fills(self):
         # J in {4, 8} and N in {1024, 4096}, each layout followed by its fill:
         # fills that branch hundreds of leaves across many levels of the tree
+        kept = []
+
         def layouts():
             for J in (4, 8):
                 for N in (1024, 4096):
                     layout = fractal_embed_unary(N, J)[1]
                     yield layout
-                    yield fill_tree_optimize(layout)
+                    filled = fill_tree_optimize(layout)
+                    if (J, N) == (4, 4096):
+                        kept.append(filled)
+                    yield filled
 
         digest = "9253ca9633a57bbe2db2cb177296964fe6ef8cd901814b16f3266c2c132bb0a5"
         assert layout_digest(layouts()) == digest
+        # the 4,096-leaf fill on K_{4,4} cells (side 63) validates, gains
+        # 1,472 bits, and the one-hot states of its first, middle and last
+        # real leaf lift to physical energy 0
+        (filled,) = kept
+        e = filled.embedded
+        assert validate(e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)).ok
+        assert filled.added_bits == 1472
+        real = filled.tree.real_leaves
+        for x in (real[0], real[len(real) // 2], real[-1]):
+            assert abs(e.physical.energy(lift_one_hot(e, filled.tree, x))) <= 1e-9
