@@ -19,9 +19,9 @@ class CartoonError(ValueError):
     """Invalid model parameter, or a result outside the float range."""
 
 
-# The largest N for which `min_gap` and each `lz_time` schedule give a float:
-# eps = 2^-N underflows past N = 1074, 2^N overflows past 1023 and 2^(N/2)
-# past 2047.
+# The largest N for which the model's eps (so every gap) and each `lz_time`
+# schedule give a float: eps = 2^-N underflows past N = 1074, 2^N overflows
+# past 1023 and 2^(N/2) past 2047.
 MAX_N = {"gap": 1074, "linear": 1023, "optimal": 2047}
 _LEAVES_RANGE = {
     "gap": "eps = 2^-N underflows",
@@ -43,6 +43,7 @@ class CartoonModel:
     def __post_init__(self):
         if self.N < 1:
             raise CartoonError("need at least one bit")
+        _check_range(self.N, "gap")
         if not 0.0 <= self.s <= 1.0:
             raise CartoonError("schedule parameter must lie in [0, 1]")
 
@@ -75,7 +76,6 @@ def min_gap(N: int) -> tuple[float, float]:
     The squared gap is 4t^2(1 - eps) - 4t(1 - eps) + 1 with t = 1 - s, a
     parabola whose minimum eps lies at s = 1/2.
     """
-    _check_range(N, "gap")
     return spectral_gap(N, 0.5), 0.5
 
 

@@ -31,10 +31,10 @@ from .lattice import (
 from .numpart import predicted_numpart_length
 from .qubo import (
     BINARY,
-    COEFF_TOL,
     SPIN,
     NoiseModel,
     Qubo,
+    QuboError,
     anneal_solve,
     apply_noise,
     binary_assignment,
@@ -112,6 +112,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    try:
+        noise = None if args.noise is None else NoiseModel(args.noise, args.seed)
+    except QuboError as err:
+        raise UsageError(f"embed --noise: {err}") from None
     inst = documents.parse_instance(_read_doc(args.instance))
     given = _parse_lattice(args.lattice)[0] if args.lattice else None
     J = (detect_chimera(given) or 4) if given else 4
@@ -122,14 +126,6 @@ def cmd_embed(args) -> int:
             f"the embedding does not fit --lattice {args.lattice}; "
             f"it needs chimera:{detect_chimera(need)},{max(need.width, need.height)}"
         )
-    physical = embedded.physical
-    scale = 1.0
-    if physical.domain == BINARY:
-        physical = to_spin(physical)
-    if args.normalize:
-        physical, scale = normalize_couplings(physical)
-    if args.noise is not None:
-        physical = apply_noise(physical, NoiseModel(args.noise, args.seed))
     doc = {
         "instance": documents.instance_to_doc(inst),
         "strategy": args.strategy,
@@ -139,11 +135,19 @@ def cmd_embed(args) -> int:
         ),
         "logical_qubo": qubo_to_doc(embedded.logical),
         "physical_qubo": qubo_to_doc(embedded.physical),
-        "solver_qubo": qubo_to_doc(physical),
-        "scale": scale,
+        "scale": 1.0,
         "vertex_order": list(embedded.vertex_order),
         "seed": args.seed,
     }
+    if args.normalize or noise is not None:
+        solver = embedded.physical
+        if solver.domain == BINARY:
+            solver = to_spin(solver)
+        if args.normalize:
+            solver, doc["scale"] = normalize_couplings(solver)
+        if noise is not None:
+            solver = apply_noise(solver, noise)
+        doc["solver_qubo"] = qubo_to_doc(solver)
     _emit(doc, args.out)
     return 0
 
@@ -201,28 +205,6 @@ def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
     return embedded
 
 
-def _solver_objective(doc, physical: Qubo, path: str) -> Qubo | None:
-    """An embed document's `solver_qubo` when it is not the spin form of its
-    physical QUBO, that is when `embed --normalize` or `--noise` made it.
-
-    The spin form is recomputed here from the serialized physical QUBO, whose
-    term order differs from the one `embed` converted, so coefficients are
-    compared within `COEFF_TOL` (relative) rather than bit for bit.
-    """
-    if "solver_qubo" not in doc:
-        return None
-    solver = _read_qubo(doc["solver_qubo"], path)
-    if solver.domain != SPIN or solver.num_vars != physical.num_vars:
-        raise documents.DocumentError("solver_qubo does not match physical_qubo")
-    spin = to_spin(physical) if physical.domain == BINARY else physical
-    pairs = [(solver.offset, spin.offset)]
-    for a, b in ((solver.linear, spin.linear), (solver.quadratic, spin.quadratic)):
-        pairs += [(a.get(k, 0.0), b.get(k, 0.0)) for k in a.keys() | b.keys()]
-    if all(abs(x - y) <= COEFF_TOL * max(1.0, abs(x), abs(y)) for x, y in pairs):
-        return None
-    return solver
-
-
 def cmd_solve(args) -> int:
     if args.solver == "anneal":
         for flag, budget in (("--sweeps", args.sweeps), ("--restarts", args.restarts)):
@@ -233,7 +215,9 @@ def cmd_solve(args) -> int:
     inst = documents.parse_instance(doc["instance"]) if "instance" in doc else None
     embedded = _rebuild_embedded(doc, args.input) if "physical_qubo" in doc else None
     target = embedded.physical if embedded is not None else _read_qubo(body, args.input)
-    solver = _solver_objective(doc, target, args.input) if embedded is not None else None
+    solver = _read_qubo(doc["solver_qubo"], args.input) if "solver_qubo" in doc else None
+    if solver is not None and (solver.domain != SPIN or solver.num_vars != target.num_vars):
+        raise documents.DocumentError(f"{args.input}: solver_qubo does not match physical_qubo")
     objective = target if solver is None else solver
     if args.solver == "brute":
         spec = brute_force(objective, cap=args.cap)
@@ -242,15 +226,12 @@ def cmd_solve(args) -> int:
         best, minimized = anneal_solve(
             objective, sweeps=args.sweeps, restarts=args.restarts, seed=args.seed
         )
-    energy = minimized
+    result = {"energy": minimized, "seed": args.seed, "solver": args.solver}
     if solver is not None:
         # the spins of the minimized objective, scored on the noiseless physical one
         if target.domain == BINARY:
             best = binary_assignment(best)
-        energy = target.energy(best)
-    result = {"energy": energy, "seed": args.seed, "solver": args.solver}
-    if solver is not None:
-        result["solver_energy"] = minimized
+        result.update(energy=target.energy(best), solver_energy=minimized)
     logical_state, broken = best, 0
     if embedded is not None:
         logical_state, broken = unembed(embedded, best)
@@ -258,9 +239,11 @@ def cmd_solve(args) -> int:
         if embedded.logical.domain == SPIN:
             logical_state = binary_assignment(logical_state)
     result["logical"] = list(logical_state)
-    feasible = abs(energy) <= 1e-6
+    feasible = abs(result["energy"]) <= 1e-6
     if inst is not None:
-        verdict = documents.kind_of(inst).decode(inst, logical_state, broken)
+        logical = embedded.logical if embedded is not None else target
+        names = [logical.name_of(i) for i in range(logical.num_vars)]
+        verdict = documents.kind_of(inst).decode(inst, logical_state, broken, names)
         if verdict is not None:
             result["decoded"], feasible = verdict
     result["feasible"] = feasible

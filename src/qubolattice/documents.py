@@ -53,8 +53,8 @@ class ProblemKind:
     `logical(inst, strategy, l_star)` returns the logical objective and the
     build metadata; `embedders` maps a strategy to `(inst, J) -> EmbeddedQubo`,
     or None when the native layout does not encode that instance;
-    `decode(inst, logical_state, broken_chains)` returns `(decoded, feasible)`,
-    or None when there is nothing to decode.
+    `decode(inst, logical_state, broken_chains, logical_names)` returns
+    `(decoded, feasible)`, or None when there is nothing to decode.
     """
 
     tag: str
@@ -63,7 +63,7 @@ class ProblemKind:
     body: Callable[[object], dict]
     logical: Callable[[object, str, int | None], tuple[Qubo, dict]]
     embedders: Mapping[str, Callable[[object, int], EmbeddedQubo]] = field(default_factory=dict)
-    decode: Callable[[object, tuple, int], tuple[dict, bool] | None] = lambda inst, state, broken: None
+    decode: Callable[[object, tuple, int, list], tuple[dict, bool] | None] = lambda *_: None
 
     def embed(self, inst, strategy: str, J: int) -> EmbeddedQubo:
         """Native embedding for `strategy`, else the complete-graph embedding
@@ -114,37 +114,40 @@ def _hamcycle_logical(inst: HamcycleInstance, strategy, l_star):
     return build(inst).qubo, {}
 
 
-def _mismatch(inst, reads: int, state) -> DocumentError:
+def _mismatch(inst, reads: int, has: int) -> DocumentError:
     """The error for a document whose instance and logical QUBO disagree."""
     return DocumentError(
         f"the {kind_of(inst).tag} instance reads {reads} logical variables, "
-        f"but the logical QUBO has {len(state)}"
+        f"but the logical QUBO has {has}"
     )
 
 
-def _decode_partition(inst: PartitionInstance, state, broken: int):
+def _decode_partition(inst: PartitionInstance, state, broken: int, names):
     # every partition embedding keeps build_numpart_qubo's variable order
     tree = build_numpart_qubo(inst)
     if len(state) != tree.qubo.num_vars:
-        raise _mismatch(inst, tree.qubo.num_vars, state)
+        raise _mismatch(inst, tree.qubo.num_vars, len(state))
     if not tree.feasible_parity:
         return None
     decoded = decode_partition(tree, state, broken)
     return decoded, decoded["balanced"]
 
 
-def _decode_coloring(inst: ColoringInstance, state, broken: int):
+def _decode_coloring(inst: ColoringInstance, state, broken: int, names):
     if len(state) != inst.n * inst.q:
-        raise _mismatch(inst, inst.n * inst.q, state)
+        raise _mismatch(inst, inst.n * inst.q, len(state))
     decoded = decode_coloring(inst, state, broken)
     return decoded, decoded["proper"]
 
 
-def _decode_hamcycle(inst: HamcycleInstance, state, broken: int):
-    # the n^2 position bits come first; the tileable encoding adds more
-    if len(state) < inst.n**2:
-        raise _mismatch(inst, inst.n**2, state)
-    decoded = decode_cycle(state, inst)
+def _decode_hamcycle(inst: HamcycleInstance, state, broken: int, names):
+    # the position bits x:v:j must be the instance's n^2; the tileable
+    # encoding adds ancillas under other names
+    roles = {name: i for i, name in enumerate(names) if name.startswith("x:")}
+    n = inst.n
+    if roles.keys() != {f"x:{v}:{j}" for v in range(n) for j in range(n)}:
+        raise _mismatch(inst, n * n, len(roles))
+    decoded = decode_cycle(state, inst, roles)
     return decoded, decoded["ok"]
 
 
@@ -237,11 +240,16 @@ def instance_to_doc(inst) -> dict:
 
 def dumps(doc) -> str:
     """Canonical serialization: sorted keys, fixed separators, newline end."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _refuse_constant(name: str):
+    raise DocumentError(f"{name} is not a JSON number")
 
 
 def loads(text: str):
+    """Parse a document; the NaN and Infinity constants are refused."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as err:
         raise DocumentError(f"invalid JSON at line {err.lineno}, column {err.colno}") from None

@@ -266,6 +266,10 @@ class NoiseModel:
     sigma_scale: float = 0.03
     seed: int = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma_scale) and self.sigma_scale >= 0):
+            raise QuboError(f"sigma must be a finite number of at least 0, got {self.sigma_scale}")
+
 
 def substitute(
     q: Qubo,
@@ -780,4 +784,7 @@ def qubo_from_doc(doc: Mapping) -> Qubo:
         q.add_linear(doc_int(i), float(c))
     for i, j, c in doc.get("quadratic", []):
         q.add_quadratic(doc_int(i), doc_int(j), float(c))
+    for c in (q.offset, *q.linear.values(), *q.quadratic.values()):
+        if not math.isfinite(c):
+            raise QuboError(f"coefficients must be finite numbers, got {c}")
     return q

@@ -59,6 +59,14 @@ class TestMinGap:
         with pytest.raises(CartoonError, match=message):
             min_gap(1075)
 
+    def test_every_gap_refuses_n_whose_eps_underflows(self):
+        # the model refuses such N, so no entry point reads eps = 0.0
+        message = r"eps = 2\^-N underflows past N = 1074, got N = 1075"
+        with pytest.raises(CartoonError, match=message):
+            spectral_gap(1075, 0.5)
+        with pytest.raises(CartoonError, match=message):
+            two_level_hamiltonian(CartoonModel(1075, 0.5))
+
     def test_no_crossing_on_grid(self):
         svals = np.linspace(0.0, 1.0, 10_001)
         gaps = [spectral_gap(6, s) for s in svals]

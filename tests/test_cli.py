@@ -166,6 +166,60 @@ class TestEmbedValidate:
         assert result["energy"] == physical.energy(state)
         assert result["energy"] != result["solver_energy"]
 
+    def test_embed_without_flags_writes_no_solver_qubo(self, tmp_path, capsys):
+        code, doc = run(capsys, "embed", write(tmp_path, "inst.json", INSTANCES["coloring"]),
+                        "--strategy", "tiles")
+        assert code == 0
+        assert "solver_qubo" not in doc and doc["scale"] == 1.0
+        code, result = run(capsys, "solve", write(tmp_path, "emb.json", doc), "--solver", "brute")
+        assert code == 0 and "solver_energy" not in result
+
+    def test_normalize_alone_writes_the_solver_qubo(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", {"partition": {"numbers": [1, 1]}})
+        code, doc = run(capsys, "embed", inst, "--normalize")
+        assert code == 0
+        solver = qubo_from_doc(doc["solver_qubo"])
+        assert solver.domain == SPIN and doc["scale"] == 1 / 18
+        code, result = run(capsys, "solve", write(tmp_path, "emb.json", doc), "--solver", "brute")
+        assert code == 0 and result["decoded"]["balanced"]
+        assert result["solver_energy"] == brute_force(solver).ground_energy
+        assert result["energy"] == brute_force(qubo_from_doc(doc["physical_qubo"])).ground_energy
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.5"])
+    def test_noise_must_be_finite_and_not_negative(self, sigma, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", INSTANCES["coloring"])
+        assert main(["embed", inst, "--strategy", "tiles", "--noise", sigma]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: embed --noise: sigma must be a finite number of at least 0, got {float(sigma)}\n"
+        )
+
+    @pytest.mark.parametrize("solver", ["brute", "anneal"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("NaN", "NaN is not a JSON number"), ("-Infinity", "-Infinity is not a JSON number"),
+         ("1e400", "coefficients must be finite numbers, got inf")],
+        ids=["nan", "infinity", "overflow"],
+    )
+    @pytest.mark.parametrize("body", ["physical_qubo", "solver_qubo"])
+    def test_non_finite_coefficient_is_document_error(
+        self, body, text, message, solver, tmp_path, capsys
+    ):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", INSTANCES["coloring"]),
+                          "--strategy", "tiles", "--normalize")
+        embedded[body]["linear"][0][1] = "COEFFICIENT"
+        path = tmp_path / "emb.json"
+        path.write_text(dumps(embedded).replace('"COEFFICIENT"', text))
+        assert main(["solve", str(path), "--solver", solver, "--sweeps", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("document error:") and message in err
+
+    def test_documents_hold_no_non_finite_number(self):
+        with pytest.raises(ValueError):
+            dumps({"offset": float("nan")})
+        with pytest.raises(ValueError, match="Infinity is not a JSON number"):
+            loads('{"offset": Infinity}')
 
     def test_validate_without_embedding_is_document_error(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"unary": {"n": 4}})
@@ -270,6 +324,23 @@ class TestEmbedValidate:
         assert out == ""
         assert err == (
             f"document error: the {reads} logical variables, but the logical QUBO has {has}\n"
+        )
+
+    @pytest.mark.parametrize("strategy", ["tree", "tiles"])
+    def test_hamcycle_instance_with_fewer_vertices_is_document_error(
+        self, strategy, tmp_path, capsys
+    ):
+        # the 4-cycle's 16 position bits, read under a triangle instance
+        inst = write(tmp_path, "inst.json", INSTANCES["hamcycle"])
+        _, built = run(capsys, "build", inst, "--strategy", strategy)
+        built["instance"] = {"hamcycle": {"edges": [[0, 1], [1, 2], [2, 0]], "num_vertices": 3}}
+        path = write(tmp_path, "built.json", built)
+        assert main(["solve", path, "--solver", "anneal", "--sweeps", "5", "--restarts", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "document error: the hamcycle instance reads 9 logical variables, "
+            "but the logical QUBO has 16\n"
         )
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
@@ -501,8 +572,13 @@ class TestRegistry:
         code, embedded = run(capsys, "embed", inst, "--strategy", strategy)
         assert code == 0
         assert embedded["instance"] == INSTANCES[tag]
-        code, report = run(capsys, "validate", write(tmp_path, "emb.json", embedded))
+        emb_path = write(tmp_path, "emb.json", embedded)
+        code, report = run(capsys, "validate", emb_path)
         assert code == 0 and report["valid"]
+        code, result = run(capsys, "solve", emb_path, "--solver", "anneal", "--sweeps", "5",
+                           "--restarts", "1")
+        assert code == (0 if result["feasible"] else 1)
+        assert len(result["logical"]) == embedded["logical_qubo"]["num_vars"]
 
     @pytest.mark.parametrize(
         "doc, message",

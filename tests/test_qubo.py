@@ -226,6 +226,11 @@ class TestNoise:
         deltas = np.array([out.linear[i] - 1.0 for i in range(n)])
         assert abs(deltas.std() - 0.03) < 0.002
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.5])
+    def test_sigma_must_be_finite_and_not_negative(self, sigma):
+        with pytest.raises(QuboError, match=f"at least 0, got {sigma}"):
+            NoiseModel(sigma_scale=sigma)
+
 
 class TestBruteForce:
     def test_one_hot_pair(self):
@@ -967,6 +972,22 @@ class TestBuilderAndDocs:
         assert back.var_names == q.var_names
         assert back.linear == q.linear
         assert back.quadratic == q.quadratic
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("offset", math.nan),
+            ("linear", [[0, math.inf]]),
+            ("quadratic", [[0, 1, -math.inf]]),
+            # two finite terms that sum past the float range
+            ("linear", [[0, 1e308], [0, 1e308]]),
+        ],
+        ids=["offset", "linear", "quadratic", "sum"],
+    )
+    def test_doc_with_a_non_finite_coefficient_is_refused(self, field, value):
+        doc = {"domain": SPIN, "num_vars": 2, field: value}
+        with pytest.raises(QuboError, match="coefficients must be finite numbers, got"):
+            qubo_from_doc(doc)
 
 
 class TestIndexOf:
