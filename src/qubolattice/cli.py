@@ -55,9 +55,13 @@ class UsageError(Exception):
 def _read_doc(path: str):
     try:
         with open(path) as fh:
-            return documents.loads(fh.read())
+            text = fh.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
+    try:
+        return documents.loads(text)
+    except documents.DocumentError as err:
+        raise documents.DocumentError(f"{path}: {err}") from None
 
 
 def _emit(doc, out: str | None) -> None:

@@ -253,3 +253,5 @@ def loads(text: str):
         return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as err:
         raise DocumentError(f"invalid JSON at line {err.lineno}, column {err.colno}") from None
+    except ValueError as err:  # an integer literal past the interpreter's digit limit
+        raise DocumentError(str(err)) from None

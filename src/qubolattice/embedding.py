@@ -23,7 +23,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .qubo import BINARY, Qubo, doc_int, substitute
+from .qubo import BINARY, Qubo, doc_int, doc_number, substitute
 
 
 class EmbeddingError(ValueError):
@@ -565,4 +565,4 @@ def embedding_from_doc(doc: Mapping, logical_names: Sequence[str]) -> MinorEmbed
         name_to_index[name]: frozenset(doc_int(p) for p in members)
         for name, members in doc["chains"].items()
     }
-    return MinorEmbedding(spec, chains, float(doc.get("alpha", 1.0)))
+    return MinorEmbedding(spec, chains, doc_number(doc.get("alpha", 1.0)))

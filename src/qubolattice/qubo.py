@@ -67,6 +67,29 @@ def doc_int(value) -> int:
     raise FieldTypeError(f"expected an integer, got {value!r}")
 
 
+def doc_number(value) -> float:
+    """A real-number field of a document: a JSON integer or float.
+
+    A bool or a string raises FieldTypeError rather than being read as 0, 1
+    or the number it spells, and so does an integer too large for a float.
+    """
+    if type(value) is float or type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise FieldTypeError(f"number out of float range, got {value!r}") from None
+    raise FieldTypeError(f"expected a number, got {value!r}")
+
+
+def _doc_names(value) -> list[str]:
+    if type(value) is not list:
+        raise FieldTypeError(f"var_names must be a list of strings, got {value!r}")
+    for name in value:
+        if type(name) is not str:
+            raise FieldTypeError(f"var_names must hold strings, got {name!r}")
+    return list(value)
+
+
 def _check_distinct(keys: list) -> None:
     if len(set(keys)) != len(keys):
         raise QuboError("repeated variable inside squared expression")
@@ -777,13 +800,13 @@ def qubo_from_doc(doc: Mapping) -> Qubo:
     q = Qubo(
         doc["domain"],
         doc_int(doc["num_vars"]),
-        float(doc.get("offset", 0.0)),
-        var_names=list(doc["var_names"]) if "var_names" in doc else None,
+        doc_number(doc.get("offset", 0.0)),
+        var_names=_doc_names(doc["var_names"]) if "var_names" in doc else None,
     )
     for i, c in doc.get("linear", []):
-        q.add_linear(doc_int(i), float(c))
+        q.add_linear(doc_int(i), doc_number(c))
     for i, j, c in doc.get("quadratic", []):
-        q.add_quadratic(doc_int(i), doc_int(j), float(c))
+        q.add_quadratic(doc_int(i), doc_int(j), doc_number(c))
     for c in (q.offset, *q.linear.values(), *q.quadratic.values()):
         if not math.isfinite(c):
             raise QuboError(f"coefficients must be finite numbers, got {c}")

@@ -297,8 +297,22 @@ class _FractalBuilder(SlotPlanner):
         self.leaves.append(name)
         return name
 
-    def merge(self, z: str, x: str, y: str, w: str) -> None:
+    def gadget(
+        self, cell: tuple[int, int], side: str, z_track: int, w_track: int,
+        x: str, y: str, z: str | None = None,
+    ) -> str:
+        """Place the merge z = x + y as a K_{2,2} gadget and return z.
+
+        z and its ancilla w take `z_track` and `w_track` on `side` of `cell`,
+        across from x and y; a new merge node is named unless `z` is given.
+        """
+        if z is None:
+            z = self.new_node()
+        w = self.new_node("w")
+        self.claim(cell, side, z_track, z)
+        self.claim(cell, side, w_track, w)
         self.gadgets.append((z, x, y, w))
+        return z
 
     # cell recipes -------------------------------------------------------------
 
@@ -316,11 +330,7 @@ class _FractalBuilder(SlotPlanner):
             self.claim(cell, "s", 2 * idx, a)
             self.claim(cell, "s", 2 * idx + 1, b)
             t = export_tracks[idx]
-            y, w = self.new_node(), self.new_node("w")
-            self.claim(cell, "r", t, y)
-            self.claim(cell, "r", t ^ 1, w)
-            self.merge(y, a, b, w)
-            exports.append((y, t))
+            exports.append((self.gadget(cell, "r", t, t ^ 1, a, b), t))
         return exports
 
     def single_cell(self, N: int) -> tuple[str, str]:
@@ -331,31 +341,18 @@ class _FractalBuilder(SlotPlanner):
             self.claim(cell, "s", 0, a)
             self.claim(cell, "r", 0, b)
             return a, b
-        if N == 3:
-            a, b, c = self.new_leaf(), self.new_leaf(), self.new_leaf()
-            self.claim(cell, "r", 0, a)
-            self.claim(cell, "r", 1, b)
-            y, w = self.new_node(), self.new_node("w")
-            self.claim(cell, "s", 0, y)
-            self.claim(cell, "s", 1, w)
-            self.merge(y, a, b, w)
-            self.claim(cell, "r", 2, c)
-            return y, c
         a, b = self.new_leaf(), self.new_leaf()
         self.claim(cell, "r", 0, a)
         self.claim(cell, "r", 1, b)
-        y1, w1 = self.new_node(), self.new_node("w")
-        self.claim(cell, "s", 0, y1)
-        self.claim(cell, "s", 1, w1)
-        self.merge(y1, a, b, w1)
+        y1 = self.gadget(cell, "s", 0, 1, a, b)
+        if N == 3:
+            c = self.new_leaf()
+            self.claim(cell, "r", 2, c)
+            return y1, c
         c, d = self.new_leaf(), self.new_leaf()
         self.claim(cell, "s", 2, c)
         self.claim(cell, "s", 3, d)
-        y2, w2 = self.new_node(), self.new_node("w")
-        self.claim(cell, "r", 2, y2)
-        self.claim(cell, "r", 3, w2)
-        self.merge(y2, c, d, w2)
-        return y1, y2
+        return y1, self.gadget(cell, "r", 2, 3, c, d)
 
     # recursive blocks ---------------------------------------------------------
 
@@ -395,14 +392,8 @@ class _FractalBuilder(SlotPlanner):
             self.claim(cell, "r", track, name)
         s_zl, s_wl = 0, 1
         s_zr, s_wr = (2, 3) if self.per_cell == 4 else (1, 0)
-        zl, wl = self.new_node(), self.new_node("w")
-        self.claim(left_cell, "s", s_zl, zl)
-        self.claim(left_cell, "s", s_wl, wl)
-        self.merge(zl, roots[0][0], roots[1][0], wl)
-        zr, wr = self.new_node(), self.new_node("w")
-        self.claim(right_cell, "s", s_zr, zr)
-        self.claim(right_cell, "s", s_wr, wr)
-        self.merge(zr, roots[2][0], roots[3][0], wr)
+        zl = self.gadget(left_cell, "s", s_zl, s_wl, roots[0][0], roots[1][0])
+        zr = self.gadget(right_cell, "s", s_zr, s_wr, roots[2][0], roots[3][0])
         for i in range(mid_sub + 1, L_sub + 1):
             self.claim(frame.cell(i, corridor_j), "s", s_zl, zl)
         for i in range(L_sub + mid_sub, L_sub - 1, -1):
@@ -410,10 +401,8 @@ class _FractalBuilder(SlotPlanner):
         if export_track is None:
             self.claim(center, "r", 0, zl)
             return zl, zr
-        root, wroot = self.new_node(), self.new_node("w")
-        self.claim(center, "r", export_track, root)
-        self.claim(center, "r", export_track ^ (2 if self.per_cell == 4 else 1), wroot)
-        self.merge(root, zl, zr, wroot)
+        w_track = export_track ^ (2 if self.per_cell == 4 else 1)
+        root = self.gadget(center, "r", export_track, w_track, zl, zr)
         L_here = (1 << m) - 1
         for j in range(corridor_j + 1, L_here):
             self.claim(frame.cell(L_sub, j), "r", export_track, root)
@@ -432,37 +421,25 @@ class _FractalBuilder(SlotPlanner):
         for pair, cell in zip(exports, (left_cell, left_cell, right_cell, right_cell)):
             for name, track in pair:
                 self.claim(cell, "r", track, name)
-        cell_sums: list[tuple[str, int]] = []
-        for pair, cell, s_z, s_w in (
-            (exports[0], left_cell, 0, 1),
-            (exports[1], left_cell, 2, 3),
-            (exports[2], right_cell, 1, 0),
-            (exports[3], right_cell, 3, 2),
-        ):
-            z, w = self.new_node(), self.new_node("w")
-            self.claim(cell, "s", s_z, z)
-            self.claim(cell, "s", s_w, w)
-            self.merge(z, pair[0][0], pair[1][0], w)
-            cell_sums.append((z, s_z))
+        cell_sums = [
+            (self.gadget(cell, "s", s_z, s_w, pair[0][0], pair[1][0]), s_z)
+            for pair, cell, s_z, s_w in (
+                (exports[0], left_cell, 0, 1),
+                (exports[1], left_cell, 2, 3),
+                (exports[2], right_cell, 1, 0),
+                (exports[3], right_cell, 3, 2),
+            )
+        ]
         for z, track in cell_sums:
             self.claim(center, "s", track, z)
-        zl, wl = self.new_node(), self.new_node("w")
-        self.claim(center, "r", 0, zl)
-        self.claim(center, "r", 1, wl)
-        self.merge(zl, cell_sums[0][0], cell_sums[1][0], wl)
-        zr, wr = self.new_node(), self.new_node("w")
-        self.claim(center, "r", 2, zr)
-        self.claim(center, "r", 3, wr)
-        self.merge(zr, cell_sums[2][0], cell_sums[3][0], wr)
+        zl = self.gadget(center, "r", 0, 1, cell_sums[0][0], cell_sums[1][0])
+        zr = self.gadget(center, "r", 2, 3, cell_sums[2][0], cell_sums[3][0])
         self.claim(root_cell, "r", 0, zl)
         self.claim(root_cell, "r", 2, zr)
         if export_track is None:
             self.claim(root_cell, "s", 0, zl)
             return zl, zr
-        root, wroot = self.new_node(), self.new_node("w")
-        self.claim(root_cell, "s", 0, root)
-        self.claim(root_cell, "s", 1, wroot)
-        self.merge(root, zl, zr, wroot)
+        root = self.gadget(root_cell, "s", 0, 1, zl, zr)
         self.claim(root_cell, "r", export_track, root)
         return root
 
@@ -602,8 +579,7 @@ def fill_tree_optimize(layout: FractalLayout) -> FractalLayout:
                     break
                 if track not in free_s:
                     continue
-                branch = _branch3 if len(free_s) >= 4 and len(free_r) >= 3 else _branch2
-                added += len(branch(builder, leaf, fcell, track, free_s, free_r)) - 1
+                added += len(_branch(builder, leaf, fcell, track, free_s, free_r)) - 1
                 replaced.append(leaf)
                 candidates.remove((track, leaf))
                 free_s, free_r = builder.free_tracks(fcell, "s"), builder.free_tracks(fcell, "r")
@@ -639,7 +615,7 @@ def _rebuilder_from(layout: FractalLayout) -> _FractalBuilder:
     return builder
 
 
-def _branch3(
+def _branch(
     builder: _FractalBuilder,
     leaf: str,
     fcell: tuple[int, int],
@@ -647,40 +623,22 @@ def _branch3(
     free_s: list[int],
     free_r: list[int],
 ) -> list[str]:
-    """Replace `leaf` by a sum of three new leaves hosted in fcell."""
+    """Replace `leaf` by a sum of new leaves hosted in fcell.
+
+    With four free s and three free r tracks, leaf = (u + v) + p; otherwise
+    leaf = u + v.  Returns the new leaves.
+    """
     s_left = [t for t in free_s if t != track]
-    w_prime = s_left[0]
-    u_s, v_s = s_left[1], s_left[2]
-    t_node_r, w_t_r, p_r = free_r[0], free_r[1], free_r[2]
-    builder.claim(fcell, "s", track, leaf)
-    new_u, new_v, new_p = builder.new_leaf(), builder.new_leaf(), builder.new_leaf()
-    t_node, w_t, w_pr = builder.new_node(), builder.new_node("w"), builder.new_node("w")
-    builder.claim(fcell, "s", u_s, new_u)
-    builder.claim(fcell, "s", v_s, new_v)
-    builder.claim(fcell, "r", p_r, new_p)
-    builder.claim(fcell, "r", t_node_r, t_node)
-    builder.claim(fcell, "r", w_t_r, w_t)
-    builder.claim(fcell, "s", w_prime, w_pr)
-    builder.merge(t_node, new_u, new_v, w_t)
-    builder.merge(leaf, t_node, new_p, w_pr)
-    return [new_u, new_v, new_p]
-
-
-def _branch2(
-    builder: _FractalBuilder,
-    leaf: str,
-    fcell: tuple[int, int],
-    track: int,
-    free_s: list[int],
-    free_r: list[int],
-) -> list[str]:
-    """Replace `leaf` by a sum of two new leaves hosted in fcell."""
-    w_prime = next(t for t in free_s if t != track)
-    builder.claim(fcell, "s", track, leaf)
-    new_u, new_v = builder.new_leaf(), builder.new_leaf()
-    w_pr = builder.new_node("w")
-    builder.claim(fcell, "r", free_r[0], new_u)
-    builder.claim(fcell, "r", free_r[1], new_v)
-    builder.claim(fcell, "s", w_prime, w_pr)
-    builder.merge(leaf, new_u, new_v, w_pr)
-    return [new_u, new_v]
+    if len(free_s) >= 4 and len(free_r) >= 3:
+        new = [builder.new_leaf(), builder.new_leaf(), builder.new_leaf()]
+        builder.claim(fcell, "s", s_left[1], new[0])
+        builder.claim(fcell, "s", s_left[2], new[1])
+        builder.claim(fcell, "r", free_r[2], new[2])
+        x = builder.gadget(fcell, "r", free_r[0], free_r[1], new[0], new[1])
+    else:
+        new = [builder.new_leaf(), builder.new_leaf()]
+        builder.claim(fcell, "r", free_r[0], new[0])
+        builder.claim(fcell, "r", free_r[1], new[1])
+        x = new[0]
+    builder.gadget(fcell, "s", track, s_left[0], x, new[-1], z=leaf)
+    return new

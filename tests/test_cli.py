@@ -452,6 +452,65 @@ class TestEmbedValidate:
         assert err.startswith(f"document error: {path}:")
         assert "expected an integer, got " in err and value in err
 
+    @pytest.mark.parametrize("command", [["solve", "--solver", "anneal"], ["validate"]],
+                             ids=["solve", "validate"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["physical_qubo"]["linear"][0].__setitem__(1, "-100.5"),
+             "expected a number, got '-100.5'"),
+            (lambda d: d["physical_qubo"]["quadratic"][0].__setitem__(2, True),
+             "expected a number, got True"),
+            (lambda d: d["embedding"].update(alpha="7"), "expected a number, got '7'"),
+            (lambda d: d["logical_qubo"].update(offset=False), "expected a number, got False"),
+            (lambda d: d["physical_qubo"].update(offset=10**400),
+             f"number out of float range, got {10**400}"),
+        ],
+        ids=["linear", "quadratic", "alpha", "offset", "huge-offset"],
+    )
+    def test_non_number_embed_field_is_document_error(
+        self, command, edit, message, tmp_path, capsys
+    ):
+        # a string or a bool is not read as the number it spells or as 0 / 1
+        inst = write(tmp_path, "inst.json", INSTANCES["partition"])
+        _, embedded = run(capsys, "embed", inst, "--strategy", "tree")
+        edit(embedded)
+        path = write(tmp_path, "emb.json", embedded)
+        assert main([command[0], path, *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"document error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [("abcdefghijklmnopqr", "var_names must be a list of strings, got 'abcdefghijklmnopqr'"),
+         ([0] * 18, "var_names must hold strings, got 0")],
+        ids=["string", "integers"],
+    )
+    def test_var_names_that_are_not_strings_are_document_error(
+        self, names, message, tmp_path, capsys
+    ):
+        _, built = run(capsys, "build", write(tmp_path, "inst.json", INSTANCES["partition"]))
+        assert len(built["qubo"]["var_names"]) == len(names)
+        built["qubo"]["var_names"] = names
+        path = write(tmp_path, "built.json", built)
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr() == ("", f"document error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("solve", '{"offset": NaN}', "NaN is not a JSON number"),
+            ("gap", '{"offset": 1', "invalid JSON at line 1, column 13"),
+            ("gap", '{"offset": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["nan", "truncated", "digits"],
+    )
+    def test_unreadable_json_names_the_file(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"document error: {path}: {message}")
+
 
 class TestGapPredict:
     def test_gap_on_built_qubo(self, tmp_path, capsys):

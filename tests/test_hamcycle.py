@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from oracles import all_graphs, hamiltonian_cycles, tileable_digest
+from qubolattice import hamcycle
 from qubolattice.embedding import EmbeddingError, unembed, validate
 from qubolattice.hamcycle import (
     HamcycleError,
@@ -288,6 +289,21 @@ class TestTileableEmbedding:
         e = embed_tileable_hamcycle(HamcycleInstance(edges))
         assert validate(e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)).ok
         assert len(scans) == 3
+
+    def test_pendant_vertex_wires_no_selector_chain(self, monkeypatch):
+        # vertex 3 has one neighbour, so there is no link between edge tiles
+        wired = []
+        wire = hamcycle._wire_selector_chain
+
+        def recording(planner, full_arms, segment, slots, inst, v, *rest):
+            wired.append((v, len(inst.neighbors(v))))
+            return wire(planner, full_arms, segment, slots, inst, v, *rest)
+
+        monkeypatch.setattr(hamcycle, "_wire_selector_chain", recording)
+        e = embed_tileable_hamcycle(HamcycleInstance(((0, 1), (1, 2), (0, 2), (2, 3))))
+        assert (3, 1) in wired
+        assert e.physical.num_vars == 2601
+        assert validate(e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)).ok
 
     def test_size_formula_paper_point(self):
         assert predicted_hamcycle_length(45, 7, "tileable") == pytest.approx(490.0)

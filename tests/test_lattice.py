@@ -264,3 +264,14 @@ class TestDocs:
         assert detect_chimera(chimera_spec(4, 2)) == 4
         cell = CellAdjacency.from_matrices([[0, 1], [1, 0]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])
         assert detect_chimera(LatticeSpec(cell, 2, 2)) is None
+        odd = CellAdjacency.from_matrices(
+            [[0, 1, 1], [1, 0, 0], [1, 0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        )
+        assert detect_chimera(LatticeSpec(odd, 2, 2)) is None
+
+    def test_rectangular_matrix_doc_keeps_its_height(self):
+        spec = LatticeSpec(chimera_cell(2), 3, 2)
+        doc = lattice_to_doc(spec)
+        assert (doc["L"], doc["height"]) == (3, 2)
+        assert lattice_from_doc(doc) == spec

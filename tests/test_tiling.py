@@ -12,6 +12,7 @@ from qubolattice.qubo import SPIN, Qubo, brute_force
 from qubolattice.tiling import (
     TilePlan,
     TilingError,
+    _cycle_order,
     crossing_tile_chimera,
     route_graph_to_tiles,
     stitch,
@@ -59,6 +60,15 @@ class TestRouter:
                 plan = route_graph_to_tiles(edges, num_vertices=n)
                 assert validate_plan(plan, edges) == []
                 assert plan.grid_side <= max(2, 2 * n - 3)
+
+    def test_two_triangles_take_the_ladder(self):
+        # every vertex has degree 2 and there are n edges, but no single cycle
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        assert _cycle_order(6, set(edges)) is None
+        plan = route_graph_to_tiles(edges)
+        assert (plan.rows, plan.cols) == (9, 6)
+        assert len(plan.crossings()) == 1
+        assert validate_plan(plan, edges) == []
 
     def test_self_loop_rejected(self):
         with pytest.raises(TilingError):

@@ -67,6 +67,15 @@ class TestBuildUnaryQubo:
             (0, 0, 0, 1),
         }
 
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_allow_zero_ground_set_matches_oracle(self, N):
+        # the oracle's all-zero pattern sets the slack bit from the root total
+        ut = build_unary_qubo(N, allow_zero=True)
+        spec = brute_force(ut.qubo)
+        assert spec.ground_energy == 0.0
+        assert set(spec.ground_states) == one_hot_ground_states(ut)
+        assert (0,) * ut.qubo.num_vars in spec.ground_states
+
     def test_rejects_tiny_n(self):
         with pytest.raises(UnaryError):
             build_unary_qubo(1)
