@@ -31,7 +31,7 @@ from .qubo import (
     brute_force,
     clamp,
 )
-from .tiling import TileHamiltonians, TilePlan, route_graph_to_tiles, stitch
+from .tiling import TileHamiltonians, TilePlan, _slot_name, route_graph_to_tiles, stitch
 
 
 class ColoringError(ValueError):
@@ -101,10 +101,6 @@ def h_diag(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
     return b.build()
 
 
-def _slot(tile: str, side: str, track: int, m: int, n: int) -> str:
-    return f"{tile}:{side}{track}:{m}:{n}"
-
-
 def _track_cell(side: str, j: int, k: int) -> tuple[int, int]:
     """Cell (m, n) at step j along a side's tracks and k across them.
 
@@ -116,8 +112,8 @@ def _track_cell(side: str, j: int, k: int) -> tuple[int, int]:
 def _color_slots(color: int, ell: int, tile: str = "a") -> list[str]:
     """Chain slots of one color inside a tile: track color % 4 on both sides."""
     d, i = divmod(color, 4)
-    slots = [_slot(tile, "s", i, m, d) for m in range(ell)]
-    slots += [_slot(tile, "r", i, d, n) for n in range(ell)]
+    slots = [_slot_name(tile, "s", i, m, d) for m in range(ell)]
+    slots += [_slot_name(tile, "r", i, d, n) for n in range(ell)]
     return sorted(set(slots))
 
 
@@ -173,15 +169,15 @@ def _build_tileset_any(q: int, table: dict[str, float] | None = None) -> Colorin
     vertex = QuboBuilder(SPIN)
     for m in range(ell):
         for n in range(ell):
-            s_names = [_slot("a", "s", i, m, n) for i in range(4)]
-            r_names = [_slot("a", "r", i, m, n) for i in range(4)]
+            s_names = [_slot_name("a", "s", i, m, n) for i in range(4)]
+            r_names = [_slot_name("a", "r", i, m, n) for i in range(4)]
             _cell_terms(vertex, s_names, r_names, *(diag if m == n else off))
     for i in range(4):
         for side in "sr":
             for k in range(ell):
                 for j in range(ell - 1):
-                    a = _slot("a", side, i, *_track_cell(side, j, k))
-                    b = _slot("a", side, i, *_track_cell(side, j + 1, k))
+                    a = _slot_name("a", side, i, *_track_cell(side, j, k))
+                    b = _slot_name("a", side, i, *_track_cell(side, j + 1, k))
                     vertex.add_quadratic(a, b, -chain)
 
     # edge and chain templates couple facing slots across the a|b boundary:
@@ -191,8 +187,8 @@ def _build_tileset_any(q: int, table: dict[str, float] | None = None) -> Colorin
         edge_b, chain_b = QuboBuilder(SPIN), QuboBuilder(SPIN)
         for i in range(4):
             for k in range(ell):
-                a = _slot("a", side, i, *_track_cell(side, ell - 1, k))
-                b = _slot("b", side, i, *_track_cell(side, 0, k))
+                a = _slot_name("a", side, i, *_track_cell(side, ell - 1, k))
+                b = _slot_name("b", side, i, *_track_cell(side, 0, k))
                 edge_b.add_offset(edge)
                 edge_b.add_linear(a, edge)
                 edge_b.add_linear(b, edge)

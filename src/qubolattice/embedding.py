@@ -9,6 +9,7 @@ realizable by at least one lattice edge between the two chains.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +24,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .qubo import BINARY, Qubo, doc_int, doc_number, substitute
+from .qubo import BINARY, FieldTypeError, Qubo, doc_int, doc_number, substitute
 
 
 class EmbeddingError(ValueError):
@@ -565,4 +566,8 @@ def embedding_from_doc(doc: Mapping, logical_names: Sequence[str]) -> MinorEmbed
         name_to_index[name]: frozenset(doc_int(p) for p in members)
         for name, members in doc["chains"].items()
     }
-    return MinorEmbedding(spec, chains, doc_number(doc.get("alpha", 1.0)))
+    raw = doc.get("alpha", 1.0)
+    alpha = doc_number(raw)
+    if not 0 < alpha < math.inf:
+        raise FieldTypeError(f"alpha must be a finite number above 0, got {raw!r}")
+    return MinorEmbedding(spec, chains, alpha)

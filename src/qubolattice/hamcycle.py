@@ -354,22 +354,6 @@ def _double_plan(plan: TilePlan) -> TilePlan:
     return out
 
 
-def _assign_edge_tiles(tiles_of: list[set[tuple[int, int]]], edges):
-    """One adjacent tile pair per edge from each vertex's tiles `tiles_of`,
-    every tile hosting at most one edge."""
-    busy: set[tuple[int, int]] = set()
-    chosen: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
-    for u, v in sorted({tuple(sorted(e)) for e in edges}):
-        for pair in _edge_tile_pairs(tiles_of[u], tiles_of[v]):
-            if pair[0] not in busy and pair[1] not in busy:
-                chosen[(u, v)] = pair
-                busy.update(pair)
-                break
-        else:
-            raise TilingError(f"no free tile pair for edge ({u}, {v})")
-    return chosen
-
-
 def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
     """Stitch the per-vertex blocks onto a doubled tile plan.
 
@@ -381,159 +365,156 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
     """
     if J != 4:
         raise HamcycleError("the tileable layout is constructed for K_{4,4} cells")
-    n = inst.n
     tq = build_tileable_hamcycle(inst)
-    plan = _double_plan(route_graph_to_tiles(inst.edges, num_vertices=n))
-    tiles_of = plan.tiles_by_vertex()
-    edge_tiles = _assign_edge_tiles(tiles_of, inst.edges)
-    q_slots = 3 * n + 3
-    ell = -(-q_slots // 4)
-    planner = SlotPlanner(4)
+    b = _TileableBuilder(inst)
+    b.layout()
+    emb = b.to_embedding(tq.qubo.index_of, choose_alpha(tq.qubo), L=b.ell * b.plan.grid_side)
+    return embed_qubo(tq.qubo, emb)
 
-    def phase(tile):
+
+class _TileableBuilder(SlotPlanner):
+    """Claims the slots of the per-vertex blocks on a doubled tile plan.
+
+    Tile (r, c) has phase (r + c) % 2.  Vertex v's positions x:v:j take slot
+    phase * n + j of each of v's tiles; what leaves a tile toward a neighbour
+    (a phase bridge, a neighbour copy) takes the other phase's slot, the
+    neighbour's own.  Selectors take 2n + j and 3n, accumulators 3n + 1 and
+    3n + 2.
+    """
+
+    def __init__(self, inst: HamcycleInstance):
+        super().__init__(4)
+        self.inst = inst
+        self.n = n = inst.n
+        self.ell = -(-(3 * n + 3) // 4)
+        self.plan = _double_plan(route_graph_to_tiles(inst.edges, num_vertices=n))
+        tiles_of = self.plan.tiles_by_vertex()
+        self.regions = [sorted(tiles) for tiles in tiles_of]
+        # one adjacent tile pair per edge, every tile hosting at most one
+        # edge; each host tile maps to (partner tile, its vertex, the other)
+        self.partner_of: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
+        for u, v in sorted({tuple(sorted(e)) for e in inst.edges}):
+            pairs = _edge_tile_pairs(tiles_of[u], tiles_of[v])
+            pair = next((p for p in pairs if self.partner_of.keys().isdisjoint(p)), None)
+            if pair is None:
+                raise TilingError(f"no free tile pair for edge ({u}, {v})")
+            for mine, theirs in (pair, pair[::-1]):
+                owner = u if self.plan.role(*mine) == f"v{u}" else v
+                self.partner_of[mine] = (theirs, owner, v if owner == u else u)
+
+    def phase(self, tile):
         return (tile[0] + tile[1]) % 2
 
-    def origin(tile):
-        r, c = tile
-        return c * ell, r * ell
+    def slot_x(self, tile, j):
+        return self.phase(tile) * self.n + j
 
-    def slot_x(tile, j):
-        return phase(tile) * n + j
+    def other_slot(self, tile, j):
+        return (1 - self.phase(tile)) * self.n + j
 
-    def full_arms(tile, slot, name):
+    def full_arms(self, tile, slot, name):
         for axis in ("h", "v"):
-            planner.arm(name, origin(tile), slot, axis, 0, ell - 1)
+            self.arm(name, self.plan.origin(tile, self.ell), slot, axis, 0, self.ell - 1)
 
-    def segment(tile, toward, slot, name, lo, hi):
+    def segment(self, tile, toward, slot, name, lo, hi):
         # the arm of `slot` inside `tile` out to the boundary shared with the
         # adjacent tile `toward`: offsets lo..ell-1 toward a higher neighbour,
         # 0..hi toward a lower one
         axis, k = ("h", 1) if toward[1] != tile[1] else ("v", 0)
         if toward[k] > tile[k]:
-            planner.arm(name, origin(tile), slot, axis, lo, ell - 1)
+            hi = self.ell - 1
         else:
-            planner.arm(name, origin(tile), slot, axis, 0, hi)
+            lo = 0
+        self.arm(name, self.plan.origin(tile, self.ell), slot, axis, lo, hi)
 
-    regions = {v: sorted(tiles) for v, tiles in enumerate(tiles_of)}
-    partner_of: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
-    for (u, v), (t1, t2) in edge_tiles.items():
-        for mine, theirs in ((t1, t2), (t2, t1)):
-            owner = u if plan.role(*mine) == f"v{u}" else v
-            other = v if owner == u else u
-            partner_of[mine] = (theirs, owner, other)
+    def bridge(self, tile, toward, v):
+        """The phase bridge: inside `tile`, each chain x:v:j leaves its own
+        arm line on the other phase's slot, out to the boundary with `toward`."""
+        for j in range(self.n):
+            own = self.slot_x(tile, j) // 4
+            self.segment(tile, toward, self.other_slot(tile, j), f"x:{v}:{j}", own, own)
 
-    def copies_along(tile, horizontal):
+    def copies_along(self, tile, horizontal):
         # whether tile hosts an edge whose neighbour copies run along the
         # horizontal (or vertical) axis
-        partner = partner_of.get(tile)
+        partner = self.partner_of.get(tile)
         return partner is not None and (partner[0][0] == tile[0]) == horizontal
 
-    for v in range(n):
-        for tile in regions[v]:
-            for j in range(n):
-                full_arms(tile, slot_x(tile, j), f"x:{v}:{j}")
-    # crossings conduct one vertex horizontally (s arms) and one vertically
-    # (r arms); a whole run of consecutive crossings carries the entry-side
-    # phase, and the exit tile bridges if its own phase differs.  A run is
-    # handled at its entry-side tile, its first in sorted order.
-    for tile in sorted(plan.crossing_passes):
-        for axis, (dr, dc) in (("h", (0, 1)), ("v", (1, 0))):
-            enter = (tile[0] - dr, tile[1] - dc)
-            if plan.role(*enter) == "x":
-                continue
-            run = [tile]
-            while plan.role(run[-1][0] + dr, run[-1][1] + dc) == "x":
-                run.append((run[-1][0] + dr, run[-1][1] + dc))
-            exit_tile = (run[-1][0] + dr, run[-1][1] + dc)
-            passer = plan.crossing_passes[tile][0 if axis == "h" else 1]
-            ph = phase(enter)
-            for cross in run:
+    def layout(self):
+        n, ell, plan = self.n, self.ell, self.plan
+        for v in range(n):
+            for tile in self.regions[v]:
                 for j in range(n):
-                    planner.arm(f"x:{passer}:{j}", origin(cross), ph * n + j, axis, 0, ell - 1)
-            if phase(exit_tile) != ph:
-                for j in range(n):
-                    own = slot_x(exit_tile, j) // 4
-                    segment(exit_tile, run[-1], ph * n + j, f"x:{passer}:{j}", own, own)
+                    self.full_arms(tile, self.slot_x(tile, j), f"x:{v}:{j}")
+        # crossings conduct one vertex horizontally (s arms) and one vertically
+        # (r arms); a whole run of consecutive crossings carries the entry-side
+        # phase, and the exit tile bridges if its own phase differs.  A run is
+        # handled at its entry-side tile, its first in sorted order.
+        for tile in sorted(plan.crossing_passes):
+            for axis, (dr, dc) in (("h", (0, 1)), ("v", (1, 0))):
+                enter = (tile[0] - dr, tile[1] - dc)
+                if plan.role(*enter) == "x":
+                    continue
+                run = [tile]
+                while plan.role(run[-1][0] + dr, run[-1][1] + dc) == "x":
+                    run.append((run[-1][0] + dr, run[-1][1] + dc))
+                exit_tile = (run[-1][0] + dr, run[-1][1] + dc)
+                passer = plan.crossing_passes[tile][0 if axis == "h" else 1]
+                for cross in run:
+                    for j in range(n):
+                        name, slot = f"x:{passer}:{j}", self.slot_x(enter, j)
+                        self.arm(name, plan.origin(cross, ell), slot, axis, 0, ell - 1)
+                if self.phase(exit_tile) != self.phase(enter):
+                    self.bridge(exit_tile, run[-1], passer)
 
-    tree_edges = _region_trees(plan, regions, copies_along)
-
-    for v in range(n):
-        for (t1, t2) in tree_edges[v]:
-            # the bridge segment lives on IO arms parallel to the hop; host it
-            # in an endpoint whose partner (copy traffic) runs the other axis
-            hop_horizontal = t1[0] == t2[0]
-            t_from, t_to = t1, t2
-            if copies_along(t1, hop_horizontal):
-                t_from, t_to = t2, t1
-                if copies_along(t2, hop_horizontal):
+        tree_hops = [self.region_tree(v) for v in range(n)]
+        for v in range(n):
+            for (t1, t2) in tree_hops[v]:
+                # the bridge segment lives on IO arms parallel to the hop; host
+                # it in an endpoint whose partner (copy traffic) runs the other
+                # axis
+                hop_horizontal = t1[0] == t2[0]
+                if not self.copies_along(t1, hop_horizontal):
+                    self.bridge(t1, t2, v)
+                elif not self.copies_along(t2, hop_horizontal):
+                    self.bridge(t2, t1, v)
+                else:
                     raise EmbeddingError(
                         f"no safe side for a chain bridge between {t1} and {t2}"
                     )
-            # inside t_from the chain takes the t_to-phase arm from its own
-            # perpendicular arm out to the shared boundary
-            for j in range(n):
-                own = slot_x(t_from, j) // 4
-                segment(t_from, t_to, slot_x(t_to, j), f"x:{v}:{j}", own, own)
 
-    for (u, v), pair in sorted(edge_tiles.items()):
-        for mine in pair:
-            theirs, owner, other = partner_of[mine]
+        for mine, (theirs, owner, other) in self.partner_of.items():
             for j in range(n):
-                full_arms(mine, 2 * n + j, f"z:{owner}:{other}:{j}")
-            full_arms(mine, 3 * n, f"z:{owner}:{other}")
+                self.full_arms(mine, 2 * n + j, f"z:{owner}:{other}:{j}")
+            self.full_arms(mine, 3 * n, f"z:{owner}:{other}")
             for j in range(n):
                 # the incoming neighbour copy must reach far enough to cross
                 # its coupling partners' perpendicular arms
-                links = [
-                    (2 * n + (j - 1) % n) // 4,
-                    slot_x(mine, (j - 1) % n) // 4,
-                ]
-                segment(
-                    mine, theirs, (1 - phase(mine)) * n + j, f"x:{other}:{j}",
-                    min(links), max(links),
-                )
+                links = [(2 * n + (j - 1) % n) // 4, self.slot_x(mine, (j - 1) % n) // 4]
+                name, slot = f"x:{other}:{j}", self.other_slot(mine, j)
+                self.segment(mine, theirs, slot, name, min(links), max(links))
 
-    # selector chains route on the slots the ceiling leaves spare, then on
-    # the selector and accumulator slots
-    route_slots = [*range(q_slots, 4 * ell), 3 * n + 1, 3 * n + 2, 3 * n]
-    for v in range(n):
-        _wire_selector_chain(
-            planner, full_arms, segment, route_slots, inst, v, edge_tiles, plan, regions[v]
-        )
+        for v in range(n):
+            self.wire_selectors(v)
 
-    emb = planner.to_embedding(tq.qubo.index_of, choose_alpha(tq.qubo), L=ell * plan.grid_side)
-    return embed_qubo(tq.qubo, emb)
+    def region_tree(self, v):
+        """The hops of a spanning tree of v's region that need phase bridges.
 
-
-def _region_trees(plan, regions, copies_along):
-    """Spanning tree per region; crossing runs connect tiles without bridges.
-
-    Returns the direct-adjacency hops that need phase bridges.  Hops through
-    crossing tiles are already track-aligned by the pass-through claims.  A
-    hop is worse for each endpoint where `copies_along(tile, horizontal)`
-    says neighbour copies run along the hop axis.
-    """
-    out = {}
-    for v, tiles_list in regions.items():
-        tiles = set(tiles_list)
-
-        def through(cur, dr, dc):
-            axis = "h" if dr == 0 else "v"
-            nxt, hops = (cur[0] + dr, cur[1] + dc), 0
-            while nxt in plan.crossing_passes and plan.conducts(nxt, v, axis):
-                nxt, hops = (nxt[0] + dr, nxt[1] + dc), hops + 1
-            return (nxt, hops) if nxt in tiles else None
-
+        Crossing runs connect tiles without bridges: their pass-through
+        claims are already track-aligned.  The tree takes hops in increasing
+        badness, the number of endpoints whose neighbour copies run along
+        the hop axis, so bridges stay off copy-laden axes.
+        """
+        tiles = set(self.regions[v])
         candidates = []
         for cur in sorted(tiles):
             for dr, dc in ((1, 0), (0, 1)):
-                res = through(cur, dr, dc)
-                if res is None:
-                    continue
-                nxt, hops = res
-                bad = sum(copies_along(t, dr == 0) for t in (cur, nxt))
-                candidates.append((bad, cur, nxt, hops))
-        # minimum-badness spanning tree keeps bridges off copy-laden axes
+                axis = "h" if dr == 0 else "v"
+                nxt, hops = (cur[0] + dr, cur[1] + dc), 0
+                while nxt in self.plan.crossing_passes and self.plan.conducts(nxt, v, axis):
+                    nxt, hops = (nxt[0] + dr, nxt[1] + dc), hops + 1
+                if nxt in tiles:
+                    bad = sum(self.copies_along(t, dr == 0) for t in (cur, nxt))
+                    candidates.append((bad, cur, nxt, hops))
         parent = {t: t for t in tiles}
 
         def find(t):
@@ -542,118 +523,115 @@ def _region_trees(plan, regions, copies_along):
                 t = parent[t]
             return t
 
-        edges_v = []
+        out = []
         for bad, cur, nxt, hops in sorted(candidates):
             ra, rb = find(cur), find(nxt)
-            if ra == rb:
-                continue
-            parent[ra] = rb
-            if hops == 0:
-                edges_v.append((cur, nxt))
+            if ra != rb:
+                parent[ra] = rb
+                if hops == 0:
+                    out.append((cur, nxt))
         if len({find(t) for t in tiles}) != 1:
             raise EmbeddingError(f"vertex {v} region not connected in the plan")
-        out[v] = edges_v
-    return out
+        return out
+
+    def wire_selectors(self, v):
+        """Route v's selector (and accumulator) chains between its edge tiles.
+
+        Chains travel on free aux-slot arms along tile paths through v's
+        tiles and the crossings it passes, and finish with an entry segment
+        inside the destination tile, where the caterpillar couplings land on
+        perpendicular arms.  Each link tries every route with each routing
+        slot in turn (the slots the ceiling leaves spare, then the selector
+        and accumulator slots), undoing a failed try's claims.
+        """
+        nbrs = self.inst.neighbors(v)
+        if len(nbrs) <= 1:
+            return
+        n = self.n
+        slots = [*range(3 * n + 3, 4 * self.ell), 3 * n + 1, 3 * n + 2, 3 * n]
+        tiles = self.plan.region_with_crossings(v, self.regions[v])
+        host = {other: mine for mine, (_, owner, other) in self.partner_of.items() if owner == v}
+        hosts = [host[u] for u in nbrs]
+        # the entry segment's couplings land where it crosses the destination's
+        # selector and accumulator perpendicular arms, so it spans all their lines
+        lo_need, hi_need = (3 * n) // 4, (3 * n + 2) // 4
+        prev_name, prev_host, prev_slot = f"z:{v}:{nbrs[0]}", hosts[0], 3 * n
+        for i in range(1, len(nbrs)):
+            target_host = hosts[i]
+            acc = acc_slot = None
+            if i < len(nbrs) - 1:
+                acc = f"acc:{v}:{i}"
+                acc_slot = 3 * n + 1 + (i % 2)
+                self.full_arms(target_host, acc_slot, acc)
+            routes = _routes(tiles, prev_host, target_host, set(hosts) - {prev_host, target_host})
+            if not routes:
+                raise EmbeddingError(
+                    f"no selector route between {prev_host} and {target_host} for vertex {v}"
+                )
+            # the chain hops off its own arms in route[0], takes full arms
+            # through the interior tiles and enters the destination route[-1]
+            mark = len(self.claims)
+            own_line = prev_slot // 4
+            tries = ((route, slot) for route in routes for slot in slots if slot != prev_slot)
+            for route, slot in tries:
+                try:
+                    self.segment(route[0], route[1], slot, prev_name, own_line, own_line)
+                    for tile in route[1:-1]:
+                        self.full_arms(tile, slot, prev_name)
+                    self.segment(route[-1], route[-2], slot, prev_name, lo_need, hi_need)
+                    break
+                except EmbeddingError as err:
+                    last = err
+                    self.undo_to(mark)
+            else:
+                raise EmbeddingError(
+                    f"selector routing failed for vertex {v}: "
+                    f"no free aux slot for a selector chain route: {last}"
+                )
+            if acc is not None:
+                prev_name, prev_host, prev_slot = acc, target_host, acc_slot
 
 
-def _wire_selector_chain(planner, full_arms, segment, slots, inst, v, edge_tiles, plan, own):
-    """Route selector (and accumulator) chains between a vertex's edge tiles.
+# a route is shortest when it leaves or enters a host on its east or south
+# side (the aux band sits in the last cell line), so routes are searched in
+# several orientations
+_ROUTE_ORDERS = (
+    ((0, 1), (1, 0), (0, -1), (-1, 0)),
+    ((1, 0), (0, 1), (-1, 0), (0, -1)),
+    ((0, -1), (-1, 0), (0, 1), (1, 0)),
+    ((-1, 0), (0, -1), (1, 0), (0, 1)),
+)
 
-    Chains travel on free aux-slot arms along breadth- or depth-first tile
-    paths through the vertex's tiles and the crossings it passes, and finish
-    with an entry segment inside the destination tile, where the caterpillar
-    couplings land on perpendicular arms.  Each link tries every route with
-    each of `slots` in turn, undoing a failed try's claims.  `own` holds v's
-    tiles.
-    """
-    nbrs = inst.neighbors(v)
-    if len(nbrs) <= 1:
-        return
-    n = inst.n
-    tiles = plan.region_with_crossings(v, own)
 
-    def search(a, b, avoid, order, depth_first):
-        # depth-first takes the newest frontier tile and pushes neighbours in
-        # reverse, so both styles try `order` front to back
-        prev = {a: None}
-        frontier = [a]
-        while frontier:
-            cur = frontier.pop(-1 if depth_first else 0)
-            if cur == b:
-                path = [b]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            for dr, dc in order[::-1] if depth_first else order:
-                nxt = (cur[0] + dr, cur[1] + dc)
-                if nxt in tiles and nxt not in prev and (nxt == b or nxt not in avoid):
-                    prev[nxt] = cur
-                    frontier.append(nxt)
-        return None
-
-    def route_variants(a, b, avoid):
-        # hop and entry segments are shortest when a route leaves or enters a
-        # host on its east/south side (the aux band sits in the last cell
-        # line), so try several orientations and both search styles
-        orders = [
-            ((0, 1), (1, 0), (0, -1), (-1, 0)),
-            ((1, 0), (0, 1), (-1, 0), (0, -1)),
-            ((0, -1), (-1, 0), (0, 1), (1, 0)),
-            ((-1, 0), (0, -1), (1, 0), (0, 1)),
-        ]
-        seen = []
-        for depth_first in (False, True):
-            for order in orders:
-                path = search(a, b, avoid, order, depth_first)
-                if path is not None and path not in seen:
+def _routes(tiles, a, b, avoid):
+    """Distinct tile paths from a to b within `tiles` that pass no tile of
+    `avoid`: breadth-first, then depth-first, in each orientation, from
+    either end."""
+    seen = []
+    for depth_first in (False, True):
+        for order in _ROUTE_ORDERS:
+            back = _route(tiles, b, a, avoid, order, depth_first)
+            for path in (_route(tiles, a, b, avoid, order, depth_first), back and back[::-1]):
+                if path and path not in seen:
                     seen.append(path)
-                back = search(b, a, avoid, order, depth_first)
-                if back is not None and back[::-1] not in seen:
-                    seen.append(back[::-1])
-        if not seen:
-            raise EmbeddingError(
-                f"no selector route between {a} and {b} for vertex {v}"
-            )
-        return seen
+    return seen
 
-    def host_of(u):
-        pair = edge_tiles[tuple(sorted((v, u)))]
-        return pair[0] if plan.role(*pair[0]) == f"v{v}" else pair[1]
 
-    # the entry segment's couplings land where it crosses the destination's
-    # selector and accumulator perpendicular arms, so it spans all their lines
-    lo_need, hi_need = (3 * n) // 4, (3 * n + 2) // 4
-    hosts = [host_of(u) for u in nbrs]
-    prev_name, prev_host, prev_slot = f"z:{v}:{nbrs[0]}", hosts[0], 3 * n
-    for i in range(1, len(nbrs)):
-        target_host = hosts[i]
-        acc = acc_slot = None
-        if i < len(nbrs) - 1:
-            acc = f"acc:{v}:{i}"
-            acc_slot = 3 * n + 1 + (i % 2)
-            full_arms(target_host, acc_slot, acc)
-        routes = route_variants(
-            prev_host, target_host, set(hosts) - {prev_host, target_host}
-        )
-        # the chain hops off its own arms in route[0], takes full arms through
-        # the interior tiles and enters the destination route[-1]
-        mark = len(planner.claims)
-        own_line = prev_slot // 4
-        tries = ((route, slot) for route in routes for slot in slots if slot != prev_slot)
-        for route, slot in tries:
-            try:
-                segment(route[0], route[1], slot, prev_name, own_line, own_line)
-                for tile in route[1:-1]:
-                    full_arms(tile, slot, prev_name)
-                segment(route[-1], route[-2], slot, prev_name, lo_need, hi_need)
-                break
-            except EmbeddingError as err:
-                last = err
-                planner.undo_to(mark)
-        else:
-            raise EmbeddingError(
-                f"selector routing failed for vertex {v}: "
-                f"no free aux slot for a selector chain route: {last}"
-            )
-        if acc is not None:
-            prev_name, prev_host, prev_slot = acc, target_host, acc_slot
+def _route(tiles, a, b, avoid, order, depth_first):
+    # depth-first takes the newest frontier tile and pushes neighbours in
+    # reverse, so both styles try `order` front to back
+    prev = {a: None}
+    frontier = [a]
+    while frontier:
+        cur = frontier.pop(-1 if depth_first else 0)
+        if cur == b:
+            path = [b]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for dr, dc in order[::-1] if depth_first else order:
+            nxt = (cur[0] + dr, cur[1] + dc)
+            if nxt in tiles and nxt not in prev and (nxt == b or nxt not in avoid):
+                prev[nxt] = cur
+                frontier.append(nxt)
+    return None

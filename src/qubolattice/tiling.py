@@ -56,6 +56,13 @@ class TilePlan:
             return self.grid[r][c]
         return EMPTY
 
+    @staticmethod
+    def origin(tile: tuple[int, int], ell: int) -> tuple[int, int]:
+        """Lattice cell (i, j) at the top-left of tile (r, c), for tiles of
+        ell x ell cells."""
+        r, c = tile
+        return c * ell, r * ell
+
     def tiles_by_vertex(self) -> list[set[tuple[int, int]]]:
         """The tiles tagged with each vertex, from one scan of the grid."""
         out: list[set[tuple[int, int]]] = [set() for _ in range(self.num_vertices)]
@@ -413,12 +420,16 @@ def crossing_tile_chimera() -> Qubo:
     (an end flip breaks one unit bond).
     """
     b = QuboBuilder(SPIN)
-    chain_a = ["a:s0:0:0", "a:r0:0:0", "a:s1:0:0", "a:r1:0:0"]
-    chain_b = ["a:r2:0:0", "a:s2:0:0", "a:r3:0:0", "a:s3:0:0"]
-    for chain in (chain_a, chain_b):
+    for sides, tracks in (("srsr", (0, 0, 1, 1)), ("rsrs", (2, 2, 3, 3))):
+        chain = [_slot_name("a", side, track, 0, 0) for side, track in zip(sides, tracks)]
         for u, v in zip(chain, chain[1:]):
             b.add_quadratic(u, v, -1.0)
     return b.build()
+
+
+def _slot_name(tile: str, side: str, track: int, m: int, n: int) -> str:
+    """The tile slot name that `_parse_slots` reads back."""
+    return f"{tile}:{side}{track}:{m}:{n}"
 
 
 def _parse_slots(names: Iterable[str]) -> list[tuple[str, int, int, str, int]]:
@@ -445,10 +456,6 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     graph = emb.graph
     planner = SlotPlanner(J)
 
-    def origin(tile: tuple[int, int]) -> tuple[int, int]:
-        r, c = tile
-        return (c * ell, r * ell)
-
     color_slots = [
         (color, slot)
         for color, names in tiles.colors.items()
@@ -456,7 +463,7 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     ]
 
     def claim_colors(v: int, tile: tuple[int, int], sides: str):
-        origins = {"a": origin(tile)}
+        origins = {"a": plan.origin(tile, ell)}
         for color, (t, m, n, side, track) in color_slots:
             if side in sides:
                 oi, oj = origins[t]
@@ -491,7 +498,7 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     vertex_tile = parsed(tiles.vertex_tile)
     for v in range(plan.num_vertices):
         for tile in sorted(tiles_of[v]):
-            instantiate(vertex_tile, {"a": origin(tile)})
+            instantiate(vertex_tile, {"a": plan.origin(tile, ell)})
 
     # chains between adjacent tiles that both conduct the vertex on that axis
     chain_templates = (
@@ -502,12 +509,13 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
             for axis, dr, dc, template in chain_templates:
                 nxt = (r + dr, c + dc)
                 if plan.conducts((r, c), v, axis) and plan.conducts(nxt, v, axis):
-                    instantiate(template, {"a": origin((r, c)), "b": origin(nxt)})
+                    origins = {"a": plan.origin((r, c), ell), "b": plan.origin(nxt, ell)}
+                    instantiate(template, origins)
 
     edge_horizontal, edge_vertical = parsed(tiles.edge_horizontal), parsed(tiles.edge_vertical)
     for (u, v), (t1, t2) in sorted(plan.adjacency_realization.items()):
         template = edge_horizontal if t1[0] == t2[0] else edge_vertical
-        instantiate(template, {"a": origin(t1), "b": origin(t2)})
+        instantiate(template, {"a": plan.origin(t1, ell), "b": plan.origin(t2, ell)})
 
     names = [f"v{v}:c{color}" for v in range(plan.num_vertices) for color in range(tiles.q)]
     placeholder = Qubo(SPIN, plan.num_vertices * tiles.q, var_names=names)

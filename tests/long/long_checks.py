@@ -29,6 +29,7 @@ from qubolattice.hamcycle import HamcycleInstance, embed_tileable_hamcycle
 from qubolattice.numpart import PartitionInstance, embed_numpart
 from qubolattice.qubo import SPIN, Qubo, anneal_solve, brute_force
 from qubolattice.tiling import TilingError, route_graph_to_tiles, stitch
+from test_cli import check_document_mutations
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 WORKFLOW = pathlib.Path(".github/workflows/tests.yml")
@@ -289,3 +290,12 @@ def test_coloring_count_sweep():
     for line in bad:
         print(line)
     assert not bad
+
+
+def test_document_fuzz():
+    # The tier-1 document-mutation property of tests/test_cli.py with a
+    # larger seeded budget: every mutated instance, build, embed and lattice
+    # document ends in exit 0, 1 or 2 under every subcommand that reads it.
+    start = time.perf_counter()
+    check_document_mutations(max_examples=3000, seed=1)
+    print(f"3000 mutated documents in {time.perf_counter() - start:.1f} s")

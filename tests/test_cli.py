@@ -1,13 +1,18 @@
 """CLI pipelines: round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 import qubolattice
 from qubolattice.cli import main, make_parser
@@ -479,6 +484,26 @@ class TestEmbedValidate:
         assert main([command[0], path, *command[1:]]) == 2
         assert capsys.readouterr() == ("", f"document error: {path}: {message}\n")
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "text, shown", [("1e999", "inf"), ("-5", "-5"), ("0", "0")],
+        ids=["overflow", "negative", "zero"],
+    )
+    def test_alpha_that_is_not_finite_and_positive_is_document_error(
+        self, command, text, shown, tmp_path, capsys
+    ):
+        # physical_qubo holds the chain penalties of the alpha embed chose,
+        # so a document whose alpha cannot be a chain weight is malformed
+        inst = write(tmp_path, "inst.json", INSTANCES["partition"])
+        _, embedded = run(capsys, "embed", inst, "--strategy", "tree")
+        embedded["embedding"]["alpha"] = "ALPHA"
+        path = tmp_path / "emb.json"
+        path.write_text(dumps(embedded).replace('"ALPHA"', text))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"document error: {path}: alpha must be a finite number above 0, got {shown}\n"
+        )
+
     @pytest.mark.parametrize(
         "names, message",
         [("abcdefghijklmnopqr", "var_names must be a list of strings, got 'abcdefghijklmnopqr'"),
@@ -821,3 +846,106 @@ class TestColdStart:
         assert result["seed"] == 5
         code, result = run(capsys, "solve", built_path, "--cap", "24")
         assert result["seed"] == 0 and result["solver"] == "brute"
+
+
+# one-field junk, as JSON text: each is a wrong type, a wrong sign or a
+# non-finite number somewhere, and none names a large size
+JUNK = ("null", "true", '"x"', "-1", "0", "2", "2.5", "1e999", "[]", "{}", "[0]")
+JUNK_MARK = "@@junk@@"
+
+
+def _valid_documents(tmp: pathlib.Path) -> dict:
+    """An instance, build, embed and lattice document for each instance tag,
+    the lattice being the one the tag's embedding records."""
+    docs = {}
+    for tag, inst in INSTANCES.items():
+        docs[tag, "instance"] = inst
+        path = write(tmp, f"{tag}.json", inst)
+        for kind in ("build", "embed"):
+            out = str(tmp / f"{tag}-{kind}.json")
+            assert main([kind, path, "--out", out]) == 0
+            docs[tag, kind] = loads(pathlib.Path(out).read_text())
+        docs[tag, "lattice"] = docs[tag, "embed"]["embedding"]["lattice"]
+    return docs
+
+
+def _draw_path(data, doc) -> list:
+    # a key or index at each level down, stopping after any of them
+    path, node = [], doc
+    while isinstance(node, (dict, list)) and node and (not path or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append(key)
+        node = node[key]
+    return path
+
+
+def _at(doc, path):
+    for key in path:
+        if not isinstance(doc, (dict, list)) or isinstance(doc, list) != isinstance(key, int):
+            return None
+        if key not in (doc if isinstance(doc, dict) else range(len(doc))):
+            return None
+        doc = doc[key]
+    return doc
+
+
+def _mutate(data, docs: dict, key) -> tuple[str, str]:
+    """The JSON text of docs[key] with one part deleted, replaced by junk or
+    swapped for the same part of another document, and what was done."""
+    doc = json.loads(json.dumps(docs[key]))
+    path = _draw_path(data, doc)
+    parent, last = _at(doc, path[:-1]), path[-1]
+    donors = sorted(k for k, other in docs.items() if k != key and _at(other, path) is not None)
+    how = data.draw(st.sampled_from(["delete", "junk", "swap"] if donors else ["delete", "junk"]))
+    if how == "delete":
+        del parent[last]
+        return dumps(doc), f"delete {path}"
+    if how == "swap":
+        donor = data.draw(st.sampled_from(donors))
+        parent[last] = _at(docs[donor], path)
+        return dumps(doc), f"{path} from {donor}"
+    junk = data.draw(st.sampled_from(JUNK))
+    parent[last] = JUNK_MARK
+    return dumps(doc).replace(json.dumps(JUNK_MARK), junk), f"{path} = {junk}"
+
+
+def check_document_mutations(max_examples: int, seed: int) -> None:
+    """Each mutated document, run through every subcommand that reads a
+    document, ends in exit 0, 1 or 2 and raises nothing but SystemExit.
+
+    A mutation deletes one key or list entry, replaces one value by junk, or
+    swaps one part for the same part of another document.  Brute-force
+    solves and spectra are capped at 12 variables to keep runs short.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        docs = _valid_documents(tmp)
+
+        @hypothesis.seed(seed)
+        @hypothesis.settings(max_examples=max_examples, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def mutated_documents_end_in_an_exit_code(data):
+            key = data.draw(st.sampled_from(sorted(docs)))
+            text, how = _mutate(data, docs, key)
+            path = tmp / "mutated.json"
+            path.write_text(text)
+            doc, inst = str(path), str(tmp / f"{key[0]}.json")
+            for argv in (
+                ["build", doc], ["embed", doc], ["validate", doc], ["gap", doc, "--cap", "12"],
+                ["solve", doc, "--cap", "12"],
+                ["solve", doc, "--solver", "anneal", "--sweeps", "1", "--restarts", "1"],
+                ["lattice", "--lattice", doc], ["embed", inst, "--lattice", doc],
+            ):
+                sink = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                        code = main(argv)
+                except SystemExit as err:
+                    code = err.code
+                assert code in (0, 1, 2), f"{key} {how}: {argv[0]} exits {code}"
+
+        mutated_documents_end_in_an_exit_code()
+
+
+def test_mutated_documents_end_in_an_exit_code():
+    check_document_mutations(max_examples=500, seed=0)

@@ -293,13 +293,13 @@ class TestTileableEmbedding:
     def test_pendant_vertex_wires_no_selector_chain(self, monkeypatch):
         # vertex 3 has one neighbour, so there is no link between edge tiles
         wired = []
-        wire = hamcycle._wire_selector_chain
+        wire = hamcycle._TileableBuilder.wire_selectors
 
-        def recording(planner, full_arms, segment, slots, inst, v, *rest):
-            wired.append((v, len(inst.neighbors(v))))
-            return wire(planner, full_arms, segment, slots, inst, v, *rest)
+        def recording(builder, v):
+            wired.append((v, len(builder.inst.neighbors(v))))
+            return wire(builder, v)
 
-        monkeypatch.setattr(hamcycle, "_wire_selector_chain", recording)
+        monkeypatch.setattr(hamcycle._TileableBuilder, "wire_selectors", recording)
         e = embed_tileable_hamcycle(HamcycleInstance(((0, 1), (1, 2), (0, 2), (2, 3))))
         assert (3, 1) in wired
         assert e.physical.num_vars == 2601
