@@ -9,7 +9,6 @@ from qubolattice import (
     chimera_spec,
     embed_complete_chimera,
     embed_qubo,
-    choose_alpha,
     brute_force,
     unembed,
     validate,
@@ -37,7 +36,6 @@ for i in range(4):
     for j in range(i + 1, 4):
         ferro.add_quadratic(i, j, -1.0)
 emb = embed_complete_chimera(4, 4)
-emb.alpha = choose_alpha(ferro)
 embedded = embed_qubo(ferro, emb)
 spec = brute_force(embedded.physical)
 print(f"ferromagnetic K_4: physical ground {spec.ground_energy}, "

@@ -193,19 +193,22 @@ def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
             doc["embedding"], [logical.name_of(i) for i in range(logical.num_vars)]
         )
         embedded = EmbeddedQubo(physical, emb, logical, [doc_int(v) for v in doc["vertex_order"]])
-    if physical.num_vars != len(embedded.vertex_order):
+    # embed writes the sorted union of the chains, so any other order is an edit
+    order, union = embedded.vertex_order, emb.physical_vertices()
+    if order != union:
+        k = next(
+            (k for k, (p, q) in enumerate(zip(order, union)) if p != q), min(len(order), len(union))
+        )
+        at = [f"vertex {seq[k]}" if k < len(seq) else "no vertex" for seq in (order, union)]
+        raise documents.DocumentError(
+            f"{path}: vertex_order is not the sorted union of the chains: "
+            f"at position {k} it lists {at[0]} where the union has {at[1]}"
+        )
+    if physical.num_vars != len(order):
         raise documents.DocumentError(
             f"{path}: physical_qubo has {physical.num_vars} variables, "
-            f"but vertex_order lists {len(embedded.vertex_order)}"
+            f"but vertex_order lists {len(order)}"
         )
-    listed = embedded.position_of
-    for v, chain in emb.chains.items():
-        stray = next((p for p in chain if p not in listed), None)
-        if stray is not None:
-            raise documents.DocumentError(
-                f"{path}: embedding chain {logical.name_of(v)} holds vertex {stray}, "
-                "which vertex_order does not list"
-            )
     return embedded
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Mapping
 
 from .adder import AdderInstance, build_adder
 from .coloring import ColoringInstance, build_coloring_qubo, compile_coloring, decode_coloring
-from .embedding import EmbeddedQubo, choose_alpha, embed_complete_chimera, embed_qubo
+from .embedding import EmbeddedQubo, embed_complete_chimera, embed_qubo
 from .hamcycle import (
     HamcycleInstance,
     build_ic_qubo,
@@ -73,9 +73,7 @@ class ProblemKind:
         if embedded is not None:
             return embedded
         logical, _ = self.logical(inst, strategy, None)
-        emb = embed_complete_chimera(logical.num_vars, J)
-        emb.alpha = choose_alpha(logical)
-        return embed_qubo(logical, emb)
+        return embed_qubo(logical, embed_complete_chimera(logical.num_vars, J))
 
 
 def _ints(values) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ realizable by at least one lattice edge between the two chains.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,7 +23,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .qubo import BINARY, FieldTypeError, Qubo, doc_int, doc_number, substitute
+from .qubo import BINARY, Qubo, doc_int, substitute
 
 
 class EmbeddingError(ValueError):
@@ -33,7 +32,8 @@ class EmbeddingError(ValueError):
 
 @dataclass
 class MinorEmbedding:
-    """Logical vertex -> physical chain map on a lattice, plus penalty weight.
+    """Logical vertex -> physical chain map on a lattice.  It carries no chain
+    weight: :func:`embed_qubo` picks one from the objective it embeds.
 
     The embedding keeps its last chain walk, so :func:`validate` after
     :func:`embed_qubo` does not walk the chains again.  A walk is reused only
@@ -48,7 +48,6 @@ class MinorEmbedding:
 
     lattice: LatticeSpec
     chains: dict[int, frozenset[int]]
-    alpha: float = 1.0
     _graph: LatticeGraph | None = field(default=None, init=False, repr=False, compare=False)
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -166,16 +165,15 @@ class SlotPlanner:
             members.add(graph.vertex(i, j, self.role(side, track)))
         return frozenset(members)
 
-    def to_embedding(
-        self, index_of: Callable[[Hashable], int], alpha: float, L: int | None = None
-    ) -> MinorEmbedding:
-        """Convert claims into a MinorEmbedding on a square chimera lattice.
+    def to_embedding(self, index_of: Callable[[Hashable], int], L: int | None = None) -> MinorEmbedding:
+        """Convert claims into a MinorEmbedding on a square chimera lattice of
+        side `L`, by default the claims' extent.
 
         `index_of` maps a chain's name to its logical variable index.
         """
         w, h = self.extent()
         side = max(w, h) if L is None else L
-        emb = MinorEmbedding(chimera_spec(self.J, side), {}, alpha)
+        emb = MinorEmbedding(chimera_spec(self.J, side), {})
         graph = emb.graph
         for name in self.chains:
             emb.chains[index_of(name)] = self.vertices(graph, name)
@@ -335,13 +333,18 @@ def _touching(graph: LatticeGraph, cu: frozenset[int], cv: frozenset[int]) -> bo
     )
 
 
-def _validate(
+def validate(
     emb: MinorEmbedding,
     logical_edges: Iterable[tuple[int, int]],
-    logical_vertices: Iterable[int] | None,
+    logical_vertices: Iterable[int] | None = None,
 ) -> ValidationReport:
-    """:func:`validate`; :func:`embed_qubo` calls it directly, so its own
-    check is not a call of the public entry point."""
+    """Check the three minor-embedding properties; violations become report
+    entries with witnesses, never exceptions.
+
+    The chain walk of the last call on `emb` (or of :func:`embed_qubo`) is
+    reused only while the lattice and chains compare equal to the walked ones
+    (see :class:`MinorEmbedding`); otherwise the chains are walked again.
+    """
     report = ValidationReport()
     shared, outside, broken, couplers, _ = _cached_walk(emb, trees_needed=False)
     vertices = set(logical_vertices) if logical_vertices is not None else set(emb.chains)
@@ -374,21 +377,6 @@ def _validate(
     return report
 
 
-def validate(
-    emb: MinorEmbedding,
-    logical_edges: Iterable[tuple[int, int]],
-    logical_vertices: Iterable[int] | None = None,
-) -> ValidationReport:
-    """Check the three minor-embedding properties; violations become report
-    entries with witnesses, never exceptions.
-
-    The chain walk of the last call on `emb` (or of :func:`embed_qubo`) is
-    reused only while the lattice and chains compare equal to the walked ones
-    (see :class:`MinorEmbedding`); otherwise the chains are walked again.
-    """
-    return _validate(emb, logical_edges, logical_vertices)
-
-
 def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
     """Triangular half-grid embedding of K_N on chimera(J) with L = ceil(N/J).
 
@@ -402,7 +390,7 @@ def embed_complete_chimera(N: int, J: int) -> MinorEmbedding:
         raise EmbeddingError("J must be positive")
     planner = SlotPlanner(J)
     place_clique_block(planner, (0, 0), list(range(N)))
-    return planner.to_embedding(int, 1.0)
+    return planner.to_embedding(int)
 
 
 def choose_alpha(logical: Qubo) -> float:
@@ -476,11 +464,13 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
     Linear terms split equally across chain members; each quadratic term is
     placed on the lexicographically smallest available lattice edge between
     the two chains; chain alignment is enforced along a spanning tree of each
-    chain with the paper-form penalty of weight alpha (counted over ordered
-    pairs, so a broken tree edge costs 2 * alpha).
+    chain with the paper-form penalty of weight ``alpha =
+    choose_alpha(logical)``, the same for every chain (counted over ordered
+    pairs, so a broken tree edge costs 2 * alpha).  The physical variables
+    are the sorted union of the chains, ``vertex_order``.
     """
     *_, couplers, trees = _cached_walk(emb, trees_needed=True)
-    report = _validate(emb, logical.interaction_edges(), range(logical.num_vars))
+    report = validate(emb, logical.interaction_edges(), range(logical.num_vars))
     if not report.ok:
         raise EmbeddingError(f"embedding invalid: {report.summary()}")
 
@@ -506,7 +496,7 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
         physical.add_quadratic(pos[p], pos[q], c)
         placement[(u, v)] = (p, q)
 
-    alpha = emb.alpha
+    alpha = choose_alpha(logical)
     for v, chain in emb.chains.items():
         tree = trees[v]
         if tree is None:
@@ -549,25 +539,24 @@ def unembed(
 
 
 def embedding_to_doc(emb: MinorEmbedding, logical_names: Sequence[str]) -> dict:
-    """Document form; each chain is keyed by its logical variable's name."""
+    """Document form: the lattice and each chain keyed by its logical
+    variable's name.  No chain weight is written; the physical objective
+    beside it holds the chain terms."""
     J = detect_chimera(emb.lattice)
     hint = ("chimera", J) if J is not None and emb.lattice.width == emb.lattice.height else None
     return {
         "lattice": lattice_to_doc(emb.lattice, hint),
-        "alpha": emb.alpha,
         "chains": {logical_names[v]: sorted(chain) for v, chain in emb.chains.items()},
     }
 
 
 def embedding_from_doc(doc: Mapping, logical_names: Sequence[str]) -> MinorEmbedding:
+    """Inverse of :func:`embedding_to_doc`; other keys, such as the ``alpha``
+    that older documents carry, are ignored."""
     spec = lattice_from_doc(doc["lattice"])
     name_to_index = {n: i for i, n in enumerate(logical_names)}
     chains = {
         name_to_index[name]: frozenset(doc_int(p) for p in members)
         for name, members in doc["chains"].items()
     }
-    raw = doc.get("alpha", 1.0)
-    alpha = doc_number(raw)
-    if not 0 < alpha < math.inf:
-        raise FieldTypeError(f"alpha must be a finite number above 0, got {raw!r}")
-    return MinorEmbedding(spec, chains, alpha)
+    return MinorEmbedding(spec, chains)

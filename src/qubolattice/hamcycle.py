@@ -13,14 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .embedding import (
-    EmbeddedQubo,
-    EmbeddingError,
-    SlotPlanner,
-    choose_alpha,
-    embed_complete_chimera,
-    embed_qubo,
-)
+from .embedding import EmbeddedQubo, EmbeddingError, SlotPlanner, embed_complete_chimera, embed_qubo
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
 from .tiling import TilePlan, TilingError, _edge_tile_pairs, route_graph_to_tiles
 from .unary import _add_bit_constraint, _add_gadget, _lift_gadgets
@@ -174,13 +167,10 @@ def embed_permutation_tree(N: int) -> EmbeddedQubo:
     """
     logical = build_permutation_qubo(N)
     if N == 2:
-        emb = embed_complete_chimera(4, 4)
-        emb.alpha = choose_alpha(logical)
-        return embed_qubo(logical, emb)
+        return embed_qubo(logical, embed_complete_chimera(4, 4))
     planner = SlotPlanner(4)
     _permutation_layout_4(planner)
-    emb = planner.to_embedding(logical.index_of, choose_alpha(logical), L=6)
-    return embed_qubo(logical, emb)
+    return embed_qubo(logical, planner.to_embedding(logical.index_of, L=6))
 
 
 def _permutation_layout_4(p: SlotPlanner) -> None:
@@ -368,8 +358,7 @@ def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:
     tq = build_tileable_hamcycle(inst)
     b = _TileableBuilder(inst)
     b.layout()
-    emb = b.to_embedding(tq.qubo.index_of, choose_alpha(tq.qubo), L=b.ell * b.plan.grid_side)
-    return embed_qubo(tq.qubo, emb)
+    return embed_qubo(tq.qubo, b.to_embedding(tq.qubo.index_of, L=b.ell * b.plan.grid_side))
 
 
 class _TileableBuilder(SlotPlanner):

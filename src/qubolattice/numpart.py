@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .adder import add_columns
-from .embedding import EmbeddedQubo, SlotPlanner, choose_alpha, embed_qubo, place_clique_block
+from .embedding import EmbeddedQubo, SlotPlanner, embed_qubo, place_clique_block
 from .qubo import BINARY, Qubo, QuboBuilder
 
 
@@ -243,8 +243,7 @@ def embed_numpart(inst: PartitionInstance, J: int = 4) -> EmbeddedQubo:
     planner = SlotPlanner(J)
     assert tree.root is not None
     _layout_node(planner, tree.root, (0, 0), 0)
-    emb = planner.to_embedding(tree.qubo.index_of, choose_alpha(tree.qubo))
-    return embed_qubo(tree.qubo, emb)
+    return embed_qubo(tree.qubo, planner.to_embedding(tree.qubo.index_of))
 
 
 # ---------------------------------------------------------------------------

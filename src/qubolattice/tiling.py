@@ -452,7 +452,7 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     parsed once per call, not once per tile.
     """
     J, ell = tiles.J, tiles.ell
-    emb = MinorEmbedding(chimera_spec(J, ell * plan.grid_side), {}, alpha=1.0)
+    emb = MinorEmbedding(chimera_spec(J, ell * plan.grid_side), {})
     graph = emb.graph
     planner = SlotPlanner(J)
 
@@ -540,7 +540,9 @@ def supertile_compose(
     through the off-diagonal quadrants on their own tracks.  Each requested
     coupling (i, A_i) lands on an intra-cell edge of the upper-right square of
     a supertile where variable i of both problems is present.  Composed
-    variables are named x<i> (first problem) and y<i> (second).
+    variables are named x<i> (first problem) and y<i> (second).  Every chain
+    takes :func:`embed_qubo`'s weight for the composed objective, couplings
+    included.
     """
     spec1, spec2 = e1.embedding.lattice, e2.embedding.lattice
     if spec1.cell != spec2.cell or spec1.width != spec2.width or spec1.height != spec2.height:
@@ -548,9 +550,6 @@ def supertile_compose(
     J = detect_chimera(spec1)
     if J is None:
         raise TilingError("supertile composition implemented for chimera cells")
-    alpha = max(e1.embedding.alpha, e2.embedding.alpha, 1.0 + max(
-        (abs(a) for _, a in couplings), default=0.0
-    ))
     planner = SlotPlanner(J)
     for tag, e, (si, sj) in (("x", e1, (0, 0)), ("y", e2, (1, 1))):
         g = e.embedding.graph
@@ -604,8 +603,7 @@ def supertile_compose(
             planner.claim(bridge, side, track, var)
         combined.add_quadratic(i, off + i, a_i)
 
-    emb = planner.to_embedding(combined.index_of, alpha, 2 * spec1.width)
-    return embed_qubo(combined, emb)
+    return embed_qubo(combined, planner.to_embedding(combined.index_of, 2 * spec1.width))
 
 
 def _track_into_bridge(planner: SlotPlanner, var: str, cell: tuple[int, int], side: str) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .embedding import EmbeddedQubo, EmbeddingError, SlotPlanner, choose_alpha, embed_qubo
+from .embedding import EmbeddedQubo, EmbeddingError, SlotPlanner, embed_qubo
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
 
 
@@ -483,7 +483,7 @@ def _finish(
     """
     real = [x for x in builder.leaves if x not in dropped]
     logical, tree = _build_gadget_qubo(builder.gadgets, root_children, real + pads, len(real))
-    emb = builder.to_embedding(logical.index_of, choose_alpha(logical), L=L)
+    emb = builder.to_embedding(logical.index_of, L=L)
     return FractalLayout(
         N_star=N_star, L=L, J=builder.J, N=len(real), embedded=embed_qubo(logical, emb),
         tree=tree, added_bits=added_bits, notes=notes,

@@ -31,7 +31,6 @@ from qubolattice.coloring import (
 )
 from qubolattice.embedding import (
     MinorEmbedding,
-    choose_alpha,
     embed_complete_chimera,
     embed_qubo,
     unembed,
@@ -262,15 +261,11 @@ def _soundness_cases():
     for i in range(4):
         for j in range(i + 1, 4):
             ferro.add_quadratic(i, j, -1.0)
-    emb = embed_complete_chimera(4, 2)
-    emb.alpha = choose_alpha(ferro)
-    cases.append(("ferromagnetic K_4 on chimera(2)", embed_qubo(ferro, emb)))
+    cases.append(("ferromagnetic K_4 on chimera(2)", embed_qubo(ferro, embed_complete_chimera(4, 2))))
 
     one_hot = Qubo(BINARY, 3)
     one_hot.add_squared_affine(1.0, [(0, -1.0), (1, -1.0), (2, -1.0)])
-    emb = embed_complete_chimera(3, 4)
-    emb.alpha = choose_alpha(one_hot)
-    cases.append(("one-hot triple via K_3 chains", embed_qubo(one_hot, emb)))
+    cases.append(("one-hot triple via K_3 chains", embed_qubo(one_hot, embed_complete_chimera(3, 4))))
 
     inst = ColoringInstance(((0, 1),), 2)
     cases.append(("coloring edge q=2", compile_coloring(inst)))

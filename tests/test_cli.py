@@ -358,8 +358,8 @@ class TestEmbedValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"document error: {path}: embedding chain m1 holds vertex 8, "
-            "which vertex_order does not list\n"
+            f"document error: {path}: vertex_order is not the sorted union of the chains: "
+            "at position 8 it lists no vertex where the union has vertex 8\n"
         )
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
@@ -369,7 +369,31 @@ class TestEmbedValidate:
         path = write(tmp_path, "emb.json", embedded)
         assert main([command, path]) == 2
         assert capsys.readouterr().err == (
-            f"document error: {path}: physical_qubo has 8 variables, but vertex_order lists 9\n"
+            f"document error: {path}: vertex_order is not the sorted union of the chains: "
+            "at position 8 it lists vertex 8 where the union has no vertex\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_permuted_vertex_order_is_document_error(self, command, tmp_path, capsys):
+        # the physical variables would decode through the wrong lattice vertices
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 4}}))
+        order = embedded["vertex_order"]
+        order[2], order[5] = order[5], order[2]
+        path = write(tmp_path, "emb.json", embedded)
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", (
+            f"document error: {path}: vertex_order is not the sorted union of the chains: "
+            f"at position 2 it lists vertex {order[2]} where the union has vertex {order[5]}\n"
+        ))
+
+    def test_physical_qubo_of_another_size_is_document_error(self, tmp_path, capsys):
+        _, embedded = run(capsys, "embed", write(tmp_path, "inst.json", {"unary": {"n": 4}}))
+        embedded["physical_qubo"]["num_vars"] += 1
+        embedded["physical_qubo"]["var_names"].append("extra")
+        path = write(tmp_path, "emb.json", embedded)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == (
+            f"document error: {path}: physical_qubo has 9 variables, but vertex_order lists 8\n"
         )
 
     @pytest.mark.parametrize(
@@ -466,12 +490,11 @@ class TestEmbedValidate:
              "expected a number, got '-100.5'"),
             (lambda d: d["physical_qubo"]["quadratic"][0].__setitem__(2, True),
              "expected a number, got True"),
-            (lambda d: d["embedding"].update(alpha="7"), "expected a number, got '7'"),
             (lambda d: d["logical_qubo"].update(offset=False), "expected a number, got False"),
             (lambda d: d["physical_qubo"].update(offset=10**400),
              f"number out of float range, got {10**400}"),
         ],
-        ids=["linear", "quadratic", "alpha", "offset", "huge-offset"],
+        ids=["linear", "quadratic", "offset", "huge-offset"],
     )
     def test_non_number_embed_field_is_document_error(
         self, command, edit, message, tmp_path, capsys
@@ -484,25 +507,27 @@ class TestEmbedValidate:
         assert main([command[0], path, *command[1:]]) == 2
         assert capsys.readouterr() == ("", f"document error: {path}: {message}\n")
 
-    @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize(
-        "text, shown", [("1e999", "inf"), ("-5", "-5"), ("0", "0")],
-        ids=["overflow", "negative", "zero"],
+        "command", [["validate"], ["solve", "--solver", "anneal", "--seed", "1"]],
+        ids=["validate", "solve"],
     )
-    def test_alpha_that_is_not_finite_and_positive_is_document_error(
-        self, command, text, shown, tmp_path, capsys
-    ):
-        # physical_qubo holds the chain penalties of the alpha embed chose,
-        # so a document whose alpha cannot be a chain weight is malformed
+    def test_embed_documents_that_carry_alpha_still_read(self, command, tmp_path, capsys):
+        # older embed documents hold the chain weight as embedding.alpha;
+        # physical_qubo already holds the chain terms, so the key is ignored
         inst = write(tmp_path, "inst.json", INSTANCES["partition"])
         _, embedded = run(capsys, "embed", inst, "--strategy", "tree")
-        embedded["embedding"]["alpha"] = "ALPHA"
-        path = tmp_path / "emb.json"
-        path.write_text(dumps(embedded).replace('"ALPHA"', text))
-        assert main([command, str(path)]) == 2
-        assert capsys.readouterr() == (
-            "", f"document error: {path}: alpha must be a finite number above 0, got {shown}\n"
-        )
+        assert "alpha" not in embedded["embedding"]
+        outputs = []
+        for alpha in (32.0, "ALPHA", -5, None):
+            if alpha is not None:
+                embedded["embedding"]["alpha"] = alpha
+            else:
+                del embedded["embedding"]["alpha"]
+            path = write(tmp_path, "emb.json", embedded)
+            code = main([command[0], path, *command[1:]])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] in (0, 1)
+        assert outputs == [outputs[0]] * 4
 
     @pytest.mark.parametrize(
         "names, message",

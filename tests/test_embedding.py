@@ -23,9 +23,14 @@ from qubolattice.embedding import (
     unembed,
     validate,
 )
+from qubolattice.documents import KINDS
+from qubolattice.hamcycle import HamcycleInstance, embed_permutation_tree, embed_tileable_hamcycle
+from qubolattice.knapsack import KnapsackInstance
 from qubolattice.lattice import CellAdjacency, LatticeSpec, build_lattice, chimera_cell, chimera_spec
 from qubolattice.numpart import PartitionInstance, embed_numpart
 from qubolattice.qubo import BINARY, SPIN, Qubo, brute_force
+from qubolattice.tiling import supertile_compose
+from qubolattice.unary import fill_tree_optimize, fractal_embed_unary
 
 
 def complete_edges(n):
@@ -148,7 +153,6 @@ def k8_embedded() -> tuple:
     for i, j in complete_edges(8):
         q.add_quadratic(i, j, 1.0 if (i + j) % 3 else -1.0)
     emb = embed_complete_chimera(8, 4)
-    emb.alpha = choose_alpha(q)
     return embed_qubo(q, emb), (q.interaction_edges(), range(q.num_vars))
 
 
@@ -245,7 +249,6 @@ class TestWalkMemo:
         q = k8_embedded()[0].logical
         walks = counted_walks(monkeypatch)
         emb = embed_complete_chimera(8, 4)
-        emb.alpha = choose_alpha(q)
         assert validate(emb, q.interaction_edges(), range(q.num_vars)).ok
         embed_qubo(q, emb)
         assert len(walks) == 1
@@ -376,6 +379,40 @@ class TestChooseAlpha:
             assert choose_alpha(q) == alpha_by_variable(q)
 
 
+def unary_pair_coupled():
+    e1, e2 = fractal_embed_unary(2, 4)[0], fractal_embed_unary(2, 4)[0]
+    return supertile_compose(e1, e2, [(0, 10.0)])
+
+
+class TestOneChainWeight:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: embed_numpart(PartitionInstance((2, 2, 3, 3)), 4),
+            lambda: fractal_embed_unary(16, 4)[0],
+            lambda: fill_tree_optimize(fractal_embed_unary(16, 4)[1]).embedded,
+            lambda: embed_permutation_tree(2),
+            lambda: embed_permutation_tree(4),
+            lambda: embed_tileable_hamcycle(HamcycleInstance(((0, 1), (1, 2), (2, 3), (3, 0))), 4),
+            lambda: KINDS["knapsack"].embed(KnapsackInstance((3, 1), (2, 1), 2), "complete", 4),
+            # a coupling of 10 raises the weight to 11.5 on both halves
+            unary_pair_coupled,
+        ],
+        ids=["numpart", "unary", "unary-fill", "permutation-2", "permutation-4",
+             "tileable-hamcycle", "complete-fallback", "supertile-coupled"],
+    )
+    def test_every_chain_coupler_carries_the_weight_of_the_logical_objective(self, build):
+        e = build()
+        alpha = choose_alpha(e.logical)
+        want = -4.0 * alpha if e.physical.domain == BINARY else -alpha
+        chain_of = {p: v for v, chain in e.embedding.chains.items() for p in chain}
+        inside = [
+            c for (k1, k2), c in e.physical.quadratic.items()
+            if chain_of[e.vertex_order[k1]] == chain_of[e.vertex_order[k2]]
+        ]
+        assert inside and all(c == want for c in inside)
+
+
 @st.composite
 def small_logical_qubos(draw):
     n = draw(st.sampled_from([2, 3]))
@@ -393,7 +430,6 @@ class TestGroundStateProperty:
     @given(q=small_logical_qubos(), J=st.sampled_from([1, 2]))
     def test_physical_ground_states_decode_to_logical_ground_states(self, q, J):
         emb = embed_complete_chimera(q.num_vars, J)
-        emb.alpha = choose_alpha(q)
         e = embed_qubo(q, emb)
         assert e.physical.num_vars <= 20
         physical = brute_force(e.physical)
@@ -412,7 +448,7 @@ class TestEmbedQubo:
         q = Qubo(BINARY, 2)
         q.add_squared_affine(1.0, [(0, -1.0), (1, -1.0)])
         chains = {0: frozenset({g.vertex(0, 0, 0)}), 1: frozenset({g.vertex(0, 0, 4)})}
-        emb = MinorEmbedding(spec, chains, alpha=choose_alpha(q))
+        emb = MinorEmbedding(spec, chains)
         e = embed_qubo(q, emb)
         assert e.physical.num_vars == 2
         assert e.physical.offset == q.offset
@@ -422,20 +458,18 @@ class TestEmbedQubo:
         spec = chimera_spec(4, 1)
         g = build_lattice(spec)
         q = Qubo(BINARY, 1)
-        emb = MinorEmbedding(
-            spec, {0: frozenset({g.vertex(0, 0, 0), g.vertex(0, 0, 4)})}, alpha=1.5
-        )
+        emb = MinorEmbedding(spec, {0: frozenset({g.vertex(0, 0, 0), g.vertex(0, 0, 4)})})
         e = embed_qubo(q, emb)
         spec_out = brute_force(e.physical)
         assert spec_out.ground_energy == 0.0
         assert set(spec_out.ground_states) == {(0, 0), (1, 1)}
-        assert spec_out.gap == pytest.approx(2 * 1.5)
+        assert spec_out.gap == pytest.approx(2 * choose_alpha(q))
 
     def test_one_hot_through_k8_embedding(self):
         q = Qubo(BINARY, 2)
         q.add_squared_affine(1.0, [(0, -1.0), (1, -1.0)])
         emb8 = embed_complete_chimera(8, 4)
-        emb = MinorEmbedding(emb8.lattice, {0: emb8.chains[0], 1: emb8.chains[1]}, alpha=choose_alpha(q))
+        emb = MinorEmbedding(emb8.lattice, {0: emb8.chains[0], 1: emb8.chains[1]})
         e = embed_qubo(q, emb)
         spec_out = brute_force(e.physical)
         assert spec_out.ground_energy == 0.0
@@ -448,7 +482,6 @@ class TestEmbedQubo:
         for i, j in complete_edges(3):
             q.add_quadratic(i, j, -1.0)
         emb = embed_complete_chimera(3, 2)
-        emb.alpha = choose_alpha(q)
         e = embed_qubo(q, emb)
         g = e.embedding.graph
         for (k1, k2) in e.physical.quadratic:
@@ -478,7 +511,7 @@ class TestEmbedQubo:
         q.add_quadratic(0, 1, 1.0)
         chains = {0: frozenset({g.vertex(0, 0, 0)}), 1: frozenset({g.vertex(1, 1, 0)})}
         with pytest.raises(EmbeddingError):
-            embed_qubo(q, MinorEmbedding(spec, chains, alpha=2.0))
+            embed_qubo(q, MinorEmbedding(spec, chains))
 
     def test_ground_energy_preserved(self):
         q = Qubo(SPIN, 4)
@@ -486,7 +519,6 @@ class TestEmbedQubo:
             q.add_quadratic(i, j, 1.0 if (i + j) % 2 else -1.0)
         q.add_linear(0, 0.5)
         emb = embed_complete_chimera(4, 2)
-        emb.alpha = choose_alpha(q)
         e = embed_qubo(q, emb)
         phys = brute_force(e.physical)
         logical = brute_force(q)
@@ -500,7 +532,6 @@ class TestEmbedQubo:
         q = Qubo(BINARY, 3)
         q.add_squared_affine(1.0, [(0, -1.0), (1, -1.0), (2, -1.0)])
         emb = embed_complete_chimera(3, 4)
-        emb.alpha = choose_alpha(q)
         e = embed_qubo(q, emb)
         eff = e.chain_intact_qubo()
         for code in range(8):
@@ -514,7 +545,7 @@ class TestUnembed:
         spec = chimera_spec(4, 1)
         g = build_lattice(spec)
         chain = frozenset({g.vertex(0, 0, 0), g.vertex(0, 0, 4), g.vertex(0, 0, 1)})
-        emb = MinorEmbedding(spec, {0: chain}, alpha=1.0)
+        emb = MinorEmbedding(spec, {0: chain})
         return embed_qubo(q, emb)
 
     def test_unanimous(self):
@@ -540,11 +571,10 @@ class TestUnembed:
 class TestEmbeddingDocs:
     def test_round_trip(self):
         emb = embed_complete_chimera(5, 4)
-        emb.alpha = 2.5
         names = [f"x{v}" for v in range(5)]
         doc = embedding_to_doc(emb, names)
+        assert sorted(doc) == ["chains", "lattice"]
         assert sorted(doc["chains"]) == names
         back = embedding_from_doc(doc, names)
         assert back.lattice == emb.lattice
-        assert back.alpha == emb.alpha
         assert back.chains == emb.chains
