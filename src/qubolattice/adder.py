@@ -27,6 +27,10 @@ class AdderInstance:
 
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise AdderError("adder width must be at least 1")
+
 
 @dataclass
 class AdderQubo:

@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager
 
 from . import documents
 from .cartoon import MAX_N, report_rows
 from .coloring import build_tileset, verify_gap
-from .embedding import EmbeddedQubo, embedding_from_doc, embedding_to_doc, unembed, validate
+from .embedding import embedding_to_doc, unembed, validate
 from .hamcycle import predicted_hamcycle_length, predicted_permutation_length
 from .knapsack import predicted_knapsack_length
 from .lattice import (
@@ -33,15 +32,12 @@ from .qubo import (
     BINARY,
     SPIN,
     NoiseModel,
-    Qubo,
     QuboError,
     anneal_solve,
     apply_noise,
     binary_assignment,
     brute_force,
-    doc_int,
     normalize_couplings,
-    qubo_from_doc,
     qubo_to_doc,
     to_spin,
 )
@@ -52,16 +48,15 @@ class UsageError(Exception):
     pass
 
 
-def _read_doc(path: str):
+def _read_doc(path: str, decode=lambda doc: doc):
+    """The JSON document at `path`, through `decode`; a document error names `path`."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
-    try:
-        return documents.loads(text)
-    except documents.DocumentError as err:
-        raise documents.DocumentError(f"{path}: {err}") from None
+    with documents.reading(path):
+        return decode(documents.loads(text))
 
 
 def _emit(doc, out: str | None) -> None:
@@ -83,9 +78,7 @@ def _parse_lattice(spec_text: str):
             return chimera_spec(j, l), ("chimera", j)
         except LatticeError as err:
             raise UsageError(str(err)) from None
-    doc = _read_doc(spec_text)
-    with _decoding(spec_text):
-        return lattice_from_doc(doc), None
+    return _read_doc(spec_text, lattice_from_doc), None
 
 
 def cmd_lattice(args) -> int:
@@ -103,7 +96,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_build(args) -> int:
-    inst = documents.parse_instance(_read_doc(args.instance))
+    inst = _read_doc(args.instance, documents.parse_instance)
     logical, meta = documents.kind_of(inst).logical(inst, args.strategy, args.l_star)
     doc = {
         "instance": documents.instance_to_doc(inst),
@@ -120,7 +113,7 @@ def cmd_embed(args) -> int:
         noise = None if args.noise is None else NoiseModel(args.noise, args.seed)
     except QuboError as err:
         raise UsageError(f"embed --noise: {err}") from None
-    inst = documents.parse_instance(_read_doc(args.instance))
+    inst = _read_doc(args.instance, documents.parse_instance)
     given = _parse_lattice(args.lattice)[0] if args.lattice else None
     J = (detect_chimera(given) or 4) if given else 4
     embedded = documents.kind_of(inst).embed(inst, args.strategy, J)
@@ -156,75 +149,13 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _objective_doc(doc, path: str) -> dict:
-    """The QUBO a command reads: an embed document's physical QUBO, a build
-    document's QUBO, or the document itself when it is a bare QUBO."""
-    body = doc.get("physical_qubo", doc.get("qubo", doc)) if isinstance(doc, dict) else None
-    if not isinstance(body, dict) or "domain" not in body:
-        raise documents.DocumentError(f"{path} holds no QUBO")
-    return body
-
-
-@contextmanager
-def _decoding(path: str):
-    """`documents.reading`, plus a malformed value met while decoding a QUBO
-    or embedding body (a `ValueError`) reported as a `DocumentError`."""
-    try:
-        with documents.reading(path):
-            yield
-    except documents.DocumentError:
-        raise
-    except ValueError as err:
-        raise documents.DocumentError(f"{path}: {err}") from None
-
-
-def _read_qubo(body, path: str) -> Qubo:
-    with _decoding(path):
-        return qubo_from_doc(body)
-
-
-def _rebuild_embedded(doc, path: str) -> EmbeddedQubo:
-    if not isinstance(doc, dict) or "physical_qubo" not in doc:
-        raise documents.DocumentError(f"{path} is not an embed document")
-    with _decoding(path):
-        logical = qubo_from_doc(doc["logical_qubo"])
-        physical = qubo_from_doc(doc["physical_qubo"])
-        emb = embedding_from_doc(
-            doc["embedding"], [logical.name_of(i) for i in range(logical.num_vars)]
-        )
-        embedded = EmbeddedQubo(physical, emb, logical, [doc_int(v) for v in doc["vertex_order"]])
-    # embed writes the sorted union of the chains, so any other order is an edit
-    order, union = embedded.vertex_order, emb.physical_vertices()
-    if order != union:
-        k = next(
-            (k for k, (p, q) in enumerate(zip(order, union)) if p != q), min(len(order), len(union))
-        )
-        at = [f"vertex {seq[k]}" if k < len(seq) else "no vertex" for seq in (order, union)]
-        raise documents.DocumentError(
-            f"{path}: vertex_order is not the sorted union of the chains: "
-            f"at position {k} it lists {at[0]} where the union has {at[1]}"
-        )
-    if physical.num_vars != len(order):
-        raise documents.DocumentError(
-            f"{path}: physical_qubo has {physical.num_vars} variables, "
-            f"but vertex_order lists {len(order)}"
-        )
-    return embedded
-
-
 def cmd_solve(args) -> int:
     if args.solver == "anneal":
         for flag, budget in (("--sweeps", args.sweeps), ("--restarts", args.restarts)):
             if budget < 1:
                 raise UsageError(f"solve {flag} must be at least 1, got {budget}")
-    doc = _read_doc(args.input)
-    body = _objective_doc(doc, args.input)
-    inst = documents.parse_instance(doc["instance"]) if "instance" in doc else None
-    embedded = _rebuild_embedded(doc, args.input) if "physical_qubo" in doc else None
-    target = embedded.physical if embedded is not None else _read_qubo(body, args.input)
-    solver = _read_qubo(doc["solver_qubo"], args.input) if "solver_qubo" in doc else None
-    if solver is not None and (solver.domain != SPIN or solver.num_vars != target.num_vars):
-        raise documents.DocumentError(f"{args.input}: solver_qubo does not match physical_qubo")
+    doc = documents.read(_read_doc(args.input), args.input)
+    target, embedded, solver = doc.qubo, doc.embedded, doc.solver
     objective = target if solver is None else solver
     if args.solver == "brute":
         spec = brute_force(objective, cap=args.cap)
@@ -247,10 +178,12 @@ def cmd_solve(args) -> int:
             logical_state = binary_assignment(logical_state)
     result["logical"] = list(logical_state)
     feasible = abs(result["energy"]) <= 1e-6
+    inst = doc.instance
     if inst is not None:
         logical = embedded.logical if embedded is not None else target
         names = [logical.name_of(i) for i in range(logical.num_vars)]
-        verdict = documents.kind_of(inst).decode(inst, logical_state, broken, names)
+        with documents.reading(args.input):
+            verdict = documents.kind_of(inst).decode(inst, logical_state, broken, names)
         if verdict is not None:
             result["decoded"], feasible = verdict
     result["feasible"] = feasible
@@ -260,7 +193,9 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = _read_doc(args.input)
-    embedded = _rebuild_embedded(doc, args.input)
+    if not isinstance(doc, dict) or "physical_qubo" not in doc:
+        raise documents.DocumentError(f"{args.input} is not an embed document")
+    embedded = documents.read(doc, args.input).embedded
     report = validate(
         embedded.embedding,
         embedded.logical.interaction_edges(),
@@ -276,8 +211,7 @@ def cmd_gap(args) -> int:
     elif args.input is None:
         raise UsageError("gap needs an input document or --assembly")
     else:
-        body = _objective_doc(_read_doc(args.input), args.input)
-        spec = brute_force(_read_qubo(body, args.input), cap=args.cap)
+        spec = brute_force(documents.read(_read_doc(args.input), args.input).qubo, cap=args.cap)
     _emit(
         {
             "ground_energy": spec.ground_energy,

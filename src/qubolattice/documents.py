@@ -2,7 +2,8 @@
 
 `KINDS` holds one `ProblemKind` per instance tag: the instance type, the body
 codec, the logical compiler, the native embedders and the decoder.  Every
-per-kind decision in the file pipelines is a lookup in it.
+per-kind decision in the file pipelines is a lookup in it.  `read` is the one
+reader of the documents the commands take as input.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Iterator, Mapping
 
 from .adder import AdderInstance, build_adder
 from .coloring import ColoringInstance, build_coloring_qubo, compile_coloring, decode_coloring
-from .embedding import EmbeddedQubo, embed_complete_chimera, embed_qubo
+from .embedding import EmbeddedQubo, embed_complete_chimera, embed_qubo, embedding_from_doc
 from .hamcycle import (
     HamcycleInstance,
     build_ic_qubo,
@@ -24,7 +25,7 @@ from .hamcycle import (
 )
 from .knapsack import KnapsackInstance, build_knapsack_qubo
 from .numpart import PartitionInstance, build_numpart_qubo, decode_partition, embed_numpart
-from .qubo import FieldTypeError, Qubo, doc_int
+from .qubo import SPIN, FieldTypeError, Qubo, doc_int, qubo_from_doc
 from .unary import UnaryInstance, build_unary_qubo, fractal_embed_unary
 
 
@@ -34,13 +35,14 @@ class DocumentError(ValueError):
 
 @contextmanager
 def reading(what: str) -> Iterator[None]:
-    """Report a missing key, a field of the wrong type or a wrong shape met
-    while decoding `what` as a `DocumentError` that names it."""
+    """The one translation of decoding failures: a missing key, a wrong type
+    or shape, or any `ValueError` of a decoder or an instance type met while
+    decoding `what` becomes a `DocumentError` prefixed by `what`."""
     try:
         yield
     except KeyError as err:
         raise DocumentError(f"{what}: {err} not found") from None
-    except FieldTypeError as err:
+    except (FieldTypeError, ValueError) as err:
         raise DocumentError(f"{what}: {err}") from None
     except (TypeError, AttributeError) as err:
         raise DocumentError(f"{what}: wrong shape ({err})") from None
@@ -229,6 +231,55 @@ def parse_instance(doc: Mapping):
         raise DocumentError(f"unknown instance tag {tag!r}")
     with reading(f"malformed {tag!r} instance"):
         return KINDS[tag].parse(body)
+
+
+@dataclass(frozen=True)
+class Document:
+    """A command's input as `read` decodes it."""
+
+    instance: object | None
+    qubo: Qubo  # physical_qubo, qubo, or the document itself
+    embedded: EmbeddedQubo | None
+    solver: Qubo | None  # solver_qubo
+
+
+def read(doc, path: str) -> Document:
+    """Decode a parsed input document whole: the instance, the objective (an
+    embed document's `physical_qubo`, a build document's `qubo` or a bare
+    QUBO), an embed document's `EmbeddedQubo`, and `solver_qubo`.  Every
+    error is a `DocumentError` that names `path`."""
+    body = doc.get("physical_qubo", doc.get("qubo", doc)) if isinstance(doc, dict) else None
+    if not isinstance(body, dict) or "domain" not in body:
+        raise DocumentError(f"{path} holds no QUBO")
+    with reading(path):
+        inst = parse_instance(doc["instance"]) if "instance" in doc else None
+        embedded = _embedded(doc) if "physical_qubo" in doc else None
+        qubo = embedded.physical if embedded is not None else qubo_from_doc(body)
+        solver = qubo_from_doc(doc["solver_qubo"]) if "solver_qubo" in doc else None
+        if solver is not None and (solver.domain != SPIN or solver.num_vars != qubo.num_vars):
+            raise DocumentError("solver_qubo does not match physical_qubo")
+    return Document(inst, qubo, embedded, solver)
+
+
+def _embedded(doc: Mapping) -> EmbeddedQubo:
+    logical, physical = qubo_from_doc(doc["logical_qubo"]), qubo_from_doc(doc["physical_qubo"])
+    names = [logical.name_of(i) for i in range(logical.num_vars)]
+    embedded = EmbeddedQubo(physical, embedding_from_doc(doc["embedding"], names), logical)
+    # embed writes the sorted union of the chains, so any other order is an edit
+    stored, union = [doc_int(v) for v in doc["vertex_order"]], embedded.vertex_order
+    if stored != union:
+        pairs = enumerate(zip(stored, union))
+        k = next((k for k, (p, q) in pairs if p != q), min(len(stored), len(union)))
+        at = [f"vertex {seq[k]}" if k < len(seq) else "no vertex" for seq in (stored, union)]
+        raise DocumentError(
+            "vertex_order is not the sorted union of the chains: "
+            f"at position {k} it lists {at[0]} where the union has {at[1]}"
+        )
+    if physical.num_vars != len(union):
+        raise DocumentError(
+            f"physical_qubo has {physical.num_vars} variables, but vertex_order lists {len(union)}"
+        )
+    return embedded
 
 
 def instance_to_doc(inst) -> dict:

@@ -412,15 +412,19 @@ def choose_alpha(logical: Qubo) -> float:
 class EmbeddedQubo:
     """A logical objective realized on a lattice through an embedding.
 
-    `physical` ranges over the active lattice vertices only; `vertex_order`
-    maps its variable positions back to canonical lattice indices.
+    `physical` ranges over the active lattice vertices only, one variable per
+    vertex of `vertex_order`, the sorted union of the chains; both
+    `vertex_order` and its inverse `position_of` are derived from the chains.
     """
 
     physical: Qubo
     embedding: MinorEmbedding
     logical: Qubo
-    vertex_order: list[int]
     placement: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+
+    @cached_property
+    def vertex_order(self) -> list[int]:
+        return self.embedding.physical_vertices()
 
     @cached_property
     def position_of(self) -> dict[int, int]:
@@ -512,7 +516,7 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
                 physical.add_offset(alpha)
                 physical.add_quadratic(kp, kq, -alpha)
     _slim_walk(emb)
-    return EmbeddedQubo(physical, emb, logical, order, placement)
+    return EmbeddedQubo(physical, emb, logical, placement)
 
 
 def unembed(

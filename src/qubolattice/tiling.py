@@ -519,7 +519,7 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
 
     names = [f"v{v}:c{color}" for v in range(plan.num_vertices) for color in range(tiles.q)]
     placeholder = Qubo(SPIN, plan.num_vertices * tiles.q, var_names=names)
-    embedded = EmbeddedQubo(physical, emb, placeholder, order)
+    embedded = EmbeddedQubo(physical, emb, placeholder)
     embedded.logical = embedded.chain_intact_qubo()
     return embedded
 

@@ -29,6 +29,10 @@ class UnaryInstance:
     n: int
     allow_zero: bool = False
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise UnaryError("unary constraint needs at least 2 bits")
+
 
 # ---------------------------------------------------------------------------
 # merge trees

@@ -10,9 +10,13 @@ peak-RSS bounds read the whole process, so CI runs one check per process.
 """
 
 import ast
+import os
 import pathlib
 import re
 import resource
+import shlex
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -299,3 +303,40 @@ def test_document_fuzz():
     start = time.perf_counter()
     check_document_mutations(max_examples=3000, seed=1)
     print(f"3000 mutated documents in {time.perf_counter() - start:.1f} s")
+
+
+def test_readme_commands(tmp_path):
+    # Each command of the README "Command line" block runs in turn in one
+    # fresh directory, through `python -m qubolattice.cli`.  A trailing
+    # "# exit N" documents the expected code, 0 when absent.  A traceback on
+    # stderr fails the check whatever the exit code (an uncaught exception
+    # also exits 1), and so does a `document error:` line that does not
+    # start with the name of a file the command reads.
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cli = f"{shlex.quote(sys.executable)} -m qubolattice.cli "
+    bad = []
+    for line in block.splitlines():
+        want = re.search(r"# exit (\d)", line)
+        want = int(want.group(1)) if want else 0
+        cmd = cli + line.removeprefix("qubolattice ") if line.startswith("qubolattice ") else line
+        proc = subprocess.run(
+            ["bash", "-c", cmd], cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        print(f"$ {line}\n{proc.stderr}", end="")
+        if proc.returncode != want:
+            bad.append(f"{line}: exit {proc.returncode}, README documents {want}")
+        if "Traceback" in proc.stderr:
+            bad.append(f"{line}: uncaught exception")
+        files = [a for a in shlex.split(line, comments=True) if (tmp_path / a).is_file()]
+        bad += [
+            f"{line}: names no file it reads: {err}"
+            for err in proc.stderr.splitlines()
+            if err.startswith("document error:")
+            and not any(err.startswith(f"document error: {f}") for f in files)
+        ]
+    for line in bad:
+        print(line)
+    assert not bad

@@ -324,11 +324,13 @@ class TestEmbedValidate:
     ):
         _, built = run(capsys, "build", write(tmp_path, "inst.json", instance))
         next(iter(built["instance"].values()))[edit[0]] = edit[1]
-        assert main(["solve", "--solver", "brute", write(tmp_path, "built.json", built)]) == 2
+        path = write(tmp_path, "built.json", built)
+        assert main(["solve", "--solver", "brute", path]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"document error: the {reads} logical variables, but the logical QUBO has {has}\n"
+            f"document error: {path}: the {reads} logical variables, "
+            f"but the logical QUBO has {has}\n"
         )
 
     @pytest.mark.parametrize("strategy", ["tree", "tiles"])
@@ -344,7 +346,7 @@ class TestEmbedValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "document error: the hamcycle instance reads 9 logical variables, "
+            f"document error: {path}: the hamcycle instance reads 9 logical variables, "
             "but the logical QUBO has 16\n"
         )
 
@@ -694,6 +696,15 @@ class TestRegistry:
         [
             ({"triangle": {"n": 3}}, "unknown instance tag 'triangle'"),
             ({"knapsack": {"values": [1], "weights": [1]}}, "malformed 'knapsack' instance"),
+            # values the instance type rejects
+            ({"coloring": {"edges": [[0, 1]], "q": 0}},
+             "malformed 'coloring' instance: need at least one color"),
+            ({"partition": {"numbers": [2, 0, 2]}},
+             "malformed 'partition' instance: numbers must be positive integers"),
+            ({"knapsack": {"values": [3, 1], "weights": [2], "capacity": 2}},
+             "malformed 'knapsack' instance: values and weights must pair up"),
+            ({"unary": {"n": 1}}, "malformed 'unary' instance: unary constraint needs at least 2 bits"),
+            ({"adder": {"n": 0}}, "malformed 'adder' instance: adder width must be at least 1"),
         ],
     )
     def test_bad_instance_is_document_error(self, doc, message, tmp_path, capsys):
@@ -719,9 +730,10 @@ class TestRegistry:
         ids=["numbers", "capacity", "edge", "q", "num_vertices", "n", "allow_zero", "adder-n"],
     )
     def test_non_integer_instance_field_is_document_error(self, doc, message, tmp_path, capsys):
-        assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
+        path = write(tmp_path, "inst.json", doc)
+        assert main(["build", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"document error: malformed '{next(iter(doc))}' instance")
+        assert err.startswith(f"document error: {path}: malformed '{next(iter(doc))}' instance")
         assert message in err
 
     @pytest.mark.parametrize(
@@ -738,8 +750,9 @@ class TestRegistry:
     )
     def test_field_error_says_what_is_wrong(self, doc, message, tmp_path, capsys):
         # a value of the wrong type is not called a wrong shape; a shape error is
-        assert main(["build", write(tmp_path, "inst.json", doc)]) == 2
-        assert capsys.readouterr().err == f"document error: {message}\n"
+        path = write(tmp_path, "inst.json", doc)
+        assert main(["build", path]) == 2
+        assert capsys.readouterr().err == f"document error: {path}: {message}\n"
 
     @pytest.mark.parametrize("command", [["build"], ["embed", "--strategy", "tiles"]], ids=["build", "embed"])
     @pytest.mark.parametrize(
@@ -752,9 +765,13 @@ class TestRegistry:
         ids=["coloring", "hamcycle", "hamcycle-negative"],
     )
     def test_edge_to_a_missing_vertex_is_an_error(self, command, doc, edge, tmp_path, capsys):
-        assert main([command[0], write(tmp_path, "inst.json", doc), *command[1:]]) == 1
+        path = write(tmp_path, "inst.json", doc)
+        assert main([command[0], path, *command[1:]]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: edge {edge} names a vertex outside 0..2\n"
+        assert err == (
+            f"document error: {path}: malformed '{next(iter(doc))}' instance: "
+            f"edge {edge} names a vertex outside 0..2\n"
+        )
 
     @pytest.mark.parametrize("strategy", ["tree", "complete", "tiles"])
     @pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(EXTRA_INSTANCES))
@@ -936,7 +953,8 @@ def _mutate(data, docs: dict, key) -> tuple[str, str]:
 
 def check_document_mutations(max_examples: int, seed: int) -> None:
     """Each mutated document, run through every subcommand that reads a
-    document, ends in exit 0, 1 or 2 and raises nothing but SystemExit.
+    document, ends in exit 0, 1 or 2 and raises nothing but SystemExit, and
+    every `document error:` line names the mutated file or the instance file.
 
     A mutation deletes one key or list entry, replaces one value by junk, or
     swaps one part for the same part of another document.  Brute-force
@@ -961,13 +979,18 @@ def check_document_mutations(max_examples: int, seed: int) -> None:
                 ["solve", doc, "--solver", "anneal", "--sweeps", "1", "--restarts", "1"],
                 ["lattice", "--lattice", doc], ["embed", inst, "--lattice", doc],
             ):
-                sink = io.StringIO()
+                out, err = io.StringIO(), io.StringIO()
                 try:
-                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = main(argv)
-                except SystemExit as err:
-                    code = err.code
+                except SystemExit as exit_:
+                    code = exit_.code
                 assert code in (0, 1, 2), f"{key} {how}: {argv[0]} exits {code}"
+                for line in err.getvalue().splitlines():
+                    if line.startswith("document error:"):
+                        assert line.startswith((f"document error: {doc}", f"document error: {inst}")), (
+                            f"{key} {how}: {argv[0]} names no file: {line}"
+                        )
 
         mutated_documents_end_in_an_exit_code()
 

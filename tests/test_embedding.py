@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import counted_walks, reference_walk
 from qubolattice import embedding as embedding_module
+from qubolattice.adder import AdderInstance
+from qubolattice.coloring import ColoringInstance
 from qubolattice.embedding import (
     EmbeddingError,
     MinorEmbedding,
@@ -30,7 +32,7 @@ from qubolattice.lattice import CellAdjacency, LatticeSpec, build_lattice, chime
 from qubolattice.numpart import PartitionInstance, embed_numpart
 from qubolattice.qubo import BINARY, SPIN, Qubo, brute_force
 from qubolattice.tiling import supertile_compose
-from qubolattice.unary import fill_tree_optimize, fractal_embed_unary
+from qubolattice.unary import UnaryInstance, fill_tree_optimize, fractal_embed_unary
 
 
 def complete_edges(n):
@@ -411,6 +413,48 @@ class TestOneChainWeight:
             if chain_of[e.vertex_order[k1]] == chain_of[e.vertex_order[k2]]
         ]
         assert inside and all(c == want for c in inside)
+
+
+# one instance per tag, for the registry's native layouts and complete fallback
+REGISTRY_INSTANCES = {
+    "partition": PartitionInstance((2, 2, 3, 3)),
+    "knapsack": KnapsackInstance((3, 1), (2, 1), 2),
+    "coloring": ColoringInstance(((0, 1), (1, 2)), 2),
+    "hamcycle": HamcycleInstance(((0, 1), (1, 2), (2, 3), (3, 0))),
+    "unary": UnaryInstance(4),
+    "adder": AdderInstance(2),
+}
+
+
+class TestDerivedVertexOrder:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(
+                pytest.param(
+                    lambda tag=tag, strategy=strategy: KINDS[tag].embed(
+                        REGISTRY_INSTANCES[tag], strategy, 4
+                    ),
+                    id=f"{tag}-{strategy}",
+                )
+                for tag in sorted(KINDS)
+                for strategy in sorted({*KINDS[tag].embedders, "complete"})
+            ),
+            pytest.param(
+                lambda: supertile_compose(
+                    fractal_embed_unary(2, 4)[0], fractal_embed_unary(2, 4)[0], []
+                ),
+                id="supertile",
+            ),
+        ],
+    )
+    def test_vertex_order_is_the_sorted_union_of_the_chains(self, build):
+        # embed_qubo, stitch (coloring tiles) and supertile_compose alike
+        e = build()
+        union = sorted(set().union(*e.embedding.chains.values()))
+        assert e.vertex_order == union == [int(n) for n in e.physical.var_names]
+        assert len(e.position_of) == len(union)
+        assert all(e.vertex_order[k] == p for p, k in e.position_of.items())
 
 
 @st.composite
