@@ -66,8 +66,7 @@ def build_adder(n: int) -> AdderQubo:
     1 <= j < n).  y:n is the aliased top carry.  Zero energy iff the outputs
     and carries encode X1 + X2 exactly.
     """
-    if n < 1:
-        raise AdderError("adder width must be at least 1")
+    AdderInstance(n)  # refuses n below 1
     builder = QuboBuilder(BINARY)
     for which in (1, 2):
         for j in range(n):
@@ -86,8 +85,7 @@ def build_naive_adder(n: int) -> AdderQubo:
     Reference oracle only: its couplings grow like 4^n, which is useless for
     hardware but convenient to compare ground sets against build_adder.
     """
-    if n < 1:
-        raise AdderError("adder width must be at least 1")
+    AdderInstance(n)  # refuses n below 1
     builder = QuboBuilder(BINARY)
     terms: list[tuple[str, float]] = []
     for j in range(n):

@@ -15,7 +15,7 @@ import sys
 
 from . import documents
 from .cartoon import MAX_N, report_rows
-from .coloring import build_tileset, verify_gap
+from .coloring import _RESTRICTED_CAP, build_tileset, verify_gap
 from .embedding import embedding_to_doc, unembed, validate
 from .hamcycle import predicted_hamcycle_length, predicted_permutation_length
 from .knapsack import predicted_knapsack_length
@@ -207,6 +207,8 @@ def cmd_validate(args) -> int:
 
 def cmd_gap(args) -> int:
     if args.assembly:
+        if not 2 <= args.q <= _RESTRICTED_CAP:
+            raise UsageError(f"gap --q must be in 2..{_RESTRICTED_CAP}, got {args.q}")
         spec = verify_gap(build_tileset(args.q), args.assembly)
     elif args.input is None:
         raise UsageError("gap needs an input document or --assembly")

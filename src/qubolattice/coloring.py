@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,9 @@ from .qubo import (
     brute_force,
     clamp,
 )
-from .tiling import TileHamiltonians, TilePlan, _slot_name, route_graph_to_tiles, stitch
+from .tiling import (
+    TileHamiltonians, TilePlan, _slot_name, _vertex_count, route_graph_to_tiles, stitch,
+)
 
 
 class ColoringError(ValueError):
@@ -40,25 +42,18 @@ class ColoringError(ValueError):
 
 @dataclass(frozen=True)
 class ColoringInstance:
+    """q-colouring of a graph with n >= 1 vertices; q below 1 or a graph
+    `tiling._vertex_count` refuses raises `ColoringError`."""
+
     edges: tuple[tuple[int, int], ...]
     q: int
     num_vertices: int | None = None
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q < 1:
             raise ColoringError("need at least one color")
-        n = self.n
-        for u, v in self.edges:
-            if u == v:
-                raise ColoringError("self loops are not colorable")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ColoringError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
-
-    @property
-    def n(self) -> int:
-        if self.num_vertices is not None:
-            return self.num_vertices
-        return 1 + max((max(e) for e in self.edges), default=0)
+        object.__setattr__(self, "n", _vertex_count(self.edges, self.num_vertices, 1, ColoringError))
 
 
 @dataclass
@@ -219,9 +214,13 @@ def _assembly_plan(assembly: str) -> TilePlan:
     raise ColoringError(f"unknown assembly {assembly!r}")
 
 
+#: Variable cap of the chain-intact spectra; a one-tile assembly has q of them.
+_RESTRICTED_CAP = 24
+
+
 def _restricted_spectrum(contracted: Qubo) -> Spectrum:
     """Spectrum over chain-intact states, from the contracted objective."""
-    return brute_force(contracted, cap=24)
+    return brute_force(contracted, cap=_RESTRICTED_CAP)
 
 
 def build_coloring_qubo(inst: ColoringInstance) -> Qubo:

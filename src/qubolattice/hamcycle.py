@@ -11,11 +11,11 @@ a tile plan of the input graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .embedding import EmbeddedQubo, EmbeddingError, SlotPlanner, embed_complete_chimera, embed_qubo
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
-from .tiling import TilePlan, TilingError, _edge_tile_pairs, route_graph_to_tiles
+from .tiling import TilePlan, TilingError, _edge_tile_pairs, _vertex_count, route_graph_to_tiles
 from .unary import _add_bit_constraint, _add_gadget, _lift_gadgets
 
 
@@ -25,22 +25,15 @@ class HamcycleError(ValueError):
 
 @dataclass(frozen=True)
 class HamcycleInstance:
+    """A graph with n >= 3 vertices; a graph `tiling._vertex_count` refuses
+    raises `HamcycleError`."""
+
     edges: tuple[tuple[int, int], ...]
     num_vertices: int | None = None
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        for u, v in self.edges:
-            if u == v:
-                raise HamcycleError("self loops not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise HamcycleError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
-
-    @property
-    def n(self) -> int:
-        if self.num_vertices is not None:
-            return self.num_vertices
-        return 1 + max((max(e) for e in self.edges), default=0)
+        object.__setattr__(self, "n", _vertex_count(self.edges, self.num_vertices, 3, HamcycleError))
 
     def neighbors(self, v: int) -> list[int]:
         out = set()
@@ -67,8 +60,6 @@ def build_ic_qubo(inst: HamcycleInstance) -> ICQubo:
     """Permutation one-hots plus penalties on non-edges between consecutive
     positions; ordered non-adjacent pairs each contribute once."""
     n = inst.n
-    if n < 3:
-        raise HamcycleError("a cycle needs at least three vertices")
     builder = QuboBuilder(BINARY)
     for v in range(n):
         for j in range(n):
@@ -258,8 +249,6 @@ def build_tileable_hamcycle(inst: HamcycleInstance) -> TileHamcycleQubo:
     x_{u,j+1}.  Zero-energy states exist exactly for Hamiltonian cycles.
     """
     n = inst.n
-    if n < 3:
-        raise HamcycleError("a cycle needs at least three vertices")
     builder = QuboBuilder(BINARY)
     for v in range(n):
         for j in range(n):

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .embedding import EmbeddedQubo, MinorEmbedding, SlotPlanner, embed_qubo
-from .lattice import chimera_spec, detect_chimera
+from .embedding import EmbeddedQubo, SlotPlanner, embed_qubo
+from .lattice import detect_chimera
 from .qubo import SPIN, Qubo, QuboBuilder, substitute
 
 VERTEX, CROSSING, EMPTY = "v", "x", "-"
@@ -26,6 +26,22 @@ VERTEX, CROSSING, EMPTY = "v", "x", "-"
 
 class TilingError(ValueError):
     """Plan construction or stitching failed."""
+
+
+def _vertex_count(edges: Sequence, num_vertices: int | None, minimum: int, error: type) -> int:
+    """n = `num_vertices`, else one past the largest endpoint: the graph rule
+    of the coloring and Hamiltonian-cycle instances and the tile router.
+    Fewer than `minimum` vertices, a self loop or an endpoint outside 0..n-1
+    raises the caller's `error` type."""
+    n = num_vertices if num_vertices is not None else 1 + max((max(e) for e in edges), default=0)
+    if n < minimum:
+        raise error(f"vertex count {n} is below the minimum {minimum}")
+    for u, v in edges:
+        if u == v:
+            raise error(f"edge ({u}, {v}) is a self loop")
+        if not (0 <= u < n and 0 <= v < n):
+            raise error(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
+    return n
 
 
 @dataclass
@@ -171,10 +187,9 @@ def _edge_tile_pairs(
 
 
 def _assign_realizations(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> None:
-    tiles_of = dict(enumerate(plan.tiles_by_vertex()))
+    tiles_of = plan.tiles_by_vertex()
     for u, v in sorted({tuple(sorted(e)) for e in edges}):
-        # an edge may name a vertex the plan does not have; it has no tiles
-        candidates = _edge_tile_pairs(tiles_of.get(u, set()), tiles_of.get(v, set()))
+        candidates = _edge_tile_pairs(tiles_of[u], tiles_of[v])
         if not candidates:
             raise TilingError(f"no adjacent tile pair realizes edge ({u}, {v})")
         plan.adjacency_realization[(u, v)] = candidates[0]
@@ -347,17 +362,12 @@ def route_graph_to_tiles(
     Paths and cycles lay out directly, K1 to K3 among them; K4 and K5 use
     minimal verified patterns (K5 in a 4x4 grid with one crossing tile);
     everything else falls back to a row/column ladder with crossings that
-    stays within 2N - 3 tiles per side.
+    stays within 2N - 3 tiles per side.  The graph needs one vertex; a
+    refusal (`_vertex_count`) is a `TilingError` naming the count or edge.
     """
+    edges = list(edges)
+    n = _vertex_count(edges, num_vertices, 1, TilingError)
     edge_set = {tuple(sorted(e)) for e in edges}
-    for u, v in edge_set:
-        if u == v:
-            raise TilingError("self loops are not allowed")
-    n = num_vertices
-    if n is None:
-        n = 1 + max((max(e) for e in edge_set), default=0)
-    if n < 1:
-        raise TilingError("need at least one vertex")
     plan: TilePlan | None = None
     if len(edge_set) == n * (n - 1) // 2:
         plan = _canned_complete_plan(n)
@@ -451,10 +461,8 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     v * q + color, on a lattice of side ell * grid_side.  Slot names are
     parsed once per call, not once per tile.
     """
-    J, ell = tiles.J, tiles.ell
-    emb = MinorEmbedding(chimera_spec(J, ell * plan.grid_side), {})
-    graph = emb.graph
-    planner = SlotPlanner(J)
+    ell = tiles.ell
+    planner = SlotPlanner(tiles.J)
 
     color_slots = [
         (color, slot)
@@ -476,7 +484,8 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     for tile, (hv, vv) in plan.crossing_passes.items():
         claim_colors(hv, tile, "s")
         claim_colors(vv, tile, "r")
-    emb.chains = {var: planner.vertices(graph, var) for var in planner.chains}
+    emb = planner.to_embedding(int, L=ell * plan.grid_side)
+    graph = emb.graph
 
     order = emb.physical_vertices()
     pos = {p: k for k, p in enumerate(order)}

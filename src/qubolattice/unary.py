@@ -133,8 +133,7 @@ def build_unary_qubo(N: int, allow_zero: bool = False) -> UnaryTreeQubo:
     (1 - c1 - c2)^2, or (y0 - c1 - c2)^2 with a slack bit when a zero total is
     allowed; padding leaves carry a unit linear penalty.
     """
-    if N < 2:
-        raise UnaryError("unary constraint needs at least 2 bits")
+    UnaryInstance(N, allow_zero)  # refuses N below 2
     tree = _complete_merge_tree(N, allow_zero)
     builder = QuboBuilder(BINARY)
     for name in tree.leaves:
@@ -502,8 +501,7 @@ def fractal_embed_unary(N: int, J: int = 4) -> tuple[EmbeddedQubo, FractalLayout
     side goes L -> 2L + 1.  For K_{4,4} and N an even power of two this gives
     L = sqrt(N) - 1.
     """
-    if N < 2:
-        raise UnaryError("unary constraint needs at least 2 bits")
+    UnaryInstance(N)  # refuses N below 2
     builder = _FractalBuilder(J)
     if N <= builder.per_cell:
         root_children, L, n_star = builder.single_cell(N), 1, 1

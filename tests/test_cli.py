@@ -594,6 +594,14 @@ class TestGapPredict:
         assert code == 0
         assert doc["gap"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("q", [1, 25])
+    def test_gap_assembly_q_outside_the_range_is_usage_error(self, q, capsys):
+        # refused before any tile set is built; 24 is the chain-intact spectrum cap
+        assert main(["gap", "--assembly", "1-tile", "--q", str(q)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: gap --q must be in 2..24, got {q}\n"
+
     def test_predict_values(self, capsys):
         code, doc = run(capsys, "predict", "numpart", "16", "2", "4")
         assert code == 0 and doc["predicted_side"] == pytest.approx(64.0)
@@ -772,6 +780,24 @@ class TestRegistry:
             f"document error: {path}: malformed '{next(iter(doc))}' instance: "
             f"edge {edge} names a vertex outside 0..2\n"
         )
+
+    @pytest.mark.parametrize("strategy", ["tree", "complete", "tiles"])
+    @pytest.mark.parametrize("command", ["build", "embed"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"hamcycle": {"edges": []}}, "vertex count 1 is below the minimum 3"),
+            ({"hamcycle": {"edges": [[0, 1]], "num_vertices": 2}}, "vertex count 2 is below the minimum 3"),
+            ({"coloring": {"edges": [], "num_vertices": 0, "q": 2}}, "vertex count 0 is below the minimum 1"),
+        ],
+        ids=["hamcycle-empty", "hamcycle-two", "coloring-none"],
+    )
+    def test_too_few_vertices_is_a_document_error(self, doc, message, command, strategy, tmp_path, capsys):
+        path = write(tmp_path, "inst.json", doc)
+        assert main([command, path, "--strategy", strategy]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"document error: {path}: malformed '{next(iter(doc))}' instance: {message}\n"
 
     @pytest.mark.parametrize("strategy", ["tree", "complete", "tiles"])
     @pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(EXTRA_INSTANCES))

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qubolattice.coloring import build_tileset
+from qubolattice.coloring import ColoringError, ColoringInstance, build_tileset
 from qubolattice.embedding import MinorEmbedding, choose_alpha, embed_qubo, unembed, validate
+from qubolattice.hamcycle import HamcycleError, HamcycleInstance
 from qubolattice.lattice import build_lattice
 from qubolattice.qubo import SPIN, Qubo, brute_force
 from qubolattice.tiling import (
@@ -73,6 +76,42 @@ class TestRouter:
     def test_self_loop_rejected(self):
         with pytest.raises(TilingError):
             route_graph_to_tiles([(1, 1)])
+
+    @pytest.mark.parametrize(
+        "edges, num_vertices, message",
+        [
+            ([(0, 5)], 3, "edge (0, 5) names a vertex outside 0..2"),
+            ([(-1, 0)], None, "edge (-1, 0) names a vertex outside 0..0"),
+        ],
+    )
+    def test_edge_to_a_missing_vertex_is_a_tiling_error(self, edges, num_vertices, message):
+        with pytest.raises(TilingError) as err:
+            route_graph_to_tiles(edges, num_vertices=num_vertices)
+        assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=6),
+        num_vertices=st.none() | st.integers(0, 6),
+    )
+    def test_graph_entry_points_share_one_rule(self, edges, num_vertices):
+        # the vertex count and every refusal but the minimum agree, each
+        # entry point raising only its own error type
+        def outcome(make, error):
+            try:
+                return make()
+            except error as err:
+                return str(err)
+
+        ham = outcome(lambda: HamcycleInstance(tuple(edges), num_vertices).n, HamcycleError)
+        col = outcome(lambda: ColoringInstance(tuple(edges), 2, num_vertices).n, ColoringError)
+        plan = outcome(lambda: route_graph_to_tiles(edges, num_vertices).num_vertices, TilingError)
+        assert col == plan
+        n = num_vertices if num_vertices is not None else 1 + max((max(e) for e in edges), default=0)
+        if n >= 3:
+            assert ham == col
+        else:
+            assert ham == f"vertex count {n} is below the minimum 3"
 
 
 class TestValidatePlan:
