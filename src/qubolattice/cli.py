@@ -30,6 +30,7 @@ from .lattice import (
 from .numpart import predicted_numpart_length
 from .qubo import (
     BINARY,
+    BRUTE_FORCE_CAP,
     SPIN,
     NoiseModel,
     QuboError,
@@ -299,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweeps", type=int, default=1500)
     p.add_argument("--restarts", type=int, default=12)
-    p.add_argument("--cap", type=int, default=28)
+    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
 
@@ -312,7 +313,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?")
     p.add_argument("--assembly", choices=["1-tile", "2-tile-hor", "2-tile-vert", "chain"])
     p.add_argument("--q", type=int, default=4)
-    p.add_argument("--cap", type=int, default=28)
+    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gap)
 

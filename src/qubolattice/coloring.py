@@ -61,7 +61,6 @@ class ColoringTileSet:
     """Tile templates for q colors on ell x ell-cell tiles."""
 
     q: int
-    ell: int
     tiles: TileHamiltonians
 
 
@@ -194,7 +193,7 @@ def _build_tileset_any(q: int, table: dict[str, float] | None = None) -> Colorin
     templates = [_clamp_unused(t, q, ell) for t in (vertex.build(), *edges, *chains)]
     colors = {color: _color_slots(color, ell) for color in range(q)}
     tiles = TileHamiltonians(4, ell, q, *templates, colors=colors)
-    return ColoringTileSet(q, ell, tiles)
+    return ColoringTileSet(q, tiles)
 
 
 def _assembly_plan(assembly: str) -> TilePlan:
@@ -224,12 +223,13 @@ def _restricted_spectrum(contracted: Qubo) -> Spectrum:
 
 
 def build_coloring_qubo(inst: ColoringInstance) -> Qubo:
-    """Logical objective over x:v:c: one color per vertex, none shared on an edge."""
+    """Logical objective over x:v:c: one color per vertex, none shared on an
+    edge.  Edges are a set, as the router reads them: a repeat adds nothing."""
     q = Qubo(BINARY, inst.n * inst.q)
     q.var_names = [f"x:{v}:{c}" for v in range(inst.n) for c in range(inst.q)]
     for v in range(inst.n):
         q.add_squared_affine(1.0, [(v * inst.q + c, -1.0) for c in range(inst.q)])
-    for u, v in inst.edges:
+    for u, v in dict.fromkeys(tuple(sorted(e)) for e in inst.edges):
         for c in range(inst.q):
             q.add_quadratic(u * inst.q + c, v * inst.q + c, 1.0)
     return q

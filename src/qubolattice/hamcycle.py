@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 from .embedding import EmbeddedQubo, EmbeddingError, SlotPlanner, embed_complete_chimera, embed_qubo
 from .qubo import BINARY, SPIN, Qubo, QuboBuilder
-from .tiling import TilePlan, TilingError, _edge_tile_pairs, _vertex_count, route_graph_to_tiles
+from .tiling import (
+    TilePlan, TilingError, _edge_tile_pairs, _plan, _vertex_count, route_graph_to_tiles,
+)
 from .unary import _add_bit_constraint, _add_gadget, _lift_gadgets
 
 
@@ -320,17 +322,14 @@ def predicted_hamcycle_length(N: int, L_G: int, strategy: str = "tileable") -> f
 
 
 def _double_plan(plan: TilePlan) -> TilePlan:
-    grid = []
-    for row in plan.grid:
-        doubled = [tag for tag in row for _ in (0, 1)]
-        grid.append(doubled)
-        grid.append(list(doubled))
-    out = TilePlan(grid, plan.num_vertices)
-    for (r, c), passes in plan.crossing_passes.items():
-        for dr in (0, 1):
-            for dc in (0, 1):
-                out.crossing_passes[(2 * r + dr, 2 * c + dc)] = passes
-    return out
+    """`plan` with every tile and crossing pass spread over 2 x 2 tiles."""
+
+    def doubled(tiles):
+        quad = ((0, 0), (0, 1), (1, 0), (1, 1))
+        return {(2 * r + dr, 2 * c + dc): x for (r, c), x in tiles.items() for dr, dc in quad}
+
+    cells = {(r, c): tag for r, row in enumerate(plan.grid) for c, tag in enumerate(row)}
+    return _plan(plan.num_vertices, doubled(cells), doubled(plan.crossing_passes))
 
 
 def embed_tileable_hamcycle(inst: HamcycleInstance, J: int = 4) -> EmbeddedQubo:

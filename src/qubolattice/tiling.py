@@ -21,7 +21,7 @@ from .embedding import EmbeddedQubo, SlotPlanner, embed_qubo
 from .lattice import detect_chimera
 from .qubo import SPIN, Qubo, QuboBuilder, substitute
 
-VERTEX, CROSSING, EMPTY = "v", "x", "-"
+CROSSING, EMPTY = "x", "-"
 
 
 class TilingError(ValueError):
@@ -195,79 +195,54 @@ def _assign_realizations(plan: TilePlan, edges: Iterable[tuple[int, int]]) -> No
         plan.adjacency_realization[(u, v)] = candidates[0]
 
 
-def _grid(rows: int, cols: int) -> list[list[str]]:
-    return [[EMPTY] * cols for _ in range(rows)]
+def _plan(
+    n: int,
+    cells: Mapping[tuple[int, int], str],
+    passes: Mapping[tuple[int, int], tuple[int, int]] | None = None,
+) -> TilePlan:
+    """The plan of n vertices whose grid holds `cells`, a `{(r, c): tag}` map,
+    sized to their extent with every other tile EMPTY."""
+    rows = 1 + max(r for r, _ in cells)
+    cols = 1 + max(c for _, c in cells)
+    grid = [[cells.get((r, c), EMPTY) for c in range(cols)] for r in range(rows)]
+    return TilePlan(grid, n, dict(passes or {}))
 
 
-def _canned_complete_plan(n: int) -> TilePlan | None:
-    layouts = {
-        4: ["000", "132", "112"],
-        5: ["0004", "1324", "1x14", "-344"],
+#: The K4 and K5 plans, one character per tile (a vertex digit, "x" or "-"),
+#: and their crossing passes: in K5, v1 passes horizontally, v3 vertically.
+_COMPLETE_LAYOUTS = {
+    4: (("000", "132", "112"), None),
+    5: (("0004", "1324", "1x14", "-344"), {(2, 1): (1, 3)}),
+}
+
+
+def _canned_complete_plan(n: int) -> TilePlan:
+    rows, passes = _COMPLETE_LAYOUTS[n]
+    cells = {
+        (r, c): ch if ch in (CROSSING, EMPTY) else f"v{ch}"
+        for r, row in enumerate(rows)
+        for c, ch in enumerate(row)
     }
-    if n not in layouts:
-        return None
-    grid = []
-    for row in layouts[n]:
-        out = []
-        for ch in row:
-            if ch == "x":
-                out.append(CROSSING)
-            elif ch == "-":
-                out.append(EMPTY)
-            else:
-                out.append(f"v{ch}")
-        grid.append(out)
-    plan = TilePlan(grid, n)
-    if n == 5:
-        plan.crossing_passes[(2, 1)] = (1, 3)  # v1 passes horizontally, v3 vertically
-    return plan
+    return _plan(n, cells, passes)
 
 
-def _adjacency(n: int, edges: set[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+def _walk(n: int, edges: set[tuple[int, int]]) -> tuple[list[int], bool] | None:
+    """(vertex order, closed) if the graph is one path or one cycle, else
+    None.  A path starts at its smaller end; a cycle starts at vertex 0 and
+    goes toward its smaller neighbour."""
+    adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _path_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
-    """Vertex order if the graph is a simple path, else None."""
-    if len(edges) != n - 1:
+        adj[u].add(v)
+        adj[v].add(u)
+    if len(edges) not in (n - 1, n) or any(len(a) > 2 for a in adj):
         return None
-    adj = _adjacency(n, edges)
-    degs = sorted(len(a) for a in adj.values())
-    if n == 1:
-        return [0]
-    if degs[-1] > 2 or degs.count(1) != 2:
-        return None
-    start = min(v for v in adj if len(adj[v]) == 1)
-    order = [start]
-    prev = None
-    while len(order) < n:
-        nxts = [w for w in adj[order[-1]] if w != prev]
-        if len(nxts) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxts[0])
-    return order
-
-
-def _cycle_order(n: int, edges: set[tuple[int, int]]) -> list[int] | None:
-    if n < 3 or len(edges) != n:
-        return None
-    adj = _adjacency(n, edges)
-    if any(len(a) != 2 for a in adj.values()):
-        return None
-    order = [0, min(adj[0])]
+    closed = len(edges) == n
+    order = [0 if closed else min(v for v in range(n) if len(adj[v]) < 2)]
     seen = set(order)
-    while len(order) < n:
-        nxts = [w for w in adj[order[-1]] if w != order[-2]]
-        if not nxts or nxts[0] in seen:
-            return None
+    while nxts := sorted(adj[order[-1]] - seen):
         order.append(nxts[0])
         seen.add(nxts[0])
-    return order if order[0] in adj[order[-1]] else None
+    return (order, closed) if len(order) == n else None
 
 
 def _ladder_plan(n: int, edges: set[tuple[int, int]]) -> TilePlan:
@@ -293,18 +268,14 @@ def _ladder_plan(n: int, edges: set[tuple[int, int]]) -> TilePlan:
         # drop row above it for stubs and descent tiles
         return 0 if k <= 1 else 2 * k - 2
 
-    rows = row_of(n - 1) + 1
     cells: dict[tuple[int, int], str] = {}
     passes: dict[tuple[int, int], tuple[int, int]] = {}
-    width = 1
 
     def put(r: int, c: int, tag: str):
-        nonlocal width
         existing = cells.get((r, c))
         if existing is not None and existing != tag:
             raise TilingError(f"ladder conflict at {(r, c)}: {existing} vs {tag}")
         cells[(r, c)] = tag
-        width = max(width, c + 1)
 
     reach = {k: 0 for k in range(n)}
     next_col = 0
@@ -337,7 +308,6 @@ def _ladder_plan(n: int, edges: set[tuple[int, int]]) -> TilePlan:
             else:
                 cells[(rr, dcol)] = CROSSING
                 passes[(rr, dcol)] = (order[kk], vk)
-                width = max(width, dcol + 1)
                 reach[kk] = max(reach[kk], dcol + 1)
     for k in range(n):
         r = row_of(k)
@@ -346,12 +316,7 @@ def _ladder_plan(n: int, edges: set[tuple[int, int]]) -> TilePlan:
             if cells.get((r, c)) == CROSSING:
                 continue
             put(r, c, f"v{order[k]}")
-    grid = _grid(rows, width)
-    for (r, c), tag in cells.items():
-        grid[r][c] = tag
-    plan = TilePlan(grid, n)
-    plan.crossing_passes = passes
-    return plan
+    return _plan(n, cells, passes)
 
 
 def route_graph_to_tiles(
@@ -368,25 +333,19 @@ def route_graph_to_tiles(
     edges = list(edges)
     n = _vertex_count(edges, num_vertices, 1, TilingError)
     edge_set = {tuple(sorted(e)) for e in edges}
-    plan: TilePlan | None = None
-    if len(edge_set) == n * (n - 1) // 2:
+    walk = _walk(n, edge_set)
+    if walk is not None:
+        # a path lies in one row; a cycle folds into two, its bottom row
+        # running back and, for odd n, ending in a second tile of order[half]
+        order, closed = walk
+        half = (n + 1) // 2 if closed else n
+        cells = {(0, c): f"v{order[c]}" for c in range(half)}
+        if closed:
+            cells.update({(1, c): f"v{order[max(n - 1 - c, half)]}" for c in range(half)})
+        plan = _plan(n, cells)
+    elif n in _COMPLETE_LAYOUTS and len(edge_set) == n * (n - 1) // 2:
         plan = _canned_complete_plan(n)
-    if plan is None:
-        order = _path_order(n, edge_set)
-        if order is not None:
-            grid = [[f"v{v}" for v in order]]
-            plan = TilePlan(grid, n)
-    if plan is None:
-        order = _cycle_order(n, edge_set)
-        if order is not None:
-            half = (n + 1) // 2
-            top = order[:half]
-            bottom = order[half:][::-1]
-            while len(bottom) < half:
-                bottom.append(bottom[-1] if bottom else top[-1])
-            grid = [[f"v{v}" for v in top], [f"v{v}" for v in bottom]]
-            plan = TilePlan(grid, n)
-    if plan is None:
+    else:
         plan = _ladder_plan(n, edge_set)
     _assign_realizations(plan, edge_set)
     problems = validate_plan(plan, edge_set)

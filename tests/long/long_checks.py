@@ -44,8 +44,9 @@ def peak_rss_mb() -> float:
 
 
 def test_lint(monkeypatch):
-    # No unused imports, private helpers, write-only fields, test-only public
-    # names, or long checks that no workflow step runs.
+    # No unused imports, private helpers, unread module-level names,
+    # write-only fields, test-only public names, or long checks that no
+    # workflow step runs.
     monkeypatch.chdir(ROOT)
     # Every top-level import of a library module must be used in it;
     # __init__.py is exempt, since its imports are the public names.
@@ -84,6 +85,13 @@ def test_lint(monkeypatch):
                 names.update(alias.name for alias in node.names)
         return names
 
+    # Every file under src/, tests/, demos/ and perfbench/, parsed once.
+    everywhere = {
+        path: ast.parse(path.read_text(), str(path))
+        for top in ("src", "tests", "demos", "perfbench")
+        for path in sorted(pathlib.Path(top).rglob("*.py"))
+    }
+    read_anywhere = set().union(*map(reads, everywhere.values()))
     refs = set().union(*map(reads, trees.values()))
     for path, tree in trees.items():
         defined = []
@@ -92,7 +100,8 @@ def test_lint(monkeypatch):
                 defined.append((node.name, node.lineno))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+                names = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+                defined += [(t.id, node.lineno) for t in names if isinstance(t, ast.Name)]
             if isinstance(node, ast.ClassDef):
                 defined += [
                     (f"{node.name}.{item.name}", item.lineno)
@@ -104,15 +113,22 @@ def test_lint(monkeypatch):
             private = name.startswith("_") and not name.endswith("__")
             if private and name not in refs:
                 bad.append(f"{path}:{line}: {qualified} is private and never referenced")
+            # A module-level name of a library module (not a dunder) must be
+            # read, by the same rule, by some module under src/, tests/, demos/
+            # or perfbench/.
+            module_level = "." not in qualified and path.name != "__init__.py"
+            dunder = name.startswith("__") and name.endswith("__")
+            if module_level and not dunder and name not in read_anywhere:
+                bad.append(f"{path}:{line}: {qualified} is read by no module")
 
     # A field declared in a class body must be read as an attribute by some
     # module under src/, tests/, demos/ or perfbench/.
-    read = set()
-    for top in ("src", "tests", "demos", "perfbench"):
-        for path in sorted(pathlib.Path(top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
+    read = {
+        node.attr
+        for tree in everywhere.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
     for path, tree in trees.items():
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):

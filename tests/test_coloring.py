@@ -19,6 +19,7 @@ from qubolattice.coloring import (
     ColoringInstance,
     _build_tileset_any,
     _cell_terms,
+    build_coloring_qubo,
     build_tileset,
     coloring_feasible_energy,
     compile_coloring,
@@ -171,6 +172,14 @@ class TestCompile:
             e.embedding, e.logical.interaction_edges(), range(e.logical.num_vars)
         )
         assert report.ok, report.summary()
+
+    def test_a_repeated_edge_counts_once(self):
+        # (0, 1) listed twice, once reversed, builds the triangle's objective:
+        # 12 ground states at q = 2, not 10
+        once = build_coloring_qubo(ColoringInstance(((0, 1), (1, 2), (0, 2)), 2))
+        twice = build_coloring_qubo(ColoringInstance(((0, 1), (1, 0), (1, 2), (0, 2)), 2))
+        assert twice == once
+        assert brute_force(twice).state_count_at_ground == 12
 
     def test_single_vertex_q4(self):
         inst = ColoringInstance((), 4, num_vertices=1)

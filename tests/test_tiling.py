@@ -1,5 +1,6 @@
 """Tile plans, crossing templates, stitching, and supertile composition."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_graphs
 from qubolattice.coloring import ColoringError, ColoringInstance, build_tileset
 from qubolattice.embedding import MinorEmbedding, choose_alpha, embed_qubo, unembed, validate
 from qubolattice.hamcycle import HamcycleError, HamcycleInstance
@@ -15,7 +17,7 @@ from qubolattice.qubo import SPIN, Qubo, brute_force
 from qubolattice.tiling import (
     TilePlan,
     TilingError,
-    _cycle_order,
+    _walk,
     crossing_tile_chimera,
     route_graph_to_tiles,
     stitch,
@@ -64,10 +66,27 @@ class TestRouter:
                 assert validate_plan(plan, edges) == []
                 assert plan.grid_side <= max(2, 2 * n - 3)
 
+    def test_router_digest(self):
+        # grid, crossing passes and edge realizations of the plan of every
+        # labelled graph on 1..5 vertices (1,099 graphs)
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            for edges in all_graphs(n):
+                plan = route_graph_to_tiles(edges, num_vertices=n)
+                h.update(repr((
+                    n,
+                    edges,
+                    plan.grid,
+                    sorted(plan.crossing_passes.items()),
+                    sorted(plan.adjacency_realization.items()),
+                )).encode())
+        digest = "ada170245b4f8caad75aa360693df6f4521107d8c3e01209001ba11788752469"
+        assert h.hexdigest() == digest
+
     def test_two_triangles_take_the_ladder(self):
         # every vertex has degree 2 and there are n edges, but no single cycle
         edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        assert _cycle_order(6, set(edges)) is None
+        assert _walk(6, set(edges)) is None
         plan = route_graph_to_tiles(edges)
         assert (plan.rows, plan.cols) == (9, 6)
         assert len(plan.crossings()) == 1
