@@ -32,7 +32,8 @@ from .qubo import (
     clamp,
 )
 from .tiling import (
-    TileHamiltonians, TilePlan, _slot_name, _vertex_count, route_graph_to_tiles, stitch,
+    TileHamiltonians, TilePlan, _assign_realizations, _plan, _slot_name, _vertex_count,
+    route_graph_to_tiles, stitch,
 )
 
 
@@ -196,30 +197,28 @@ def _build_tileset_any(q: int, table: dict[str, float] | None = None) -> Colorin
     return ColoringTileSet(q, tiles)
 
 
+#: The named small assemblies of `verify_gap`: vertex count, `{(r, c): tag}`
+#: tiles and the edges the plan realizes.
+_ASSEMBLIES = {
+    "1-tile": (1, {(0, 0): "v0"}, []),
+    "2-tile-hor": (2, {(0, 0): "v0", (0, 1): "v1"}, [(0, 1)]),
+    "2-tile-vert": (2, {(0, 0): "v0", (1, 0): "v1"}, [(0, 1)]),
+    "chain": (1, {(0, 0): "v0", (0, 1): "v0"}, []),
+}
+
+
 def _assembly_plan(assembly: str) -> TilePlan:
     """Tile plan of a named small assembly (see `verify_gap`)."""
-    if assembly == "1-tile":
-        return TilePlan([["v0"]], 1)
-    if assembly == "2-tile-hor":
-        plan = TilePlan([["v0", "v1"]], 2)
-        plan.adjacency_realization[(0, 1)] = ((0, 0), (0, 1))
-        return plan
-    if assembly == "2-tile-vert":
-        plan = TilePlan([["v0"], ["v1"]], 2)
-        plan.adjacency_realization[(0, 1)] = ((0, 0), (1, 0))
-        return plan
-    if assembly == "chain":
-        return TilePlan([["v0", "v0"]], 1)
-    raise ColoringError(f"unknown assembly {assembly!r}")
+    if assembly not in _ASSEMBLIES:
+        raise ColoringError(f"unknown assembly {assembly!r}")
+    n, cells, edges = _ASSEMBLIES[assembly]
+    plan = _plan(n, cells)
+    _assign_realizations(plan, edges)
+    return plan
 
 
 #: Variable cap of the chain-intact spectra; a one-tile assembly has q of them.
 _RESTRICTED_CAP = 24
-
-
-def _restricted_spectrum(contracted: Qubo) -> Spectrum:
-    """Spectrum over chain-intact states, from the contracted objective."""
-    return brute_force(contracted, cap=_RESTRICTED_CAP)
 
 
 def build_coloring_qubo(inst: ColoringInstance) -> Qubo:
@@ -282,7 +281,7 @@ def count_states_at_coloring_level(
         raise ColoringError(f"tileset has {tileset.q} colors, the instance {inst.q}")
     contracted = e.chain_intact_qubo()
     level = coloring_feasible_energy(contracted, inst.q)
-    spec = _restricted_spectrum(contracted)
+    spec = brute_force(contracted, cap=_RESTRICTED_CAP)
     if spec.ground_energy < level - COEFF_TOL:
         raise ColoringError(
             f"chain-intact state {spec.ground_states[0]} has energy {spec.ground_energy!r}, "
@@ -316,7 +315,7 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     e = stitch(_assembly_plan(assembly), tileset.tiles)
     if tileset.q <= 4:
         return brute_force(e.physical)
-    return _restricted_spectrum(e.logical)
+    return brute_force(e.logical, cap=_RESTRICTED_CAP)
 
 
 def grid_search_coefficients(

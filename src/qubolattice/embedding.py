@@ -9,9 +9,9 @@ realizable by at least one lattice edge between the two chains.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -35,35 +35,43 @@ class MinorEmbedding:
     """Logical vertex -> physical chain map on a lattice.  It carries no chain
     weight: :func:`embed_qubo` picks one from the objective it embeds.
 
-    The embedding keeps its last chain walk, so :func:`validate` after
-    :func:`embed_qubo` does not walk the chains again.  A walk is reused only
-    while the lattice and chains compare equal to the walked ones: the lattice
-    equal, and ``chains`` holding the same frozenset objects under the same
-    keys in the same order, since key and member order fix the order and
-    attribution of the witnesses.  Replacing a chain or the lattice, or
-    reordering the keys, walks again.  Once :func:`embed_qubo` has read a
-    walk's spanning trees, only what :func:`validate` reads is kept, so a
-    second :func:`embed_qubo` walks again.
+    An embedding is fixed once built: `chains` is a read-only copy of the map
+    it was given, and neither field can be assigned again.  So what is
+    derived from them is a plain value: the lattice graph and the sorted
+    chain union are computed at most once, and the chain walk is kept for
+    :func:`validate` and :func:`embed_qubo` (see :func:`_cached_walk`).
     """
 
     lattice: LatticeSpec
-    chains: dict[int, frozenset[int]]
-    _graph: LatticeGraph | None = field(default=None, init=False, repr=False, compare=False)
+    chains: Mapping[int, frozenset[int]]
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def graph(self) -> LatticeGraph:
-        """The lattice graph, built again when `lattice` is replaced."""
-        graph = self._graph
-        if graph is None or graph.spec is not self.lattice:
-            graph = self._graph = build_lattice(self.lattice)
-        return graph
+    def __post_init__(self):
+        object.__setattr__(self, "chains", MappingProxyType(dict(self.chains)))
 
-    def physical_vertices(self) -> list[int]:
-        out: set[int] = set()
-        for chain in self.chains.values():
-            out.update(chain)
-        return sorted(out)
+    def __setattr__(self, name, value):
+        if name in ("lattice", "chains") and name in self.__dict__:
+            raise AttributeError(f"an embedding's {name} is fixed once built")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in ("lattice", "chains"):
+            raise AttributeError(f"an embedding's {name} is fixed once built")
+        object.__delattr__(self, name)
+
+    @cached_property
+    def graph(self) -> LatticeGraph:
+        """The lattice graph, built on first use."""
+        return build_lattice(self.lattice)
+
+    @cached_property
+    def vertex_order(self) -> list[int]:
+        """The sorted union of the chains: one physical variable each."""
+        return sorted(set().union(*self.chains.values()))
+
+    @cached_property
+    def position_of(self) -> dict[int, int]:
+        return {p: k for k, p in enumerate(self.vertex_order)}
 
 
 class SlotPlanner:
@@ -172,11 +180,11 @@ class SlotPlanner:
         `index_of` maps a chain's name to its logical variable index.
         """
         w, h = self.extent()
-        side = max(w, h) if L is None else L
-        emb = MinorEmbedding(chimera_spec(self.J, side), {})
-        graph = emb.graph
-        for name in self.chains:
-            emb.chains[index_of(name)] = self.vertices(graph, name)
+        graph = build_lattice(chimera_spec(self.J, max(w, h) if L is None else L))
+        emb = MinorEmbedding(
+            graph.spec, {index_of(name): self.vertices(graph, name) for name in self.chains}
+        )
+        emb.graph = graph  # the chains were read off it: one build per embedding
         return emb
 
 
@@ -294,34 +302,15 @@ def _walk_chains(
 def _cached_walk(emb: MinorEmbedding, trees_needed: bool) -> tuple:
     """``(shared, outside, broken, couplers, trees)`` of `emb`'s chain walk
     (:func:`_walk_chains`), ``broken`` being the frozenset of chains without
-    a tree.
-
-    The last walk is reused while the lattice compares equal and every chain
-    is the walked object, under the same key in the same order; but not when
-    `trees_needed` and :func:`_slim_walk` has dropped its trees since.
+    a tree.  The walk is kept on `emb` and walked again only when
+    `trees_needed` and :func:`embed_qubo` has dropped its trees since.
     """
-    keys, chains = tuple(emb.chains), tuple(emb.chains.values())
-    memo = emb._walk
-    if (
-        memo is not None
-        and memo[0] == emb.lattice
-        and memo[1] == keys
-        and all(map(operator.is_, memo[2], chains))
-        and not (trees_needed and memo[3][4] is None)
-    ):
-        return memo[3]
-    shared, trees, couplers, outside = _walk_chains(emb.graph, emb.chains)
-    broken = frozenset(v for v, tree in trees.items() if tree is None)
-    walk = (shared, outside, broken, couplers, trees)
-    emb._walk = (emb.lattice, keys, chains, walk)
+    walk = emb._walk
+    if walk is None or (trees_needed and walk[4] is None):
+        shared, trees, couplers, outside = _walk_chains(emb.graph, emb.chains)
+        broken = frozenset(v for v, tree in trees.items() if tree is None)
+        walk = emb._walk = (shared, outside, broken, couplers, trees)
     return walk
-
-
-def _slim_walk(emb: MinorEmbedding) -> None:
-    """Keep of `emb`'s walk only what :func:`validate` reads: the trees go
-    and the couplers shrink to their chain pairs."""
-    lattice, keys, chains, (shared, outside, broken, couplers, _) = emb._walk
-    emb._walk = (lattice, keys, chains, (shared, outside, broken, frozenset(couplers), None))
 
 
 def _touching(graph: LatticeGraph, cu: frozenset[int], cv: frozenset[int]) -> bool:
@@ -339,11 +328,8 @@ def validate(
     logical_vertices: Iterable[int] | None = None,
 ) -> ValidationReport:
     """Check the three minor-embedding properties; violations become report
-    entries with witnesses, never exceptions.
-
-    The chain walk of the last call on `emb` (or of :func:`embed_qubo`) is
-    reused only while the lattice and chains compare equal to the walked ones
-    (see :class:`MinorEmbedding`); otherwise the chains are walked again.
+    entries with witnesses, never exceptions.  The chains are walked once
+    per embedding, shared with :func:`embed_qubo`.
     """
     report = ValidationReport()
     shared, outside, broken, couplers, _ = _cached_walk(emb, trees_needed=False)
@@ -413,8 +399,7 @@ class EmbeddedQubo:
     """A logical objective realized on a lattice through an embedding.
 
     `physical` ranges over the active lattice vertices only, one variable per
-    vertex of `vertex_order`, the sorted union of the chains; both
-    `vertex_order` and its inverse `position_of` are derived from the chains.
+    vertex of the embedding's `vertex_order`, the sorted union of the chains.
     """
 
     physical: Qubo
@@ -422,22 +407,23 @@ class EmbeddedQubo:
     logical: Qubo
     placement: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
-    @cached_property
+    @property
     def vertex_order(self) -> list[int]:
-        return self.embedding.physical_vertices()
+        return self.embedding.vertex_order
 
-    @cached_property
+    @property
     def position_of(self) -> dict[int, int]:
-        return {p: k for k, p in enumerate(self.vertex_order)}
+        return self.embedding.position_of
 
     def lift(self, logical_assignment: Sequence[int]) -> tuple[int, ...]:
         """Chain-aligned physical assignment for a logical one."""
         self.logical.check_assignment(logical_assignment)
         fill = 0 if self.physical.domain == BINARY else -1
-        out = [fill] * len(self.vertex_order)
+        pos = self.position_of
+        out = [fill] * len(pos)
         for v, chain in self.embedding.chains.items():
             for p in chain:
-                out[self.position_of[p]] = int(logical_assignment[v])
+                out[pos[p]] = int(logical_assignment[v])
         return tuple(out)
 
     def chain_intact_qubo(self) -> Qubo:
@@ -447,8 +433,9 @@ class EmbeddedQubo:
         logical-space objective whose energies agree with the physical one on
         all chain-intact states.
         """
+        pos = self.position_of
         image = {
-            self.position_of[p]: (0.0, 1.0, v)
+            pos[p]: (0.0, 1.0, v)
             for v, chain in self.embedding.chains.items()
             for p in chain
         }
@@ -478,8 +465,7 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
     if not report.ok:
         raise EmbeddingError(f"embedding invalid: {report.summary()}")
 
-    order = emb.physical_vertices()
-    pos = {p: k for k, p in enumerate(order)}
+    order, pos = emb.vertex_order, emb.position_of
     physical = Qubo(
         logical.domain,
         len(order),
@@ -515,7 +501,9 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
             else:
                 physical.add_offset(alpha)
                 physical.add_quadratic(kp, kq, -alpha)
-    _slim_walk(emb)
+    # keep only what validate reads: the trees go, the couplers shrink to pairs
+    shared, outside, broken, _, _ = emb._walk
+    emb._walk = (shared, outside, broken, frozenset(couplers), None)
     return EmbeddedQubo(physical, emb, logical, placement)
 
 
@@ -532,8 +520,9 @@ def unembed(
     high = 1
     logical = [low] * e.logical.num_vars
     broken = 0
+    pos = e.position_of
     for v, chain in e.embedding.chains.items():
-        values = [physical_assignment[e.position_of[p]] for p in chain]
+        values = [physical_assignment[pos[p]] for p in chain]
         ups = sum(1 for x in values if x == high)
         downs = len(values) - ups
         logical[v] = high if ups > downs else low

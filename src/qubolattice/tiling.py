@@ -446,8 +446,7 @@ def stitch(plan: TilePlan, tiles: TileHamiltonians) -> EmbeddedQubo:
     emb = planner.to_embedding(int, L=ell * plan.grid_side)
     graph = emb.graph
 
-    order = emb.physical_vertices()
-    pos = {p: k for k, p in enumerate(order)}
+    order, pos = emb.vertex_order, emb.position_of
     physical = Qubo(SPIN, len(order), var_names=[str(p) for p in order])
 
     def parsed(template: Qubo) -> tuple[Qubo, list[tuple[str, int, int, int]]]:

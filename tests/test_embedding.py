@@ -160,7 +160,8 @@ def k8_embedded() -> tuple:
 
 @st.composite
 def chain_edits(draw):
-    """A list of edits to a five-chain embedding on chimera(2, L), L <= 3.
+    """A list of attempted edits to a five-chain embedding on chimera(2, L),
+    L <= 3.
 
     A replaced chain draws members from just below 0 to just past the
     36 vertices of chimera(2, 3), so it may leave the lattice.
@@ -184,49 +185,65 @@ class TestWalkMemo:
         assert validate(e.embedding, *args).ok
         assert len(walks) == 1
 
-    def test_equal_lattice_keeps_the_walk(self, monkeypatch):
+    def test_equal_lattice_is_refused(self, monkeypatch):
         e, args = k8_embedded()
+        report, order = validate(e.embedding, *args), list(e.vertex_order)
         walks = counted_walks(monkeypatch)
-        e.embedding.lattice = chimera_spec(4, 2)
-        assert validate(e.embedding, *args).ok
-        assert walks == []
+        with pytest.raises(AttributeError, match="lattice is fixed once built"):
+            e.embedding.lattice = chimera_spec(4, 2)
+        assert validate(e.embedding, *args) == report and report.ok
+        assert e.vertex_order == order and walks == []
 
     @pytest.mark.parametrize(
-        "edit, kind",
+        "name, edited, kind",
         [
-            (lambda emb: emb.chains.__setitem__(0, frozenset({0, 1})), "disconnected-chain"),
-            (lambda emb: emb.chains.__setitem__(0, emb.chains[0] | {min(emb.chains[1])}),
+            ("chains", lambda emb: {**emb.chains, 0: frozenset({0, 1})}, "disconnected-chain"),
+            ("chains", lambda emb: {**emb.chains, 0: emb.chains[0] | {min(emb.chains[1])}},
              "overlapping-chains"),
-            (lambda emb: setattr(emb, "lattice", chimera_spec(4, 1)), "out-of-lattice"),
+            ("lattice", lambda emb: chimera_spec(4, 1), "out-of-lattice"),
         ],
         ids=["disconnected", "overlapping", "lattice"],
     )
-    def test_edit_after_embed_qubo_walks_again(self, edit, kind, monkeypatch):
+    def test_edit_after_embed_qubo_is_refused(self, name, edited, kind, monkeypatch):
         e, args = k8_embedded()
+        emb = e.embedding
+        report, order = validate(emb, *args), list(e.vertex_order)
         walks = counted_walks(monkeypatch)
-        edit(e.embedding)
-        report = validate(e.embedding, *args)
-        assert len(walks) == 1 and walks[0] == e.embedding.chains
-        assert kind in [k for k, _ in report.violations]
-        fresh = MinorEmbedding(e.embedding.lattice, dict(e.embedding.chains))
-        assert report == validate(fresh, *args)
+        value = edited(emb)
+        with pytest.raises(AttributeError, match=f"{name} is fixed once built"):
+            setattr(emb, name, value)
+        if name == "chains":
+            with pytest.raises(TypeError):
+                emb.chains[0] = value[0]
+        assert validate(emb, *args) == report and report.ok
+        assert e.vertex_order == order and walks == []
+        # the edit makes a new embedding, which reports it
+        fresh = MinorEmbedding(**{"lattice": emb.lattice, "chains": emb.chains, name: value})
+        assert kind in [k for k, _ in validate(fresh, *args).violations]
 
-    def test_reinserted_chain_walks_again(self):
+    def test_reinserting_a_chain_is_refused(self, monkeypatch):
         # equal chains in another key order: the first owner of a shared
         # vertex, and so the witness, follows the order
         spec = chimera_spec(4, 1)
-        emb = MinorEmbedding(spec, {0: frozenset({0, 4}), 1: frozenset({4, 1})})
-        assert validate(emb, []).violations == [
-            ("overlapping-chains", "physical vertex 4 shared by 0 and 1")
-        ]
-        emb.chains[0] = emb.chains.pop(0)
-        assert validate(emb, []).violations == [
+        chains = {0: frozenset({0, 4}), 1: frozenset({4, 1})}
+        emb = MinorEmbedding(spec, chains)
+        witness = [("overlapping-chains", "physical vertex 4 shared by 0 and 1")]
+        assert validate(emb, []).violations == witness
+        walks = counted_walks(monkeypatch)
+        with pytest.raises(AttributeError):
+            emb.chains.pop(0)
+        with pytest.raises(AttributeError, match="chains is fixed once built"):
+            del emb.chains
+        assert validate(emb, []).violations == witness
+        assert emb.vertex_order == [0, 1, 4] and walks == []
+        reordered = MinorEmbedding(spec, {1: chains[1], 0: chains[0]})
+        assert validate(reordered, []).violations == [
             ("overlapping-chains", "physical vertex 4 shared by 1 and 0")
         ]
 
     @settings(max_examples=80, deadline=None)
     @given(edits=chain_edits())
-    def test_edited_embedding_reports_as_a_fresh_one(self, edits):
+    def test_every_edit_is_refused(self, edits):
         spec = chimera_spec(2, 2)
         g = build_lattice(spec)
         chains = {v: frozenset({g.vertex(v % 2, v // 2, 0), g.vertex(v % 2, v // 2, 2)})
@@ -234,18 +251,43 @@ class TestWalkMemo:
         chains[4] = frozenset({g.vertex(1, 1, 1)})
         emb = MinorEmbedding(spec, chains)
         edges, vertices = complete_edges(5) + [(2, 2)], range(6)
-        validate(emb, edges, vertices)
-        for op, v, chain in edits:
-            if op == "replace":
-                emb.chains[v] = chain
-            elif op == "remove":
-                emb.chains.pop(v, None)
-            elif op == "reinsert" and v in emb.chains:
-                emb.chains[v] = emb.chains.pop(v)
-            elif op == "lattice":
-                emb.lattice = chimera_spec(2, v)
-            fresh = MinorEmbedding(emb.lattice, dict(emb.chains))
-            assert validate(emb, edges, vertices) == validate(fresh, edges, vertices)
+        report, order = validate(emb, edges, vertices), list(emb.vertex_order)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            walks = counted_walks(monkeypatch)
+            for op, v, chain in edits:
+                with pytest.raises((AttributeError, TypeError)):
+                    if op == "replace":
+                        emb.chains[v] = chain
+                    elif op == "remove":
+                        del emb.chains[v]
+                    elif op == "reinsert":
+                        emb.chains[v] = emb.chains[v]
+                    else:
+                        emb.lattice = chimera_spec(2, v)
+                assert validate(emb, edges, vertices) == report
+                assert emb.vertex_order == order and walks == []
+        assert emb == MinorEmbedding(spec, chains)
+
+    def test_the_given_map_is_copied(self):
+        spec = chimera_spec(4, 1)
+        chains = {0: frozenset({0, 4}), 1: frozenset({1, 5})}
+        emb = MinorEmbedding(spec, chains)
+        chains[0] = frozenset({0, 1})
+        del chains[1]
+        assert dict(emb.chains) == {0: frozenset({0, 4}), 1: frozenset({1, 5})}
+        assert validate(emb, [(0, 1)]).ok and emb.vertex_order == [0, 1, 4, 5]
+
+    def test_embedded_k3_cannot_lose_a_qubit(self):
+        # replacing a chain by one of its qubits left validate reporting the
+        # edited chains valid while vertex_order still held the old six
+        q = Qubo(BINARY, 3)
+        q.add_squared_affine(1.0, [(0, -1.0), (1, -1.0), (2, -1.0)])
+        e = embed_qubo(q, embed_complete_chimera(3, 4))
+        with pytest.raises(TypeError):
+            e.embedding.chains[0] = frozenset({min(e.embedding.chains[0])})
+        assert validate(e.embedding, q.interaction_edges(), range(3)).ok
+        union = sorted(set().union(*e.embedding.chains.values()))
+        assert e.vertex_order == union and len(union) == e.physical.num_vars == 6
 
     def test_validate_then_embed_qubo_walks_once(self, monkeypatch):
         q = k8_embedded()[0].logical
