@@ -37,14 +37,12 @@ class MinorEmbedding:
 
     An embedding is fixed once built: `chains` is a read-only copy of the map
     it was given, and neither field can be assigned again.  So what is
-    derived from them is a plain value: the lattice graph and the sorted
-    chain union are computed at most once, and the chain walk is kept for
-    :func:`validate` and :func:`embed_qubo` (see :func:`_cached_walk`).
+    derived from them is a plain value: the lattice graph, the sorted chain
+    union and the chain walk, trees included, are each computed at most once.
     """
 
     lattice: LatticeSpec
     chains: Mapping[int, frozenset[int]]
-    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "chains", MappingProxyType(dict(self.chains)))
@@ -72,6 +70,15 @@ class MinorEmbedding:
     @cached_property
     def position_of(self) -> dict[int, int]:
         return {p: k for k, p in enumerate(self.vertex_order)}
+
+    @cached_property
+    def _walk(self) -> tuple:
+        """``(shared, outside, broken, couplers, trees)`` of the chain walk
+        (:func:`_walk_chains`), ``broken`` being the frozenset of chains
+        without a tree; read by :func:`validate` and :func:`embed_qubo`."""
+        shared, trees, couplers, outside = _walk_chains(self.graph, self.chains)
+        broken = frozenset(v for v, tree in trees.items() if tree is None)
+        return shared, outside, broken, couplers, trees
 
 
 class SlotPlanner:
@@ -299,20 +306,6 @@ def _walk_chains(
     return shared, trees, couplers, outside
 
 
-def _cached_walk(emb: MinorEmbedding, trees_needed: bool) -> tuple:
-    """``(shared, outside, broken, couplers, trees)`` of `emb`'s chain walk
-    (:func:`_walk_chains`), ``broken`` being the frozenset of chains without
-    a tree.  The walk is kept on `emb` and walked again only when
-    `trees_needed` and :func:`embed_qubo` has dropped its trees since.
-    """
-    walk = emb._walk
-    if walk is None or (trees_needed and walk[4] is None):
-        shared, trees, couplers, outside = _walk_chains(emb.graph, emb.chains)
-        broken = frozenset(v for v, tree in trees.items() if tree is None)
-        walk = emb._walk = (shared, outside, broken, couplers, trees)
-    return walk
-
-
 def _touching(graph: LatticeGraph, cu: frozenset[int], cv: frozenset[int]) -> bool:
     """Whether a lattice edge joins two chains, walking the smaller one."""
     small, big = (cu, cv) if len(cu) <= len(cv) else (cv, cu)
@@ -332,7 +325,7 @@ def validate(
     per embedding, shared with :func:`embed_qubo`.
     """
     report = ValidationReport()
-    shared, outside, broken, couplers, _ = _cached_walk(emb, trees_needed=False)
+    shared, outside, broken, couplers, _ = emb._walk
     vertices = set(logical_vertices) if logical_vertices is not None else set(emb.chains)
     for v in vertices:
         chain = emb.chains.get(v)
@@ -460,7 +453,7 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
     pairs, so a broken tree edge costs 2 * alpha).  The physical variables
     are the sorted union of the chains, ``vertex_order``.
     """
-    *_, couplers, trees = _cached_walk(emb, trees_needed=True)
+    *_, couplers, trees = emb._walk
     report = validate(emb, logical.interaction_edges(), range(logical.num_vars))
     if not report.ok:
         raise EmbeddingError(f"embedding invalid: {report.summary()}")
@@ -501,9 +494,6 @@ def embed_qubo(logical: Qubo, emb: MinorEmbedding) -> EmbeddedQubo:
             else:
                 physical.add_offset(alpha)
                 physical.add_quadratic(kp, kq, -alpha)
-    # keep only what validate reads: the trees go, the couplers shrink to pairs
-    shared, outside, broken, _, _ = emb._walk
-    emb._walk = (shared, outside, broken, frozenset(couplers), None)
     return EmbeddedQubo(physical, emb, logical, placement)
 
 

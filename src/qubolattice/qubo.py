@@ -619,8 +619,10 @@ def restricted_gap(
 
     The subspace is either an explicit iterable of assignments (`states`) or
     the subset of the full state space satisfying `predicate`, visited in code
-    order (bit i of the code is variable i).
+    order (bit i of the code is variable i).  Giving both is refused.
     """
+    if states is not None and predicate is not None:
+        raise QuboError("restricted_gap takes a predicate or a state generator, not both")
     if states is None:
         if predicate is None:
             raise QuboError("restricted_gap needs a predicate or a state generator")
@@ -684,12 +686,15 @@ def anneal_solve(
     updates only the flipped variable's neighbours: memory and the cost of a
     sweep grow with the number of terms, not with n**2.  For a given seed the
     trajectories are those of the earlier dense-matrix kernel.  `sweeps` and
-    `restarts` below 1 raise `QuboError`.  Returns the best assignment over
-    all restarts with its energy.
+    `restarts` below 1, and a `t_hot` that is not a finite number above 0,
+    raise `QuboError`.  Returns the best assignment over all restarts with
+    its energy.
     """
     for name, budget in (("sweeps", sweeps), ("restarts", restarts)):
         if budget < 1:
             raise QuboError(f"anneal {name} must be at least 1, got {budget}")
+    if t_hot is not None and not 0.0 < t_hot < math.inf:
+        raise QuboError(f"anneal t_hot must be a finite number above 0, got {t_hot}")
     n = q.num_vars
     if n == 0:
         return (), q.offset

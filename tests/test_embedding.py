@@ -1,9 +1,7 @@
 """Minor embedding validation, constructive embeddings, chain penalties."""
 
-import gc
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +83,14 @@ class TestSlotPlanner:
         assert planner.free_tracks((1, 2), "s") == [0, 2, 3]
         assert planner.free_tracks((1, 2), "r") == [0, 1, 2]
         assert planner.free_tracks((2, 1), "s") == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("cell, vertex", [((0, 3), 24), ((3, 0), 96)])
+    def test_one_far_slot_sets_the_lattice_side(self, cell, vertex):
+        planner = SlotPlanner(4)
+        planner.claim(cell, "s", 0, "a")
+        assert planner.extent() == (cell[0] + 1, cell[1] + 1)
+        emb = planner.to_embedding(lambda name: 0)
+        assert emb.lattice.L == 4 and dict(emb.chains) == {0: frozenset({vertex})}
 
 
 class TestValidate:
@@ -297,35 +303,25 @@ class TestWalkMemo:
         embed_qubo(q, emb)
         assert len(walks) == 1
 
-    def test_second_embed_qubo_walks_again(self, monkeypatch):
-        # embed_qubo keeps no trees, so the next one walks for them
+    def test_second_embed_qubo_reuses_the_walk(self, monkeypatch):
         e, args = k8_embedded()
         walks = counted_walks(monkeypatch)
         again = embed_qubo(e.logical, e.embedding)
-        assert len(walks) == 1
+        assert walks == []
         assert again.physical == e.physical
         for terms in ("linear", "quadratic"):
             assert list(getattr(again.physical, terms)) == list(getattr(e.physical, terms))
         assert again.placement == e.placement
-        assert validate(e.embedding, *args).ok and len(walks) == 1
+        assert validate(e.embedding, *args).ok and walks == []
 
-    def test_memo_keeps_only_what_validate_reads(self):
-        # after embed_qubo the memo keeps at most a third of a whole walk
-        tracemalloc.start()
-        try:
-            emb = embed_numpart(PartitionInstance(tuple(range(1, 33))), 4).embedding
-            gc.collect()
-            with_memo = tracemalloc.get_traced_memory()[0]
-            emb._walk = None
-            gc.collect()
-            without = tracemalloc.get_traced_memory()[0]
-            walk = embedding_module._walk_chains(emb.graph, emb.chains)
-            gc.collect()
-            whole = tracemalloc.get_traced_memory()[0] - without
-        finally:
-            tracemalloc.stop()
-        assert walk[1] and whole > 0
-        assert with_memo - without <= whole / 3
+    def test_embed_qubo_keeps_every_tree(self, monkeypatch):
+        walk_chains = embedding_module._walk_chains
+        walks = counted_walks(monkeypatch)
+        emb = embed_numpart(PartitionInstance(tuple(range(1, 33))), 4).embedding
+        shared, trees, couplers, outside = walk_chains(emb.graph, emb.chains)
+        assert len(trees) == len(emb.chains) and None not in trees.values()
+        assert emb._walk == (shared, outside, frozenset(), couplers, trees)
+        assert len(walks) == 1
 
 
 @st.composite

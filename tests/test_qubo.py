@@ -469,6 +469,10 @@ class TestRestricted:
         with pytest.raises(QuboError):
             restricted_gap(one_hot_pair(), predicate=lambda s: False)
 
+    def test_predicate_and_states_together_are_refused(self):
+        with pytest.raises(QuboError, match="not both"):
+            restricted_gap(one_hot_pair(), predicate=lambda s: False, states=[(1, 0), (0, 1)])
+
     def test_states_are_streamed(self):
         # 2**19 states over 20 variables, x0 = 0 in all of them; a list of
         # them alone would take over 100 MB
@@ -912,6 +916,13 @@ class TestAnneal:
         for q in (Qubo(SPIN, 3, 1.0), Qubo(BINARY, 0)):
             with pytest.raises(QuboError, match=f"anneal {name} must be at least 1, got {value}$"):
                 anneal_solve(q, **{name: value})
+
+    @pytest.mark.parametrize("t_hot", [0.0, -1.0, math.nan, math.inf])
+    def test_t_hot_outside_the_positive_reals_is_refused(self, t_hot):
+        for q in (Qubo(SPIN, 3, 1.0), Qubo(BINARY, 0)):
+            match = f"t_hot must be a finite number above 0, got {t_hot}$"
+            with pytest.raises(QuboError, match=match):
+                anneal_solve(q, sweeps=4, restarts=1, t_hot=t_hot)
 
     def test_sparse_chain_has_no_dense_couplings(self):
         # a dense n x n float64 coupling matrix alone would be 32 MB here
