@@ -17,8 +17,8 @@ from . import documents
 from .cartoon import MAX_N, report_rows
 from .coloring import _RESTRICTED_CAP, build_tileset, verify_gap
 from .embedding import embedding_to_doc, unembed, validate
-from .hamcycle import predicted_hamcycle_length, predicted_permutation_length
-from .knapsack import predicted_knapsack_length
+from .hamcycle import HamcycleError, predicted_hamcycle_length, predicted_permutation_length
+from .knapsack import KnapsackError, predicted_knapsack_length
 from .lattice import (
     LatticeError,
     build_lattice,
@@ -27,7 +27,7 @@ from .lattice import (
     lattice_from_doc,
     lattice_to_doc,
 )
-from .numpart import predicted_numpart_length
+from .numpart import PartitionError, predicted_numpart_length
 from .qubo import (
     BINARY,
     BRUTE_FORCE_CAP,
@@ -98,7 +98,10 @@ def cmd_lattice(args) -> int:
 
 def cmd_build(args) -> int:
     inst = _read_doc(args.instance, documents.parse_instance)
-    logical, meta = documents.kind_of(inst).logical(inst, args.strategy, args.l_star)
+    try:
+        logical, meta = documents.kind_of(inst).logical(inst, args.strategy, args.l_star)
+    except KnapsackError as err:  # an --l-star outside the value register
+        raise UsageError(str(err)) from None
     doc = {
         "instance": documents.instance_to_doc(inst),
         "qubo": qubo_to_doc(logical),
@@ -253,7 +256,10 @@ def cmd_predict(args) -> int:
         doc = report_rows(vals)[0]
         del doc["eps"]
     else:
-        doc = {"family": family, "predicted_side": predict(args, *vals)}
+        try:
+            doc = {"family": family, "predicted_side": predict(args, *vals)}
+        except (PartitionError, HamcycleError) as err:  # an unknown --strategy
+            raise UsageError(str(err)) from None
     _emit(doc, args.out)
     return 0
 

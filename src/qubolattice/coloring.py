@@ -13,9 +13,10 @@ coefficient grid search reads its energies off the same stitched templates.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,12 +78,10 @@ def _cell_terms(
 ) -> None:
     """Add weight * [sum_ij (A + B [i = j]) s_i r_j + C sum_i (s_i + r_i)]."""
     for name in list(s_names) + list(r_names):  # variable order s0..s3, r0..r3
-        b.var(name)
+        b.add_linear(name, weight * C)
     for i, s in enumerate(s_names):
         for j, r in enumerate(r_names):
             b.add_quadratic(s, r, weight * (A + (B if i == j else 0.0)))
-    for name in list(s_names) + list(r_names):
-        b.add_linear(name, weight * C)
 
 
 def h_diag(s_names: Sequence[str], r_names: Sequence[str]) -> Qubo:
@@ -304,6 +303,11 @@ def decode_coloring(inst: ColoringInstance, assignment, broken_chains: int = 0) 
     return {"colors": colors, "proper": proper, "broken_chains": broken_chains}
 
 
+def _gap_objective(e: EmbeddedQubo, q: int) -> tuple[Qubo, Callable[[Sequence[int]], tuple]]:
+    """The objective `verify_gap` reads, and the map of a logical state into it."""
+    return (e.physical, e.lift) if q <= 4 else (e.logical, tuple)
+
+
 def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     """Exact spectrum of a named small assembly.
 
@@ -313,9 +317,7 @@ def verify_gap(tileset: ColoringTileSet, assembly: str) -> Spectrum:
     leaves in `e.logical`.
     """
     e = stitch(_assembly_plan(assembly), tileset.tiles)
-    if tileset.q <= 4:
-        return brute_force(e.physical)
-    return brute_force(e.logical, cap=_RESTRICTED_CAP)
+    return brute_force(_gap_objective(e, tileset.q)[0], cap=_RESTRICTED_CAP)
 
 
 def grid_search_coefficients(
@@ -323,104 +325,107 @@ def grid_search_coefficients(
 ) -> tuple[dict[str, float], float]:
     """Coarse grid search of the symmetric coefficient ansatz.
 
-    Maximizes the worst gap over the single-tile and two-tile assemblies,
-    keeping only tables whose single-tile ground states are the proper
-    one-hot color states and whose assembled coefficients respect the
-    hardware window.  The best table for q <= 4 reproduces
-    (A, B, C, lambda, D) = (1, -2, 2, 1/2, 1/2) with gap 2; on the q > 4
-    budget surface the gap never exceeds 4/3.
+    One loop for both classes: each candidate table of the class is scored on
+    its energy model by one rule (`_table_gap`), the worst gap over the
+    single-tile and two-tile assemblies, and gets no score unless their
+    ground states are exactly the proper colorings.  A later table replaces
+    the best only with a gap larger by more than 1e-12.  "le4" reproduces
+    (A, B, C, lambda, D) = (1, -2, 2, 1/2, 1/2) with gap 2; on the "gt4"
+    budget line G = 1 - lambda the gap never exceeds 4/3, its peak at 2/3.
     """
     if resolution < 2:
         raise ColoringError("resolution must be at least 2 points per axis")
-    if q_class == "le4":
-        return _grid_search_le4(resolution)
-    if q_class == "gt4":
-        return _grid_search_gt4(resolution)
-    raise ColoringError(f"unknown class {q_class!r}")
-
-
-def _grid_search_le4(resolution: int) -> tuple[dict[str, float], float]:
-    model = _le4_energy_model()
-    a_grid = sorted(set(np.linspace(-1, 1, resolution)) | {1.0})
-    b_grid = sorted(set(np.linspace(-2, 2, resolution)) | {-2.0})
-    c_grid = sorted(set(np.linspace(-2, 2, resolution)) | {2.0})
-    l_grid = sorted(set(np.linspace(0.1, 0.9, resolution)) | {0.5})
+    if q_class not in _CLASSES:
+        raise ColoringError(f"unknown class {q_class!r}")
+    model = _energy_model(q_class)
     best_gap, best_table = -math.inf, None
-    for A in a_grid:
-        for B in b_grid:
-            if abs(A + B) > 1 + 1e-12:
-                continue
-            for C in c_grid:
-                for lam in l_grid:
-                    D = (2.0 - lam * C) / 2.0
-                    if abs(D) > 1 + 1e-12 or D <= 0:
-                        continue
-                    gap = _table_gap(model, A, B, C, lam, D)
-                    if gap is None:
-                        continue
-                    table = {
-                        "A": float(A),
-                        "B": float(B),
-                        "C": float(C),
-                        "lambda": float(lam),
-                        "D": float(D),
-                    }
-                    if gap > best_gap + 1e-12:
-                        best_gap, best_table = gap, table
+    for table in _CLASSES[q_class][2](resolution):
+        gap = _table_gap(model, table)
+        if gap is not None and gap > best_gap + 1e-12:
+            best_gap, best_table = gap, table
     assert best_table is not None
     return best_table, best_gap
 
 
+def _le4_tables(resolution: int) -> Iterator[dict[str, float]]:
+    """q <= 4 candidates: A, B, C and lambda on the grid, |A + B| <= 1, and
+    the edge weight D = (2 - lambda C) / 2 in (0, 1]."""
+    grids = [
+        sorted(map(float, set(np.linspace(lo, hi, resolution)) | {paper}))
+        for lo, hi, paper in ((-1, 1, 1.0), (-2, 2, -2.0), (-2, 2, 2.0), (0.1, 0.9, 0.5))
+    ]
+    for A, B, C, lam in itertools.product(*grids):
+        D = (2.0 - lam * C) / 2.0
+        if abs(A + B) <= 1 + 1e-12 and 0 < D <= 1 + 1e-12:
+            yield {"A": A, "B": B, "C": C, "lambda": lam, "D": D}
+
+
+def _gt4_tables(resolution: int) -> Iterator[dict[str, float]]:
+    """q > 4 candidates: lambda on the grid, the edge weight G = 1 - lambda > 0."""
+    for lam in sorted(map(float, set(np.linspace(0.15, 0.95, resolution)) | {2.0 / 3.0})):
+        if 1.0 - lam > 0:
+            yield {"lambda": lam, "G": 1.0 - lam}
+
+
+#: Per class: the q whose stitched templates give its energies, the terms of
+#: its energy model, and its candidate tables in search order.
+_CLASSES = {
+    "le4": (4, ("A", "B", "C", "D"), _le4_tables),
+    "gt4": (8, ("lambda", "G"), _gt4_tables),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _le4_energy_model() -> tuple[
+def _energy_model(q_class: str) -> tuple[
     tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray], ...
 ]:
-    """Distinct per-term energies of the q = 4 assemblies, with their valid states.
+    """Distinct per-term energies of a class's assemblies, with their valid states.
 
-    Assembled energies are linear in lambda*A, lambda*B, lambda*C and D, so
-    the energies of each term over all states come from the real templates
-    stitched at a unit table.  States with equal term energies have equal
-    energies under every table, so only the distinct (A, B, C, D) columns are
-    kept (22 of the 2^8 one-tile states, 440 of the 2^16 two-tile ones), with
-    the number of states in each.  Codes are in code order: bit i of a code is
-    variable i, up when set, and each stitched tile contributes s0..s3, r0..r3,
-    one byte per tile.  A tile is valid when its s nibble equals its r nibble
-    with one bit set, one matched pair up, and the two tiles of a pair hold
-    different colors, so the valid codes follow from the bits alone.  One
-    (columns by term, state count per column, column of each valid state,
-    valid codes in increasing order) tuple per assembly: "1-tile" and
-    "2-tile-hor".  Built once per process; the arrays are read-only.
+    Assembled energies are linear in the class's terms (lambda*A, lambda*B,
+    lambda*C and D for "le4"; lambda and G for "gt4"), so each term's
+    energies over all states come from the templates stitched at its unit
+    table, over the objective `verify_gap` reads.  States with equal term
+    energies have equal energies under every table, so only the distinct
+    term columns are kept (22 of 2^8 one-tile states and 440 of 2^16
+    two-tile ones for "le4", 8 and 87 for "gt4"), with their state counts.
+    The valid states are the lifts of the assembly's proper colorings, as
+    codes in increasing order (bit i of a code is variable i, up when set).
+    One (columns by term, state count per column, column of each valid
+    state, valid codes) tuple per assembly, "1-tile" and "2-tile-hor"; built
+    once per class and process, on first use, with read-only arrays.
     """
-    tiles = {
-        term: _build_tileset_any(
-            4, table={"A": 0.0, "B": 0.0, "C": 0.0, "lambda": 1.0, "D": 0.0, term: 1.0}
-        ).tiles
-        for term in "ABCD"
-    }
-    one_pair = [0x11 << color for color in range(4)]
-    two_pairs = sorted(a | b << 8 for a in one_pair for b in one_pair if a != b)
+    q, terms, _ = _CLASSES[q_class]
+    # lambda scales the le4 cell terms, so it stays 1 unless it is a term
+    unit = {"lambda": 1.0, **dict.fromkeys(terms, 0.0)}
+    tiles = {term: _build_tileset_any(q, {**unit, term: 1.0}).tiles for term in terms}
     model = []
-    for assembly, valid in (("1-tile", one_pair), ("2-tile-hor", two_pairs)):
+    for assembly in ("1-tile", "2-tile-hor"):
         plan = _assembly_plan(assembly)
-        energies = {
-            term: np.concatenate([e for e, _ in _split_energy_blocks(stitch(plan, t).physical)])
-            for term, t in tiles.items()
-        }
-        # group equal (A, B, C, D) rows: sort once, then gather one term at a
-        # time to mark where a sorted row differs from the one before it
-        order = np.lexsort([energies[term] for term in "DCBA"])
+        energies = {}
+        for term, t in tiles.items():
+            objective, lift = _gap_objective(stitch(plan, t), q)
+            energies[term] = np.concatenate([e for e, _ in _split_energy_blocks(objective)])
+        n, _, edges = _ASSEMBLIES[assembly]
+        codes = []
+        for colors in itertools.product(range(q), repeat=n):
+            if all(colors[u] != colors[v] for u, v in edges):
+                state = lift([1 if c == colors[v] else -1 for v in range(n) for c in range(q)])
+                codes.append(sum(1 << i for i, s in enumerate(state) if s == 1))
+        valid = np.array(sorted(codes))
+        # group equal term rows: sort once, then gather one term at a time to
+        # mark where a sorted row differs from the one before it
+        order = np.lexsort([energies[term] for term in reversed(terms)])
         starts = np.zeros(len(order), dtype=bool)
         starts[0] = True
-        for term in "ABCD":
+        for term in terms:
             ordered = energies[term][order]
             starts[1:] |= ordered[1:] != ordered[:-1]
             del ordered  # before the next term's copy is made
         first = np.flatnonzero(starts)
-        columns = {term: energies[term][order[first]] for term in "ABCD"}
+        columns = {term: energies[term][order[first]] for term in terms}
         counts = np.diff(first, append=len(order))
-        valid = np.array(valid)
         # a valid state's column is the one holding its term energies
-        held = [[columns[t] == energies[t][v] for t in "ABCD"] for v in valid]
+        held = [[columns[t] == energies[t][v] for t in terms] for v in valid]
         valid_columns = np.array([np.logical_and.reduce(h).argmax() for h in held])
         for array in (*columns.values(), counts, valid_columns, valid):
             array.flags.writeable = False
@@ -428,16 +433,22 @@ def _le4_energy_model() -> tuple[
     return tuple(model)
 
 
-def _table_gap(model, A, B, C, lam, D):
-    """Worst gap of a table over the model's assemblies.
+def _table_gap(model, table: dict[str, float]) -> float | None:
+    """Worst gap of a coefficient table over the model's assemblies.
 
     None unless each assembly's ground states are exactly its valid states.
-    Each term is evaluated on the distinct columns, which gives every state
-    the energy it has over the full state space.
+    Each class keeps its energy formula: lambda (A E_A + B E_B + C E_C) +
+    D E_D for a q <= 4 table (the one with D), lambda E_lambda + G E_G for a
+    q > 4 one.  Each term is evaluated on the distinct columns, which gives
+    every state the energy it has over the full state space.
     """
-    worst = math.inf
+    t, worst = table, math.inf
     for terms, counts, valid, _ in model:
-        e = lam * (A * terms["A"] + B * terms["B"] + C * terms["C"]) + D * terms["D"]
+        if "D" in t:
+            cells = t["A"] * terms["A"] + t["B"] * terms["B"] + t["C"] * terms["C"]
+            e = t["lambda"] * cells + t["D"] * terms["D"]
+        else:
+            e = t["lambda"] * terms["lambda"] + t["G"] * terms["G"]
         low = e.min()
         if not math.isclose(low, e[valid].min(), abs_tol=COEFF_TOL):
             return None
@@ -447,21 +458,3 @@ def _table_gap(model, A, B, C, lam, D):
         rest = e[~at_ground]
         worst = min(worst, float(rest.min() - low) if rest.size else math.inf)
     return worst
-
-
-def _grid_search_gt4(resolution: int) -> tuple[dict[str, float], float]:
-    best_gap, best_table = -math.inf, None
-    grid = sorted(set(np.linspace(0.15, 0.95, resolution)) | {2.0 / 3.0})
-    for lam in grid:
-        g = 1.0 - lam
-        if g <= 0:
-            continue
-        table = {"lambda": lam, "G": g}
-        tileset = _build_tileset_any(8, table)
-        spec1 = verify_gap(tileset, "1-tile")
-        spec2 = verify_gap(tileset, "2-tile-hor")
-        gap = min(spec1.gap, spec2.gap)
-        if gap > best_gap + 1e-12:
-            best_gap, best_table = gap, table
-    assert best_table is not None
-    return best_table, best_gap

@@ -10,6 +10,7 @@ peak-RSS bounds read the whole process, so CI runs one check per process.
 """
 
 import ast
+import hashlib
 import os
 import pathlib
 import re
@@ -353,6 +354,40 @@ def test_readme_commands(tmp_path):
             if err.startswith("document error:")
             and not any(err.startswith(f"document error: {f}") for f in files)
         ]
+    for line in bad:
+        print(line)
+    assert not bad
+
+
+def test_demo_stdout():
+    # Each demo runs under `python -W error` from the repository root, and
+    # the sha256 of its stdout must match the recorded digest, so a changed
+    # number, table or message in any demo's narrative fails here.
+    digests = {
+        "01_lattices_and_complete_graphs.py": "f842431cfb1390505f309d5dcd5eac89fc86746974af2e1ec65a9521e80cd97b",
+        "02_unary_trees_and_fractals.py": "f13d18ae49d7a199a339230e02df7a79c1ea18b8413e1dbe1ef49df8db4fa5cd",
+        "03_partition_and_knapsack.py": "3b87267c3aef154cf71520c3f03ab3a3b5402d21de493b5389e28528a41a8cdf",
+        "04_tiles_and_coloring.py": "ef1219857a9c0009ad0c470fc0a43efb18568b9d49a85163b82e80acb408fc5f",
+        "05_hamiltonian_cycles.py": "62b0da68589db37efe9de92290ba802509e688607adc8f9ce2610b4b9a587175",
+        "06_annealing_cartoon.py": "fd9ff78a574bf58639e2fbdfa35cc515116da575828e117a6a3cc140e7a339ca",
+    }
+    bad = []
+    demos = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+    if demos != sorted(digests):
+        bad.append(f"the demos {demos} are not the ones with a recorded digest")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for name, digest in digests.items():
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
+            cwd=ROOT, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+        )
+        got = hashlib.sha256(proc.stdout).hexdigest()
+        print(f"{name}: exit {proc.returncode}, sha256 {got} in {time.perf_counter() - start:.1f} s")
+        if proc.returncode:
+            bad.append(f"{name}: exit {proc.returncode}\n{proc.stderr.decode()}")
+        if got != digest:
+            bad.append(f"{name}: stdout digest differs from {digest}")
     for line in bad:
         print(line)
     assert not bad

@@ -237,9 +237,13 @@ def tileable_digest(outcomes) -> str:
 
 
 def reference_le4_energy_model():
-    """`coloring._le4_energy_model` as it was before it kept only the
-    distinct term columns: one (energies by term over all states, valid
-    codes) pair per assembly, "1-tile" and "2-tile-hor"."""
+    """`coloring._energy_model("le4")` without its grouping into distinct
+    term columns, and with its valid states spelled out independently of the
+    lifts it takes them from: one (energies by term over all states, valid
+    codes) pair per assembly, "1-tile" and "2-tile-hor".  A stitched q = 4
+    tile contributes s0..s3, r0..r3 in code order, one byte per tile, so a
+    tile holds color c when its byte is 0x11 << c, and an edge's two tiles
+    hold different colors."""
     tiles = {
         term: _build_tileset_any(
             4, table={"A": 0.0, "B": 0.0, "C": 0.0, "lambda": 1.0, "D": 0.0, term: 1.0}
@@ -259,9 +263,10 @@ def reference_le4_energy_model():
     return model
 
 
-def reference_table_gap(model, A, B, C, lam, D):
-    """`coloring._table_gap` over `reference_le4_energy_model`: every state's
-    energy is evaluated."""
+def reference_table_gap(model, table):
+    """`coloring._table_gap` of a q <= 4 table over `reference_le4_energy_model`:
+    every state's energy is evaluated."""
+    A, B, C, lam, D = (table[k] for k in ("A", "B", "C", "lambda", "D"))
     worst = math.inf
     for terms, valid in model:
         e = lam * (A * terms["A"] + B * terms["B"] + C * terms["C"]) + D * terms["D"]

@@ -127,6 +127,17 @@ class TestBuildSolve:
         code, _ = run(capsys, "solve", built_path, "--solver", "brute", flag, str(value))
         assert code == 0
 
+    @pytest.mark.parametrize("l_star", [99, 3, -1])
+    def test_l_star_outside_the_value_register_is_usage_error(self, l_star, tmp_path, capsys):
+        # the register of values 3 and 1 has width 3, so bits 0..2 may be pinned
+        inst = write(tmp_path, "k.json", INSTANCES["knapsack"])
+        assert main(["build", inst, "--l-star", str(l_star)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: l_star {l_star} outside the value register width 3\n"
+        code, built = run(capsys, "build", inst, "--l-star", "2")
+        assert code == 0 and built["meta"] == {"l_star": 2}
+
 
 class TestEmbedValidate:
     def test_unary_embed_validate_solve(self, tmp_path, capsys):
@@ -639,6 +650,17 @@ class TestGapPredict:
     def test_non_integer_predict_argument_is_usage_error(self, capsys):
         assert main(["predict", "unary", "x", "4"]) == 2
         assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["numpart", "4", "2", "4", "--strategy", "foo"], ["hamcycle", "4", "2", "--strategy", "tree"],
+         ["permutation", "4", "--strategy", "tileable"]],
+    )
+    def test_unknown_predict_strategy_is_usage_error(self, argv, capsys):
+        assert main(["predict", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unknown strategy {argv[-1]!r}\n"
 
     def test_round_trip_documents(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", {"partition": {"numbers": [2, 2, 3, 3]}})

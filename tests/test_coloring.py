@@ -343,7 +343,7 @@ class TestGridSearch:
     def test_valid_codes_match_the_row_mask(self):
         # the valid codes read off the bits equal the mask over every row, and
         # the distinct columns hold every state once
-        from qubolattice.coloring import _le4_energy_model
+        from qubolattice.coloring import _energy_model
         from qubolattice.qubo import SPIN, _code_rows
 
         def row_mask(vertices):
@@ -358,7 +358,7 @@ class TestGridSearch:
                 mask &= (rows[:, 0:4] != rows[:, 8:12]).any(1)
             return np.nonzero(mask)[0]
 
-        (one, counts_one, _, valid_one), (two, counts_two, _, valid_two) = _le4_energy_model()
+        (one, counts_one, _, valid_one), (two, counts_two, _, valid_two) = _energy_model("le4")
         assert valid_one.tolist() == row_mask(1).tolist() and len(valid_one) == 4
         assert valid_two.tolist() == row_mask(2).tolist() and len(valid_two) == 12
         assert counts_one.sum() == 1 << 8 and counts_two.sum() == 1 << 16
@@ -367,10 +367,10 @@ class TestGridSearch:
 
     def test_distinct_columns_match_the_full_state_arrays(self):
         # the columns and their counts are the full arrays' distinct rows
-        from qubolattice.coloring import _le4_energy_model
+        from qubolattice.coloring import _energy_model
 
-        model = _le4_energy_model()
-        assert model is _le4_energy_model()
+        model = _energy_model("le4")
+        assert model is _energy_model("le4")
         for (columns, counts, valid_columns, valid), (energies, ref_valid) in zip(
             model, reference_le4_energy_model()
         ):
@@ -394,9 +394,9 @@ class TestGridSearch:
         table_gap = coloring._table_gap
         scored = []
 
-        def checked(model, *table):
-            gap = table_gap(model, *table)
-            assert gap == reference_table_gap(reference, *table), table
+        def checked(model, table):
+            gap = table_gap(model, table)
+            assert gap == reference_table_gap(reference, table), table
             scored.append(gap)
             return gap
 
@@ -406,17 +406,19 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("resolution", range(2, 10))
     def test_search_equals_the_full_array_search(self, resolution, monkeypatch):
-        # the paper's table with gap 2 at every resolution; the energy model
-        # is built once per process, and this search looks it up once
+        # the paper's table with gap 2 at every resolution; each class's
+        # energy model is built once per process, and this search looks it
+        # up once
         from qubolattice import coloring
 
-        before = coloring._le4_energy_model.cache_info()
+        before = coloring._energy_model.cache_info()
         got = grid_search_coefficients("le4", resolution)
-        after = coloring._le4_energy_model.cache_info()
+        after = coloring._energy_model.cache_info()
         assert got == ({"A": 1.0, "B": -2.0, "C": 2.0, "lambda": 0.5, "D": 0.5}, 2.0)
-        assert after.misses == 1 and after.hits + after.misses == before.hits + before.misses + 1
+        assert after.misses == after.currsize <= 2
+        assert after.hits + after.misses == before.hits + before.misses + 1
         reference = reference_le4_energy_model()
-        monkeypatch.setattr(coloring, "_le4_energy_model", lambda: reference)
+        monkeypatch.setattr(coloring, "_energy_model", lambda q_class: reference)
         monkeypatch.setattr(coloring, "_table_gap", reference_table_gap)
         assert got == grid_search_coefficients("le4", resolution)
 
@@ -427,7 +429,7 @@ class TestGridSearch:
     def test_gt4_budget_surface_peak(self):
         table, gap = grid_search_coefficients("gt4", resolution=5)
         assert (table, gap) == (
-            {"lambda": 0.6666666666666666, "G": 0.33333333333333337}, 1.3333333333333286
+            {"lambda": 0.6666666666666666, "G": 0.33333333333333337}, 1.3333333333333357
         )
         assert gap <= 4.0 / 3.0 + 1e-9
         assert gap == pytest.approx(4.0 / 3.0, abs=1e-9)
@@ -439,11 +441,63 @@ class TestGridSearch:
     )
     def test_le4_energy_model_matches_stitched_templates(self, A, B, C, lam):
         # the search's energies and the stitched q = 4 templates give one gap
-        from qubolattice.coloring import _le4_energy_model, _table_gap
+        from qubolattice.coloring import _energy_model, _table_gap
 
         D = (2.0 - lam * C) / 2.0
-        gap = _table_gap(_le4_energy_model(), A, B, C, lam, D)
+        table = {"A": A, "B": B, "C": C, "lambda": lam, "D": D}
+        gap = _table_gap(_energy_model("le4"), table)
         assert gap is not None
-        tileset = _build_tileset_any(4, table={"A": A, "B": B, "C": C, "lambda": lam, "D": D})
+        tileset = _build_tileset_any(4, table=table)
         stitched = min(verify_gap(tileset, a).gap for a in ("1-tile", "2-tile-hor"))
         assert gap == pytest.approx(stitched, abs=1e-9)
+
+    @pytest.mark.parametrize("resolution", range(2, 10))
+    def test_gt4_search_peaks_at_two_thirds(self, resolution):
+        # the q > 4 budget point at every resolution, with the exact gap of
+        # resolution 5; the model is built once per process and looked up once
+        from qubolattice import coloring
+
+        before = coloring._energy_model.cache_info()
+        got = grid_search_coefficients("gt4", resolution)
+        after = coloring._energy_model.cache_info()
+        assert got == ({"lambda": 2.0 / 3.0, "G": 1.0 - 2.0 / 3.0}, 1.3333333333333357)
+        assert after.misses == after.currsize <= 2
+        assert after.hits + after.misses == before.hits + before.misses + 1
+
+    def test_gt4_model_keeps_the_distinct_columns(self):
+        # 8 of the 2^8 one-tile states and 87 of the 2^16 two-tile ones; the
+        # valid states are the 8 one-hot colors and the 56 proper pairs
+        from qubolattice.coloring import _energy_model
+
+        model = _energy_model("gt4")
+        assert model is _energy_model("gt4")
+        assert [len(counts) for _, counts, _, _ in model] == [8, 87]
+        assert [int(counts.sum()) for _, counts, _, _ in model] == [1 << 8, 1 << 16]
+        (_, _, _, one), (_, _, _, two) = model
+        assert one.tolist() == [1 << c for c in range(8)]
+        pairs = [1 << a | 1 << (8 + b) for a in range(8) for b in range(8) if a != b]
+        assert two.tolist() == sorted(pairs)
+
+    @pytest.mark.parametrize("lam", [0.35, 0.55, 2.0 / 3.0, 0.75])
+    def test_gt4_energy_model_matches_stitched_templates(self, lam):
+        # the search's energies and the chain-intact q = 8 spectra give one gap
+        from qubolattice.coloring import _energy_model, _table_gap
+
+        table = {"lambda": lam, "G": 1.0 - lam}
+        gap = _table_gap(_energy_model("gt4"), table)
+        assert gap is not None
+        tileset = _build_tileset_any(8, table=table)
+        stitched = min(verify_gap(tileset, a).gap for a in ("1-tile", "2-tile-hor"))
+        assert gap == pytest.approx(stitched, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "table", [{"lambda": 2.0 / 3.0, "G": -1.0 / 3.0}, {"lambda": 0.5, "G": 0.0}]
+    )
+    def test_gt4_table_without_proper_ground_states_scores_none(self, table):
+        # a negative edge weight makes equal colors cheaper, and a zero one
+        # leaves them as low as proper ones: no gap is scored
+        from qubolattice.coloring import _energy_model, _table_gap
+
+        assert _table_gap(_energy_model("gt4"), table) is None
+        ground = verify_gap(_build_tileset_any(8, table=table), "2-tile-hor").ground_states
+        assert any(s[:8] == s[8:] and s[:8].count(1) == 1 for s in ground)
